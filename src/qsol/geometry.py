@@ -29,14 +29,18 @@ class ProjPoint:
 
     def __post_init__(self):
         p = self.modulus.p
-        coords = tuple(int(c) % p for c in self.coords)
+        object.__setattr__(self, "coords", self.normalise(p, tuple(int(c) % p for c in self.coords)))
+
+    @staticmethod
+    def normalise(p: int, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Scale reduced coordinates so that the first nonzero one is 1."""
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise ValueError("zero vector does not define a projective point")
-        if lead != 1:
-            inv = self.modulus.inv(lead)
-            coords = tuple((inv * c) % p for c in coords)
-        object.__setattr__(self, "coords", coords)
+        if lead == 1:
+            return coords
+        inv = pow(lead, -1, p)
+        return tuple((inv * c) % p for c in coords)
 
     @classmethod
     def from_vector(cls, v: FpVector) -> "ProjPoint":
@@ -87,10 +91,6 @@ class ProjSubspace:
     def ambient_dim(self) -> int:
         return self.basis.ncols - 1
 
-    @property
-    def proj_dim(self) -> int:
-        return self.rank - 1
-
     def contains_point(self, pt: ProjPoint) -> bool:
         return fields.in_row_space(self.basis, pt.vector())
 
@@ -120,9 +120,6 @@ class ProjLine:
     @property
     def ambient_dim(self) -> int:
         return self.basis.ncols - 1
-
-    def as_subspace(self) -> ProjSubspace:
-        return ProjSubspace(self.modulus, self.basis)
 
 
 SubspaceLike = Union[ProjPoint, ProjLine, ProjSubspace]

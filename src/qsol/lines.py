@@ -33,11 +33,16 @@ def distance_value(d: DependentSetSize) -> int:
 
 
 def min_distance_result(results: Sequence[DependentSetSize]) -> DependentSetSize:
-    """Minimum under the order: any integer < any AtLeast bound it precedes."""
-    exact = [r for r in results if not isinstance(r, AtLeast)]
-    if exact:
-        return min(exact)
-    return min(results, key=lambda r: r.bound)
+    """The least of the values the results stand for.
+
+    An exact value w is the answer when no AtLeast bound lies below it;
+    otherwise only the least bound is known.
+    """
+    exact = min((r for r in results if not isinstance(r, AtLeast)), default=None)
+    bound = min((r.bound for r in results if isinstance(r, AtLeast)), default=None)
+    if exact is not None and (bound is None or exact <= bound):
+        return exact
+    return AtLeast(bound)
 
 
 @dataclass(frozen=True)

@@ -135,11 +135,7 @@ def symplectic_form(u: SymplecticVector, v: SymplecticVector) -> int:
 
 def weight(x: PauliOperator | SymplecticVector) -> int:
     """Number of qupit positions with a non-identity component."""
-    if isinstance(x, PauliOperator):
-        pairs = zip(x.x_part, x.z_part)
-    else:
-        pairs = zip(x.x_part, x.z_part)
-    return sum(1 for a, b in pairs if a or b)
+    return sum(1 for a, b in zip(x.x_part, x.z_part) if a or b)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

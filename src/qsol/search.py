@@ -124,26 +124,43 @@ def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
     return pauli.StabiliserGroup.from_matrix(g.modulus, n, FpMatrix(g.modulus, rows, 2 * n))
 
 
-def candidate_vertices(
-    x: QuantumLineSet,
-    d: int,
-    restriction: ProjSubspace | None = None,
-) -> list[ProjPoint]:
-    """Points not in the span of d-1 or fewer incident points of x.
+def excluded_points(x: QuantumLineSet, d: int) -> set[tuple[int, ...]]:
+    """X_{d-1}: the points in the span of d-1 or fewer incident points of x.
 
-    With a restriction subspace, only its points are considered (the
-    subspace trick that keeps the compatibility graph small).
+    Points are normalised coordinate tuples. X_1 is the set of incident
+    points, and X_{w+1} adds every point of each line joining a point of
+    X_w to an incident point.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     if d > MAX_CANDIDATE_DISTANCE:
         raise UnsupportedDistance(f"candidate enumeration limited to d <= {MAX_CANDIDATE_DISTANCE}")
-    incident = lines_mod.incident_points(x)
-    excluded: set[tuple[int, ...]] = set()
-    for size in range(1, d):
-        for subset in itertools.combinations(incident, size):
-            for pt in geometry.points_of(geometry.span(subset)):
-                excluded.add(pt.coords)
+    p = x.p
+    incident = [pt.coords for pt in lines_mod.incident_points(x)]
+    excluded = set(incident)
+    for _ in range(d - 2):
+        excluded = excluded.union(*(_line(p, r, s) for r in excluded for s in incident if r != s))
+    return excluded
+
+
+def _line(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The p+1 points of the line through the distinct points u and v."""
+    return [u, v] + [
+        ProjPoint.normalise(p, tuple((a + c * b) % p for a, b in zip(u, v))) for c in range(1, p)
+    ]
+
+
+def candidate_vertices(
+    x: QuantumLineSet,
+    d: int,
+    restriction: ProjSubspace | None = None,
+) -> list[ProjPoint]:
+    """Points not in X_{d-1}, the span of d-1 or fewer incident points of x.
+
+    With a restriction subspace, only its points are considered (the
+    subspace trick that keeps the compatibility graph small).
+    """
+    excluded = excluded_points(x, d)
     if restriction is not None:
         pool = geometry.points_of(restriction)
     else:
@@ -152,28 +169,23 @@ def candidate_vertices(
 
 
 def gamma_graph(x: QuantumLineSet, vertices: Sequence[ProjPoint], d: int) -> CompatibilityGraph:
-    """Join u, v iff u, v plus any d-1 or fewer incident points are independent."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    """Join u, v iff no point of the line uv lies in X_{d-1}.
+
+    This is the codeword-stabilised condition that u - v is not the
+    classical image of an error of weight d-1 or less. For d <= 3 it is the
+    same as asking that u, v and any d-1 or fewer incident points be
+    independent.
+    """
     p = x.p
-    incident = [pt.coords for pt in lines_mod.incident_points(x)]
+    excluded = excluded_points(x, d)
     verts = tuple(sorted(set(vertices)))
-    edges = set()
-    for a, b in itertools.combinations(range(len(verts)), 2):
-        u, v = verts[a].coords, verts[b].coords
-        if _pair_compatible(p, u, v, incident, d):
-            edges.add((a, b))
-    return CompatibilityGraph(verts, frozenset(edges))
-
-
-def _pair_compatible(p: int, u, v, incident, d: int) -> bool:
-    if fields.rank_of_vectors(p, [u, v]) != 2:
-        return False
-    for size in range(1, d):
-        for subset in itertools.combinations(incident, size):
-            if fields.rank_of_vectors(p, (u, v) + subset) != 2 + size:
-                return False
-    return True
+    coords = [v.coords for v in verts]
+    edges = frozenset(
+        (a, b)
+        for a, b in itertools.combinations(range(len(verts)), 2)
+        if excluded.isdisjoint(_line(p, coords[a], coords[b]))
+    )
+    return CompatibilityGraph(verts, edges)
 
 
 def find_cliques(
@@ -395,9 +407,17 @@ def run_recipe(
     tset = CodingSet(modulus, length, tuple(vectors), clique_indices=chosen)
 
     if tset.nonzero():
-        # pairs containing the zero vector are certified to level d by the
-        # candidate-vertex condition, which caps the overall bound
-        bound = lines_mod.min_distance_result([distance_bound(x, tset, d), AtLeast(d)])
+        # the candidate condition sees only errors with a nonzero image; an
+        # error of weight d(X) < d can have image 0, a stabiliser element
+        # that acts on the components of T with different phases, so the
+        # pairs containing the zero vector are certified to min(d, d(X))
+        additive = lines_mod.distance_value(lines_mod.min_dependent_set(x, d - 1))
+        if additive < d:
+            warnings.append(
+                f"additive code has distance {additive} < d; "
+                f"pairs with the zero vector are certified to {additive} only"
+            )
+        bound = lines_mod.min_distance_result([distance_bound(x, tset, d), AtLeast(additive)])
     else:
         # T = {0}: the additive code itself, whose distance is d(X)
         bound = lines_mod.min_dependent_set(x, d)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from qsol import fields, geometry, lines as lines_mod, oracle, pauli, search
-from qsol.errors import CollapsedImage, DegenerateLine
+from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space, kernel_basis, row_space
+from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
 from qsol.oracle import code_projector, component_projector, error_classes, kl_detect, subspace_equal
 from qsol.pauli import (
@@ -378,3 +379,68 @@ def test_property_subspace_coding_set_is_stabiliser_code():
         else:
             right = component_projector(s, (0,) * m)
         assert subspace_equal(left, right, tolerance=1e-8)
+
+
+def rank_rule_compatible(p, u, v, incident, d):
+    """The rank form of the Γ edge rule, kept as an independent reference.
+
+    u ~ v iff u, v and any d-1 or fewer incident points are independent.
+    For d <= 3 any one or two distinct incident points are independent, so
+    this holds exactly when the line uv misses X_{d-1}.
+    """
+    if fields.rank_of_vectors(p, [u, v]) != 2:
+        return False
+    for size in range(1, d):
+        for subset in itertools.combinations(incident, size):
+            if fields.rank_of_vectors(p, (u, v) + subset) != 2 + size:
+                return False
+    return True
+
+
+def random_graph_lines(rng, modulus, n):
+    """The line set of a random F_p-labelled graph on n vertices with no isolated vertex."""
+    p = modulus.p
+    while True:
+        edges = [(i, j, rng.randrange(1, p)) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        try:
+            group = search.graph_to_generators(search.LabelledGraph.from_edges(modulus, n, edges))
+        except IsolatedVertex:
+            continue
+        return lines_mod.lines_from_matrix(group.gmatrix, n, 0)
+
+
+def test_property_gamma_graph_matches_rank_rule():
+    # ranges of n: at d = 3 they start where Γ first has edges, and p = 5
+    # stays small to bound the run time of the rank rule
+    sizes = {(2, 2): (3, 6), (2, 3): (6, 7), (3, 2): (3, 5), (3, 3): (5, 6), (5, 2): (3, 4), (5, 3): (4, 4)}
+    rng = random.Random(9010)
+    edges_seen = {2: 0, 3: 0}
+    for case in range(200):
+        p = rng.choice([2, 3, 5])
+        mod = PrimeModulus(p)
+        d = rng.choice([2, 3])
+        n = rng.randint(*sizes[p, d])
+        x = random_graph_lines(rng, mod, n)
+        incident = lines_mod.incident_points(x)
+        # edges are rare at d = 3, so the ends of up to two edges of Γ on a
+        # sample of candidates go in first; random candidates, an incident
+        # point and random points follow, and the two rules must agree on
+        # every pair of the list
+        candidates = search.candidate_vertices(x, d)
+        pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), d)
+        verts = [pool.vertices[i] for e in rng.sample(sorted(pool.edges), min(2, pool.num_edges)) for i in e]
+        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident, 1)
+        while len(verts) < 8:
+            coords = tuple(rng.randrange(p) for _ in range(n))
+            if any(coords):
+                verts.append(ProjPoint(mod, coords))
+        gamma = search.gamma_graph(x, verts, d)
+        incident_coords = [pt.coords for pt in incident]
+        expected = {
+            (a, b)
+            for a, b in itertools.combinations(range(gamma.num_vertices), 2)
+            if rank_rule_compatible(p, gamma.vertices[a].coords, gamma.vertices[b].coords, incident_coords, d)
+        }
+        assert set(gamma.edges) == expected, f"case {case}: p={p} d={d} n={n}"
+        edges_seen[d] += len(expected)
+    assert all(edges_seen.values()), f"edges compared: {edges_seen}"

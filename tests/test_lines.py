@@ -35,6 +35,11 @@ class TestBoundArithmetic:
         assert min_distance_result([AtLeast(5), 3, 4]) == 3
         assert min_distance_result([AtLeast(5), AtLeast(3)]) == AtLeast(3)
 
+    def test_min_distance_result_bound_below_exact(self):
+        # an exact 4 next to a bound of 3 leaves the minimum at >= 3
+        assert min_distance_result([4, AtLeast(3)]) == AtLeast(3)
+        assert min_distance_result([3, AtLeast(3)]) == 3
+
 
 class TestLinesFromMatrix:
     def test_pentagon_lines(self, five_qubit_lines):

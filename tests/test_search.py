@@ -5,17 +5,20 @@ import random
 
 import pytest
 
-from qsol import lines as lines_mod, search
+import cws_reference
+from qsol import geometry, lines as lines_mod, oracle, search
 from qsol.errors import IsolatedVertex, TimeLimitExceeded, UnsupportedDistance
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
+from qsol.pauli import PauliOperator
 from qsol.search import (
     CodingSet,
     CompatibilityGraph,
     LabelledGraph,
     candidate_vertices,
     distance_bound,
+    excluded_points,
     find_cliques,
     gamma_graph,
     graph_to_generators,
@@ -64,6 +67,45 @@ class TestGraphToGenerators:
         g = LabelledGraph.from_edges(mod2, 3, [(0, 1, 1)])
         with pytest.raises(IsolatedVertex):
             graph_to_generators(g)
+
+
+def nonzero_error_images(adjacency, max_weight):
+    """The nonzero CWS images b + A a of the errors of weight 1..max_weight.
+
+    Unlike ``cws_reference.error_images`` this accepts degenerate graphs and
+    drops the errors that act as stabiliser elements (image 0).
+    """
+    n = len(adjacency)
+    column = [cws_reference.to_mask(adjacency[j][i] for j in range(n)) for i in range(n)]
+    local = [(column[i], 1 << i, column[i] ^ (1 << i)) for i in range(n)]
+    images = set()
+    for w in range(1, max_weight + 1):
+        for support in itertools.combinations(range(n), w):
+            for letters in itertools.product(*(local[i] for i in support)):
+                image = 0
+                for part in letters:
+                    image ^= part
+                images.add(image)
+    return images - {0}
+
+
+def cycle_lines(modulus, n):
+    group = graph_to_generators(LabelledGraph.cycle(modulus, n))
+    return lines_mod.lines_from_matrix(group.gmatrix, n, 0)
+
+
+class TestExcludedPoints:
+    @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 5, 3), (2, 5, 4), (2, 6, 4), (3, 4, 3), (5, 3, 3)])
+    def test_equals_union_of_spans(self, p, n, d):
+        x = cycle_lines(PrimeModulus(p), n)
+        incident = lines_mod.incident_points(x)
+        spans = {
+            pt.coords
+            for size in range(1, d)
+            for subset in itertools.combinations(incident, size)
+            for pt in geometry.points_of(geometry.span(subset))
+        }
+        assert excluded_points(x, d) == spans
 
 
 class TestCandidateVertices:
@@ -122,6 +164,20 @@ class TestGammaGraph:
             except CollapsedImage:
                 projects = False
             assert projects == ((a, b) in edge_set)
+
+    def test_ten_cycle_d4_matches_cws(self, mod2):
+        # three points of one line are dependent, so the rank form of the
+        # rule would reject every pair here; the excluded-point rule gives the
+        # CWS edges u + v not in {nonzero Cl_G(E) : |E| <= 3}
+        g = LabelledGraph.cycle(mod2, 10)
+        x = cycle_lines(mod2, 10)
+        gamma = gamma_graph(x, candidate_vertices(x, 4), 4)
+        masks = [cws_reference.to_mask(v.coords) for v in gamma.vertices]
+        images = nonzero_error_images(g.adjacency.rows, 3)
+        ref_vertices = cws_reference.candidates(images, 10)
+        assert (gamma.num_vertices, gamma.num_edges) == (46, 30)
+        assert set(masks) == set(ref_vertices)
+        assert {frozenset((masks[i], masks[j])) for i, j in gamma.edges} == cws_reference.edges(images, ref_vertices)
 
 
 class TestFindCliques:
@@ -241,6 +297,27 @@ class TestRunRecipe:
         # the additive code's own distance is reported
         assert report.d_bound == 3 and report.d_bound_exact
         assert any("T = {0}" in w for w in report.warnings)
+
+    def test_eight_cycle_at_d4_caps_the_bound_at_the_additive_distance(self, mod2):
+        # the 8-cycle state has stabiliser elements X_i Z_{i-1} Z_{i+1} of
+        # weight 3 with CWS image 0; the candidate condition cannot see them,
+        # so the zero pairs are certified to d(X) = 3, not to d = 4
+        report = run_recipe(LabelledGraph.cycle(mod2, 8), d=4)
+        # the all-ones point is the one candidate, so T = {0, 11111111}
+        assert {v.entries for v in report.coding_set.nonzero()} == {(1,) * 8}
+        assert (report.n, report.dimension) == (8, 2)
+        assert report.d_bound == 3 and not report.d_bound_exact
+        assert any("certified to 3" in w for w in report.warnings)
+
+        pr = oracle.code_projector(report.group, report.coding_set)
+        assert oracle.kl_detect(pr, oracle.error_classes(mod2, 8, 2)).passed
+        stabilisers = []
+        for i in range(8):
+            z = [0] * 8
+            z[i - 1] = z[(i + 1) % 8] = 1
+            stabilisers.append(PauliOperator(mod2, 8, 0, tuple(int(j == i) for j in range(8)), tuple(z)))
+        kl = oracle.kl_detect(pr, stabilisers)
+        assert len(kl.failures) == 8
 
     def test_machine_lines_are_key_value(self, pentagon_graph):
         report = run_recipe(pentagon_graph, d=2)
