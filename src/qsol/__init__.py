@@ -1,6 +1,7 @@
 """Construction and verification of additive and non-additive stabiliser codes
 via finite projective geometry: quantum sets of lines, projections from point
-pairs, compatibility-graph clique search, and a dense numeric oracle."""
+pairs, compatibility-graph clique search, and a numerical error-detection
+oracle on orthonormal code bases."""
 
 from .fields import FpMatrix, FpVector, PrimeModulus
 from .geometry import ProjLine, ProjPoint, ProjSubspace

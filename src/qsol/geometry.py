@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import fields
@@ -91,9 +90,6 @@ class ProjSubspace:
     def ambient_dim(self) -> int:
         return self.basis.ncols - 1
 
-    def contains_point(self, pt: ProjPoint) -> bool:
-        return fields.in_row_space(self.basis, pt.vector())
-
 
 @dataclass(frozen=True, order=True)
 class ProjLine:
@@ -166,14 +162,6 @@ def span(objs: Sequence[SubspaceLike]) -> ProjSubspace:
     return ProjSubspace.from_rows(modulus, rows, ncols)
 
 
-def is_skew(a: SubspaceLike, b: SubspaceLike) -> bool:
-    """True iff the two subspaces have empty intersection."""
-    ra, rb = _basis_rows(a), _basis_rows(b)
-    if len(ra[0]) != len(rb[0]):
-        raise DimensionMismatch("ambient dimensions differ")
-    return fields.rank_of_vectors(a.modulus.p, list(ra) + list(rb)) == len(ra) + len(rb)
-
-
 class Projection:
     """Projection of PG(m, p) from a centre, as basis change + deletion.
 
@@ -209,32 +197,6 @@ class Projection:
         return ProjLine.from_rows(self.modulus, rows, self.dim - self.rank)
 
 
-def project_from(centre: ProjSubspace, x: ProjPoint | ProjLine):
-    """Project a point or line from a subspace centre.
-
-    Raises CollapsedImage when the image drops rank, which signals that x
-    meets the centre.
-    """
-    if centre.ambient_dim != x.ambient_dim:
-        raise DimensionMismatch("centre and object in different spaces")
-    proj = Projection(centre.basis.row_vectors())
-    if isinstance(x, ProjPoint):
-        return proj.apply_point(x)
-    return proj.apply_line(x)
-
-
-@lru_cache(maxsize=None)
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All rank-r RREF matrices with ncols columns, as raw row tuples.
 
@@ -254,12 +216,6 @@ def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...
             for (i, c), v in zip(free_positions, values):
                 rows[i][c] = v
             yield tuple(tuple(row) for row in rows)
-
-
-def iter_subspaces(m: int, r: int, modulus: PrimeModulus) -> Iterator[ProjSubspace]:
-    """All rank-r subspaces of PG(m, p) in a deterministic order."""
-    for rows in iter_rref_bases(m + 1, r, modulus.p):
-        yield ProjSubspace(modulus, FpMatrix(modulus, rows, m + 1))
 
 
 def all_points(m: int, modulus: PrimeModulus) -> list[ProjPoint]:

@@ -1,14 +1,20 @@
-"""Dense complex-matrix ground truth for constructed codes.
+"""Numerical ground truth for constructed codes, on an orthonormal code basis.
 
-Builds Pauli operators and eigenspace projectors as explicit matrices on
-(C^p)^{x n} and checks dimensions, orthogonality and the error-detection
-conditions numerically.  Everything is guarded to desk scale (p^n <= 2^14).
+A code Q(S, T) is the direct sum of the joint eigenspaces Q_t, t in T, so it
+has dimension K = |T|.p^k, far below p^n. Each Q_t is found by applying the
+generator projectors (1/p) sum_j w^{-j t_i} g_i^j to a fixed start block.
+Every Pauli acts on the computational basis as a permutation with phases,
+so each application is a gather and a phase multiply, and no dim x dim
+matrix is formed. The error-detection conditions are checked as the K x K
+matrices B^dag E B = alpha_E I for the dim x K code basis B. Memory is
+guarded by one byte budget, MAX_BYTES.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,57 +24,73 @@ from .errors import DimensionMismatch, InvalidGroup, NonCommutingGenerators, Too
 from .fields import FpVector, PrimeModulus
 from .pauli import PauliOperator, StabiliserGroup
 
-MAX_DIM = 2 ** 14
+MAX_BYTES = 2 ** 28
 
-IDEMPOTENT_TOL = 1e-9
-TRACE_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-9
+RANK_TOL = 1e-9
 KL_TOL = 1e-9
 EQUAL_TOL = 1e-8
 
+# the start block of every component basis, fixed so that runs repeat exactly
+_START_SEED = 0
 
-def _check_scale(p: int, n: int) -> int:
+
+def _check_budget(p: int, n: int, columns: int) -> int:
+    """dim = p^n, after checking that a complex dim x columns array fits MAX_BYTES."""
     dim = p ** n
-    if dim > MAX_DIM:
-        raise TooLarge(f"p^n = {dim} exceeds the desk-scale guard {MAX_DIM}")
+    estimate = dim * columns * 16
+    if estimate > MAX_BYTES:
+        raise TooLarge(
+            f"a complex {dim} x {columns} array needs about {estimate / 2 ** 20:.1f} MiB, "
+            f"over the {MAX_BYTES / 2 ** 20:.0f} MiB budget"
+        )
     return dim
 
 
-def _digits(dim: int, n: int, p: int) -> np.ndarray:
-    """Base-p digit expansion of every basis index, most significant first."""
-    idx = np.arange(dim)
-    digits = np.empty((dim, n), dtype=np.int64)
+@lru_cache(maxsize=1)
+def _digits(p: int, n: int) -> np.ndarray:
+    """Base-p digits of every basis index, one column per site, most significant first.
+
+    Only the table of the last (p, n) is kept; every Pauli of one check shares it.
+    """
+    idx = np.arange(p ** n)
+    digits = np.empty((p ** n, n), dtype=np.uint8)
     for site in range(n - 1, -1, -1):
         digits[:, site] = idx % p
         idx = idx // p
+    digits.flags.writeable = False
     return digits
 
 
 def _pauli_action(m: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     """Column action of the operator: index map and per-column phases.
 
-    M |x> = phases[x] |perm[x]>, so M[perm[x], x] = phases[x].
+    M |x> = phases[x] |perm[x]>, so M[perm[x], x] = phases[x]. Only the
+    sites in the support of the operator are visited.
     """
     p, n = m.p, m.n
-    dim = _check_scale(p, n)
-    digits = _digits(dim, n, p)
-    a = np.array(m.x_part, dtype=np.int64)
-    b = np.array(m.z_part, dtype=np.int64)
-    shifted = (digits + a) % p
-    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    perm = shifted @ weights
-    omega = np.exp(2j * np.pi / p)
-    exponents = (digits @ b) % p
+    digits = _digits(p, n)
+    perm = np.arange(p ** n)
+    exponents = np.zeros(p ** n, dtype=np.int64)
+    for site, (a, b) in enumerate(zip(m.x_part, m.z_part)):
+        if not (a or b):
+            continue
+        digit = digits[:, site].astype(np.int64)
+        if a:
+            perm += ((digit + a) % p - digit) * p ** (n - 1 - site)
+        if b:
+            exponents += b * digit
+    omega_powers = np.exp(2j * np.pi * np.arange(p) / p)
     if p == 2:
         scalar = 1j ** ((m.phase + int(np.dot(m.x_part, m.z_part))) % 4)
     else:
-        scalar = omega ** m.phase
-    phases = scalar * omega ** exponents
-    return perm, phases
+        scalar = omega_powers[m.phase]
+    return perm, scalar * omega_powers[exponents % p]
 
 
 def pauli_dense(m: PauliOperator) -> np.ndarray:
     """The operator as a dense unitary matrix."""
-    dim = _check_scale(m.p, m.n)
+    dim = _check_budget(m.p, m.n, m.p ** m.n)
     perm, phases = _pauli_action(m)
     out = np.zeros((dim, dim), dtype=complex)
     out[perm, np.arange(dim)] = phases
@@ -77,46 +99,77 @@ def pauli_dense(m: PauliOperator) -> np.ndarray:
 
 def apply_right(mat: np.ndarray, m: PauliOperator) -> np.ndarray:
     """mat @ M without forming M densely."""
+    if mat.shape[-1] != m.p ** m.n:
+        raise DimensionMismatch(f"{mat.shape[-1]} columns, operator dimension {m.p ** m.n}")
     perm, phases = _pauli_action(m)
     # (mat @ M)[i, x] = mat[i, perm[x]] * phases[x]
     return mat[:, perm] * phases[np.newaxis, :]
 
 
-def component_projector(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
-    """Projector onto the joint omega^{t_i}-twisted eigenspaces of the generators."""
+def component_basis(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
+    """An orthonormal dim x p^k basis of Q_t, where generator i acts as omega^{t_i}.
+
+    The projector onto Q_t is Hermitian, so it is applied from the right to
+    the rows of a fixed (p^k + 1) x dim start block; the row space that
+    survives is the conjugate of Q_t. Exactly p^k singular values must stay
+    above tolerance.
+    """
     p, n = s.p, s.n
-    dim = _check_scale(p, n)
+    expected = p ** s.k
+    dim = _check_budget(p, n, expected + 1)
     t_entries = list(t.entries if isinstance(t, FpVector) else t)
     if len(t_entries) != s.num_generators:
         raise ValueError("one sign per generator required")
     if not pauli_mod.is_abelian(s.generators):
         raise NonCommutingGenerators("generators do not commute")
     omega = np.exp(2j * np.pi / p)
-    proj = np.eye(dim, dtype=complex)
+    rows = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
     for gen, ti in zip(s.generators, t_entries):
-        m = pauli_dense(gen)
-        acc = np.eye(dim, dtype=complex)
-        term = np.eye(dim, dtype=complex)
+        acc = rows
+        term = rows
         for j in range(1, p):
-            term = term @ m
+            term = apply_right(term, gen)
             acc = acc + omega ** (-j * ti) * term
-        proj = proj @ (acc / p)
-    expected = p ** s.k
-    if abs(np.trace(proj).real - expected) > TRACE_TOL * dim or abs(np.trace(proj).imag) > TRACE_TOL * dim:
-        raise InvalidGroup(
-            f"component projector trace {np.trace(proj):.6g} != p^k = {expected}"
-        )
-    return proj
+        rows = acc / p
+    # the start entries are of order 1, and so are the singular values of the
+    # directions that survive; rounding leaves the others near 1e-16
+    _, sing, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.count_nonzero(sing > RANK_TOL * max(sing[0], 1.0)))
+    if rank != expected:
+        raise InvalidGroup(f"component Q_t has rank {rank} != p^k = {expected}")
+    return vh[:rank].conj().T
 
 
-def code_projector(s: StabiliserGroup, t_set) -> np.ndarray:
-    """Sum of component projectors over a coding set (or any vector list)."""
-    vectors = getattr(t_set, "vectors", t_set)
-    dim = _check_scale(s.p, s.n)
-    proj = np.zeros((dim, dim), dtype=complex)
-    for t in vectors:
-        proj += component_projector(s, t)
-    return proj
+def component_projector(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
+    """The dense projector B B^dag onto Q_t, for inspection at small sizes.
+
+    The oracle itself works on bases and never calls this. The benchmark's
+    tracer (perfbench/tracer.py) looks the name up, so it stays until the
+    benchmark drops it.
+    """
+    _check_budget(s.p, s.n, s.p ** s.n)
+    b = component_basis(s, t)
+    return b @ b.conj().T
+
+
+def code_basis(s: StabiliserGroup, t_set) -> np.ndarray:
+    """The component bases of a coding set (or any vector list), side by side.
+
+    Raises ValueError unless the result is orthonormal, which also catches
+    components that are not mutually orthogonal.
+    """
+    vectors = list(getattr(t_set, "vectors", t_set))
+    _check_budget(s.p, s.n, len(vectors) * s.p ** s.k + 1)
+    b = np.hstack([component_basis(s, t) for t in vectors])
+    _check_orthonormal(b)
+    return b
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    cols = b.shape[1]
+    gram = b.conj().T @ b
+    if np.linalg.norm(gram - np.eye(cols)) > ORTHONORMAL_TOL * max(1.0, np.sqrt(cols)):
+        raise ValueError("basis is not orthonormal within tolerance")
 
 
 def error_classes(modulus: PrimeModulus, n: int, w_max: int) -> list[PauliOperator]:
@@ -150,23 +203,24 @@ class KLReport:
         return len(self.alphas)
 
 
-def kl_detect(pr: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = KL_TOL) -> KLReport:
-    """Check P E P = alpha_E P for every error class.
+def kl_detect(b: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = KL_TOL) -> KLReport:
+    """Check B^dag E B = alpha_E I for every error class.
 
-    alpha_E = tr(P E) / tr(P); the residual is the Frobenius norm of
-    P E P - alpha_E P relative to the Frobenius norm of P.
+    b is an orthonormal dim x K basis of the code. alpha_E = tr(B^dag E B) / K
+    and the residual is ||B^dag E B - alpha_E I||_F / sqrt(K), which equal
+    tr(P E) / tr(P) and ||P E P - alpha_E P||_F / ||P||_F for P = B B^dag.
     """
-    norm_pr = float(np.linalg.norm(pr))
-    trace_pr = np.trace(pr)
-    if abs(np.linalg.norm(pr @ pr - pr)) > IDEMPOTENT_TOL * max(1.0, norm_pr):
-        raise ValueError("projector is not idempotent within tolerance")
+    _check_orthonormal(b)
+    cols = b.shape[1]
+    bh = np.ascontiguousarray(b.conj().T)
+    identity = np.eye(cols)
     alphas = {}
     failures = []
     max_residual = 0.0
     for e in errs:
-        pre = apply_right(pr, e)
-        alpha = np.trace(pre) / trace_pr
-        residual = float(np.linalg.norm(pre @ pr - alpha * pr)) / norm_pr
+        m = apply_right(bh, e) @ b
+        alpha = np.trace(m) / cols
+        residual = float(np.linalg.norm(m - alpha * identity)) / np.sqrt(cols)
         key = (e.x_part, e.z_part)
         alphas[key] = complex(alpha)
         max_residual = max(max_residual, residual)
@@ -182,11 +236,18 @@ def kl_detect(pr: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = 
 
 
 def subspace_equal(a: np.ndarray, b: np.ndarray, tolerance: float = EQUAL_TOL) -> bool:
-    """True iff two (idempotent) projectors agree within tolerance * dim."""
-    if a.shape != b.shape:
-        raise DimensionMismatch("projectors of different dimension")
+    """True iff two orthonormal bases span the same subspace.
+
+    That is, the column counts agree and every singular value of a^dag b,
+    the cosine of a principal angle, is 1: the sine of every angle is at
+    most tolerance. The sines are the singular values of b - a a^dag b,
+    which avoids the cancellation in 1 - cos.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch("bases of different ambient dimension")
     for m in (a, b):
-        if np.linalg.norm(m @ m - m) > IDEMPOTENT_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("operand is not idempotent within tolerance")
-    dim = a.shape[0]
-    return bool(np.linalg.norm(a - b) <= tolerance * dim)
+        _check_orthonormal(m)
+    if a.shape[1] != b.shape[1]:
+        return False
+    sines = np.linalg.svd(b - a @ (a.conj().T @ b), compute_uv=False)
+    return bool(np.all(sines <= tolerance))

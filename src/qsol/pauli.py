@@ -264,19 +264,30 @@ def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
 def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup:
     """The subgroup fixing both Q_t and Q_u componentwise.
 
-    Generated by M'_3..M'_{n-k}, where M'_i comes from row i of
-    A_{t,u}^{-1} G for the deterministic completion A_{t,u} of (t, u).
-    Phases are composed exactly, so the generators are genuine elements
-    of the parent group.
+    Generated by M'_3..M'_{n-k}, the elements given by rows 3.. of
+    A_{t,u}^{-1} for the deterministic completion A_{t,u} of (t, u) (see
+    subgroup_fixing). Phases are composed exactly, so the generators are
+    genuine elements of the parent group.
     """
     m = s.num_generators
     if len(t) != m or len(u) != m:
         raise ValueError("t, u must have one entry per generator")
     if fields.rank_of_vectors(s.p, [t.entries, u.entries]) != 2:
         raise DependentCentre("t and u are proportional or zero")
-    a = fields.complete_basis([t, u], m)
-    a_inv = fields.inverse(a)
-    gens = [s.element(a_inv.rows[i]) for i in range(2, m)]
+    return subgroup_fixing(s, [t, u])
+
+
+def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
+    """The subgroup acting trivially on Q_c for every vector c of the centre.
+
+    The centre vectors must be independent. The generators are the
+    elements given by rows len(centre).. of A^{-1}, for the deterministic
+    completion A of the centre to a basis; A^{-1} A = I makes those rows
+    orthogonal to every centre vector.
+    """
+    m = s.num_generators
+    a_inv = fields.inverse(fields.complete_basis(list(centre), m))
+    gens = [s.element(a_inv.rows[i]) for i in range(len(centre), m)]
     return StabiliserGroup(s.modulus, s.n, tuple(gens))
 
 

@@ -152,15 +152,14 @@ def _line(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...
 
 def candidate_vertices(
     x: QuantumLineSet,
-    d: int,
+    excluded: set[tuple[int, ...]],
     restriction: ProjSubspace | None = None,
 ) -> list[ProjPoint]:
-    """Points not in X_{d-1}, the span of d-1 or fewer incident points of x.
+    """Points not in the excluded set X_{d-1} of x (see excluded_points).
 
     With a restriction subspace, only its points are considered (the
     subspace trick that keeps the compatibility graph small).
     """
-    excluded = excluded_points(x, d)
     if restriction is not None:
         pool = geometry.points_of(restriction)
     else:
@@ -168,8 +167,12 @@ def candidate_vertices(
     return [pt for pt in pool if pt.coords not in excluded]
 
 
-def gamma_graph(x: QuantumLineSet, vertices: Sequence[ProjPoint], d: int) -> CompatibilityGraph:
-    """Join u, v iff no point of the line uv lies in X_{d-1}.
+def gamma_graph(
+    x: QuantumLineSet,
+    vertices: Sequence[ProjPoint],
+    excluded: set[tuple[int, ...]],
+) -> CompatibilityGraph:
+    """Join u, v iff no point of the line uv lies in the excluded set X_{d-1}.
 
     This is the codeword-stabilised condition that u - v is not the
     classical image of an error of weight d-1 or less. For d <= 3 it is the
@@ -177,7 +180,6 @@ def gamma_graph(x: QuantumLineSet, vertices: Sequence[ProjPoint], d: int) -> Com
     independent.
     """
     p = x.p
-    excluded = excluded_points(x, d)
     verts = tuple(sorted(set(vertices)))
     coords = [v.coords for v in verts]
     edges = frozenset(
@@ -380,13 +382,15 @@ def run_recipe(
     x = lines_mod.lines_from_matrix(group.gmatrix, n, 0)
 
     if k > 0:
-        base_candidates = candidate_vertices(x, d)
+        # the centre is chosen among the candidates of the unprojected x
+        base_candidates = candidate_vertices(x, excluded_points(x, d))
         centre = _lex_least_independent(g.modulus, base_candidates, k)
         x = lines_mod.project_lines(x, centre)
-        group = _group_from_projection(group, centre)
+        group = pauli.subgroup_fixing(group, centre)
 
-    verts = candidate_vertices(x, d, restriction)
-    gamma = gamma_graph(x, verts, d)
+    excluded = excluded_points(x, d)
+    verts = candidate_vertices(x, excluded, restriction)
+    gamma = gamma_graph(x, verts, excluded)
     if clique_mode == "greedy":
         warnings.append("greedy clique mode; maximality only")
     cliques = find_cliques(gamma, clique_mode, time_limit)
@@ -458,12 +462,3 @@ def _lex_least_independent(modulus: PrimeModulus, points: Sequence[ProjPoint], k
         if len(chosen) == k:
             return chosen
     raise NoClique(f"fewer than {k} independent candidate points")
-
-
-def _group_from_projection(group: pauli.StabiliserGroup, centre: Sequence[FpVector]) -> pauli.StabiliserGroup:
-    """Drop the first len(centre) generators after the basis change by centre."""
-    m = group.num_generators
-    a = fields.complete_basis(list(centre), m)
-    a_inv = fields.inverse(a)
-    gens = [group.element(a_inv.rows[i]) for i in range(len(centre), m)]
-    return pauli.StabiliserGroup(group.modulus, group.n, tuple(gens))

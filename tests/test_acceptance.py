@@ -17,7 +17,7 @@ from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space, kernel_basis, row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
-from qsol.oracle import code_projector, component_projector, error_classes, kl_detect, subspace_equal
+from qsol.oracle import code_basis, component_basis, error_classes, kl_detect, subspace_equal
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
@@ -34,7 +34,8 @@ from qsol.pauli import (
 )
 
 import cws_reference
-from conftest import group_elements, random_group, random_group_with_lines
+import dense_reference
+from conftest import group_elements, random_group, random_group_with_lines, random_symplectic_rows
 
 
 def cws_mismatches(graph, d, restriction=None, constraints=()):
@@ -44,7 +45,8 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     frozensets of bitmasks.
     """
     x = lines_mod.lines_from_matrix(search.graph_to_generators(graph).gmatrix, graph.n, 0)
-    gamma = search.gamma_graph(x, search.candidate_vertices(x, d, restriction), d)
+    excluded = search.excluded_points(x, d)
+    gamma = search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
     masks = [cws_reference.to_mask(v.coords) for v in gamma.vertices]
     vertices = set(masks)
     edges = {frozenset((masks[i], masks[j])) for i, j in gamma.edges}
@@ -132,12 +134,15 @@ def test_criterion_3_ternary_example(ternary_lines, ternary_tset):
 
 def test_criterion_4_oracle_562(five_qubit_group, pentagon_tset, mod2):
     start = time.monotonic()
-    pr = code_projector(five_qubit_group, pentagon_tset)
-    assert abs(np.trace(pr).real - 6) <= 1e-9
-    assert abs(np.trace(pr).imag) <= 1e-9
+    b = code_basis(five_qubit_group, pentagon_tset)
+    # tr(B^dag B) is the trace of the code projector B B^dag
+    trace = np.trace(b.conj().T @ b)
+    assert b.shape == (32, 6)
+    assert abs(trace.real - 6) <= 1e-9
+    assert abs(trace.imag) <= 1e-9
     errs = error_classes(mod2, 5, 1)
     assert len(errs) == 15
-    report = kl_detect(pr, errs, tolerance=1e-9)
+    report = kl_detect(b, errs, tolerance=1e-9)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 10.0
@@ -146,11 +151,12 @@ def test_criterion_4_oracle_562(five_qubit_group, pentagon_tset, mod2):
 def test_criterion_5_oracle_9123(nine_cycle_graph, nine_cycle_tset, mod2):
     start = time.monotonic()
     group = search.graph_to_generators(nine_cycle_graph)
-    pr = code_projector(group, nine_cycle_tset)
-    assert abs(np.trace(pr).real - 12) <= 1e-9
+    b = code_basis(group, nine_cycle_tset)
+    assert b.shape == (512, 12)
+    assert abs(np.trace(b.conj().T @ b).real - 12) <= 1e-9
     errs = error_classes(mod2, 9, 2)
     assert len(errs) == 27 + 324
-    report = kl_detect(pr, errs, tolerance=1e-9)
+    report = kl_detect(b, errs, tolerance=1e-9)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 300.0
@@ -161,12 +167,12 @@ def test_criterion_6_non_subspace_coding_set_is_stabiliser(five_qubit_ops, mod2)
     # <-M1.M2, M3, M4, M5> even though {e1, e2} is not a subspace
     s = StabiliserGroup.from_generators(five_qubit_ops)
     t_set = [FpVector(mod2, (1, 0, 0, 0, 0)), FpVector(mod2, (0, 1, 0, 0, 0))]
-    left = code_projector(s, t_set)
+    left = code_basis(s, t_set)
 
     m1m2 = multiply(five_qubit_ops[0], five_qubit_ops[1])
     minus_m1m2 = PauliOperator(mod2, 5, m1m2.phase + 2, m1m2.x_part, m1m2.z_part)
     s_prime = StabiliserGroup.from_generators([minus_m1m2] + list(five_qubit_ops[2:]))
-    right = component_projector(s_prime, (0, 0, 0, 0))
+    right = component_basis(s_prime, (0, 0, 0, 0))
 
     assert subspace_equal(left, right, tolerance=1e-8)
 
@@ -366,18 +372,18 @@ def test_property_subspace_coding_set_is_stabiliser_code():
             t_vectors = fields.row_space_vectors(FpMatrix.from_rows(mod, basis_rows, m))
         else:
             t_vectors = [FpVector(mod, (0,) * m)]
-        left = code_projector(s, t_vectors)
+        left = code_basis(s, t_vectors)
 
         if r:
             annihilator = kernel_basis(FpMatrix.from_rows(mod, basis_rows, m))
             gens = [s.element(row) for row in annihilator.rows]
             if gens:
                 sub = StabiliserGroup.from_generators(gens)
-                right = component_projector(sub, (0,) * sub.num_generators)
+                right = component_basis(sub, (0,) * sub.num_generators)
             else:
                 right = np.eye(p ** n, dtype=complex)
         else:
-            right = component_projector(s, (0,) * m)
+            right = component_basis(s, (0,) * m)
         assert subspace_equal(left, right, tolerance=1e-8)
 
 
@@ -426,15 +432,16 @@ def test_property_gamma_graph_matches_rank_rule():
         # sample of candidates go in first; random candidates, an incident
         # point and random points follow, and the two rules must agree on
         # every pair of the list
-        candidates = search.candidate_vertices(x, d)
-        pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), d)
+        excluded = search.excluded_points(x, d)
+        candidates = search.candidate_vertices(x, excluded)
+        pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), excluded)
         verts = [pool.vertices[i] for e in rng.sample(sorted(pool.edges), min(2, pool.num_edges)) for i in e]
         verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident, 1)
         while len(verts) < 8:
             coords = tuple(rng.randrange(p) for _ in range(n))
             if any(coords):
                 verts.append(ProjPoint(mod, coords))
-        gamma = search.gamma_graph(x, verts, d)
+        gamma = search.gamma_graph(x, verts, excluded)
         incident_coords = [pt.coords for pt in incident]
         expected = {
             (a, b)
@@ -444,3 +451,45 @@ def test_property_gamma_graph_matches_rank_rule():
         assert set(gamma.edges) == expected, f"case {case}: p={p} d={d} n={n}"
         edges_seen[d] += len(expected)
     assert all(edges_seen.values()), f"edges compared: {edges_seen}"
+
+
+def test_property_code_basis_matches_dense_reference():
+    # the oracle's code basis B against dense projectors built from Kronecker
+    # products in tests/dense_reference.py: B B^dag equals the reference
+    # projector, and the alphas, residuals and pass/fail of the
+    # error-detection check agree, on codes that pass and codes that fail
+    rng = random.Random(9011)
+    outcomes = {True: 0, False: 0}
+    for case in range(200):
+        p = rng.choice([2, 3])
+        mod = PrimeModulus(p)
+        n = rng.randrange(1, 5)
+        m = rng.randrange(1, n + 1)
+        phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in range(m)]
+        s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
+        t_entries = rng.sample(list(itertools.product(range(p), repeat=m)), min(rng.randrange(1, 4), p ** m))
+        t_set = [FpVector(mod, t) for t in t_entries]
+        errs = error_classes(mod, n, 1 if p ** n > 27 else min(2, n))
+
+        b = code_basis(s, t_set)
+        report = kl_detect(b, errs)
+        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
+        proj = dense_reference.code_projector(p, gens, t_entries)
+        reference = dict(zip(
+            [(e.x_part, e.z_part) for e in errs],
+            dense_reference.kl(p, proj, [(e.phase, e.x_part, e.z_part) for e in errs]),
+        ))
+
+        label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
+        assert b.shape == (p ** n, len(t_set) * p ** (n - m)), label
+        assert np.allclose(b @ b.conj().T, proj, atol=1e-10), label
+        assert abs(report.max_residual - max(r for _, r in reference.values())) <= 1e-10, label
+        for key, (alpha, _) in reference.items():
+            assert abs(report.alphas[key] - alpha) <= 1e-10, label
+        failing = {key for key, (_, r) in reference.items() if r > 1e-9}
+        assert {key for key, _ in report.failures} == failing, label
+        for key, residual in report.failures:
+            assert abs(residual - reference[key][1]) <= 1e-10, label
+        assert report.passed == (not failing), label
+        outcomes[report.passed] += 1
+    assert all(outcomes.values()), f"passing and failing codes seen: {outcomes}"

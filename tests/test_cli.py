@@ -122,6 +122,28 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert machine(capsys)["kl_pass"] == ["0"]
 
+    def test_fifteen_qubit_code_within_budget(self, tmp_path, capsys):
+        # the ((15,2,2)) code of the 15-cycle graph state with T = {0, 1^15}:
+        # the weight-15 vector is the image of no weight-1 error. Its basis is
+        # 2^15 x 2, about 1 MiB, where a 2^15 x 2^15 projector would be 16 GiB
+        n = 15
+        rows = []
+        for i in range(n):
+            x = [int(j == i) for j in range(n)]
+            z = [int(j in ((i - 1) % n, (i + 1) % n)) for j in range(n)]
+            rows.append(" ".join(map(str, x + z)))
+        gens = tmp_path / "c15.gens"
+        gens.write_text(f"2 {n} 0\n" + "\n".join(rows) + "\n")
+        tset = tmp_path / "c15.tset"
+        tset.write_text(f"2 {n}\n" + " ".join(["0"] * n) + "\n" + " ".join(["1"] * n) + "\n")
+        code = main(["verify", "--gens", str(gens), "--tset", str(tset), "--d", "2", "--format", "machine"])
+        assert code == EXIT_OK
+        pairs = machine(capsys)
+        assert pairs["kl_pass"] == ["1"]
+        assert pairs["dim"] == ["2"] and pairs["expected_dim"] == ["2"]
+        assert pairs["error_classes"] == ["45"]
+        assert float(pairs["max_residual"][0]) <= 1e-9
+
 
 class TestExtend:
     def test_output_is_self_dual_group(self, data_dir, tmp_path, capsys):

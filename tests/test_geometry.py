@@ -14,14 +14,21 @@ from qsol.geometry import (
     ProjPoint,
     ProjSubspace,
     all_points,
-    gaussian_binomial,
-    is_skew,
     iter_rref_bases,
-    iter_subspaces,
     points_of,
-    project_from,
     span,
 )
+
+
+def gaussian_binomial(n, k, p):
+    """Number of k-dimensional subspaces of F_p^n, the reference count for iter_rref_bases."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 class TestProjPoint:
@@ -56,22 +63,10 @@ class TestSubspacesAndSpan:
         assert s.rank == 2
         assert {pt.coords for pt in points_of(s)} == {(1, 0, 0), (0, 1, 1), (1, 1, 1)}
 
-    def test_contains_point(self, mod2):
-        s = ProjSubspace.from_rows(mod2, [(1, 0, 1), (0, 1, 0)], 3)
-        assert s.contains_point(ProjPoint(mod2, (1, 1, 1)))
-        assert not s.contains_point(ProjPoint(mod2, (0, 0, 1)))
-
     def test_canonical_basis_makes_equality_structural(self, mod2):
         s1 = ProjSubspace.from_rows(mod2, [(1, 1, 0), (0, 1, 1)], 3)
         s2 = ProjSubspace.from_rows(mod2, [(1, 0, 1), (1, 1, 0)], 3)
         assert s1 == s2
-
-    def test_is_skew(self, mod2):
-        l1 = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        l2 = ProjLine.from_rows(mod2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
-        l3 = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 0, 1, 0)], 4)
-        assert is_skew(l1, l2)
-        assert not is_skew(l1, l3)
 
     def test_span_dimension_mismatch(self, mod2):
         a = ProjPoint(mod2, (1, 0))
@@ -120,16 +115,6 @@ class TestProjection:
         img_points = {proj.apply_point(pt) for pt in points_of(line)}
         assert img_points == set(points_of(img))
 
-    def test_project_from_subspace_centre(self, mod2):
-        centre = ProjSubspace.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        pt = project_from(centre, ProjPoint(mod2, (1, 1, 1, 0)))
-        assert pt.coords == (1, 0)
-
-    def test_project_from_checks_ambient(self, mod2):
-        centre = ProjSubspace.from_rows(mod2, [(1, 0, 0)], 3)
-        with pytest.raises(DimensionMismatch):
-            project_from(centre, ProjPoint(mod2, (1, 0, 0, 0)))
-
 
 class TestEnumeration:
     def test_gaussian_binomial_small_values(self):
@@ -150,8 +135,3 @@ class TestEnumeration:
         for rows in iter_rref_bases(4, 2, 2):
             m = FpMatrix(mod2, rows, 4)
             assert rref(m).matrix.rows[:2] == rows
-
-    def test_iter_subspaces_all_distinct(self, mod2):
-        subs = list(iter_subspaces(3, 2, mod2))
-        assert len(subs) == gaussian_binomial(4, 2, 2)
-        assert len(set(subs)) == len(subs)

@@ -8,7 +8,7 @@ import pytest
 import cws_reference
 from qsol import geometry, lines as lines_mod, oracle, search
 from qsol.errors import IsolatedVertex, TimeLimitExceeded, UnsupportedDistance
-from qsol.fields import FpMatrix, FpVector, PrimeModulus
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
@@ -94,6 +94,17 @@ def cycle_lines(modulus, n):
     return lines_mod.lines_from_matrix(group.gmatrix, n, 0)
 
 
+def gamma_of(x, d, restriction=None):
+    """Γ on the candidates of x at distance d, both from one excluded set."""
+    excluded = excluded_points(x, d)
+    return gamma_graph(x, candidate_vertices(x, excluded, restriction), excluded)
+
+
+def contains_point(subspace, pt):
+    """True iff the projective point lies in the subspace."""
+    return in_row_space(subspace.basis, pt.vector())
+
+
 class TestExcludedPoints:
     @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 5, 3), (2, 5, 4), (2, 6, 4), (3, 4, 3), (5, 3, 3)])
     def test_equals_union_of_spans(self, p, n, d):
@@ -110,7 +121,7 @@ class TestExcludedPoints:
 
 class TestCandidateVertices:
     def test_pentagon_has_16(self, pentagon_lines):
-        verts = candidate_vertices(pentagon_lines, 2)
+        verts = candidate_vertices(pentagon_lines, excluded_points(pentagon_lines, 2))
         assert len(verts) == 16
         incident = set(lines_mod.incident_points(pentagon_lines))
         assert not incident & set(verts)
@@ -119,32 +130,33 @@ class TestCandidateVertices:
         # 24 of the 63 points of pi lie in the span of at most two incident
         # points, leaving 39 candidates; the CWS reference in
         # tests/cws_reference.py derives the same set from the adjacency matrix
-        verts = candidate_vertices(nine_cycle_lines, 3, nine_cycle_restriction)
+        excluded = excluded_points(nine_cycle_lines, 3)
+        verts = candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction)
         assert len(verts) == 39
 
     def test_restriction_is_respected(self, nine_cycle_lines, nine_cycle_restriction):
-        for pt in candidate_vertices(nine_cycle_lines, 3, nine_cycle_restriction):
-            assert nine_cycle_restriction.contains_point(pt)
+        excluded = excluded_points(nine_cycle_lines, 3)
+        for pt in candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction):
+            assert contains_point(nine_cycle_restriction, pt)
 
     def test_d_validation(self, pentagon_lines):
+        # d is checked where X_{d-1} is built
         with pytest.raises(ValueError):
-            candidate_vertices(pentagon_lines, 1)
+            excluded_points(pentagon_lines, 1)
         with pytest.raises(UnsupportedDistance):
-            candidate_vertices(pentagon_lines, 5)
+            excluded_points(pentagon_lines, 5)
 
 
 class TestGammaGraph:
     def test_pentagon_60_edges(self, pentagon_lines):
-        verts = candidate_vertices(pentagon_lines, 2)
-        gamma = gamma_graph(pentagon_lines, verts, 2)
+        gamma = gamma_of(pentagon_lines, 2)
         assert gamma.num_vertices == 16
         assert gamma.num_edges == 60
 
     def test_nine_cycle_450_edges(self, nine_cycle_lines, nine_cycle_restriction):
         # the CWS reference (tests/cws_reference.py) gives the same 450 pairs:
         # those whose sum is not the image of an error of weight <= 2
-        verts = candidate_vertices(nine_cycle_lines, 3, nine_cycle_restriction)
-        gamma = gamma_graph(nine_cycle_lines, verts, 3)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
         assert gamma.num_edges == 450
 
     def test_edges_match_projection_criterion(self, pentagon_lines, mod2):
@@ -152,8 +164,7 @@ class TestGammaGraph:
         from qsol.errors import CollapsedImage
         from qsol.lines import project_lines
 
-        verts = candidate_vertices(pentagon_lines, 2)
-        gamma = gamma_graph(pentagon_lines, verts, 2)
+        gamma = gamma_of(pentagon_lines, 2)
         edge_set = set(gamma.edges)
         for a, b in itertools.combinations(range(len(gamma.vertices)), 2):
             u = FpVector(mod2, gamma.vertices[a].coords)
@@ -171,7 +182,7 @@ class TestGammaGraph:
         # CWS edges u + v not in {nonzero Cl_G(E) : |E| <= 3}
         g = LabelledGraph.cycle(mod2, 10)
         x = cycle_lines(mod2, 10)
-        gamma = gamma_graph(x, candidate_vertices(x, 4), 4)
+        gamma = gamma_of(x, 4)
         masks = [cws_reference.to_mask(v.coords) for v in gamma.vertices]
         images = nonzero_error_images(g.adjacency.rows, 3)
         ref_vertices = cws_reference.candidates(images, 10)
@@ -182,8 +193,7 @@ class TestGammaGraph:
 
 class TestFindCliques:
     def test_pentagon_six_maximum_cliques(self, pentagon_lines):
-        verts = candidate_vertices(pentagon_lines, 2)
-        gamma = gamma_graph(pentagon_lines, verts, 2)
+        gamma = gamma_of(pentagon_lines, 2)
         cliques = find_cliques(gamma)
         assert len(cliques) == 6
         assert all(len(c) == 5 for c in cliques)
@@ -191,8 +201,7 @@ class TestFindCliques:
     def test_nine_cycle_cliques_contain_printed_t(
         self, nine_cycle_lines, nine_cycle_restriction, nine_cycle_tset
     ):
-        verts = candidate_vertices(nine_cycle_lines, 3, nine_cycle_restriction)
-        gamma = gamma_graph(nine_cycle_lines, verts, 3)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
         cliques = find_cliques(gamma)
         assert all(len(c) == 11 for c in cliques)
         printed = {v.entries for v in nine_cycle_tset.nonzero()}
@@ -210,8 +219,7 @@ class TestFindCliques:
         assert find_cliques(CompatibilityGraph((), frozenset())) == []
 
     def test_greedy_mode_returns_maximal_clique(self, pentagon_lines):
-        verts = candidate_vertices(pentagon_lines, 2)
-        gamma = gamma_graph(pentagon_lines, verts, 2)
+        gamma = gamma_of(pentagon_lines, 2)
         (clique,) = find_cliques(gamma, mode="greedy")
         adj = gamma.neighbours()
         for a, b in itertools.combinations(clique, 2):
@@ -221,8 +229,7 @@ class TestFindCliques:
                 assert not all(v in adj[c] for c in clique)
 
     def test_time_limit_carries_best(self, nine_cycle_lines, nine_cycle_restriction):
-        verts = candidate_vertices(nine_cycle_lines, 3, nine_cycle_restriction)
-        gamma = gamma_graph(nine_cycle_lines, verts, 3)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
         with pytest.raises(TimeLimitExceeded) as err:
             find_cliques(gamma, time_limit=0.0)
         assert isinstance(err.value.best, list)
@@ -309,14 +316,14 @@ class TestRunRecipe:
         assert report.d_bound == 3 and not report.d_bound_exact
         assert any("certified to 3" in w for w in report.warnings)
 
-        pr = oracle.code_projector(report.group, report.coding_set)
-        assert oracle.kl_detect(pr, oracle.error_classes(mod2, 8, 2)).passed
+        basis = oracle.code_basis(report.group, report.coding_set)
+        assert oracle.kl_detect(basis, oracle.error_classes(mod2, 8, 2)).passed
         stabilisers = []
         for i in range(8):
             z = [0] * 8
             z[i - 1] = z[(i + 1) % 8] = 1
             stabilisers.append(PauliOperator(mod2, 8, 0, tuple(int(j == i) for j in range(8)), tuple(z)))
-        kl = oracle.kl_detect(pr, stabilisers)
+        kl = oracle.kl_detect(basis, stabilisers)
         assert len(kl.failures) == 8
 
     def test_machine_lines_are_key_value(self, pentagon_graph):
