@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputFormatError, OSError) as exc:
+    except (InputFormatError, OSError, ValueError) as exc:
+        # the library raises ValueError for a parameter out of its range
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QsolError as exc:

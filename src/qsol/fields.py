@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DependentInput
 
@@ -82,10 +82,6 @@ class FpVector:
         p = self.p
         return FpVector(self.modulus, tuple((c * a) % p for a in self.entries))
 
-    def dot(self, other: "FpVector") -> int:
-        self._check(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries)) % self.p
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -123,10 +119,6 @@ class FpMatrix:
     def identity(cls, modulus: PrimeModulus, n: int) -> "FpMatrix":
         return cls(modulus, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
-    @classmethod
-    def zero(cls, modulus: PrimeModulus, nrows: int, ncols: int) -> "FpMatrix":
-        return cls(modulus, tuple((0,) * ncols for _ in range(nrows)), ncols)
-
     @property
     def p(self) -> int:
         return self.modulus.p
@@ -134,15 +126,6 @@ class FpMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row(self, i: int) -> FpVector:
-        return FpVector(self.modulus, self.rows[i])
-
-    def col(self, j: int) -> FpVector:
-        return FpVector(self.modulus, tuple(r[j] for r in self.rows))
-
-    def row_vectors(self) -> list[FpVector]:
-        return [self.row(i) for i in range(self.nrows)]
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
@@ -299,12 +282,6 @@ def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
         return 0
     _, pivots = _rref_rows(rows, len(rows[0]), p)
     return len(pivots)
-
-
-def iter_vectors(modulus: PrimeModulus, length: int) -> Iterator[FpVector]:
-    """All vectors of F_p^length in lexicographic order."""
-    for entries in itertools.product(range(modulus.p), repeat=length):
-        yield FpVector(modulus, entries)
 
 
 def row_space_vectors(m: FpMatrix) -> list[FpVector]:

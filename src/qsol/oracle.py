@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import pauli as pauli_mod
-from .errors import DimensionMismatch, InvalidGroup, NonCommutingGenerators, TooLarge
+from .errors import DimensionMismatch, InvalidGroup, TooLarge
 from .fields import FpVector, PrimeModulus
 from .pauli import PauliOperator, StabiliserGroup
 
@@ -120,8 +119,6 @@ def component_basis(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarr
     t_entries = list(t.entries if isinstance(t, FpVector) else t)
     if len(t_entries) != s.num_generators:
         raise ValueError("one sign per generator required")
-    if not pauli_mod.is_abelian(s.generators):
-        raise NonCommutingGenerators("generators do not commute")
     omega = np.exp(2j * np.pi / p)
     rows = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
     for gen, ti in zip(s.generators, t_entries):

@@ -2,8 +2,8 @@
 
 Implements the full graph-to-code recipe: build the line set of a labelled
 graph, collect candidate sign points, join compatible pairs into a graph,
-take a maximum clique as the coding set, and verify the distance bound by
-projecting the line set from every pair of coding vectors.
+take a maximum clique as the coding set, and read the distance bound off
+the same excluded-point layers that build the graph.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .lines import AtLeast, DependentSetSize, QuantumLineSet
 
 MAX_EXACT_VERTICES = 200
 MAX_CANDIDATE_DISTANCE = 4
+
+# X_w as a map from the normalised coordinates of each point to its weight
+Weights = dict[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,6 @@ class CodingSet:
     modulus: PrimeModulus
     length: int
     vectors: tuple[FpVector, ...]
-    clique_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         zero = FpVector(self.modulus, (0,) * self.length)
@@ -124,23 +126,36 @@ def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
     return pauli.StabiliserGroup.from_matrix(g.modulus, n, FpMatrix(g.modulus, rows, 2 * n))
 
 
-def excluded_points(x: QuantumLineSet, d: int) -> set[tuple[int, ...]]:
+def excluded_points(x: QuantumLineSet, d: int) -> Weights:
     """X_{d-1}: the points in the span of d-1 or fewer incident points of x.
 
-    Points are normalised coordinate tuples. X_1 is the set of incident
-    points, and X_{w+1} adds every point of each line joining a point of
-    X_w to an incident point.
+    Points are normalised coordinate tuples, each mapped to its weight: the
+    least number of incident points whose span holds it.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     if d > MAX_CANDIDATE_DISTANCE:
         raise UnsupportedDistance(f"candidate enumeration limited to d <= {MAX_CANDIDATE_DISTANCE}")
+    return _weights(x, d - 1)
+
+
+def _weights(x: QuantumLineSet, top: int) -> Weights:
+    """X_top as a map from each point to its weight, built layer by layer.
+
+    Layer 1 holds the incident points. X_{w+1} adds the points of every line
+    joining a point of X_w to an incident point; a line from a point of
+    weight below w lies in X_w already, so only the points new to layer w
+    are expanded.
+    """
     p = x.p
     incident = [pt.coords for pt in lines_mod.incident_points(x)]
-    excluded = set(incident)
-    for _ in range(d - 2):
-        excluded = excluded.union(*(_line(p, r, s) for r in excluded for s in incident if r != s))
-    return excluded
+    weights = dict.fromkeys(incident, 1)
+    frontier = incident
+    for w in range(2, top + 1):
+        reached = {q for r in frontier for s in incident if r != s for q in _line(p, r, s)[2:]}
+        frontier = reached.difference(weights)
+        weights.update(dict.fromkeys(frontier, w))
+    return weights
 
 
 def _line(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -152,7 +167,7 @@ def _line(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...
 
 def candidate_vertices(
     x: QuantumLineSet,
-    excluded: set[tuple[int, ...]],
+    excluded: Weights,
     restriction: ProjSubspace | None = None,
 ) -> list[ProjPoint]:
     """Points not in the excluded set X_{d-1} of x (see excluded_points).
@@ -170,7 +185,7 @@ def candidate_vertices(
 def gamma_graph(
     x: QuantumLineSet,
     vertices: Sequence[ProjPoint],
-    excluded: set[tuple[int, ...]],
+    excluded: Weights,
 ) -> CompatibilityGraph:
     """Join u, v iff no point of the line uv lies in the excluded set X_{d-1}.
 
@@ -185,7 +200,7 @@ def gamma_graph(
     edges = frozenset(
         (a, b)
         for a, b in itertools.combinations(range(len(verts)), 2)
-        if excluded.isdisjoint(_line(p, coords[a], coords[b]))
+        if excluded.keys().isdisjoint(_line(p, coords[a], coords[b]))
     )
     return CompatibilityGraph(verts, edges)
 
@@ -259,30 +274,42 @@ def is_subspace_t(t: CodingSet) -> bool:
     return True
 
 
-def proportional_pairs(t: CodingSet) -> list[tuple[FpVector, FpVector]]:
-    """Nonzero pairs defining the same projective point (skipped by the bound)."""
-    out = []
-    for a, b in itertools.combinations(t.nonzero(), 2):
-        if fields.rank_of_vectors(t.p, [a.entries, b.entries]) < 2:
-            out.append((a, b))
-    return out
-
-
 def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetSize:
     """Minimum dependent-set size over projections from all coding pairs.
 
-    Pairs of nonzero vectors defining the same projective point are
-    skipped; with no valid pair at all the bound is vacuous (AtLeast).
+    Points of w lines become dependent under projection from the line ab
+    exactly when a combination of them is zero, so that d(X) <= w, or is a
+    point of ab, which then lies in X_w. The bound is therefore d(X) or the
+    least weight of a point on a line joining two coding points, whichever
+    is smaller. With fewer than two coding points it is vacuous (AtLeast).
+    A weight-1 point on such a line means that a line of x meets the
+    projection centre, and raises CollapsedImage.
     """
-    results: list[DependentSetSize] = []
-    for a, b in itertools.combinations(t.nonzero(), 2):
-        if fields.rank_of_vectors(t.p, [a.entries, b.entries]) < 2:
-            continue
-        projected = lines_mod.project_lines(x, [a, b])
-        results.append(lines_mod.min_dependent_set(projected, limit))
-    if not results:
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    return _distance_bound(x, t, limit, _weights(x, max(limit - 1, 1)))
+
+
+def _distance_bound(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights) -> DependentSetSize:
+    """distance_bound with the weight map X_{max(limit-1, 1)} already built."""
+    p = x.p
+    points = {ProjPoint.normalise(p, v.entries) for v in t.nonzero()}
+    on_lines = {q for a, b in itertools.combinations(points, 2) for q in _line(p, a, b)}
+    if not on_lines:
         return AtLeast(limit + 1)
-    return lines_mod.min_distance_result(results)
+    least = min(weights.get(q, limit + 1) for q in on_lines)
+    if least == 1:
+        raise CollapsedImage("a line through two coding points meets a line of the set")
+    if least > limit >= 2:
+        # X_limit is one layer past the map: q lies in it iff, for some
+        # incident s, a point of the line qs other than q and s lies in X_{limit-1}
+        incident = [s for s, w in weights.items() if w == 1]
+        if any(r in weights for q in on_lines for s in incident for r in _line(p, q, s)[2:]):
+            least = limit
+    additive = lines_mod.min_dependent_set(x, least - 1)
+    if not isinstance(additive, AtLeast):
+        return additive
+    return least if least <= limit else AtLeast(limit + 1)
 
 
 def singleton_max_k(n: int, d: int) -> int:
@@ -408,7 +435,7 @@ def run_recipe(
         pt = gamma.vertices[idx]
         for c in range(1, modulus.p):
             vectors.append(FpVector(modulus, pt.coords).scale(c))
-    tset = CodingSet(modulus, length, tuple(vectors), clique_indices=chosen)
+    tset = CodingSet(modulus, length, tuple(vectors))
 
     if tset.nonzero():
         # the candidate condition sees only errors with a nonzero image; an
@@ -421,16 +448,11 @@ def run_recipe(
                 f"additive code has distance {additive} < d; "
                 f"pairs with the zero vector are certified to {additive} only"
             )
-        bound = lines_mod.min_distance_result([distance_bound(x, tset, d), AtLeast(additive)])
+        bound = lines_mod.min_distance_result([_distance_bound(x, tset, d, excluded), AtLeast(additive)])
     else:
         # T = {0}: the additive code itself, whose distance is d(X)
         bound = lines_mod.min_dependent_set(x, d)
-    if isinstance(bound, AtLeast):
-        d_bound, exact = bound.bound, False
-    else:
-        d_bound, exact = bound, True
-    if proportional_pairs(tset):
-        warnings.append("coding set contains proportional pairs (skipped by the bound)")
+    d_bound, exact = lines_mod.distance_value(bound), not isinstance(bound, AtLeast)
 
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CodeReport(

@@ -5,6 +5,7 @@ property suites (>= 200 cases each) tying the symbolic layer to dense-matrix
 ground truth.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -451,6 +452,96 @@ def test_property_gamma_graph_matches_rank_rule():
         assert set(gamma.edges) == expected, f"case {case}: p={p} d={d} n={n}"
         edges_seen[d] += len(expected)
     assert all(edges_seen.values()), f"edges compared: {edges_seen}"
+
+
+def projection_rule_bound(x, t, limit):
+    """The distance bound by projection: min_dependent_set of x projected from every non-proportional pair."""
+    results = []
+    for a, b in itertools.combinations(t.nonzero(), 2):
+        if fields.rank_of_vectors(t.p, [a.entries, b.entries]) < 2:
+            continue
+        projected = lines_mod.project_lines(x, [a, b])
+        results.append(lines_mod.min_dependent_set(projected, limit))
+    if not results:
+        return AtLeast(limit + 1)
+    return lines_mod.min_distance_result(results)
+
+
+def bound_outcome(bound, x, t, limit):
+    try:
+        result = bound(x, t, limit)
+    except CollapsedImage:
+        return "collapsed"
+    return type(result).__name__, result
+
+
+def test_property_distance_bound_matches_projection_rule():
+    # the bound read off the weight map against projection from every pair,
+    # on random graphs, random groups with k > 0, labelled cycles and
+    # cycles with a leaf. The cycles have d(X) = 3, so a weight-2 point on a
+    # coding line decides the bound at limit 2, one layer past the map. The
+    # leaf gives d(X) = 2, which decides the bound when the coding lines
+    # miss X_2. Coding points are pairwise compatible at d = 2 or 3, or
+    # random; random ones often span a line through an incident point,
+    # which must collapse on both sides. Every nonzero coding point comes
+    # with some of its multiples.
+    rng = random.Random(9012)
+    sizes = {2: (3, 7), 3: (3, 5), 5: (3, 4)}
+    seen = collections.Counter()
+    for case in range(240):
+        p = rng.choice([2, 3, 5])
+        mod = PrimeModulus(p)
+        n = rng.randint(*sizes[p])
+        limit = rng.randint(1, 4)
+        kind = rng.choice(["graph", "group", "cycle", "leaf"])
+        if kind == "graph":
+            x = random_graph_lines(rng, mod, n)
+        elif kind == "group":
+            _, x = random_group_with_lines(rng, mod, n, rng.randint(max(3, n - 2), n))
+        else:
+            n = max(n, 4 if p > 2 else 5) if kind == "cycle" else {2: 9, 3: 6, 5: 5}[p]
+            ring = n if kind == "cycle" else n - 1
+            edges = [(i, (i + 1) % ring, rng.randrange(1, p)) for i in range(ring)]
+            if kind == "leaf":
+                edges.append((0, ring, rng.randrange(1, p)))
+            group = search.graph_to_generators(search.LabelledGraph.from_edges(mod, n, edges))
+            x = lines_mod.lines_from_matrix(group.gmatrix, n, 0)
+        dim = x.ambient_dim + 1
+        size = rng.randint(1, 4)
+        compatible_at = {"cycle": 2, "leaf": 3}.get(kind) or rng.choice([2, 3, None])
+        if compatible_at:
+            # no line through two of them meets X_{d-1}, so none collapses
+            excluded = search.excluded_points(x, compatible_at)
+            candidates = search.candidate_vertices(x, excluded)
+            chosen = []
+            for v in rng.sample(candidates, len(candidates)):
+                if len(chosen) == size:
+                    break
+                if search.gamma_graph(x, chosen + [v], excluded).num_edges == len(chosen) * (len(chosen) + 1) // 2:
+                    chosen.append(v)
+            points = [v.coords for v in chosen]
+        else:
+            points = [q for q in (tuple(rng.randrange(p) for _ in range(dim)) for _ in range(size)) if any(q)]
+        vectors = {(0,) * dim}
+        for q in points:
+            for c in rng.sample(range(1, p), rng.randint(1, p - 1)):
+                vectors.add(tuple(c * e % p for e in q))
+        t = search.CodingSet(mod, dim, tuple(FpVector(mod, v) for v in sorted(vectors)))
+        expected = bound_outcome(projection_rule_bound, x, t, limit)
+        assert bound_outcome(search.distance_bound, x, t, limit) == expected, f"case {case}: p={p} n={n} limit={limit}"
+        if expected == "collapsed":
+            seen["collapsed"] += 1
+        elif expected[0] == "AtLeast":
+            seen["at least"] += 1
+        elif expected[1] == limit and isinstance(lines_mod.min_dependent_set(x, limit), AtLeast):
+            seen["last layer"] += 1
+        elif compatible_at == 3 and expected[1] == 2 and len(points) > 1:
+            # the coding lines miss X_2, so d(X) = 2 decides
+            seen["d(X)"] += 1
+        else:
+            seen["exact"] += 1
+        seen["proportional"] += len(vectors) - 1 > len(points)
+    assert len(seen) == 6 and min(seen.values()) >= 5, f"outcomes seen: {dict(seen)}"
 
 
 def test_property_code_basis_matches_dense_reference():

@@ -176,3 +176,15 @@ class TestErrorPaths:
         lonely.write_text("2 3\n0 1 1\n")
         assert main(["recipe", "--graph", str(lonely), "--d", "2"]) == EXIT_FAIL
         assert "IsolatedVertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "--gens", "pentagon.gens", "--limit", "0"],
+        ["recipe", "--graph", "pentagon.graph", "--d", "1"],
+        ["gamma", "--graph", "pentagon.graph", "--d", "1"],
+        ["recipe", "--graph", "pentagon.graph", "--d", "2", "--k", "5"],
+    ])
+    def test_out_of_range_option_exits_two(self, data_dir, capsys, argv):
+        argv = [str(data_dir / a) if a.endswith((".gens", ".graph")) else a for a in argv]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1

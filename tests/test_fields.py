@@ -15,7 +15,6 @@ from qsol.fields import (
     in_row_space,
     inverse,
     is_prime,
-    iter_vectors,
     kernel_basis,
     rank,
     rank_of_vectors,
@@ -63,7 +62,6 @@ class TestVectorsAndMatrices:
         assert (u + v).entries == (0, 1, 1)
         assert (u - v).entries == (2, 0, 2)
         assert u.scale(2).entries == (2, 1, 0)
-        assert u.dot(v) == (1 * 2 + 2 * 2) % 3
 
     def test_shape_mismatch_raises(self, mod2, mod3):
         with pytest.raises(ValueError):
@@ -182,19 +180,14 @@ class TestCompleteBasis:
                         vs.append(cand)
                 a = complete_basis(vs, dim)
                 assert rank(a) == dim
-                for j, v in enumerate(vs):
-                    assert a.col(j) == v
+                for col, v in zip(a.transpose().rows, vs):
+                    assert col == v.entries
                 assert complete_basis(vs, dim) == a
 
     def test_dependent_input_raises(self, mod2):
         v = FpVector(mod2, (1, 0, 1))
         with pytest.raises(DependentInput):
             complete_basis([v, v], 3)
-
-
-def test_iter_vectors_lexicographic(mod2):
-    got = [v.entries for v in iter_vectors(mod2, 2)]
-    assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_row_space_drops_zero_rows(mod2):

@@ -8,7 +8,7 @@ import pytest
 
 import dense_reference
 from qsol import oracle
-from qsol.errors import DimensionMismatch, InvalidGroup, NonCommutingGenerators, TooLarge
+from qsol.errors import DimensionMismatch, InvalidGroup, TooLarge
 from qsol.fields import FpVector, PrimeModulus
 from qsol.oracle import (
     code_basis,
@@ -133,12 +133,6 @@ class TestComponentProjector:
         for t in [(0, 0), (0, 1)]:
             with pytest.raises(InvalidGroup):
                 component_basis(repeated, t)
-
-    def test_non_commuting_generators_rejected(self):
-        gens = (PauliOperator.from_letters("X"), PauliOperator.from_letters("Z"))
-        s = SimpleNamespace(p=2, n=1, k=0, num_generators=2, generators=gens)
-        with pytest.raises(NonCommutingGenerators):
-            component_basis(s, (0, 0))
 
 
 class TestCodeProjector:

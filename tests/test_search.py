@@ -23,7 +23,6 @@ from qsol.search import (
     gamma_graph,
     graph_to_generators,
     is_subspace_t,
-    proportional_pairs,
     run_recipe,
     singleton_max_k,
 )
@@ -110,13 +109,13 @@ class TestExcludedPoints:
     def test_equals_union_of_spans(self, p, n, d):
         x = cycle_lines(PrimeModulus(p), n)
         incident = lines_mod.incident_points(x)
-        spans = {
-            pt.coords
-            for size in range(1, d)
-            for subset in itertools.combinations(incident, size)
-            for pt in geometry.points_of(geometry.span(subset))
-        }
-        assert excluded_points(x, d) == spans
+        # each point's weight is the least size of a subset whose span holds it
+        weights = {}
+        for size in range(1, d):
+            for subset in itertools.combinations(incident, size):
+                for pt in geometry.points_of(geometry.span(subset)):
+                    weights.setdefault(pt.coords, size)
+        assert excluded_points(x, d) == weights
 
 
 class TestCandidateVertices:
@@ -254,11 +253,6 @@ class TestCodingSet:
         assert is_subspace_t(ternary_tset)
         assert not is_subspace_t(pentagon_tset)
 
-    def test_proportional_pairs(self, ternary_tset, pentagon_tset):
-        # each nonzero ternary vector appears with both scalars
-        assert len(proportional_pairs(ternary_tset)) == 4
-        assert proportional_pairs(pentagon_tset) == []
-
 
 class TestDistanceBound:
     def test_pentagon_bound_two(self, pentagon_lines, pentagon_tset):
@@ -325,6 +319,17 @@ class TestRunRecipe:
             stabilisers.append(PauliOperator(mod2, 8, 0, tuple(int(j == i) for j in range(8)), tuple(z)))
         kl = oracle.kl_detect(basis, stabilisers)
         assert len(kl.failures) == 8
+
+    def test_builds_the_weight_map_once(self, nine_cycle_graph, nine_cycle_restriction, monkeypatch):
+        # one X_{d-1} serves the candidates, Γ and the distance bound
+        from qsol import search
+
+        built = []
+        weights = search._weights
+        monkeypatch.setattr(search, "_weights", lambda x, top: built.append(top) or weights(x, top))
+        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_restriction)
+        assert (report.clique_size, report.d_bound, report.d_bound_exact) == (11, 3, True)
+        assert built == [2]
 
     def test_machine_lines_are_key_value(self, pentagon_graph):
         report = run_recipe(pentagon_graph, d=2)
