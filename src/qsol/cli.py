@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--restrict")
-    sp.add_argument("--clique-mode", choices=["exact", "greedy"], default="exact")
     sp.add_argument("--time-limit", type=float)
 
     sp = add("recipe", "full graph-to-code construction run")
@@ -59,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--restrict")
-    sp.add_argument("--clique-mode", choices=["exact", "greedy"], default="exact")
     sp.add_argument("--time-limit", type=float)
 
     sp = add("verify", "error-detection check of a constructed code")
@@ -158,15 +156,16 @@ def cmd_gamma(args) -> int:
 
 def cmd_cliques(args) -> int:
     _, _, _, gamma = _gamma_pipeline(args)
-    cliques = search.find_cliques(gamma, args.clique_mode, args.time_limit)
+    cliques = search.find_cliques(gamma, args.time_limit)
     size = len(cliques[0]) if cliques else 0
     pairs = [
         ("vertices", gamma.num_vertices),
         ("edges", gamma.num_edges),
         ("cliques_found", len(cliques)),
         ("clique_size", size),
+        ("count.clique_nodes", cliques.nodes),
     ]
-    text = [f"{len(cliques)} clique(s) of size {size}"]
+    text = [f"{len(cliques)} clique(s) of size {size}, {cliques.nodes} search nodes"]
     for c in cliques:
         text.append("  " + " ".join("".join(str(e) for e in gamma.vertices[i].coords) for i in c))
     _emit(args, pairs, text)
@@ -181,7 +180,6 @@ def cmd_recipe(args) -> int:
         d=args.d,
         k=args.k,
         restriction=restriction,
-        clique_mode=args.clique_mode,
         time_limit=args.time_limit,
     )
     _emit(args, [tuple(kv.split("=", 1)) for kv in report.machine_lines()], report.text_lines())
@@ -189,6 +187,8 @@ def cmd_recipe(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.d < 2:
+        raise ValueError("d must be at least 2")
     group = io.parse_generators(_read(args.gens))
     tset = io.parse_coding_set(_read(args.tset))
     basis = oracle.code_basis(group, tset)
@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
     # is checked orthonormal, so its column count is the code's dimension
     dim = basis.shape[1]
     expected = len(tset.vectors) * group.p ** group.k
-    errs = oracle.error_classes(group.modulus, group.n, max(args.d - 1, 0))
+    errs = oracle.error_classes(group.modulus, group.n, args.d - 1)
     report = oracle.kl_detect(basis, errs)
     ok = report.passed and dim == expected
     pairs = [

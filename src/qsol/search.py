@@ -13,20 +13,24 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import fields, geometry, lines as lines_mod, pauli
 from .errors import (
     CollapsedImage,
     IsolatedVertex,
     NoClique,
     TimeLimitExceeded,
+    TooLarge,
     UnsupportedDistance,
 )
 from .fields import FpMatrix, FpVector, PrimeModulus
 from .geometry import ProjPoint, ProjSubspace
 from .lines import AtLeast, DependentSetSize, QuantumLineSet
 
-MAX_EXACT_VERTICES = 200
 MAX_CANDIDATE_DISTANCE = 4
+# budget of the excluded-point lookup table in gamma_graph, one byte per entry
+MAX_TABLE_BYTES = 2 ** 28
 
 # X_w as a map from the normalised coordinates of each point to its weight
 Weights = dict[tuple[int, ...], int]
@@ -68,10 +72,17 @@ class LabelledGraph:
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Vertices are candidate projective points; edges are index pairs."""
+    """Vertices are candidate projective points; each has one bitset row.
+
+    Bit j of rows[i] is set exactly when vertices i and j are joined.
+    """
 
     vertices: tuple[ProjPoint, ...]
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.rows) != len(self.vertices):
+            raise ValueError("need one adjacency row per vertex")
 
     @property
     def num_vertices(self) -> int:
@@ -79,14 +90,22 @@ class CompatibilityGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows) // 2
 
-    def neighbours(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as index pairs (i, j) with i < j, read off the rows."""
+        return frozenset((i, j) for i, row in enumerate(self.rows) for j in _members(row) if j > i)
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,72 +212,123 @@ def gamma_graph(
     classical image of an error of weight d-1 or less. For d <= 3 it is the
     same as asking that u, v and any d-1 or fewer incident points be
     independent.
+
+    A point's code is its coordinates read in base p. A table over the codes
+    marks every nonzero multiple of each excluded point, so the points
+    u + c·v, c = 1..p-1, of the line uv are tested unnormalised; for p = 2
+    the code of u + v is the XOR of the codes. The table takes one byte per
+    vector of the ambient space and is refused above MAX_TABLE_BYTES.
     """
-    p = x.p
-    verts = tuple(sorted(set(vertices)))
-    coords = [v.coords for v in verts]
-    edges = frozenset(
-        (a, b)
-        for a, b in itertools.combinations(range(len(verts)), 2)
-        if excluded.keys().isdisjoint(_line(p, coords[a], coords[b]))
-    )
-    return CompatibilityGraph(verts, edges)
-
-
-def find_cliques(
-    g: CompatibilityGraph,
-    mode: str = "exact",
-    time_limit: float | None = None,
-) -> list[tuple[int, ...]]:
-    """Maximum cliques of the compatibility graph, as sorted vertex tuples.
-
-    ``exact``: every maximum clique via Bron-Kerbosch with pivoting and a
-    best-size bound; refuses graphs above MAX_EXACT_VERTICES.
-    ``greedy``: a single maximal clique by lowest-index extension.
-    Raises TimeLimitExceeded carrying the best cliques found so far.
-    """
-    nv = g.num_vertices
-    if nv == 0:
-        return []
-    adj = g.neighbours()
-    if mode == "greedy":
-        clique: list[int] = []
-        for v in range(nv):
-            if all(v in adj[c] for c in clique):
-                clique.append(v)
-        return [tuple(clique)]
-    if mode != "exact":
-        raise ValueError(f"unknown clique mode: {mode}")
-    if nv > MAX_EXACT_VERTICES:
-        raise ValueError(
-            f"exact search limited to {MAX_EXACT_VERTICES} vertices; use greedy mode"
+    p, m = x.p, x.ambient_dim + 1
+    entries = p ** m
+    if entries > MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"an excluded-point table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
+            f"over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
         )
+    verts = tuple(sorted(set(vertices)))
+    powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    bad = np.zeros(entries, dtype=bool)
+    # u + c·v is zero only on the diagonal, which this takes out of every row
+    bad[0] = True
+    points = np.array(list(excluded), dtype=np.int64).reshape(-1, m)
+    for c in range(1, p):
+        bad[c * points % p @ powers] = True
+    digits = np.array([v.coords for v in verts], dtype=np.int64).reshape(-1, m)
+    codes = digits @ powers
+    outside = ~bad[codes]
+    rows: list[int] = []
+    # blocks of rows keep the temporaries near 2^20 entries
+    step = max(1, 2 ** 20 // max(len(verts) * m, 1))
+    for lo in range(0, len(verts), step):
+        block = slice(lo, lo + step)
+        if p == 2:
+            on_line = [codes[block, None] ^ codes]
+        else:
+            on_line = [(digits[block, None, :] + c * digits) % p @ powers for c in range(1, p)]
+        joined = outside[block, None] & outside
+        for q in on_line:
+            joined &= ~bad[q]
+        packed = np.packbits(joined, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return CompatibilityGraph(verts, tuple(rows))
 
+
+class Cliques(list):
+    """Maximum cliques as sorted vertex tuples, with the search's node count."""
+
+    def __init__(self, cliques: list[tuple[int, ...]], nodes: int):
+        super().__init__(cliques)
+        self.nodes = nodes
+
+
+def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliques:
+    """Every maximum clique of the compatibility graph, as sorted vertex tuples.
+
+    Branch and bound over the bitset rows with a greedy-colouring bound
+    (Tomita and Seki's MCQ): the candidates of each node are coloured
+    greedily, and the search branches on them in reverse colour order while
+    the clique so far plus the colour number can still reach the best size.
+    The cut is strict, so every clique of the best size is kept.
+
+    The deadline is checked only once the first descent has recorded a
+    clique; TimeLimitExceeded then carries the best cliques found so far,
+    each of them maximal.
+    """
+    rows = g.rows
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    best: list[tuple[int, ...]] = []
+    best: list[int] = []
     best_size = 0
+    nodes = 0
 
-    def expand(r: list[int], cand: set[int], excl: set[int]) -> None:
-        nonlocal best, best_size
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeLimitExceeded("clique search timed out", best=list(best))
-        if not cand and not excl:
-            if len(r) > best_size:
-                best_size = len(r)
-                best = [tuple(sorted(r))]
-            elif len(r) == best_size:
-                best.append(tuple(sorted(r)))
+    def expand(clique: int, size: int, cand: int) -> None:
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if deadline is not None and best and time.monotonic() > deadline:
+            raise TimeLimitExceeded("clique search timed out", best=_as_tuples(best))
+        if not cand:
+            if size > best_size:
+                best, best_size = [clique], size
+            elif size == best_size:
+                best.append(clique)
             return
-        if len(r) + len(cand) < best_size:
-            return
-        pivot = max(cand | excl, key=lambda w: (len(cand & adj[w]), -w))
-        for v in sorted(cand - adj[pivot]):
-            expand(r + [v], cand & adj[v], excl & adj[v])
-            cand = cand - {v}
-            excl = excl | {v}
+        order, colours = _colour(rows, cand)
+        for v, k in zip(reversed(order), reversed(colours)):
+            if size + k < best_size:
+                return
+            bit = 1 << v
+            expand(clique | bit, size + 1, cand & rows[v])
+            cand ^= bit
 
-    expand([], set(range(nv)), set())
-    return sorted(best)
+    if rows:
+        expand(0, 0, (1 << len(rows)) - 1)
+    return Cliques(_as_tuples(best), nodes)
+
+
+def _as_tuples(cliques: list[int]) -> list[tuple[int, ...]]:
+    return sorted(tuple(_members(c)) for c in cliques)
+
+
+def _colour(rows: Sequence[int], cand: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the vertex set cand: the vertices in colour order and their colours.
+
+    Each colour class is an independent set, so no clique within the first
+    j vertices of the order has more than colours[j-1] members.
+    """
+    order: list[int] = []
+    colours: list[int] = []
+    colour = 0
+    while cand:
+        colour += 1
+        free = cand
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            free &= ~(rows[v] | low)
+            cand ^= low
+            order.append(v)
+            colours.append(colour)
+    return order, colours
 
 
 def is_subspace_t(t: CodingSet) -> bool:
@@ -287,16 +357,23 @@ def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetS
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    return _distance_bound(x, t, limit, _weights(x, max(limit - 1, 1)))
+    least = _least_weight(x, t, limit, _weights(x, max(limit - 1, 1)))
+    if least is None:
+        return AtLeast(limit + 1)
+    return _bound_from(least, limit, lines_mod.min_dependent_set(x, least - 1))
 
 
-def _distance_bound(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights) -> DependentSetSize:
-    """distance_bound with the weight map X_{max(limit-1, 1)} already built."""
+def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights) -> int | None:
+    """Least weight of a point on a line through two coding points, or limit + 1 if above limit.
+
+    weights is the map X_{max(limit-1, 1)}. None when T has fewer than two
+    distinct points, so that there is no such line.
+    """
     p = x.p
     points = {ProjPoint.normalise(p, v.entries) for v in t.nonzero()}
     on_lines = {q for a, b in itertools.combinations(points, 2) for q in _line(p, a, b)}
     if not on_lines:
-        return AtLeast(limit + 1)
+        return None
     least = min(weights.get(q, limit + 1) for q in on_lines)
     if least == 1:
         raise CollapsedImage("a line through two coding points meets a line of the set")
@@ -306,8 +383,12 @@ def _distance_bound(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weight
         incident = [s for s, w in weights.items() if w == 1]
         if any(r in weights for q in on_lines for s in incident for r in _line(p, q, s)[2:]):
             least = limit
-    additive = lines_mod.min_dependent_set(x, least - 1)
-    if not isinstance(additive, AtLeast):
+    return least
+
+
+def _bound_from(least: int, limit: int, additive: DependentSetSize) -> DependentSetSize:
+    """The distance bound from the least coding-line weight and d(X), searched to least - 1 or beyond."""
+    if not isinstance(additive, AtLeast) and additive < least:
         return additive
     return least if least <= limit else AtLeast(limit + 1)
 
@@ -333,6 +414,7 @@ class CodeReport:
     singleton_k: int
     cliques_found: int
     clique_size: int
+    clique_nodes: int
     vertices: int
     edges: int
     elapsed_ms: int
@@ -358,6 +440,7 @@ class CodeReport:
             f"edges={self.edges}",
             f"vertices={self.vertices}",
             f"elapsed_ms={self.elapsed_ms}",
+            f"count.clique_nodes={self.clique_nodes}",
         ]
         for w in self.warnings:
             lines.append(f"warning={w}")
@@ -374,7 +457,8 @@ class CodeReport:
             f"  T is a subspace: {'yes' if self.is_subspace else 'no'}",
             f"  Singleton bound: k <= {self.singleton_k}",
             f"  graph: {self.vertices} vertices, {self.edges} edges, "
-            f"{self.cliques_found} maximum clique(s) of size {self.clique_size}",
+            f"{self.cliques_found} maximum clique(s) of size {self.clique_size}, "
+            f"{self.clique_nodes} search nodes",
             f"  elapsed: {self.elapsed_ms} ms",
         ]
         for w in self.warnings:
@@ -387,7 +471,6 @@ def run_recipe(
     d: int,
     k: int = 0,
     restriction: ProjSubspace | None = None,
-    clique_mode: str = "exact",
     time_limit: float | None = None,
 ) -> CodeReport:
     """Execute the full construction recipe on a labelled graph.
@@ -418,9 +501,7 @@ def run_recipe(
     excluded = excluded_points(x, d)
     verts = candidate_vertices(x, excluded, restriction)
     gamma = gamma_graph(x, verts, excluded)
-    if clique_mode == "greedy":
-        warnings.append("greedy clique mode; maximality only")
-    cliques = find_cliques(gamma, clique_mode, time_limit)
+    cliques = find_cliques(gamma, time_limit)
     if cliques:
         chosen = cliques[0]
     else:
@@ -438,17 +519,22 @@ def run_recipe(
     tset = CodingSet(modulus, length, tuple(vectors))
 
     if tset.nonzero():
+        least = _least_weight(x, tset, d, excluded)
         # the candidate condition sees only errors with a nonzero image; an
         # error of weight d(X) < d can have image 0, a stabiliser element
         # that acts on the components of T with different phases, so the
-        # pairs containing the zero vector are certified to min(d, d(X))
-        additive = lines_mod.distance_value(lines_mod.min_dependent_set(x, d - 1))
-        if additive < d:
+        # pairs containing the zero vector are certified to min(d, d(X)).
+        # One d(X) search serves that cap, which needs it to d - 1, and the
+        # coding lines, which need it to least - 1
+        additive = lines_mod.min_dependent_set(x, max(d, least or 0) - 1)
+        capped = min(lines_mod.distance_value(additive), d)
+        if capped < d:
             warnings.append(
-                f"additive code has distance {additive} < d; "
-                f"pairs with the zero vector are certified to {additive} only"
+                f"additive code has distance {capped} < d; "
+                f"pairs with the zero vector are certified to {capped} only"
             )
-        bound = lines_mod.min_distance_result([_distance_bound(x, tset, d, excluded), AtLeast(additive)])
+        coding = AtLeast(d + 1) if least is None else _bound_from(least, d, additive)
+        bound = lines_mod.min_distance_result([coding, AtLeast(capped)])
     else:
         # T = {0}: the additive code itself, whose distance is d(X)
         bound = lines_mod.min_dependent_set(x, d)
@@ -466,6 +552,7 @@ def run_recipe(
         singleton_k=singleton_max_k(n, d_bound),
         cliques_found=len(cliques),
         clique_size=len(chosen),
+        clique_nodes=cliques.nodes,
         vertices=gamma.num_vertices,
         edges=gamma.num_edges,
         elapsed_ms=elapsed_ms,

@@ -116,6 +116,23 @@ def test_criterion_2_nine_cycle_reproduction(
     assert not problems, "; ".join(problems)
 
 
+def test_nine_cycle_unrestricted_recipe(nine_cycle_graph, data_dir, capsys):
+    # without the restriction to pi, Γ has 268 vertices and 17 508 edges;
+    # its 18 maximum cliques of size 11 each give a ((9,12,3)) code
+    from qsol.cli import EXIT_OK, main
+
+    code = main(["recipe", "--graph", str(data_dir / "nine_cycle.graph"), "--d", "3", "--format", "machine"])
+    assert code == EXIT_OK
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    counts = tuple(int(out[key]) for key in ("vertices", "edges", "cliques_found", "T_size"))
+    assert counts == (268, 17508, 18, 12)
+    assert (out["n"], out["K"], out["d_bound"]) == ("9", "12", "3")
+
+    problems, cliques = cws_mismatches(nine_cycle_graph, 3)
+    assert not problems, "; ".join(problems)
+    assert len(cliques) == 18 and {len(c) for c in cliques} == {11}
+
+
 def test_criterion_3_ternary_example(ternary_lines, ternary_tset):
     start = time.monotonic()
     pairs_checked = 0

@@ -84,6 +84,7 @@ class TestGammaAndCliques:
         assert code == EXIT_OK
         pairs = machine(capsys)
         assert pairs["cliques_found"] == ["6"] and pairs["clique_size"] == ["5"]
+        assert int(pairs["count.clique_nodes"][0]) > 0
 
     def test_restricted_gamma(self, data_dir, capsys):
         code = main(["gamma", "--graph", str(data_dir / "nine_cycle.graph"),
@@ -101,6 +102,14 @@ class TestRecipe:
         assert code == EXIT_OK
         pairs = machine(capsys)
         assert pairs["n"] == ["5"] and pairs["K"] == ["6"] and pairs["d_bound"] == ["2"]
+
+    def test_node_count_repeats(self, data_dir, capsys):
+        argv = ["recipe", "--graph", str(data_dir / "pentagon.graph"), "--d", "2", "--format", "machine"]
+        counts = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            counts += machine(capsys)["count.clique_nodes"]
+        assert counts[0] == counts[1] and int(counts[0]) > 0
 
 
 class TestVerify:
@@ -182,9 +191,11 @@ class TestErrorPaths:
         ["recipe", "--graph", "pentagon.graph", "--d", "1"],
         ["gamma", "--graph", "pentagon.graph", "--d", "1"],
         ["recipe", "--graph", "pentagon.graph", "--d", "2", "--k", "5"],
+        ["verify", "--gens", "pentagon.gens", "--tset", "pentagon.tset", "--d", "0"],
+        ["verify", "--gens", "pentagon.gens", "--tset", "pentagon.tset", "--d", "1"],
     ])
     def test_out_of_range_option_exits_two(self, data_dir, capsys, argv):
-        argv = [str(data_dir / a) if a.endswith((".gens", ".graph")) else a for a in argv]
+        argv = [str(data_dir / a) if a.endswith((".gens", ".graph", ".tset")) else a for a in argv]
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1

@@ -7,7 +7,7 @@ import pytest
 
 import cws_reference
 from qsol import geometry, lines as lines_mod, oracle, search
-from qsol.errors import IsolatedVertex, TimeLimitExceeded, UnsupportedDistance
+from qsol.errors import IsolatedVertex, TimeLimitExceeded, TooLarge, UnsupportedDistance
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
@@ -190,6 +190,22 @@ class TestGammaGraph:
         assert {frozenset((masks[i], masks[j])) for i, j in gamma.edges} == cws_reference.edges(images, ref_vertices)
 
 
+    def test_lookup_table_over_budget_is_refused(self, mod2):
+        # the table would hold 2^30 one-byte entries; the guard fires before
+        # any of it is allocated
+        x = cycle_lines(mod2, 30)
+        excluded = excluded_points(x, 2)
+        vertex = ProjPoint(mod2, (1,) * 30)
+        with pytest.raises(TooLarge, match=r"1073741824 entries needs about 1024\.0 MiB, over the 256 MiB budget"):
+            gamma_graph(x, [vertex], excluded)
+
+    def test_rows_are_symmetric_without_loops(self, pentagon_lines):
+        gamma = gamma_of(pentagon_lines, 2)
+        for i, row in enumerate(gamma.rows):
+            assert not row >> i & 1
+            assert all(gamma.rows[j] >> i & 1 for j in range(gamma.num_vertices) if row >> j & 1)
+
+
 class TestFindCliques:
     def test_pentagon_six_maximum_cliques(self, pentagon_lines):
         gamma = gamma_of(pentagon_lines, 2)
@@ -209,34 +225,62 @@ class TestFindCliques:
 
     def test_edgeless_graph(self, mod2):
         pts = [ProjPoint(mod2, tuple(1 if j == i else 0 for j in range(4))) for i in range(4)]
-        gamma = CompatibilityGraph(tuple(pts), frozenset())
+        gamma = CompatibilityGraph(tuple(pts), (0,) * 4)
         cliques = find_cliques(gamma)
         assert len(cliques) == 4
         assert all(len(c) == 1 for c in cliques)
 
     def test_empty_graph(self):
-        assert find_cliques(CompatibilityGraph((), frozenset())) == []
-
-    def test_greedy_mode_returns_maximal_clique(self, pentagon_lines):
-        gamma = gamma_of(pentagon_lines, 2)
-        (clique,) = find_cliques(gamma, mode="greedy")
-        adj = gamma.neighbours()
-        for a, b in itertools.combinations(clique, 2):
-            assert b in adj[a]
-        for v in range(gamma.num_vertices):
-            if v not in clique:
-                assert not all(v in adj[c] for c in clique)
+        assert find_cliques(CompatibilityGraph((), ())) == []
 
     def test_time_limit_carries_best(self, nine_cycle_lines, nine_cycle_restriction):
+        # the deadline is checked once the first descent has recorded a
+        # clique, so even a zero limit carries maximal cliques
         gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
         with pytest.raises(TimeLimitExceeded) as err:
             find_cliques(gamma, time_limit=0.0)
-        assert isinstance(err.value.best, list)
+        best = err.value.best
+        assert isinstance(best, list) and best
+        for clique in best:
+            members = sum(1 << i for i in clique)
+            for a, b in itertools.combinations(clique, 2):
+                assert gamma.rows[a] >> b & 1
+            for v in range(gamma.num_vertices):
+                if v not in clique:
+                    assert gamma.rows[v] & members != members
 
-    def test_unknown_mode(self, mod2):
-        gamma = CompatibilityGraph((ProjPoint(mod2, (1,)),), frozenset())
-        with pytest.raises(ValueError):
-            find_cliques(gamma, mode="magic")
+    def test_property_matches_brute_force(self):
+        # every maximum clique of random graphs on up to 14 vertices, across
+        # densities from edgeless to complete, against all vertex subsets
+        rng = random.Random(6014)
+        for case in range(80):
+            nv = 14 if case < 2 else rng.randint(0, 14)
+            density = [0.0, 1.0][case] if case < 2 else rng.random()
+            rows = [0] * nv
+            for a, b in itertools.combinations(range(nv), 2):
+                if rng.random() < density:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            points = tuple(ProjPoint(PrimeModulus(2), tuple(int(j == i) for j in range(nv))) for i in range(nv))
+            gamma = CompatibilityGraph(points, tuple(rows))
+            assert find_cliques(gamma) == brute_force_maximum_cliques(rows), f"case {case}: {nv} vertices"
+
+
+def brute_force_maximum_cliques(rows):
+    """Every maximum clique, by testing every vertex subset in turn."""
+    is_clique = [True] * (1 << len(rows))
+    for subset in range(1, 1 << len(rows)):
+        low = subset & -subset
+        rest = subset ^ low
+        is_clique[subset] = is_clique[rest] and rows[low.bit_length() - 1] & rest == rest
+    size = max(bin(s).count("1") for s in range(1 << len(rows)) if is_clique[s])
+    if size == 0:
+        return []
+    return sorted(
+        tuple(i for i in range(len(rows)) if s >> i & 1)
+        for s in range(1 << len(rows))
+        if is_clique[s] and bin(s).count("1") == size
+    )
 
 
 class TestCodingSet:
@@ -331,12 +375,22 @@ class TestRunRecipe:
         assert (report.clique_size, report.d_bound, report.d_bound_exact) == (11, 3, True)
         assert built == [2]
 
+    def test_finds_the_additive_distance_once(self, nine_cycle_graph, nine_cycle_restriction, monkeypatch):
+        # one d(X) search serves the zero-pair cap and the coding lines
+        limits = []
+        search_dx = lines_mod.min_dependent_set
+        monkeypatch.setattr(lines_mod, "min_dependent_set", lambda x, limit: limits.append(limit) or search_dx(x, limit))
+        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_restriction)
+        assert (report.d_bound, report.d_bound_exact) == (3, True)
+        assert limits == [2]
+
     def test_machine_lines_are_key_value(self, pentagon_graph):
         report = run_recipe(pentagon_graph, d=2)
         lines = report.machine_lines()
         keys = [ln.split("=", 1)[0] for ln in lines]
         for key in ["n", "k", "p", "T_size", "K", "d_bound", "subspace",
-                    "singleton_max_k", "cliques_found", "edges", "vertices", "elapsed_ms"]:
+                    "singleton_max_k", "cliques_found", "edges", "vertices", "elapsed_ms",
+                    "count.clique_nodes"]:
             assert key in keys
         assert "K=6" in lines
 
