@@ -87,15 +87,6 @@ def _pauli_action(m: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     return perm, scalar * omega_powers[exponents % p]
 
 
-def pauli_dense(m: PauliOperator) -> np.ndarray:
-    """The operator as a dense unitary matrix."""
-    dim = _check_budget(m.p, m.n, m.p ** m.n)
-    perm, phases = _pauli_action(m)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[perm, np.arange(dim)] = phases
-    return out
-
-
 def apply_right(mat: np.ndarray, m: PauliOperator) -> np.ndarray:
     """mat @ M without forming M densely."""
     if mat.shape[-1] != m.p ** m.n:

@@ -29,11 +29,15 @@ from .geometry import ProjPoint, ProjSubspace
 from .lines import AtLeast, DependentSetSize, QuantumLineSet
 
 MAX_CANDIDATE_DISTANCE = 4
-# budget of the excluded-point lookup table in gamma_graph, one byte per entry
+# budget of the excluded-point table, one byte per entry; _weights refuses a
+# larger one, so the guard covers the candidates, Γ and the distance bound
 MAX_TABLE_BYTES = 2 ** 28
+# the table entry of every vector outside X_w; no weight exceeds the
+# dimension of the ambient space, far below it
+OUTSIDE = 255
 
-# X_w as a map from the normalised coordinates of each point to its weight
-Weights = dict[tuple[int, ...], int]
+# X_w as a weight table over the codes of the ambient vectors (see _weights)
+Weights = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,8 @@ def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
 def excluded_points(x: QuantumLineSet, d: int) -> Weights:
     """X_{d-1}: the points in the span of d-1 or fewer incident points of x.
 
-    Points are normalised coordinate tuples, each mapped to its weight: the
-    least number of incident points whose span holds it.
+    Returned as the table of _weights, whose entry at each vector of a point
+    is its weight: the least number of incident points whose span holds it.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -159,29 +163,52 @@ def excluded_points(x: QuantumLineSet, d: int) -> Weights:
 
 
 def _weights(x: QuantumLineSet, top: int) -> Weights:
-    """X_top as a map from each point to its weight, built layer by layer.
+    """X_top as a weight table over the vectors of the ambient space, built layer by layer.
 
-    Layer 1 holds the incident points. X_{w+1} adds the points of every line
-    joining a point of X_w to an incident point; a line from a point of
-    weight below w lies in X_w already, so only the points new to layer w
-    are expanded.
+    A vector's code, its coordinates read in base p, indexes its entry. The
+    zero vector is the span of no points and holds 0; a vector outside X_top
+    holds OUTSIDE. Layer w adds the vectors of every line joining a vector
+    new to layer w-1 to an incident point, starting from the zero vector; a
+    line from a point of lower weight lies in X_{w-1} already. The table
+    takes one byte per vector and is refused above MAX_TABLE_BYTES.
     """
-    p = x.p
-    incident = [pt.coords for pt in lines_mod.incident_points(x)]
-    weights = dict.fromkeys(incident, 1)
-    frontier = incident
-    for w in range(2, top + 1):
-        reached = {q for r in frontier for s in incident if r != s for q in _line(p, r, s)[2:]}
-        frontier = reached.difference(weights)
-        weights.update(dict.fromkeys(frontier, w))
-    return weights
+    p, m = x.p, x.ambient_dim + 1
+    entries = p ** m
+    if entries > MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"an excluded-point table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
+            f"over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
+        )
+    table = np.full(entries, OUTSIDE, dtype=np.uint8)
+    table[0] = 0
+    incident = _codes(p, m, [pt.coords for pt in lines_mod.incident_points(x)])
+    frontier = np.zeros(1, dtype=np.int64)
+    for w in range(1, top + 1):
+        reached = _line_codes(p, m, frontier, incident).ravel()
+        table[reached[table[reached] == OUTSIDE]] = w
+        frontier = np.flatnonzero(table == w)
+    return table
 
 
-def _line(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The p+1 points of the line through the distinct points u and v."""
-    return [u, v] + [
-        ProjPoint.normalise(p, tuple((a + c * b) % p for a, b in zip(u, v))) for c in range(1, p)
-    ]
+def _codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
+    """The base-p codes of vectors of length m, most significant coordinate first."""
+    return np.ravel_multi_index(np.array(coords, dtype=np.int64).reshape(-1, m).T, (p,) * m)
+
+
+def _line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The codes of a_i + c·b_j for c = 1..p-1, as an array indexed [c-1, i, j].
+
+    a and b hold codes of vectors of F_p^m. For p = 2 the code of a sum is
+    the XOR of the codes.
+    """
+    if p == 2:
+        return (a[:, None] ^ b)[None]
+    codes = np.zeros((p - 1, len(a), len(b)), dtype=np.int64)
+    # digit by digit, most significant first, and scalar by scalar, so temporaries stay (len(a), len(b))
+    for a_digit, b_digit in zip(np.unravel_index(a, (p,) * m), np.unravel_index(b, (p,) * m)):
+        for c in range(1, p):
+            codes[c - 1] = codes[c - 1] * p + (a_digit[:, None] + c * b_digit) % p
+    return codes
 
 
 def candidate_vertices(
@@ -198,7 +225,8 @@ def candidate_vertices(
         pool = geometry.points_of(restriction)
     else:
         pool = geometry.all_points(x.ambient_dim, x.modulus)
-    return [pt for pt in pool if pt.coords not in excluded]
+    codes = _codes(x.p, x.ambient_dim + 1, [pt.coords for pt in pool])
+    return list(itertools.compress(pool, excluded[codes] == OUTSIDE))
 
 
 def gamma_graph(
@@ -213,42 +241,21 @@ def gamma_graph(
     same as asking that u, v and any d-1 or fewer incident points be
     independent.
 
-    A point's code is its coordinates read in base p. A table over the codes
-    marks every nonzero multiple of each excluded point, so the points
-    u + c·v, c = 1..p-1, of the line uv are tested unnormalised; for p = 2
-    the code of u + v is the XOR of the codes. The table takes one byte per
-    vector of the ambient space and is refused above MAX_TABLE_BYTES.
+    The table is read at the codes of u, v and u + c·v, c = 1..p-1 (see
+    _line_codes). For v = u the sum u + (p-1)·u is the zero vector, whose
+    entry 0 takes the diagonal out of every row.
     """
     p, m = x.p, x.ambient_dim + 1
-    entries = p ** m
-    if entries > MAX_TABLE_BYTES:
-        raise TooLarge(
-            f"an excluded-point table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
-            f"over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
-        )
     verts = tuple(sorted(set(vertices)))
-    powers = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    bad = np.zeros(entries, dtype=bool)
-    # u + c·v is zero only on the diagonal, which this takes out of every row
-    bad[0] = True
-    points = np.array(list(excluded), dtype=np.int64).reshape(-1, m)
-    for c in range(1, p):
-        bad[c * points % p @ powers] = True
-    digits = np.array([v.coords for v in verts], dtype=np.int64).reshape(-1, m)
-    codes = digits @ powers
-    outside = ~bad[codes]
+    codes = _codes(p, m, [v.coords for v in verts])
+    outside = excluded[codes] == OUTSIDE
     rows: list[int] = []
     # blocks of rows keep the temporaries near 2^20 entries
     step = max(1, 2 ** 20 // max(len(verts) * m, 1))
     for lo in range(0, len(verts), step):
         block = slice(lo, lo + step)
-        if p == 2:
-            on_line = [codes[block, None] ^ codes]
-        else:
-            on_line = [(digits[block, None, :] + c * digits) % p @ powers for c in range(1, p)]
-        joined = outside[block, None] & outside
-        for q in on_line:
-            joined &= ~bad[q]
+        on_line = excluded[_line_codes(p, m, codes[block], codes)]
+        joined = outside[block, None] & outside & (on_line == OUTSIDE).all(axis=0)
         packed = np.packbits(joined, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return CompatibilityGraph(verts, tuple(rows))
@@ -273,7 +280,7 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
 
     The deadline is checked only once the first descent has recorded a
     clique; TimeLimitExceeded then carries the best cliques found so far,
-    each of them maximal.
+    each of them maximal, and names their number and size.
     """
     rows = g.rows
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -285,7 +292,10 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
         nonlocal best, best_size, nodes
         nodes += 1
         if deadline is not None and best and time.monotonic() > deadline:
-            raise TimeLimitExceeded("clique search timed out", best=_as_tuples(best))
+            raise TimeLimitExceeded(
+                f"clique search timed out; best so far: {len(best)} maximal clique(s) of size {best_size}",
+                best=_as_tuples(best),
+            )
         if not cand:
             if size > best_size:
                 best, best_size = [clique], size
@@ -332,16 +342,12 @@ def _colour(rows: Sequence[int], cand: int) -> tuple[list[int], list[int]]:
 
 
 def is_subspace_t(t: CodingSet) -> bool:
-    """True iff the vector set is closed under addition and scaling."""
-    vs = set(t.vectors)
-    for a, b in itertools.product(t.vectors, repeat=2):
-        if a + b not in vs:
-            return False
-    for a in t.vectors:
-        for c in range(2, t.p):
-            if a.scale(c) not in vs:
-                return False
-    return True
+    """True iff the vector set is closed under addition and scaling.
+
+    T lies in its span, which has p^rank(T) vectors, so T is a subspace
+    exactly when it has that many.
+    """
+    return len(t.vectors) == t.p ** fields.rank_of_vectors(t.p, [v.entries for v in t.vectors])
 
 
 def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetSize:
@@ -366,22 +372,25 @@ def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetS
 def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights) -> int | None:
     """Least weight of a point on a line through two coding points, or limit + 1 if above limit.
 
-    weights is the map X_{max(limit-1, 1)}. None when T has fewer than two
+    weights is the table X_{max(limit-1, 1)}. None when T has fewer than two
     distinct points, so that there is no such line.
     """
-    p = x.p
-    points = {ProjPoint.normalise(p, v.entries) for v in t.nonzero()}
-    on_lines = {q for a, b in itertools.combinations(points, 2) for q in _line(p, a, b)}
-    if not on_lines:
+    p, m = x.p, x.ambient_dim + 1
+    points = _codes(p, m, sorted({ProjPoint.normalise(p, v.entries) for v in t.nonzero()}))
+    if len(points) < 2:
         return None
-    least = min(weights.get(q, limit + 1) for q in on_lines)
+    i, j = np.triu_indices(len(points), 1)
+    on_lines = np.concatenate([points, _line_codes(p, m, points, points)[:, i, j].ravel()])
+    least = int(weights[on_lines].min())
     if least == 1:
         raise CollapsedImage("a line through two coding points meets a line of the set")
+    if least == OUTSIDE:
+        least = limit + 1
     if least > limit >= 2:
-        # X_limit is one layer past the map: q lies in it iff, for some
+        # X_limit is one layer past the table: q lies in it iff, for some
         # incident s, a point of the line qs other than q and s lies in X_{limit-1}
-        incident = [s for s, w in weights.items() if w == 1]
-        if any(r in weights for q in on_lines for s in incident for r in _line(p, q, s)[2:]):
+        incident = np.flatnonzero(weights == 1)
+        if (weights[_line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
             least = limit
     return least
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qsol import fields, geometry, lines as lines_mod, oracle, pauli, search
+from qsol import fields, geometry, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space, kernel_basis, row_space
 from qsol.geometry import ProjPoint
@@ -259,7 +259,7 @@ def test_property_abelian_iff_forms_vanish_iff_dense_commuting():
         forms_zero = all(
             symplectic_form(tau(a), tau(b)) == 0 for a, b in itertools.combinations(ops, 2)
         )
-        dense = [oracle.pauli_dense(m) for m in ops]
+        dense = [dense_reference.pauli_matrix(p, (m.phase, m.x_part, m.z_part)) for m in ops]
         commuting = all(
             np.allclose(a @ b, b @ a, atol=1e-12) for a, b in itertools.combinations(dense, 2)
         )

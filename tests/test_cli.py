@@ -94,6 +94,15 @@ class TestGammaAndCliques:
         pairs = machine(capsys)
         assert pairs["vertices"] == ["39"] and pairs["edges"] == ["450"]
 
+    @pytest.mark.parametrize("command", ["cliques", "recipe"])
+    def test_time_out_reports_best_so_far(self, data_dir, capsys, command):
+        # a zero limit stops the unrestricted 9-cycle search right after the
+        # first descent, which records exactly one maximal 7-clique
+        code = main([command, "--graph", str(data_dir / "nine_cycle.graph"), "--d", "3", "--time-limit", "0"])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "clique search timed out; best so far: 1 maximal clique(s) of size 7" in err
+
 
 class TestRecipe:
     def test_pentagon(self, data_dir, capsys):

@@ -1,5 +1,6 @@
 """Candidate points, compatibility graphs, clique search, and the recipe."""
 
+import collections
 import itertools
 import random
 
@@ -115,7 +116,11 @@ class TestExcludedPoints:
             for subset in itertools.combinations(incident, size):
                 for pt in geometry.points_of(geometry.span(subset)):
                     weights.setdefault(pt.coords, size)
-        assert excluded_points(x, d) == weights
+        # the table is indexed by base-p codes, which count the vectors in
+        # the order itertools.product lists them
+        vectors = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        expected = [weights.get(ProjPoint.normalise(p, v), search.OUTSIDE) if any(v) else 0 for v in vectors]
+        assert excluded_points(x, d).tolist() == expected
 
 
 class TestCandidateVertices:
@@ -192,12 +197,10 @@ class TestGammaGraph:
 
     def test_lookup_table_over_budget_is_refused(self, mod2):
         # the table would hold 2^30 one-byte entries; the guard fires before
-        # any of it is allocated
+        # any of it is allocated, where the one table behind Γ is built
         x = cycle_lines(mod2, 30)
-        excluded = excluded_points(x, 2)
-        vertex = ProjPoint(mod2, (1,) * 30)
         with pytest.raises(TooLarge, match=r"1073741824 entries needs about 1024\.0 MiB, over the 256 MiB budget"):
-            gamma_graph(x, [vertex], excluded)
+            excluded_points(x, 2)
 
     def test_rows_are_symmetric_without_loops(self, pentagon_lines):
         gamma = gamma_of(pentagon_lines, 2)
@@ -296,6 +299,46 @@ class TestCodingSet:
     def test_subspace_detection(self, mod2, ternary_tset, pentagon_tset):
         assert is_subspace_t(ternary_tset)
         assert not is_subspace_t(pentagon_tset)
+
+    def test_property_subspace_matches_closure_rule(self):
+        # the rank count |T| = p^rank(T) against closure under addition and
+        # scaling, on subspaces, subspaces with one vector added or removed,
+        # and random sets
+        rng = random.Random(6015)
+        seen = collections.Counter()
+        for case in range(150):
+            p = rng.choice([2, 3, 5])
+            mod = PrimeModulus(p)
+            length = rng.randint(1, {2: 5, 3: 3, 5: 3}[p])
+            space = list(itertools.product(range(p), repeat=length))
+            kind = rng.choice(["subspace", "added", "removed", "random"])
+            if kind == "random":
+                vectors = {(0,) * length, *rng.sample(space, rng.randint(0, min(len(space), 30)))}
+            else:
+                basis = [rng.choice(space) for _ in range(rng.randint(0, length))]
+                vectors = {
+                    tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(length))
+                    for coeffs in itertools.product(range(p), repeat=len(basis))
+                }
+                if kind == "added":
+                    vectors.add(rng.choice(space))
+                elif kind == "removed":
+                    # a coding set holds 0, so taking it out is undone
+                    vectors.discard(rng.choice(sorted(vectors)))
+                    vectors.add((0,) * length)
+            t = CodingSet(mod, length, tuple(FpVector(mod, v) for v in sorted(vectors)))
+            expected = closure_rule(t)
+            assert is_subspace_t(t) == expected, f"case {case}: p={p} T={sorted(vectors)}"
+            seen[kind, expected] += 1
+        assert all(seen[kind, outcome] for kind in ("added", "removed", "random") for outcome in (True, False))
+        assert seen["subspace", True] and not seen["subspace", False], f"outcomes seen: {dict(seen)}"
+
+
+def closure_rule(t):
+    """True iff the vector set is closed under addition and scaling, tested pair by pair."""
+    vs = set(t.vectors)
+    closed_sum = all(a + b in vs for a, b in itertools.product(t.vectors, repeat=2))
+    return closed_sum and all(a.scale(c) in vs for a in t.vectors for c in range(2, t.p))
 
 
 class TestDistanceBound:
