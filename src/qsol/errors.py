@@ -5,10 +5,6 @@ class QsolError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DependentInput(QsolError):
-    """Vectors required to be linearly independent are not."""
-
-
 class DimensionMismatch(QsolError):
     """Operands live in incompatible ambient spaces."""
 

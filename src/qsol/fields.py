@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DependentInput
-
 _MAX_PRIME = 31
 
 
@@ -221,40 +219,26 @@ def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     return rank(stacked) == rank(m)
 
 
-def inverse(m: FpMatrix) -> FpMatrix:
-    """Inverse of a square non-singular matrix."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("matrix not square")
-    p = m.p
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
-    aug, pivots = _rref_rows(aug, 2 * n, p)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
-        raise DependentInput("matrix is singular")
-    return FpMatrix(m.modulus, tuple(tuple(row[n:]) for row in aug), n)
+def quotient_map(vectors: Sequence[FpVector], dim: int) -> FpMatrix:
+    """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
 
-
-def complete_basis(vs: Sequence[FpVector], dim: int) -> FpMatrix:
-    """Non-singular dim x dim matrix whose first len(vs) columns are vs.
-
-    Completion is greedy over the standard basis vectors in index order,
-    so the result is a pure function of the input.
+    One elimination of [C | I], with the vectors as the columns of C, picks
+    as pivots the greedy independent subset of the vectors, r of them in
+    their given order, and then the standard basis vectors that complete it
+    to a basis A, also greedily. The right-hand block is then A^{-1}, and its
+    rows past the first r are the map: A^{-1} A = I makes them vanish on the
+    span of the vectors, and they have rank dim - r.
     """
-    if not vs:
+    if not vectors:
         raise ValueError("need at least one vector")
-    modulus = vs[0].modulus
-    cols = [list(v.entries) for v in vs]
-    if any(len(c) != dim for c in cols):
+    if any(len(v) != dim for v in vectors):
         raise ValueError("vectors must have length dim")
-    if rank(FpMatrix.from_rows(modulus, cols, dim)) != len(cols):
-        raise DependentInput("input vectors are linearly dependent")
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        e = [1 if j == i else 0 for j in range(dim)]
-        if rank(FpMatrix.from_rows(modulus, cols + [e], dim)) > len(cols):
-            cols.append(e)
-    return FpMatrix.from_rows(modulus, cols, dim).transpose()
+    modulus = vectors[0].modulus
+    r = len(vectors)
+    aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    aug, pivots = _rref_rows(aug, r + dim, modulus.p)
+    centre_rank = sum(1 for c in pivots if c < r)
+    return FpMatrix(modulus, tuple(tuple(row[r:]) for row in aug[centre_rank:]), dim)
 
 
 def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:

@@ -3,9 +3,6 @@
 A point is the canonical representative of a one-dimensional subspace
 (first nonzero coordinate scaled to 1); a rank-r subspace is stored as its
 unique RREF basis, so equality of subspaces is equality of values.
-Projection from a centre is implemented as change of basis followed by
-coordinate deletion, with the change of basis fixed by the deterministic
-completion in :func:`qsol.fields.complete_basis`.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import fields
-from .errors import CollapsedImage, DimensionMismatch
+from .errors import DimensionMismatch
 from .fields import FpMatrix, FpVector, PrimeModulus
 
 
@@ -40,10 +37,6 @@ class ProjPoint:
             return coords
         inv = pow(lead, -1, p)
         return tuple((inv * c) % p for c in coords)
-
-    @classmethod
-    def from_vector(cls, v: FpVector) -> "ProjPoint":
-        return cls(v.modulus, v.entries)
 
     @property
     def p(self) -> int:
@@ -73,10 +66,6 @@ class ProjSubspace:
     @classmethod
     def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjSubspace":
         return cls(modulus, _canonical_basis(modulus, rows, ncols))
-
-    @classmethod
-    def full_space(cls, modulus: PrimeModulus, m: int) -> "ProjSubspace":
-        return cls(modulus, FpMatrix.identity(modulus, m + 1))
 
     @property
     def p(self) -> int:
@@ -162,41 +151,6 @@ def span(objs: Sequence[SubspaceLike]) -> ProjSubspace:
     return ProjSubspace.from_rows(modulus, rows, ncols)
 
 
-class Projection:
-    """Projection of PG(m, p) from a centre, as basis change + deletion.
-
-    The centre is given by an ordered list of independent vectors; the
-    change of basis is their deterministic completion, so two projections
-    built from the same vector list are identical maps.
-    """
-
-    def __init__(self, vs: Sequence[FpVector]):
-        if not vs:
-            raise ValueError("projection centre cannot be empty")
-        self.modulus = vs[0].modulus
-        self.dim = len(vs[0])
-        self.rank = len(vs)
-        a = fields.complete_basis(vs, self.dim)
-        self._a_inv = fields.inverse(a)
-
-    def apply_vector(self, v: FpVector) -> FpVector:
-        """Image coordinates (may be zero if v lies in the centre)."""
-        w = self._a_inv @ v
-        return FpVector(self.modulus, w.entries[self.rank :])
-
-    def apply_point(self, pt: ProjPoint) -> ProjPoint:
-        w = self.apply_vector(pt.vector())
-        if w.is_zero():
-            raise CollapsedImage("point lies in the projection centre")
-        return ProjPoint.from_vector(w)
-
-    def apply_line(self, line: ProjLine) -> ProjLine:
-        rows = [self.apply_vector(FpVector(self.modulus, r)).entries for r in line.basis.rows]
-        if fields.rank_of_vectors(self.modulus.p, rows) < 2:
-            raise CollapsedImage("line image has rank below 2")
-        return ProjLine.from_rows(self.modulus, rows, self.dim - self.rank)
-
-
 def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All rank-r RREF matrices with ncols columns, as raw row tuples.
 
@@ -217,7 +171,3 @@ def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...
                 rows[i][c] = v
             yield tuple(tuple(row) for row in rows)
 
-
-def all_points(m: int, modulus: PrimeModulus) -> list[ProjPoint]:
-    """All points of PG(m, p), lexicographically sorted."""
-    return points_of(ProjSubspace.full_space(modulus, m))

@@ -3,7 +3,7 @@
 The i-th line of the set is spanned by columns i and i+n of a generator
 matrix G; projecting the set from a pair of sign vectors produces the line
 set of the corresponding subgroup, bit for bit, because both sides use the
-same deterministic basis completion.
+same quotient map.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 from . import fields, geometry
 from .errors import CollapsedImage, DegenerateLine, UnsupportedModulus
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjLine, ProjPoint, Projection
+from .geometry import ProjLine, ProjPoint
 
 
 class AtLeast(NamedTuple):
@@ -165,17 +165,17 @@ def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
 
 
 def project_lines(x: QuantumLineSet, ts: Sequence[FpVector]) -> QuantumLineSet:
-    """Project every line from the centre spanned by the given vectors.
+    """Project every line from the span of the given vectors.
 
-    The centre vectors are fed to the deterministic basis completion in
-    their given order, which is what makes the result agree with the
-    subgroup construction on the generator side.
+    Each line's basis rows go through fields.quotient_map of the vectors,
+    the same map whose rows generate the subgroup on the generator side
+    (pauli.subgroup_fixing).
     """
-    proj = Projection(list(ts))
+    q = fields.quotient_map(list(ts), x.ambient_dim + 1).transpose()
     out = []
     for i, ln in enumerate(x.lines):
-        try:
-            out.append(proj.apply_line(ln))
-        except CollapsedImage:
+        image = ln.basis @ q
+        if fields.rank_of_vectors(x.p, image.rows) < 2:
             raise CollapsedImage(f"line {i} meets the projection centre", index=i)
+        out.append(ProjLine.from_rows(x.modulus, image.rows, image.ncols))
     return QuantumLineSet(x.modulus, tuple(out))

@@ -71,19 +71,6 @@ class PauliOperator:
             raise ValueError("letter form only defined for qubits")
         return "".join(_XZ_TO_LETTER[(x, z)] for x, z in zip(self.x_part, self.z_part))
 
-    def inverse(self) -> "PauliOperator":
-        p = self.p
-        if p == 2:
-            return PauliOperator(self.modulus, self.n, -self.phase, self.x_part, self.z_part)
-        ab = sum(a * b for a, b in zip(self.x_part, self.z_part))
-        return PauliOperator(
-            self.modulus,
-            self.n,
-            -self.phase + ab,
-            tuple(-a for a in self.x_part),
-            tuple(-b for b in self.z_part),
-        )
-
 
 @dataclass(frozen=True, order=True)
 class SymplecticVector:
@@ -157,7 +144,7 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
 def power(a: PauliOperator, e: int) -> PauliOperator:
     if e < 0:
-        raise ValueError("negative exponent; use inverse()")
+        raise ValueError("negative exponent")
     out = PauliOperator.identity(a.modulus, a.n)
     for _ in range(e):
         out = multiply(out, a)
@@ -264,10 +251,10 @@ def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
 def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup:
     """The subgroup fixing both Q_t and Q_u componentwise.
 
-    Generated by M'_3..M'_{n-k}, the elements given by rows 3.. of
-    A_{t,u}^{-1} for the deterministic completion A_{t,u} of (t, u) (see
-    subgroup_fixing). Phases are composed exactly, so the generators are
-    genuine elements of the parent group.
+    Generated by M'_3..M'_{n-k}, the elements given by the rows of the
+    quotient map from the span of the centre (t, u) (see subgroup_fixing).
+    Phases are composed exactly, so the generators are genuine elements of
+    the parent group.
     """
     m = s.num_generators
     if len(t) != m or len(u) != m:
@@ -278,17 +265,14 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
 
 
 def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
-    """The subgroup acting trivially on Q_c for every vector c of the centre.
+    """The subgroup acting trivially on Q_c for every vector c in the span of the centre.
 
-    The centre vectors must be independent. The generators are the
-    elements given by rows len(centre).. of A^{-1}, for the deterministic
-    completion A of the centre to a basis; A^{-1} A = I makes those rows
-    orthogonal to every centre vector.
+    The generators are the elements given by the rows of fields.quotient_map
+    of the centre, which vanish on the span of the centre; there are
+    num_generators - rank(centre) of them.
     """
-    m = s.num_generators
-    a_inv = fields.inverse(fields.complete_basis(list(centre), m))
-    gens = [s.element(a_inv.rows[i]) for i in range(len(centre), m)]
-    return StabiliserGroup(s.modulus, s.n, tuple(gens))
+    q = fields.quotient_map(list(centre), s.num_generators)
+    return StabiliserGroup(s.modulus, s.n, tuple(s.element(row) for row in q.rows))
 
 
 def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:

@@ -221,12 +221,16 @@ def candidate_vertices(
     With a restriction subspace, only its points are considered (the
     subspace trick that keeps the compatibility graph small).
     """
+    p, m = x.p, x.ambient_dim + 1
     if restriction is not None:
         pool = geometry.points_of(restriction)
-    else:
-        pool = geometry.all_points(x.ambient_dim, x.modulus)
-    codes = _codes(x.p, x.ambient_dim + 1, [pt.coords for pt in pool])
-    return list(itertools.compress(pool, excluded[codes] == OUTSIDE))
+        codes = _codes(p, m, [pt.coords for pt in pool])
+        return list(itertools.compress(pool, excluded[codes] == OUTSIDE))
+    # the normalised vectors, first nonzero coordinate 1, have the codes
+    # [p^j, 2·p^j) for j = 0..m-1; in increasing order that is the point order
+    codes = np.concatenate([np.arange(p ** j, 2 * p ** j) for j in range(m)])
+    kept = np.unravel_index(codes[excluded[codes] == OUTSIDE], (p,) * m)
+    return [ProjPoint(x.modulus, coords) for coords in zip(*(digits.tolist() for digits in kept))]
 
 
 def gamma_graph(

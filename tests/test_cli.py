@@ -61,6 +61,19 @@ class TestProject:
         group = io.parse_generators(capsys.readouterr().out)
         assert (group.p, group.n, group.k) == (2, 5, 2)
 
+    def test_subspace_coding_set_projects_from_its_span(self, data_dir, tmp_path, capsys):
+        # ternary.tset is a 2-dimensional subspace with 8 nonzero vectors; the
+        # projection is from its span, the same as from the basis 1000001, 1011011
+        gens = str(data_dir / "ternary.gens")
+        assert main(["project", "--gens", gens, "--tset", str(data_dir / "ternary.tset")]) == EXIT_OK
+        full = capsys.readouterr().out
+        basis = tmp_path / "basis.tset"
+        basis.write_text("3 7\n0 0 0 0 0 0 0\n1 0 0 0 0 0 1\n1 0 1 1 0 1 1\n")
+        assert main(["project", "--gens", gens, "--tset", str(basis)]) == EXIT_OK
+        assert capsys.readouterr().out == full
+        header, *rows = full.splitlines()
+        assert header == "3 11 6" and len(rows) == 5
+
     def test_collapsing_centre_exits_one(self, data_dir, tmp_path, capsys):
         # e_1 is incident with a line, so projecting from it collapses
         centre = tmp_path / "centre.tset"

@@ -6,16 +6,14 @@ import random
 import pytest
 
 from qsol import fields
-from qsol.errors import DependentInput
 from qsol.fields import (
     FpMatrix,
     FpVector,
     PrimeModulus,
-    complete_basis,
     in_row_space,
-    inverse,
     is_prime,
     kernel_basis,
+    quotient_map,
     rank,
     rank_of_vectors,
     row_space,
@@ -28,6 +26,51 @@ def random_matrix(rng, modulus, nrows, ncols):
     return FpMatrix.from_rows(
         modulus, [[rng.randrange(modulus.p) for _ in range(ncols)] for _ in range(nrows)], ncols
     )
+
+
+def reference_inverse(m):
+    """Gauss-Jordan inverse of a square non-singular matrix, written apart from qsol.fields."""
+    n, p = m.nrows, m.p
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [(inv * e) % p for e in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[c])]
+    return FpMatrix(m.modulus, tuple(tuple(row[n:]) for row in aug), n)
+
+
+def reference_complete_basis(vs, dim):
+    """Non-singular dim x dim matrix whose first columns are the independent vs.
+
+    The completion is greedy over the standard basis vectors in index order.
+    """
+    modulus = vs[0].modulus
+    cols = [list(v.entries) for v in vs]
+    if rank(FpMatrix.from_rows(modulus, cols, dim)) != len(cols):
+        raise ValueError("input vectors are linearly dependent")
+    for i in range(dim):
+        if len(cols) == dim:
+            break
+        e = [1 if j == i else 0 for j in range(dim)]
+        if rank(FpMatrix.from_rows(modulus, cols + [e], dim)) > len(cols):
+            cols.append(e)
+    return FpMatrix.from_rows(modulus, cols, dim).transpose()
+
+
+def greedy_independent(vs):
+    """The vectors that are independent of the ones before them, in order."""
+    chosen = []
+    for v in vs:
+        if rank_of_vectors(v.p, [c.entries for c in chosen] + [v.entries]) > len(chosen):
+            chosen.append(v)
+    return chosen
 
 
 class TestPrimeModulus:
@@ -142,6 +185,7 @@ class TestKernelAndInverse:
         assert rref(ker).matrix.rows[: ker.nrows] == ker.rows
 
     def test_inverse_round_trip(self):
+        # the reference that TestQuotientMap compares against
         rng = random.Random(17)
         for p in (2, 3, 7):
             mod = PrimeModulus(p)
@@ -152,13 +196,13 @@ class TestKernelAndInverse:
                 if rank(m) < 4:
                     continue
                 found += 1
-                assert m @ inverse(m) == ident
-                assert inverse(m) @ m == ident
+                assert m @ reference_inverse(m) == ident
+                assert reference_inverse(m) @ m == ident
 
     def test_inverse_of_singular_raises(self, mod2):
         m = FpMatrix.from_rows(mod2, [(1, 1), (1, 1)], 2)
-        with pytest.raises(DependentInput):
-            inverse(m)
+        with pytest.raises(ValueError):
+            reference_inverse(m)
 
     def test_in_row_space(self, mod3):
         m = FpMatrix.from_rows(mod3, [(1, 0, 2), (0, 1, 1)], 3)
@@ -167,6 +211,8 @@ class TestKernelAndInverse:
 
 
 class TestCompleteBasis:
+    """The reference completion that TestQuotientMap compares against."""
+
     def test_prefix_columns_and_determinism(self):
         rng = random.Random(23)
         for p in (2, 3):
@@ -178,16 +224,53 @@ class TestCompleteBasis:
                     cand = FpVector(mod, tuple(rng.randrange(p) for _ in range(dim)))
                     if rank_of_vectors(p, [v.entries for v in vs] + [cand.entries]) == len(vs) + 1:
                         vs.append(cand)
-                a = complete_basis(vs, dim)
+                a = reference_complete_basis(vs, dim)
                 assert rank(a) == dim
                 for col, v in zip(a.transpose().rows, vs):
                     assert col == v.entries
-                assert complete_basis(vs, dim) == a
+                assert reference_complete_basis(vs, dim) == a
 
     def test_dependent_input_raises(self, mod2):
         v = FpVector(mod2, (1, 0, 1))
-        with pytest.raises(DependentInput):
-            complete_basis([v, v], 3)
+        with pytest.raises(ValueError):
+            reference_complete_basis([v, v], 3)
+
+
+class TestQuotientMap:
+    def test_property_rows_past_the_centre_of_the_reference_inverse(self):
+        # a centre maps like its greedy independent subset, through rows r.. of
+        # A^{-1} for the greedy completion A of that subset
+        rng = random.Random(29)
+        dependent = 0
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 7))
+            mod = PrimeModulus(p)
+            dim = rng.randrange(1, 8)
+            centre = [
+                FpVector(mod, tuple(rng.randrange(p) for _ in range(dim)))
+                for _ in range(rng.randrange(1, dim + 2))
+            ]
+            q = quotient_map(centre, dim)
+            independent = greedy_independent(centre)
+            r = len(independent)
+            if r < len(centre):
+                dependent += 1
+                if independent:
+                    assert quotient_map(independent, dim) == q
+            if independent:
+                assert q.rows == reference_inverse(reference_complete_basis(independent, dim)).rows[r:]
+            else:
+                assert q == FpMatrix.identity(mod, dim)
+            assert q.ncols == dim and q.nrows == dim - r == rank(q)
+            for v in centre:
+                assert (q @ v).is_zero()
+        assert 0 < dependent < 300
+
+    def test_rejects_empty_or_mislength_centre(self, mod2):
+        with pytest.raises(ValueError):
+            quotient_map([], 3)
+        with pytest.raises(ValueError):
+            quotient_map([FpVector(mod2, (1, 0))], 3)
 
 
 def test_row_space_drops_zero_rows(mod2):

@@ -7,17 +7,16 @@ import pytest
 
 from qsol import geometry
 from qsol.errors import CollapsedImage, DimensionMismatch
-from qsol.fields import FpMatrix, FpVector, PrimeModulus
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, quotient_map
 from qsol.geometry import (
-    Projection,
     ProjLine,
     ProjPoint,
     ProjSubspace,
-    all_points,
     iter_rref_bases,
     points_of,
     span,
 )
+from qsol.lines import QuantumLineSet, project_lines
 
 
 def gaussian_binomial(n, k, p):
@@ -48,7 +47,8 @@ class TestProjPoint:
             mod = PrimeModulus(p)
             for m in (1, 2, 3):
                 expected = (p ** (m + 1) - 1) // (p - 1)
-                assert len(all_points(m, mod)) == expected
+                whole = ProjSubspace(mod, FpMatrix.identity(mod, m + 1))
+                assert len(points_of(whole)) == expected
 
 
 class TestSubspacesAndSpan:
@@ -77,21 +77,18 @@ class TestSubspacesAndSpan:
 
 class TestProjection:
     def test_image_dimension_drops_by_centre_rank(self, mod2):
-        centre = [FpVector(mod2, (1, 0, 0, 0))]
-        proj = Projection(centre)
-        img = proj.apply_point(ProjPoint(mod2, (1, 1, 0, 1)))
-        assert len(img.coords) == 3
+        q = quotient_map([FpVector(mod2, (1, 0, 0, 0))], 4)
+        img = q @ FpVector(mod2, (1, 1, 0, 1))
+        assert len(img) == 3
 
     def test_centre_point_collapses(self, mod2):
-        proj = Projection([FpVector(mod2, (1, 1, 0))])
-        with pytest.raises(CollapsedImage):
-            proj.apply_point(ProjPoint(mod2, (1, 1, 0)))
+        q = quotient_map([FpVector(mod2, (1, 1, 0))], 3)
+        assert (q @ FpVector(mod2, (1, 1, 0))).is_zero()
 
     def test_line_through_centre_collapses(self, mod2):
-        proj = Projection([FpVector(mod2, (1, 0, 0))])
         line = ProjLine.from_rows(mod2, [(1, 0, 0), (0, 1, 0)], 3)
         with pytest.raises(CollapsedImage):
-            proj.apply_line(line)
+            project_lines(QuantumLineSet(mod2, (line,)), [FpVector(mod2, (1, 0, 0))])
 
     def test_projection_is_linear_on_representatives(self, mod3):
         rng = random.Random(31)
@@ -100,19 +97,19 @@ class TestProjection:
             centre = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
             if centre.is_zero():
                 continue
-            proj = Projection([centre])
+            q = quotient_map([centre], dim)
             u = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
             v = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
-            assert proj.apply_vector(u + v) == proj.apply_vector(u) + proj.apply_vector(v)
-            assert proj.apply_vector(centre).is_zero()
+            assert q @ (u + v) == (q @ u) + (q @ v)
+            assert (q @ centre).is_zero()
 
     def test_two_points_of_a_line_project_to_collinear_points(self, mod2):
         # the image of a line is the span of the images of its points
         centre = [FpVector(mod2, (1, 1, 1, 1))]
-        proj = Projection(centre)
         line = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        img = proj.apply_line(line)
-        img_points = {proj.apply_point(pt) for pt in points_of(line)}
+        (img,) = project_lines(QuantumLineSet(mod2, (line,)), centre).lines
+        q = quotient_map(centre, 4)
+        img_points = {ProjPoint(mod2, (q @ pt.vector()).entries) for pt in points_of(line)}
         assert img_points == set(points_of(img))
 
 

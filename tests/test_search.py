@@ -8,7 +8,7 @@ import pytest
 
 import cws_reference
 from qsol import geometry, lines as lines_mod, oracle, search
-from qsol.errors import IsolatedVertex, TimeLimitExceeded, TooLarge, UnsupportedDistance
+from qsol.errors import CollapsedImage, IsolatedVertex, TimeLimitExceeded, TooLarge, UnsupportedDistance
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
@@ -130,6 +130,19 @@ class TestCandidateVertices:
         incident = set(lines_mod.incident_points(pentagon_lines))
         assert not incident & set(verts)
 
+    @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 6, 4), (3, 4, 3), (5, 3, 2)])
+    def test_unrestricted_pool_is_every_point_outside_in_order(self, p, n, d):
+        x = cycle_lines(PrimeModulus(p), n)
+        excluded = excluded_points(x, d)
+        # the table lists the vectors in the order itertools.product gives them
+        vectors = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        expected = [
+            ProjPoint(x.modulus, v)
+            for v, weight in zip(vectors, excluded.tolist())
+            if any(v) and ProjPoint.normalise(p, v) == v and weight == search.OUTSIDE
+        ]
+        assert candidate_vertices(x, excluded) == expected
+
     def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_restriction):
         # 24 of the 63 points of pi lie in the span of at most two incident
         # points, leaving 39 candidates; the CWS reference in
@@ -165,7 +178,6 @@ class TestGammaGraph:
 
     def test_edges_match_projection_criterion(self, pentagon_lines, mod2):
         # u ~ v exactly when projecting from (u, v) yields a set of lines
-        from qsol.errors import CollapsedImage
         from qsol.lines import project_lines
 
         gamma = gamma_of(pentagon_lines, 2)
@@ -447,6 +459,24 @@ class TestRunRecipe:
         assert report.group.n == 5
         assert report.group.num_generators == 4
         assert report.coding_set.length == 4
+
+    @pytest.mark.parametrize("k, code, bound, vertices, edges, cliques", [
+        (1, "((9,8,3)) code", "3", 65, 432, 304),
+        (2, "((9,8,2)) code", ">= 2", 10, 0, 10),
+    ])
+    def test_nine_cycle_projected(self, nine_cycle_graph, k, code, bound, vertices, edges, cliques):
+        report = run_recipe(nine_cycle_graph, d=3, k=k)
+        text = report.text_lines()
+        assert text[0] == code and f"  distance bound: {bound}" in text
+        assert (report.vertices, report.edges, report.cliques_found) == (vertices, edges, cliques)
+        capped = any("additive code has distance 2 < d" in w for w in report.warnings)
+        assert capped == (k == 2)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_nine_cycle_centre_meets_line_5(self, nine_cycle_graph, k):
+        with pytest.raises(CollapsedImage) as err:
+            run_recipe(nine_cycle_graph, d=3, k=k)
+        assert err.value.index == 5
 
     def test_parameter_validation(self, pentagon_graph):
         with pytest.raises(ValueError):
