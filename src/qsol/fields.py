@@ -12,7 +12,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import TooLarge
+
 _MAX_PRIME = 31
+# budget of one enumerated table, in bytes: the weight tables of lines and
+# the row-space enumeration below refuse a larger one with TooLarge
+MAX_TABLE_BYTES = 2 ** 28
 
 
 def is_prime(p: int) -> bool:
@@ -269,9 +274,20 @@ def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
 
 
 def row_space_vectors(m: FpMatrix) -> list[FpVector]:
-    """Every vector of the row space, sorted lexicographically."""
+    """Every vector of the row space, sorted lexicographically.
+
+    The p^rank vectors take at least one 8-byte slot per entry; a row space
+    above MAX_TABLE_BYTES on that count is refused before any is built.
+    """
     basis = row_space(m)
     p = m.p
+    count = p ** basis.nrows
+    size = count * m.ncols * 8
+    if size > MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"a row space of {p}^{basis.nrows} = {count} vectors of length {m.ncols} needs at least "
+            f"{size / 2 ** 20:.1f} MiB, over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
+        )
     out = []
     for coeffs in itertools.product(range(p), repeat=basis.nrows):
         v = [0] * m.ncols

@@ -8,12 +8,13 @@ same quotient map.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from . import fields, geometry
-from .errors import CollapsedImage, DegenerateLine, UnsupportedModulus
+from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from .fields import FpMatrix, FpVector, PrimeModulus
 from .geometry import ProjLine, ProjPoint
 
@@ -25,6 +26,10 @@ class AtLeast(NamedTuple):
 
 
 DependentSetSize = Union[int, AtLeast]
+
+# the weight-table entry of every vector outside X_w (see weight_table); no
+# weight exceeds the dimension of the ambient space, far below it
+OUTSIDE = 255
 
 
 def distance_value(d: DependentSetSize) -> int:
@@ -145,23 +150,87 @@ def validate_even_skew(x: QuantumLineSet) -> bool:
 
 
 def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
-    """Least w <= limit with a dependent choice of one point per w lines.
+    """Least w <= limit with a dependent choice of one point on each of w lines.
 
-    Line subsets are explored in ascending size and lexicographic order;
-    repeated lines in x are legitimate and force a result of 2.
+    A minimal dependent choice puts each of its points in the span of the
+    others, which lie on other lines; conversely, a point of a line L in the
+    span of w-1 points of other lines makes w dependent points. So the answer
+    is 1 + the least weight of a point of some line L in the weight table of
+    the other lines. The tables are built one depth at a time, so no layer
+    past the answer is built, and to at most n-1, since a least spanning set
+    takes at most one point from each other line. A repeated line puts the
+    points of its copy at weight 1, giving 2.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    p = x.p
-    pts_per_line = [[pt.coords for pt in geometry.points_of(ln)] for ln in x.lines]
-    for w in range(1, limit + 1):
-        if w > x.n:
-            break
-        for idxs in itertools.combinations(range(x.n), w):
-            for choice in itertools.product(*(pts_per_line[i] for i in idxs)):
-                if fields.rank_of_vectors(p, choice) < w:
-                    return w
+    if x.n < 2 or limit < 2:
+        return AtLeast(limit + 1)
+    p, m = x.p, x.ambient_dim + 1
+    points = _line_points(x)
+    for depth in range(1, min(limit, x.n)):
+        for i in range(x.n):
+            table = weight_table(p, m, np.delete(points, i, axis=0).ravel(), depth)
+            if (table[points[i]] != OUTSIDE).any():
+                return depth + 1
     return AtLeast(limit + 1)
+
+
+def _line_points(x: QuantumLineSet) -> np.ndarray:
+    """The codes of the p+1 points of each line, b and a + c·b for its basis a, b, as rows."""
+    p, m = x.p, x.ambient_dim + 1
+    bases = np.array([ln.basis.rows for ln in x.lines], dtype=np.int64)
+    a, b = bases[:, :1], bases[:, 1:]
+    vectors = np.concatenate([b, (a + np.arange(p)[:, None] * b) % p], axis=1)
+    return vector_codes(p, m, vectors).reshape(x.n, p + 1)
+
+
+def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
+    """X_top of the given points as a weight table over F_p^m, built layer by layer.
+
+    points holds the codes of the points (see vector_codes), which index the
+    table. A vector's entry is its weight, the least number of the points
+    whose span holds it, up to top: the zero vector is the span of no points
+    and holds 0, and a vector outside X_top holds OUTSIDE. Layer w adds the
+    vectors of every line joining a vector new to layer w-1 to one of the
+    points, starting from the zero vector; a line from a vector of lower
+    weight lies in X_{w-1} already. The table takes one byte per vector and
+    is refused above fields.MAX_TABLE_BYTES.
+    """
+    entries = p ** m
+    if entries > fields.MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"a weight table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
+            f"over the {fields.MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
+        )
+    table = np.full(entries, OUTSIDE, dtype=np.uint8)
+    table[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    for w in range(1, top + 1):
+        reached = line_codes(p, m, frontier, points).ravel()
+        table[reached[table[reached] == OUTSIDE]] = w
+        frontier = np.flatnonzero(table == w)
+    return table
+
+
+def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
+    """The base-p codes of vectors of length m, most significant coordinate first."""
+    return np.ravel_multi_index(np.array(coords, dtype=np.int64).reshape(-1, m).T, (p,) * m)
+
+
+def line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The codes of a_i + c·b_j for c = 1..p-1, as an array indexed [c-1, i, j].
+
+    a and b hold codes of vectors of F_p^m. For p = 2 the code of a sum is
+    the XOR of the codes.
+    """
+    if p == 2:
+        return (a[:, None] ^ b)[None]
+    codes = np.zeros((p - 1, len(a), len(b)), dtype=np.int64)
+    # digit by digit, most significant first, and scalar by scalar, so temporaries stay (len(a), len(b))
+    for a_digit, b_digit in zip(np.unravel_index(a, (p,) * m), np.unravel_index(b, (p,) * m)):
+        for c in range(1, p):
+            codes[c - 1] = codes[c - 1] * p + (a_digit[:, None] + c * b_digit) % p
+    return codes
 
 
 def project_lines(x: QuantumLineSet, ts: Sequence[FpVector]) -> QuantumLineSet:

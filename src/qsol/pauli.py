@@ -142,15 +142,6 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.modulus, a.n, phase, x, z)
 
 
-def power(a: PauliOperator, e: int) -> PauliOperator:
-    if e < 0:
-        raise ValueError("negative exponent")
-    out = PauliOperator.identity(a.modulus, a.n)
-    for _ in range(e):
-        out = multiply(out, a)
-    return out
-
-
 def is_abelian(gens: Sequence[PauliOperator]) -> bool:
     """True iff all pairwise symplectic forms vanish."""
     vs = [tau(g) for g in gens]
@@ -227,13 +218,19 @@ class StabiliserGroup:
         return self.n - len(self.generators)
 
     def element(self, exponents: Sequence[int]) -> PauliOperator:
-        """The product of generators with the given exponents."""
+        """The product of generators with the given exponents, each taken mod p.
+
+        Each generator is multiplied into one running product (e mod p) times,
+        starting from the first factor; only the all-zero exponents give the
+        identity.
+        """
         if len(exponents) != len(self.generators):
             raise ValueError("one exponent per generator")
-        out = PauliOperator.identity(self.modulus, self.n)
+        out = None
         for g, e in zip(self.generators, exponents):
-            out = multiply(out, power(g, int(e) % self.p))
-        return out
+            for _ in range(int(e) % self.p):
+                out = g if out is None else multiply(out, g)
+        return PauliOperator.identity(self.modulus, self.n) if out is None else out
 
 
 def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
@@ -283,13 +280,9 @@ def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
     """
     current = s
     while current.num_generators < current.n:
-        dual = centraliser_basis(current)
-        candidates = [
-            v
-            for v in fields.row_space_vectors(dual)
-            if not v.is_zero() and not fields.in_row_space(current.gmatrix, v)
-        ]
-        v = min(candidates)
+        rows = set(fields.row_space_vectors(current.gmatrix))
+        # the dual's vectors come sorted, so the first one outside the row space is the least
+        v = next(v for v in fields.row_space_vectors(centraliser_basis(current)) if v not in rows)
         new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v.entries))
         current = StabiliserGroup(s.modulus, s.n, current.generators + (new_gen,))
     return current

@@ -21,22 +21,17 @@ from .errors import (
     IsolatedVertex,
     NoClique,
     TimeLimitExceeded,
-    TooLarge,
     UnsupportedDistance,
 )
 from .fields import FpMatrix, FpVector, PrimeModulus
 from .geometry import ProjPoint, ProjSubspace
-from .lines import AtLeast, DependentSetSize, QuantumLineSet
+from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes, vector_codes
 
 MAX_CANDIDATE_DISTANCE = 4
-# budget of the excluded-point table, one byte per entry; _weights refuses a
-# larger one, so the guard covers the candidates, Γ and the distance bound
-MAX_TABLE_BYTES = 2 ** 28
-# the table entry of every vector outside X_w; no weight exceeds the
-# dimension of the ambient space, far below it
-OUTSIDE = 255
 
-# X_w as a weight table over the codes of the ambient vectors (see _weights)
+# X_w as a weight table over the codes of the ambient vectors (see
+# lines.weight_table); its guard against fields.MAX_TABLE_BYTES fires where the
+# one table is built, so it covers the candidates, Γ and the distance bound
 Weights = np.ndarray
 
 
@@ -163,52 +158,10 @@ def excluded_points(x: QuantumLineSet, d: int) -> Weights:
 
 
 def _weights(x: QuantumLineSet, top: int) -> Weights:
-    """X_top as a weight table over the vectors of the ambient space, built layer by layer.
-
-    A vector's code, its coordinates read in base p, indexes its entry. The
-    zero vector is the span of no points and holds 0; a vector outside X_top
-    holds OUTSIDE. Layer w adds the vectors of every line joining a vector
-    new to layer w-1 to an incident point, starting from the zero vector; a
-    line from a point of lower weight lies in X_{w-1} already. The table
-    takes one byte per vector and is refused above MAX_TABLE_BYTES.
-    """
+    """X_top of the incident points of x, as a lines.weight_table."""
     p, m = x.p, x.ambient_dim + 1
-    entries = p ** m
-    if entries > MAX_TABLE_BYTES:
-        raise TooLarge(
-            f"an excluded-point table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
-            f"over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
-        )
-    table = np.full(entries, OUTSIDE, dtype=np.uint8)
-    table[0] = 0
-    incident = _codes(p, m, [pt.coords for pt in lines_mod.incident_points(x)])
-    frontier = np.zeros(1, dtype=np.int64)
-    for w in range(1, top + 1):
-        reached = _line_codes(p, m, frontier, incident).ravel()
-        table[reached[table[reached] == OUTSIDE]] = w
-        frontier = np.flatnonzero(table == w)
-    return table
-
-
-def _codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
-    """The base-p codes of vectors of length m, most significant coordinate first."""
-    return np.ravel_multi_index(np.array(coords, dtype=np.int64).reshape(-1, m).T, (p,) * m)
-
-
-def _line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The codes of a_i + c·b_j for c = 1..p-1, as an array indexed [c-1, i, j].
-
-    a and b hold codes of vectors of F_p^m. For p = 2 the code of a sum is
-    the XOR of the codes.
-    """
-    if p == 2:
-        return (a[:, None] ^ b)[None]
-    codes = np.zeros((p - 1, len(a), len(b)), dtype=np.int64)
-    # digit by digit, most significant first, and scalar by scalar, so temporaries stay (len(a), len(b))
-    for a_digit, b_digit in zip(np.unravel_index(a, (p,) * m), np.unravel_index(b, (p,) * m)):
-        for c in range(1, p):
-            codes[c - 1] = codes[c - 1] * p + (a_digit[:, None] + c * b_digit) % p
-    return codes
+    incident = vector_codes(p, m, [pt.coords for pt in lines_mod.incident_points(x)])
+    return lines_mod.weight_table(p, m, incident, top)
 
 
 def candidate_vertices(
@@ -224,7 +177,7 @@ def candidate_vertices(
     p, m = x.p, x.ambient_dim + 1
     if restriction is not None:
         pool = geometry.points_of(restriction)
-        codes = _codes(p, m, [pt.coords for pt in pool])
+        codes = vector_codes(p, m, [pt.coords for pt in pool])
         return list(itertools.compress(pool, excluded[codes] == OUTSIDE))
     # the normalised vectors, first nonzero coordinate 1, have the codes
     # [p^j, 2·p^j) for j = 0..m-1; in increasing order that is the point order
@@ -246,19 +199,19 @@ def gamma_graph(
     independent.
 
     The table is read at the codes of u, v and u + c·v, c = 1..p-1 (see
-    _line_codes). For v = u the sum u + (p-1)·u is the zero vector, whose
+    lines.line_codes). For v = u the sum u + (p-1)·u is the zero vector, whose
     entry 0 takes the diagonal out of every row.
     """
     p, m = x.p, x.ambient_dim + 1
     verts = tuple(sorted(set(vertices)))
-    codes = _codes(p, m, [v.coords for v in verts])
+    codes = vector_codes(p, m, [v.coords for v in verts])
     outside = excluded[codes] == OUTSIDE
     rows: list[int] = []
     # blocks of rows keep the temporaries near 2^20 entries
     step = max(1, 2 ** 20 // max(len(verts) * m, 1))
     for lo in range(0, len(verts), step):
         block = slice(lo, lo + step)
-        on_line = excluded[_line_codes(p, m, codes[block], codes)]
+        on_line = excluded[line_codes(p, m, codes[block], codes)]
         joined = outside[block, None] & outside & (on_line == OUTSIDE).all(axis=0)
         packed = np.packbits(joined, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
@@ -380,11 +333,11 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
     distinct points, so that there is no such line.
     """
     p, m = x.p, x.ambient_dim + 1
-    points = _codes(p, m, sorted({ProjPoint.normalise(p, v.entries) for v in t.nonzero()}))
+    points = vector_codes(p, m, sorted({ProjPoint.normalise(p, v.entries) for v in t.nonzero()}))
     if len(points) < 2:
         return None
     i, j = np.triu_indices(len(points), 1)
-    on_lines = np.concatenate([points, _line_codes(p, m, points, points)[:, i, j].ravel()])
+    on_lines = np.concatenate([points, line_codes(p, m, points, points)[:, i, j].ravel()])
     least = int(weights[on_lines].min())
     if least == 1:
         raise CollapsedImage("a line through two coding points meets a line of the set")
@@ -394,7 +347,7 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
         # X_limit is one layer past the table: q lies in it iff, for some
         # incident s, a point of the line qs other than q and s lies in X_{limit-1}
         incident = np.flatnonzero(weights == 1)
-        if (weights[_line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
+        if (weights[line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
             least = limit
     return least
 

@@ -48,6 +48,19 @@ class TestDistance:
         pairs = machine(capsys)
         assert pairs["d_lower"] == ["3"] and pairs["exact"] == ["0"]
 
+    @pytest.mark.parametrize("limit, machine_out, text_out", [
+        (1, "d_lower=2\nexact=0\n", "d(X) >= 2 (search limit 1 exhausted)\n"),
+        (2, "d_lower=3\nexact=0\n", "d(X) >= 3 (search limit 2 exhausted)\n"),
+        (3, "d_lower=3\nexact=1\n", "3\n"),
+        (4, "d_lower=3\nexact=1\n", "3\n"),
+    ])
+    def test_ternary_limits(self, data_dir, capsys, limit, machine_out, text_out):
+        argv = ["distance", "--gens", str(data_dir / "ternary.gens"), "--limit", str(limit)]
+        assert main(argv + ["--format", "machine"]) == EXIT_OK
+        assert capsys.readouterr().out == machine_out
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == text_out
+
 
 class TestProject:
     def test_emits_parseable_generator_file(self, data_dir, tmp_path, capsys):
@@ -189,6 +202,15 @@ class TestExtend:
         extended = io.parse_generators(out)
         assert extended.num_generators == 3
         assert row_space(centraliser_basis(extended)) == row_space(extended.gmatrix)
+
+    def test_oversized_group_is_refused(self, tmp_path, capsys):
+        # one generator on 11 qubits leaves a 21-dimensional dual: 2^21
+        # vectors of length 22 are over the byte budget
+        lonely = tmp_path / "lonely.gens"
+        lonely.write_text("2 11 10\n" + " ".join(["1"] + ["0"] * 21) + "\n")
+        assert main(["extend", "--gens", str(lonely)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "TooLarge: a row space of 2^21 = 2097152 vectors of length 22 needs at least 352.0 MiB" in err
 
 
 class TestErrorPaths:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qsol import fields, geometry, lines as lines_mod, pauli
-from qsol.errors import CollapsedImage, DegenerateLine, UnsupportedModulus
+from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.geometry import ProjPoint
 from qsol.lines import (
@@ -113,7 +113,67 @@ class TestEvenSkew:
             seen[abelian] += 1
 
 
+def brute_force_min_dependent_set(x, limit):
+    """d(X) by one rank call per choice of one point on each of w lines, w ascending."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    pts_per_line = [[pt.coords for pt in geometry.points_of(ln)] for ln in x.lines]
+    for w in range(1, min(limit, x.n) + 1):
+        for idxs in itertools.combinations(range(x.n), w):
+            for choice in itertools.product(*(pts_per_line[i] for i in idxs)):
+                if fields.rank_of_vectors(x.p, choice) < w:
+                    return w
+    return AtLeast(limit + 1)
+
+
+def random_line_set(rng, mod, n, dim):
+    """n random lines, each spanned by two vectors of F_p^dim or repeating an earlier one (1 in 5)."""
+    lines = []
+    while len(lines) < n:
+        if lines and rng.randrange(5) == 0:
+            lines.append(rng.choice(lines))
+            continue
+        rows = [tuple(rng.randrange(mod.p) for _ in range(dim)) for _ in range(2)]
+        if fields.rank_of_vectors(mod.p, rows) == 2:
+            lines.append(geometry.ProjLine.from_rows(mod, rows, dim))
+    rng.shuffle(lines)
+    return QuantumLineSet(mod, tuple(lines))
+
+
 class TestMinDependentSet:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_brute_force(self, p):
+        # limits 1 up to past n, repeated lines, and n = 0 and 1
+        rng = random.Random(800 + p)
+        mod = PrimeModulus(p)
+        seen = set()
+        for case in range(60 if p < 7 else 30):
+            n = case % 6 if p < 5 else case % 5
+            x = random_line_set(rng, mod, n, rng.randrange(3, 7))
+            # the brute force tries w in ascending order, so one run past n
+            # gives its answer at every limit
+            full = brute_force_min_dependent_set(x, n + 2)
+            for limit in range(1, n + 3):
+                expected = full if not isinstance(full, AtLeast) and full <= limit else AtLeast(limit + 1)
+                assert min_dependent_set(x, limit) == expected
+                seen.add(expected)
+        # exact answers above 2 and exhausted limits both occur
+        assert {2, 3, AtLeast(2)} <= seen and any(isinstance(r, AtLeast) and r.bound > 2 for r in seen)
+
+    def test_empty_and_single_line_sets(self, five_qubit_lines, mod2):
+        assert min_dependent_set(QuantumLineSet(mod2, ()), 3) == AtLeast(4)
+        assert min_dependent_set(QuantumLineSet(mod2, five_qubit_lines.lines[:1]), 3) == AtLeast(4)
+
+    def test_limit_one_builds_no_table(self, five_qubit_lines, monkeypatch):
+        monkeypatch.setattr(lines_mod, "weight_table", None)
+        assert min_dependent_set(five_qubit_lines, 1) == AtLeast(2)
+
+    def test_per_line_table_over_budget_is_refused(self, five_qubit_lines, monkeypatch):
+        # each of the pentagon's tables has 2^5 entries, over a 16-byte budget
+        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16)
+        with pytest.raises(TooLarge, match=r"32 entries needs about 0\.0 MiB, over the 0 MiB budget"):
+            min_dependent_set(five_qubit_lines, 2)
+
     def test_pentagon_distance_three(self, five_qubit_lines):
         assert min_dependent_set(five_qubit_lines, 5) == 3
 

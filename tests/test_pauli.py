@@ -22,7 +22,6 @@ from qsol.pauli import (
     extend_to_maximal_abelian,
     is_abelian,
     multiply,
-    power,
     subgroup_tu,
     symplectic_form,
     tau,
@@ -36,6 +35,24 @@ from conftest import group_elements, random_group
 def dense(op):
     """The operator's matrix as a Kronecker product."""
     return dense_reference.pauli_matrix(op.p, (op.phase, op.x_part, op.z_part))
+
+
+def reference_power(a, e):
+    """a^e as a fresh identity followed by e multiply calls."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    out = PauliOperator.identity(a.modulus, a.n)
+    for _ in range(e):
+        out = multiply(out, a)
+    return out
+
+
+def reference_element(s, exponents):
+    """The product of the generator powers g^(e mod p), folded into a fresh identity."""
+    out = PauliOperator.identity(s.modulus, s.n)
+    for g, e in zip(s.generators, exponents):
+        out = multiply(out, reference_power(g, int(e) % s.p))
+    return out
 
 
 def random_op(rng, modulus, n):
@@ -88,17 +105,17 @@ class TestMultiply:
         for _ in range(40):
             a = random_op(rng, mod, 2)
             # every operator's order divides the phase modulus, so its inverse is a power
-            inv = power(a, a.phase_modulus - 1)
+            inv = reference_power(a, a.phase_modulus - 1)
             assert multiply(a, inv) == ident
             assert multiply(inv, a) == ident
             acc = ident
             for e in range(4):
-                assert power(a, e) == acc
+                assert reference_power(a, e) == acc
                 acc = multiply(acc, a)
 
     def test_negative_power_rejected(self, mod2):
         with pytest.raises(ValueError):
-            power(PauliOperator.from_letters("X"), -1)
+            reference_power(PauliOperator.from_letters("X"), -1)
 
     def test_mismatched_systems_rejected(self, mod2, mod3):
         a = PauliOperator(mod2, 1, 0, (1,), (0,))
@@ -171,6 +188,25 @@ class TestStabiliserGroup:
         assert s.element((1, 0, 0, 0, 0)) == five_qubit_ops[0]
         prod = multiply(five_qubit_ops[1], five_qubit_ops[3])
         assert s.element((0, 1, 0, 1, 0)) == prod
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_element_matches_reference_fold(self, p):
+        # phased generators, exponents outside [0, p) and the zero vector
+        rng = random.Random(700 + p)
+        mod = PrimeModulus(p)
+        for _ in range(20):
+            n = rng.randrange(2, 5)
+            base = random_group(rng, mod, n, rng.randrange(1, n + 1))
+            # the first generator is always phased; an even phase keeps
+            # -identity out of a qubit group
+            phases = [2 if p == 2 else rng.randrange(1, p)]
+            phases += [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in base.generators[1:]]
+            s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
+            zero = (0,) * s.num_generators
+            assert s.element(zero) == reference_element(s, zero) == PauliOperator.identity(mod, n)
+            for _ in range(25):
+                exponents = [rng.randrange(-2 * p, 3 * p) for _ in s.generators]
+                assert s.element(exponents) == reference_element(s, exponents)
 
     def test_gmatrix_rows_are_tau_images(self, five_qubit_group):
         for g, row in zip(five_qubit_group.generators, five_qubit_group.gmatrix.rows):
