@@ -217,13 +217,6 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     return FpMatrix(m.modulus, tuple(tuple(r) for r in rows[: len(piv)]), m.ncols)
 
 
-def in_row_space(m: FpMatrix, v: FpVector) -> bool:
-    if len(v) != m.ncols:
-        raise ValueError("shape mismatch")
-    stacked = m.vstack(FpMatrix(m.modulus, (v.entries,), m.ncols))
-    return rank(stacked) == rank(m)
-
-
 def quotient_map(vectors: Sequence[FpVector], dim: int) -> FpMatrix:
     """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
 

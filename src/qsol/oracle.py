@@ -5,9 +5,14 @@ has dimension K = |T|.p^k, far below p^n. Each Q_t is found by applying the
 generator projectors (1/p) sum_j w^{-j t_i} g_i^j to a fixed start block.
 Every Pauli acts on the computational basis as a permutation with phases,
 so each application is a gather and a phase multiply, and no dim x dim
-matrix is formed. The error-detection conditions are checked as the K x K
-matrices B^dag E B = alpha_E I for the dim x K code basis B. Memory is
-guarded by one byte budget, MAX_BYTES.
+matrix is formed; the action of each generator is computed once per code
+and held as small integers.
+
+The error-detection conditions are the K x K matrices B^dag E B = alpha_E I
+for the dim x K code basis B. B^dag E B depends only on the restriction of
+E to its support S, of weight w, and on the code's reduced Gram tensor R_S,
+p^w x p^w blocks of K x K: one R_S serves every error on S.
+Memory is guarded by one byte budget, MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -34,23 +39,29 @@ EQUAL_TOL = 1e-8
 _START_SEED = 0
 
 
+def _check_bytes(what: str, estimate: int, part: int = 1) -> None:
+    """Raise TooLarge, with the estimate, unless estimate bytes fit MAX_BYTES / part."""
+    if estimate * part > MAX_BYTES:
+        share = "" if part == 1 else f"1/{part} of "
+        raise TooLarge(
+            f"{what} needs about {estimate / 2 ** 20:.1f} MiB, "
+            f"over {share}the {MAX_BYTES / 2 ** 20:.0f} MiB budget"
+        )
+
+
 def _check_budget(p: int, n: int, columns: int) -> int:
     """dim = p^n, after checking that a complex dim x columns array fits MAX_BYTES."""
     dim = p ** n
-    estimate = dim * columns * 16
-    if estimate > MAX_BYTES:
-        raise TooLarge(
-            f"a complex {dim} x {columns} array needs about {estimate / 2 ** 20:.1f} MiB, "
-            f"over the {MAX_BYTES / 2 ** 20:.0f} MiB budget"
-        )
+    _check_bytes(f"a complex {dim} x {columns} array", dim * columns * 16)
     return dim
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=4)
 def _digits(p: int, n: int) -> np.ndarray:
     """Base-p digits of every basis index, one column per site, most significant first.
 
-    Only the table of the last (p, n) is kept; every Pauli of one check shares it.
+    A few tables are kept: one check alternates between the whole system and
+    the small error supports.
     """
     idx = np.arange(p ** n)
     digits = np.empty((p ** n, n), dtype=np.uint8)
@@ -61,71 +72,68 @@ def _digits(p: int, n: int) -> np.ndarray:
     return digits
 
 
-def _pauli_action(m: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Column action of the operator: index map and per-column phases.
+def _stack(ops: Sequence[PauliOperator], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (phase, x, z) rows of a list of n-qupit operators, as integer arrays."""
+    phase = np.array([m.phase for m in ops], dtype=np.int64)
+    x = np.array([m.x_part for m in ops], dtype=np.int64).reshape(len(ops), n)
+    z = np.array([m.z_part for m in ops], dtype=np.int64).reshape(len(ops), n)
+    return phase, x, z
 
-    M |x> = phases[x] |perm[x]>, so M[perm[x], x] = phases[x]. Only the
-    sites in the support of the operator are visited.
-    """
-    p, n = m.p, m.n
-    digits = _digits(p, n)
-    perm = np.arange(p ** n)
-    exponents = np.zeros(p ** n, dtype=np.int64)
-    for site, (a, b) in enumerate(zip(m.x_part, m.z_part)):
-        if not (a or b):
-            continue
-        digit = digits[:, site].astype(np.int64)
-        if a:
-            perm += ((digit + a) % p - digit) * p ** (n - 1 - site)
-        if b:
-            exponents += b * digit
-    omega_powers = np.exp(2j * np.pi * np.arange(p) / p)
+
+def _roots(p: int) -> np.ndarray:
+    """The powers of the phase unit u of a Pauli action: u = i for p = 2, omega otherwise."""
     if p == 2:
-        scalar = 1j ** ((m.phase + int(np.dot(m.x_part, m.z_part))) % 4)
-    else:
-        scalar = omega_powers[m.phase]
-    return perm, scalar * omega_powers[exponents % p]
+        return np.array([1, 1j, -1, -1j])
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def _action_dtypes(p: int, n: int) -> tuple[np.dtype, np.dtype]:
+    """The integer types of an action's permutation and of its phase powers."""
+    index = np.int32 if p ** n < 2 ** 31 else np.int64
+    return np.dtype(index), np.min_scalar_type(3 if p == 2 else p - 1)
+
+
+def _pauli_action(p: int, phase: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column actions of a stack of operators, one (phase, x, z) row each.
+
+    M_e |y> = u^power[e, y] |perm[e, y]>, so M_e[perm[e, y], y] is
+    _roots(p)[power[e, y]]. For p = 2 an operator is i^(phase + x.z) X^x Z^z,
+    which makes each Y letter i.X.Z, and u = i; for odd p it is
+    w^phase X^x Z^z and u = w. Both arrays have the small integer types of
+    _action_dtypes. Only the sites where some row is nonzero are visited.
+    """
+    rows, n = x.shape
+    index, small = _action_dtypes(p, n)
+    order = 4 if p == 2 else p
+    digits = _digits(p, n)
+    perm = np.empty((rows, p ** n), dtype=index)
+    perm[:] = np.arange(p ** n)
+    exponents = np.zeros((rows, p ** n), dtype=np.int64)
+    for site in np.flatnonzero(x.any(axis=0) | z.any(axis=0)):
+        digit = digits[:, site]
+        perm += ((digit + x[:, site, np.newaxis]) % p - digit) * p ** (n - 1 - site)
+        exponents += z[:, site, np.newaxis] * digit
+    scalar = (phase + np.sum(x * z, axis=1)) % 4 if p == 2 else phase % p
+    # Z^z gives w^(z.y), which for p = 2 is i^(2 z.y)
+    power = (scalar[:, np.newaxis] + order // p * exponents) % order
+    return perm, power.astype(small)
 
 
 def apply_right(mat: np.ndarray, m: PauliOperator) -> np.ndarray:
     """mat @ M without forming M densely."""
     if mat.shape[-1] != m.p ** m.n:
         raise DimensionMismatch(f"{mat.shape[-1]} columns, operator dimension {m.p ** m.n}")
-    perm, phases = _pauli_action(m)
+    (perm,), (power,) = _pauli_action(m.p, *_stack([m], m.n))
     # (mat @ M)[i, x] = mat[i, perm[x]] * phases[x]
-    return mat[:, perm] * phases[np.newaxis, :]
+    return mat[:, perm] * _roots(m.p)[power][np.newaxis, :]
 
 
 def component_basis(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
     """An orthonormal dim x p^k basis of Q_t, where generator i acts as omega^{t_i}.
 
-    The projector onto Q_t is Hermitian, so it is applied from the right to
-    the rows of a fixed (p^k + 1) x dim start block; the row space that
-    survives is the conjugate of Q_t. Exactly p^k singular values must stay
-    above tolerance.
+    This is code_basis on the one-vector coding set {t}.
     """
-    p, n = s.p, s.n
-    expected = p ** s.k
-    dim = _check_budget(p, n, expected + 1)
-    t_entries = list(t.entries if isinstance(t, FpVector) else t)
-    if len(t_entries) != s.num_generators:
-        raise ValueError("one sign per generator required")
-    omega = np.exp(2j * np.pi / p)
-    rows = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
-    for gen, ti in zip(s.generators, t_entries):
-        acc = rows
-        term = rows
-        for j in range(1, p):
-            term = apply_right(term, gen)
-            acc = acc + omega ** (-j * ti) * term
-        rows = acc / p
-    # the start entries are of order 1, and so are the singular values of the
-    # directions that survive; rounding leaves the others near 1e-16
-    _, sing, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.count_nonzero(sing > RANK_TOL * max(sing[0], 1.0)))
-    if rank != expected:
-        raise InvalidGroup(f"component Q_t has rank {rank} != p^k = {expected}")
-    return vh[:rank].conj().T
+    return code_basis(s, [t])
 
 
 def component_projector(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
@@ -143,12 +151,52 @@ def component_projector(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.n
 def code_basis(s: StabiliserGroup, t_set) -> np.ndarray:
     """The component bases of a coding set (or any vector list), side by side.
 
-    Raises ValueError unless the result is orthonormal, which also catches
-    components that are not mutually orthogonal.
+    Each component Q_t gets an orthonormal dim x p^k basis. The projector
+    onto Q_t is Hermitian, so it is applied from the right to the rows of a
+    fixed (p^k + 1) x dim start block; the row space that survives is the
+    conjugate of Q_t, and exactly p^k singular values must stay above
+    tolerance. The action of each generator is computed once and serves
+    every component; the budget counts the actions, held as small integers,
+    with the basis. Raises ValueError unless the result is orthonormal,
+    which also catches components that are not mutually orthogonal.
     """
     vectors = list(getattr(t_set, "vectors", t_set))
-    _check_budget(s.p, s.n, len(vectors) * s.p ** s.k + 1)
-    b = np.hstack([component_basis(s, t) for t in vectors])
+    p, n = s.p, s.n
+    expected = p ** s.k
+    columns = len(vectors) * expected + 1
+    dim = _check_budget(p, n, columns)
+    action_bytes = sum(t.itemsize for t in _action_dtypes(p, n))
+    _check_bytes(
+        f"a complex {dim} x {columns} array with the actions of {len(s.generators)} generators",
+        dim * (columns * 16 + len(s.generators) * action_bytes),
+    )
+    # one generator per call, so that the integer temporaries of only one are held
+    actions = [_pauli_action(p, *_stack([g], n)) for g in s.generators]
+    roots = _roots(p)
+    omega = np.exp(2j * np.pi / p)
+    start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
+    blocks = []
+    for t in vectors:
+        t_entries = list(t.entries if isinstance(t, FpVector) else t)
+        if len(t_entries) != s.num_generators:
+            raise ValueError("one sign per generator required")
+        rows = start
+        for ((perm,), (power,)), ti in zip(actions, t_entries):
+            phase = roots[power]
+            acc = rows
+            term = rows
+            for j in range(1, p):
+                term = term[:, perm] * phase
+                acc = acc + omega ** (-j * ti) * term
+            rows = acc / p
+        # the start entries are of order 1, and so are the singular values of the
+        # directions that survive; rounding leaves the others near 1e-16
+        _, sing, vh = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.count_nonzero(sing > RANK_TOL * max(sing[0], 1.0)))
+        if rank != expected:
+            raise InvalidGroup(f"component Q_t has rank {rank} != p^k = {expected}")
+        blocks.append(vh[:rank].conj().T)
+    b = np.hstack(blocks)
     _check_orthonormal(b)
     return b
 
@@ -191,35 +239,138 @@ class KLReport:
         return len(self.alphas)
 
 
+def _reduced_gram(b: np.ndarray, p: int, support: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the code's reduced Gram tensor R_S on a support.
+
+    support is a boolean mask over the n sites. With its w sites moved to the
+    front of each basis index,
+    R_S[alpha, beta, i, j] = sum_r conj(B[(alpha, r), i]) B[(beta, r), j],
+    summed over the p^(n-w) values r of the other sites. A block of columns
+    beta is one product F^dag F_beta, where F is B with the other sites as
+    rows; it is returned as block[alpha, i, beta - start, j].
+    """
+    dim, cols = b.shape
+    n = len(support)
+    sites, rest = np.flatnonzero(support), np.flatnonzero(~support)
+    size = p ** len(sites)
+    f = b.reshape((p,) * n + (cols,)).transpose([*rest, *sites, n]).reshape(dim // size, size * cols)
+    return (f.conj().T @ f[:, start * cols:stop * cols]).reshape(size, cols, stop - start, cols)
+
+
+def _check_weight(
+    b: np.ndarray, p: int, supports: np.ndarray, phase: np.ndarray, x: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_E and the residual of each error of one weight w.
+
+    The errors are (phase, x, z) rows with their supports as boolean masks,
+    sorted by support and then by x part. With E_S |y> = u^power[y] |perm[y]>
+    from _pauli_action on the w sites of E's support S,
+    B^dag E B = sum_y u^power[y] R_S[perm[y], y] over the p^w columns y of
+    R_S. The errors on S with the same x part have the same perm, so each
+    run of them is one product of its phases with the gathered R_S[perm[y], y].
+    R_S is formed in blocks of columns, each within 1/4 of MAX_BYTES and
+    gathered once; when it fits in one block, it is formed once per support.
+    The errors are taken in chunks within 1/2 of MAX_BYTES, with one action
+    per chunk.
+    """
+    cols = b.shape[1]
+    count, w = len(x), int(supports[0].sum())
+    size, square = p ** w, cols * cols
+    _check_bytes(
+        f"one column of {p}^{w}*{cols}^2 = {size * square} entries of a reduced Gram tensor "
+        f"of {p}^{2 * w}*{cols}^2 = {size * size * square} entries",
+        size * square * 16,
+        part=4,
+    )
+    width = min(size, MAX_BYTES // 4 // (size * square * 16))
+    # per error: the integer action and its temporaries, its phases and its K x K product
+    chunk = max(1, MAX_BYTES // 2 // (size * 64 + square * 32))
+    blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
+    # each error restricted to its own w sites
+    x, z = x[supports].reshape(count, w), z[supports].reshape(count, w)
+    new_support = np.ones(count, dtype=bool)
+    new_support[1:] = np.diff(supports, axis=0).any(axis=1)
+    new_run = new_support.copy()
+    new_run[1:] |= np.diff(x, axis=0).any(axis=1)
+    roots = _roots(p)
+    diagonal = np.arange(cols)
+    alphas = np.empty(count, dtype=complex)
+    residuals = np.empty(count)
+    whole = None
+    for first in range(0, count, chunk):
+        part = slice(first, first + chunk)
+        perm, power = _pauli_action(p, phase[part], x[part], z[part])
+        phases = roots[power]
+        m = np.zeros((len(perm), square), dtype=complex)
+        # the rows of this chunk where a support, or a run of one x part, begins
+        begins_support, begins_run = new_support[part].copy(), new_run[part].copy()
+        begins_support[0] = begins_run[0] = True
+        run_starts = np.flatnonzero(begins_run)
+        edges = [*np.flatnonzero(begins_support), len(perm)]
+        for lo, hi in zip(edges, edges[1:]):
+            support = supports[first + lo]
+            starts = run_starts[np.searchsorted(run_starts, lo):np.searchsorted(run_starts, hi)]
+            runs = list(zip(starts, [*starts[1:], hi]))
+            if len(blocks) == 1 and new_support[first + lo]:
+                whole = _reduced_gram(b, p, support, 0, size)
+            for y0, y1 in blocks:
+                gram = whole if len(blocks) == 1 else _reduced_gram(b, p, support, y0, y1)
+                gathered = gram[perm[starts, y0:y1], :, np.arange(y1 - y0), :]
+                for run, (r0, r1) in zip(gathered.reshape(len(starts), y1 - y0, square), runs):
+                    m[r0:r1] += phases[r0:r1, y0:y1] @ run
+        cube = m.reshape(-1, cols, cols)
+        alpha = np.trace(cube, axis1=1, axis2=2) / cols
+        cube[:, diagonal, diagonal] -= alpha[:, np.newaxis]
+        alphas[part] = alpha
+        # the Frobenius norms, without a temporary the size of m
+        squares = np.einsum("ij,ij->i", m.real, m.real) + np.einsum("ij,ij->i", m.imag, m.imag)
+        residuals[part] = np.sqrt(squares / cols)
+    return alphas, residuals
+
+
 def kl_detect(b: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = KL_TOL) -> KLReport:
     """Check B^dag E B = alpha_E I for every error class.
 
     b is an orthonormal dim x K basis of the code. alpha_E = tr(B^dag E B) / K
     and the residual is ||B^dag E B - alpha_E I||_F / sqrt(K), which equal
     tr(P E) / tr(P) and ||P E P - alpha_E P||_F / ||P||_F for P = B B^dag.
+
+    B^dag E B depends only on E's restriction E_S to its support S: it is
+    sum_{alpha, beta} E_S[alpha, beta] R_S[alpha, beta] for the reduced Gram
+    tensor R_S. The errors are sorted by weight, support and x part, and
+    each support's errors are checked against one R_S (_check_weight),
+    global phase included. The report keeps the order of errs.
     """
     _check_orthonormal(b)
-    cols = b.shape[1]
-    bh = np.ascontiguousarray(b.conj().T)
-    identity = np.eye(cols)
-    alphas = {}
-    failures = []
-    max_residual = 0.0
+    errs = list(errs)
+    dim, cols = b.shape
     for e in errs:
-        m = apply_right(bh, e) @ b
-        alpha = np.trace(m) / cols
-        residual = float(np.linalg.norm(m - alpha * identity)) / np.sqrt(cols)
-        key = (e.x_part, e.z_part)
-        alphas[key] = complex(alpha)
-        max_residual = max(max_residual, residual)
-        if residual > tolerance:
-            failures.append((key, residual))
+        if e.p ** e.n != dim:
+            raise DimensionMismatch(f"{dim} basis rows, operator dimension {e.p ** e.n}")
+    alphas = np.zeros(len(errs), dtype=complex)
+    residuals = np.zeros(len(errs))
+    if errs:
+        p, n = errs[0].p, errs[0].n
+        phase, x, z = _stack(errs, n)
+        on_support = (x != 0) | (z != 0)
+        weights = on_support.sum(axis=1)
+        order = np.lexsort((*x.T[::-1], *on_support.T[::-1], weights))
+        phase, x, z, on_support = phase[order], x[order], z[order], on_support[order]
+        bounds = np.searchsorted(weights[order], np.arange(n + 2))
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                rows = order[lo:hi]
+                alphas[rows], residuals[rows] = _check_weight(
+                    b, p, on_support[lo:hi], phase[lo:hi], x[lo:hi], z[lo:hi]
+                )
+    keys = [(e.x_part, e.z_part) for e in errs]
+    failures = tuple((keys[i], float(residuals[i])) for i in np.flatnonzero(residuals > tolerance))
     return KLReport(
         passed=not failures,
-        max_residual=max_residual,
+        max_residual=float(residuals.max(initial=0.0)),
         tolerance=tolerance,
-        alphas=alphas,
-        failures=tuple(failures),
+        alphas=dict(zip(keys, alphas.tolist())),
+        failures=failures,
     )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from qsol import io
-from qsol.fields import FpMatrix, FpVector, PrimeModulus
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank
 from qsol.pauli import PauliOperator, StabiliserGroup, symplectic_form, tau
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
@@ -149,6 +149,13 @@ def random_group_with_lines(rng: random.Random, modulus: PrimeModulus, n: int, m
             continue
         return g, x
     raise RuntimeError("no line-compatible random group found")
+
+
+def in_row_space(m: FpMatrix, v: FpVector) -> bool:
+    """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
+    if len(v) != m.ncols:
+        raise ValueError("shape mismatch")
+    return rank(m.vstack(FpMatrix(m.modulus, (v.entries,), m.ncols))) == rank(m)
 
 
 def all_exponent_vectors(modulus: PrimeModulus, m: int):

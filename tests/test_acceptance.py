@@ -15,7 +15,7 @@ import pytest
 
 from qsol import fields, geometry, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space, kernel_basis, row_space
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
 from qsol.oracle import code_basis, component_basis, error_classes, kl_detect, subspace_equal
@@ -36,7 +36,7 @@ from qsol.pauli import (
 
 import cws_reference
 import dense_reference
-from conftest import group_elements, random_group, random_group_with_lines, random_symplectic_rows
+from conftest import group_elements, in_row_space, random_group, random_group_with_lines, random_symplectic_rows
 
 
 def cws_mismatches(graph, d, restriction=None, constraints=()):

@@ -10,7 +10,6 @@ from qsol.fields import (
     FpMatrix,
     FpVector,
     PrimeModulus,
-    in_row_space,
     is_prime,
     kernel_basis,
     quotient_map,
@@ -20,6 +19,8 @@ from qsol.fields import (
     row_space_vectors,
     rref,
 )
+
+from conftest import in_row_space
 
 
 def random_matrix(rng, modulus, nrows, ncols):

@@ -1,6 +1,9 @@
 """The error-detection oracle: Pauli actions, code bases and the KL check."""
 
+import collections
+import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +24,7 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import random_group
+from conftest import random_group, random_symplectic_rows
 
 
 def random_op(rng, modulus, n):
@@ -152,6 +155,26 @@ class TestCodeProjector:
         with pytest.raises(ValueError):
             code_basis(five_qubit_group, [t, t])
 
+    def test_acts_with_each_generator_once(self, nine_cycle_graph, nine_cycle_tset, monkeypatch):
+        # 9 generator actions, one per call, serve all 12 components, not 12 x 9 = 108
+        actions = []
+        act = oracle._pauli_action
+        monkeypatch.setattr(oracle, "_pauli_action", lambda p, *rows: actions.append(len(rows[0])) or act(p, *rows))
+        assert code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset).shape == (512, 12)
+        assert actions == [1] * 9
+
+    def test_holds_the_actions_as_small_integers(self, five_qubit_group, mod2, monkeypatch):
+        # each of the 5 actions on 32 indices is an int32 index and a uint8 power
+        perm, power = oracle._pauli_action(2, *oracle._stack(five_qubit_group.generators, 5))
+        assert (perm.dtype, power.dtype) == (np.int32, np.uint8)
+        # the basis and start block take 32 x 2 x 16 = 1024 bytes, the actions 5 x 32 x 5 = 800
+        t = [FpVector(mod2, (0,) * 5)]
+        monkeypatch.setattr(oracle, "MAX_BYTES", 1824)
+        assert code_basis(five_qubit_group, t).shape == (32, 1)
+        monkeypatch.setattr(oracle, "MAX_BYTES", 1823)
+        with pytest.raises(TooLarge, match=r"32 x 2 array with the actions of 5 generators needs about 0\.0 MiB"):
+            code_basis(five_qubit_group, t)
+
     def test_budget_refuses_with_an_estimate(self, mod2):
         # 2^24 x 3 complex entries are 768 MiB, over the 256 MiB budget
         group = graph_to_generators(LabelledGraph.cycle(mod2, 24))
@@ -196,6 +219,151 @@ class TestKlDetect:
         # B B^dag is a projector only for an orthonormal B
         with pytest.raises(ValueError):
             kl_detect(np.ones((2, 2)), error_classes(mod2, 1, 1))
+
+    def test_property_matches_dense_reference_on_phased_errors(self):
+        # kl_detect against tests/dense_reference.kl on random codes, with
+        # phased errors of every weight from 0 to n (Y letters and phases
+        # 0-3 for p = 2, phases mod p otherwise), listed in shuffled order
+        rng = random.Random(1010)
+        seen = collections.Counter()
+        for case in range(60):
+            while True:
+                p = rng.choice([2, 3, 5])
+                mod = PrimeModulus(p)
+                n = rng.randrange(1, {2: 6, 3: 4, 5: 3}[p])
+                m = rng.randrange(1, n + 1)
+                t_size = min(rng.randrange(1, 4), p ** m)
+                cols = t_size * p ** (n - m)
+                # the reduced Gram tensor of a weight-n error holds p^{2n} K^2 entries
+                if p ** (2 * n) * cols ** 2 <= 2 ** 18:
+                    break
+            phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in range(m)]
+            s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
+            t_entries = rng.sample(list(itertools.product(range(p), repeat=m)), t_size)
+            b = code_basis(s, [FpVector(mod, t) for t in t_entries])
+            errs = {}
+            for w in range(n + 1):
+                for _ in range(4):
+                    x, z = [0] * n, [0] * n
+                    for site in rng.sample(range(n), w):
+                        x[site], z[site] = rng.choice([(a, c) for a in range(p) for c in range(p) if a or c])
+                    e = PauliOperator(mod, n, rng.randrange(4 if p == 2 else p), tuple(x), tuple(z))
+                    errs.setdefault((e.x_part, e.z_part), e)
+            errs = list(errs.values())
+            rng.shuffle(errs)
+
+            report = kl_detect(b, errs)
+            gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
+            proj = dense_reference.code_projector(p, gens, t_entries)
+            reference = dense_reference.kl(p, proj, [(e.phase, e.x_part, e.z_part) for e in errs])
+            keys = [(e.x_part, e.z_part) for e in errs]
+
+            label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
+            assert list(report.alphas) == keys, label
+            for key, (alpha, _) in zip(keys, reference):
+                assert abs(report.alphas[key] - alpha) <= 1e-10, label
+            failing = [key for key, (_, r) in zip(keys, reference) if r > 1e-9]
+            assert [key for key, _ in report.failures] == failing, label
+            residual_of = dict(zip(keys, (r for _, r in reference)))
+            for key, residual in report.failures:
+                assert abs(residual - residual_of[key]) <= 1e-10, label
+            assert abs(report.max_residual - max(residual_of.values())) <= 1e-10, label
+            seen[f"p={p}"] += 1
+            seen["fails"] += bool(failing)
+            seen["passes"] += not failing
+            seen["odd phase"] += any(e.phase % 2 for e in errs)
+            seen["Y"] += p == 2 and any(a and c for e in errs for a, c in zip(e.x_part, e.z_part))
+        assert min(seen.values()) >= 5 and len(seen) == 7, dict(seen)
+
+    def test_empty_error_list_passes(self, five_qubit_group):
+        report = kl_detect(component_basis(five_qubit_group, (0,) * 5), [])
+        assert report.passed and len(report) == 0 and report.max_residual == 0
+
+    def test_checks_the_qupit_count(self, five_qubit_group, mod2):
+        b = component_basis(five_qubit_group, (0,) * 5)
+        with pytest.raises(DimensionMismatch):
+            kl_detect(b, error_classes(mod2, 4, 1))
+
+    def test_reduced_gram_budget_refuses_with_an_estimate(self, five_qubit_group, pentagon_tset, mod2, monkeypatch):
+        # R_S of a weight-2 support of the ((5,6,2)) code holds 2^4 * 6^2 = 576
+        # entries; one of its columns, 2^2 * 6^2 = 144 entries, must fit 1/4 of the budget
+        b = code_basis(five_qubit_group, pentagon_tset)
+        monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 144 * 16 - 1)
+        assert kl_detect(b, error_classes(mod2, 5, 1)).passed
+        with pytest.raises(TooLarge, match=r"2\^2\*6\^2 = 144 entries of a reduced Gram tensor of 2\^4\*6\^2 = 576 entries needs about 0\.0 MiB, over 1/4 of"):
+            kl_detect(b, error_classes(mod2, 5, 2))
+
+    def test_blocks_and_chunks_under_a_small_budget(self, five_qubit_group, pentagon_tset, mod2, monkeypatch):
+        # R_S of a weight-2 support holds 4 columns of 2^2 * 6^2 entries; 1/4 of
+        # the budget has room for 2 of them, and 1/2 for 6 errors' work of
+        # 4 * 64 + 36 * 32 bytes each, so the 9 errors of each weight-2
+        # support span 2 chunks, and each chunk forms its R_S in 2 blocks
+        b = code_basis(five_qubit_group, pentagon_tset)
+        errs = error_classes(mod2, 5, 2)
+        full = kl_detect(b, errs)
+        blocks = []
+        gram = oracle._reduced_gram
+        monkeypatch.setattr(oracle, "_reduced_gram", lambda *args: blocks.append(args[3:]) or gram(*args))
+        monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 2 * 144 * 16)
+        report = kl_detect(b, errs)
+        assert [k for k, _ in report.failures] == [k for k, _ in full.failures] and not report.passed
+        assert max(abs(r - f) for (_, r), (_, f) in zip(report.failures, full.failures)) <= 1e-12
+        assert max(abs(report.alphas[k] - a) for k, a in full.alphas.items()) <= 1e-12
+        assert abs(report.max_residual - full.max_residual) <= 1e-12
+        # each of the 5 weight-1 supports forms its R_S of 2 columns once
+        assert collections.Counter(blocks) == {(0, 2): 5 + 10 * 2, (2, 4): 10 * 2}
+
+    def test_p5_whole_support_matches_dense_reference_within_the_budget(self, monkeypatch):
+        # all 15 624 error classes of weight <= 3 on a p = 5, n = 3, K = 5 code:
+        # the 13 824 of weight 3 share the whole system as support. Their dense
+        # restrictions alone would take 13 824 * 5^6 * 16 bytes, 3.2 GiB; under
+        # an 8 MiB budget R_S comes in blocks and the errors in chunks
+        rng = random.Random(1050)
+        mod = PrimeModulus(5)
+        s = StabiliserGroup.from_matrix(mod, 3, random_symplectic_rows(rng, mod, 3, 2), [1, 3])
+        t = (2, 4)
+        b = code_basis(s, [FpVector(mod, t)])
+        errs = [
+            PauliOperator(mod, 3, rng.randrange(5), e.x_part, e.z_part) for e in error_classes(mod, 3, 3)
+        ]
+        rng.shuffle(errs)
+        monkeypatch.setattr(oracle, "MAX_BYTES", 2 ** 23)
+        tracemalloc.start()
+        try:
+            report = kl_detect(b, errs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the budget, and about 8 MiB for the report's keys, alphas and the sorted rows
+        assert peak < 2 ** 24, peak
+        assert len(report) == 15624 and list(report.alphas)[:50] == [(e.x_part, e.z_part) for e in errs[:50]]
+        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
+        proj = dense_reference.code_projector(5, gens, [t])
+        # the stabiliser's own elements, up to phase, have |alpha| = 1
+        span = {
+            tuple((a * g1 + c * g2) % 5 for g1, g2 in zip(*(g.x_part + g.z_part for g in s.generators)))
+            for a, c in itertools.product(range(5), repeat=2)
+        }
+        sample = rng.sample(errs, 200) + [e for e in errs if e.x_part + e.z_part in span]
+        reference = dense_reference.kl(5, proj, [(e.phase, e.x_part, e.z_part) for e in sample])
+        residual_of = dict(report.failures)
+        assert sum(abs(alpha) > 0.5 for alpha, _ in reference) == 24
+        assert 5 <= sum(residual > 1e-9 for _, residual in reference) < len(sample) - 5
+        for e, (alpha, residual) in zip(sample, reference):
+            key = (e.x_part, e.z_part)
+            assert abs(report.alphas[key] - alpha) <= 1e-10
+            assert abs(residual_of.get(key, 0.0) - residual) <= 1e-10
+
+    def test_one_gram_product_per_support(self, nine_cycle_graph, nine_cycle_tset, mod2, monkeypatch):
+        # the ((9,12,3)) check: 351 error classes on 9 + 36 supports
+        b = code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset)
+        supports = []
+        gram = oracle._reduced_gram
+        monkeypatch.setattr(oracle, "_reduced_gram", lambda b, p, s, *cols: supports.append(s.tobytes()) or gram(b, p, s, *cols))
+        monkeypatch.setattr(oracle, "apply_right", None)
+        report = kl_detect(b, error_classes(mod2, 9, 2))
+        assert report.passed and len(report) == 351
+        assert len(supports) == len(set(supports)) == 45
 
 
 class TestSubspaceEqual:

@@ -13,7 +13,7 @@ import pytest
 import dense_reference
 from qsol import pauli
 from qsol.errors import DependentCentre, InvalidGroup, NonCommutingGenerators
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space, rank, row_space
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank, row_space
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
@@ -29,7 +29,7 @@ from qsol.pauli import (
     weight,
 )
 
-from conftest import group_elements, random_group
+from conftest import group_elements, in_row_space, random_group
 
 
 def dense(op):

@@ -9,7 +9,7 @@ import pytest
 import cws_reference
 from qsol import geometry, lines as lines_mod, oracle, search
 from qsol.errors import CollapsedImage, IsolatedVertex, TimeLimitExceeded, TooLarge, UnsupportedDistance
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, in_row_space
+from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
@@ -27,6 +27,8 @@ from qsol.search import (
     run_recipe,
     singleton_max_k,
 )
+
+from conftest import in_row_space
 
 
 @pytest.fixture(scope="module")
