@@ -9,6 +9,7 @@ the same thing in prose.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io, lines as lines_mod, oracle, pauli, search
@@ -22,52 +23,36 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qsol parser, built once per process; each parse gets fresh defaults."""
     parser = argparse.ArgumentParser(prog="qsol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--format", choices=["text", "machine"], default="text")
-        return sp
+    # the options that several subcommands share, each declared once
+    fmt, gens, tset, graph, time_limit = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    fmt.add_argument("--format", choices=["text", "machine"], default="text")
+    gens.add_argument("--gens", required=True)
+    tset.add_argument("--tset", required=True)
+    graph.add_argument("--graph", required=True)
+    graph.add_argument("--d", type=int, required=True)
+    graph.add_argument("--restrict")
+    time_limit.add_argument("--time-limit", type=float)
 
-    sp = add("validate", "check stabiliser-group and line-set invariants")
-    sp.add_argument("--gens", required=True)
+    def add(name, help_text, *shared):
+        return sub.add_parser(name, help=help_text, parents=[fmt, *shared])
 
-    sp = add("distance", "dependent-point distance of the line set")
-    sp.add_argument("--gens", required=True)
+    add("validate", "check stabiliser-group and line-set invariants", gens)
+    sp = add("distance", "dependent-point distance of the line set", gens)
     sp.add_argument("--limit", type=int, required=True)
-
-    sp = add("project", "project the line set from the coding-set vectors")
-    sp.add_argument("--gens", required=True)
-    sp.add_argument("--tset", required=True)
-
-    sp = add("gamma", "candidate vertices and compatibility-graph statistics")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--restrict")
-
-    sp = add("cliques", "maximum cliques of the compatibility graph")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--restrict")
-    sp.add_argument("--time-limit", type=float)
-
-    sp = add("recipe", "full graph-to-code construction run")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    add("project", "project the line set from the coding-set vectors", gens, tset)
+    add("gamma", "candidate vertices and compatibility-graph statistics", graph)
+    add("cliques", "maximum cliques of the compatibility graph", graph, time_limit)
+    sp = add("recipe", "full graph-to-code construction run", graph, time_limit)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--restrict")
-    sp.add_argument("--time-limit", type=float)
-
-    sp = add("verify", "error-detection check of a constructed code")
-    sp.add_argument("--gens", required=True)
-    sp.add_argument("--tset", required=True)
+    sp = add("verify", "error-detection check of a constructed code", gens, tset)
     sp.add_argument("--d", type=int, required=True)
-
-    sp = add("extend", "complete a group to a maximal abelian (self-dual) one")
-    sp.add_argument("--gens", required=True)
-
+    add("extend", "complete a group to a maximal abelian (self-dual) one", gens)
     return parser
 
 

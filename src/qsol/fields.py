@@ -42,10 +42,6 @@ class PrimeModulus:
         if not is_prime(self.p) or self.p > _MAX_PRIME:
             raise ValueError(f"modulus must be a prime in [2, {_MAX_PRIME}], got {self.p}")
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        return pow(a % self.p, -1, self.p)
-
 
 @dataclass(frozen=True, order=True)
 class FpVector:
@@ -149,11 +145,6 @@ class FpMatrix:
                 other.ncols,
             )
         return NotImplemented
-
-    def vstack(self, other: "FpMatrix") -> "FpMatrix":
-        if other.ncols != self.ncols:
-            raise ValueError("shape mismatch")
-        return FpMatrix(self.modulus, self.rows + other.rows, self.ncols)
 
 
 class RrefResult(NamedTuple):

@@ -3,6 +3,9 @@
 A point is the canonical representative of a one-dimensional subspace
 (first nonzero coordinate scaled to 1); a rank-r subspace is stored as its
 unique RREF basis, so equality of subspaces is equality of values.
+
+Enumerated points are held as codes: a vector of F_p^m is read as a base-p
+number, most significant coordinate first (vector_codes).
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from . import fields
 from .errors import DimensionMismatch
@@ -51,11 +56,6 @@ class ProjPoint:
         return FpVector(self.modulus, self.coords)
 
 
-def _canonical_basis(modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> FpMatrix:
-    red = fields.rref(FpMatrix.from_rows(modulus, [tuple(r) for r in rows], ncols))
-    return FpMatrix(modulus, red.matrix.rows[: red.rank], ncols)
-
-
 @dataclass(frozen=True, order=True)
 class ProjSubspace:
     """A projective subspace, stored as the RREF basis of its vector span."""
@@ -65,7 +65,7 @@ class ProjSubspace:
 
     @classmethod
     def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjSubspace":
-        return cls(modulus, _canonical_basis(modulus, rows, ncols))
+        return cls(modulus, fields.row_space(FpMatrix.from_rows(modulus, rows, ncols)))
 
     @property
     def p(self) -> int:
@@ -93,7 +93,7 @@ class ProjLine:
 
     @classmethod
     def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjLine":
-        basis = _canonical_basis(modulus, rows, ncols)
+        basis = fields.row_space(FpMatrix.from_rows(modulus, rows, ncols))
         if basis.nrows != 2:
             raise ValueError("rows do not span a line")
         return cls(modulus, basis)
@@ -116,25 +116,59 @@ def _basis_rows(obj: SubspaceLike) -> tuple[tuple[int, ...], ...]:
     return obj.basis.rows
 
 
-def points_of(s: ProjSubspace | ProjLine) -> list[ProjPoint]:
-    """All (p^r - 1)/(p - 1) points of a subspace, lexicographically sorted."""
-    basis = s.basis
-    p = basis.p
-    seen = set()
-    out = []
-    for coeffs in itertools.product(range(p), repeat=basis.nrows):
-        if not any(coeffs):
-            continue
-        v = [0] * basis.ncols
-        for c, row in zip(coeffs, basis.rows):
-            if c:
-                v = [(a + c * b) % p for a, b in zip(v, row)]
-        pt = ProjPoint(basis.modulus, tuple(v))
-        if pt.coords not in seen:
-            seen.add(pt.coords)
-            out.append(pt)
-    out.sort()
-    return out
+def _places(p: int, m: int) -> np.ndarray:
+    """The place value of each coordinate of a vector of F_p^m in its code."""
+    return p ** np.arange(m - 1, -1, -1)
+
+
+def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
+    """The base-p codes of vectors of length m, most significant coordinate first."""
+    vectors = np.array(coords, dtype=np.int64)
+    if vectors.size and vectors.shape[-1] != m:
+        raise DimensionMismatch(f"vectors of length {vectors.shape[-1]}, expected {m}")
+    return vectors.reshape(-1, m) @ _places(p, m)
+
+
+def _digits(p: int, m: int, codes: np.ndarray) -> np.ndarray:
+    """The vectors of F_p^m with the given codes, one row each."""
+    return codes[:, None] // _places(p, m) % p
+
+
+def normalised_codes(p: int, r: int) -> np.ndarray:
+    """The codes of the normalised vectors of F_p^r, first nonzero coordinate 1, in increasing order.
+
+    Those whose leading 1 stands j places from the end have the codes
+    [p^j, 2·p^j), so these are also the points of PG(r-1, p) in order.
+    """
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [np.arange(p ** j, 2 * p ** j) for j in range(r)])
+
+
+def point_codes(p: int, bases: np.ndarray) -> np.ndarray:
+    """The sorted codes of the points of each subspace of a stack, one row per subspace.
+
+    bases holds one basis of r independent rows of F_p^m per subspace, shape
+    (k, r, m). The points of a span are its normalised coefficient vectors
+    times its basis. A point's normalised vector, first nonzero coordinate
+    1, has the least code of its nonzero multiples; for an RREF basis that
+    is the product itself, since the first nonzero coordinate of c·B sits at
+    the pivot of the first nonzero c_i and equals c_i = 1.
+    """
+    k, r, m = bases.shape
+    vectors = _digits(p, r, normalised_codes(p, r)) @ bases % p
+    if not vectors.any(axis=2).all():
+        raise ValueError("basis rows are dependent")
+    return np.sort(np.min([c * vectors % p @ _places(p, m) for c in range(1, p)], axis=0), axis=1)
+
+
+def points_of(s: ProjSubspace | ProjLine) -> np.ndarray:
+    """The sorted codes of the (p^r - 1)/(p - 1) points of a rank-r subspace."""
+    basis = np.array(s.basis.rows, dtype=np.int64).reshape(1, s.basis.nrows, s.basis.ncols)
+    return point_codes(s.p, basis)[0]
+
+
+def points_from_codes(modulus: PrimeModulus, m: int, codes: np.ndarray) -> list[ProjPoint]:
+    """The points of PG(m-1, p) whose normalised vectors have the given codes."""
+    return [ProjPoint(modulus, tuple(v)) for v in _digits(modulus.p, m, codes).tolist()]
 
 
 def span(objs: Sequence[SubspaceLike]) -> ProjSubspace:

@@ -16,7 +16,7 @@ import numpy as np
 from . import fields, geometry
 from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjLine, ProjPoint
+from .geometry import ProjLine
 
 
 class AtLeast(NamedTuple):
@@ -104,13 +104,15 @@ def matrix_from_lines(x: QuantumLineSet) -> FpMatrix:
     return FpMatrix(x.modulus, rows, 2 * n)
 
 
-def incident_points(x: QuantumLineSet) -> list[ProjPoint]:
-    """Deduplicated, sorted union of the points of all lines."""
-    seen = {}
-    for ln in x.lines:
-        for pt in geometry.points_of(ln):
-            seen[pt.coords] = pt
-    return sorted(seen.values())
+def _line_points(x: QuantumLineSet) -> np.ndarray:
+    """The sorted codes of the p+1 points of each line, one row per line."""
+    return geometry.point_codes(x.p, np.array([ln.basis.rows for ln in x.lines], dtype=np.int64))
+
+
+def incident_points(x: QuantumLineSet) -> np.ndarray:
+    """The sorted codes of the points that lie on the lines, each once."""
+    codes = np.sort(_line_points(x), axis=None)
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
 def validate_even_skew(x: QuantumLineSet) -> bool:
@@ -175,26 +177,17 @@ def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
     return AtLeast(limit + 1)
 
 
-def _line_points(x: QuantumLineSet) -> np.ndarray:
-    """The codes of the p+1 points of each line, b and a + c·b for its basis a, b, as rows."""
-    p, m = x.p, x.ambient_dim + 1
-    bases = np.array([ln.basis.rows for ln in x.lines], dtype=np.int64)
-    a, b = bases[:, :1], bases[:, 1:]
-    vectors = np.concatenate([b, (a + np.arange(p)[:, None] * b) % p], axis=1)
-    return vector_codes(p, m, vectors).reshape(x.n, p + 1)
-
-
 def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
     """X_top of the given points as a weight table over F_p^m, built layer by layer.
 
-    points holds the codes of the points (see vector_codes), which index the
-    table. A vector's entry is its weight, the least number of the points
-    whose span holds it, up to top: the zero vector is the span of no points
-    and holds 0, and a vector outside X_top holds OUTSIDE. Layer w adds the
-    vectors of every line joining a vector new to layer w-1 to one of the
-    points, starting from the zero vector; a line from a vector of lower
-    weight lies in X_{w-1} already. The table takes one byte per vector and
-    is refused above fields.MAX_TABLE_BYTES.
+    points holds the codes of the points (see geometry.vector_codes), which
+    index the table. A vector's entry is its weight, the least number of the
+    points whose span holds it, up to top: the zero vector is the span of no
+    points and holds 0, and a vector outside X_top holds OUTSIDE. Layer w
+    adds the vectors of every line joining a vector new to layer w-1 to one
+    of the points, starting from the zero vector; a line from a vector of
+    lower weight lies in X_{w-1} already. The table takes one byte per
+    vector and is refused above fields.MAX_TABLE_BYTES.
     """
     entries = p ** m
     if entries > fields.MAX_TABLE_BYTES:
@@ -210,11 +203,6 @@ def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
         table[reached[table[reached] == OUTSIDE]] = w
         frontier = np.flatnonzero(table == w)
     return table
-
-
-def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
-    """The base-p codes of vectors of length m, most significant coordinate first."""
-    return np.ravel_multi_index(np.array(coords, dtype=np.int64).reshape(-1, m).T, (p,) * m)
 
 
 def line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ MAX_BYTES = 2 ** 28
 ORTHONORMAL_TOL = 1e-9
 RANK_TOL = 1e-9
 KL_TOL = 1e-9
-EQUAL_TOL = 1e-8
 
 # the start block of every component basis, fixed so that runs repeat exactly
 _START_SEED = 0
@@ -372,21 +371,3 @@ def kl_detect(b: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = K
         alphas=dict(zip(keys, alphas.tolist())),
         failures=failures,
     )
-
-
-def subspace_equal(a: np.ndarray, b: np.ndarray, tolerance: float = EQUAL_TOL) -> bool:
-    """True iff two orthonormal bases span the same subspace.
-
-    That is, the column counts agree and every singular value of a^dag b,
-    the cosine of a principal angle, is 1: the sine of every angle is at
-    most tolerance. The sines are the singular values of b - a a^dag b,
-    which avoids the cancellation in 1 - cos.
-    """
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch("bases of different ambient dimension")
-    for m in (a, b):
-        _check_orthonormal(m)
-    if a.shape[1] != b.shape[1]:
-        return False
-    sines = np.linalg.svd(b - a @ (a.conj().T @ b), compute_uv=False)
-    return bool(np.all(sines <= tolerance))

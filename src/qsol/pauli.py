@@ -120,11 +120,6 @@ def symplectic_form(u: SymplecticVector, v: SymplecticVector) -> int:
     return total % p
 
 
-def weight(x: PauliOperator | SymplecticVector) -> int:
-    """Number of qupit positions with a non-identity component."""
-    return sum(1 for a, b in zip(x.x_part, x.z_part) if a or b)
-
-
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Group product, with exact phase bookkeeping."""
     if a.modulus != b.modulus or a.n != b.n:

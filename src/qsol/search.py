@@ -8,7 +8,6 @@ the same excluded-point layers that build the graph.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,14 +17,15 @@ import numpy as np
 from . import fields, geometry, lines as lines_mod, pauli
 from .errors import (
     CollapsedImage,
+    DimensionMismatch,
     IsolatedVertex,
     NoClique,
     TimeLimitExceeded,
     UnsupportedDistance,
 )
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjPoint, ProjSubspace
-from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes, vector_codes
+from .geometry import ProjPoint, ProjSubspace, vector_codes
+from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
 MAX_CANDIDATE_DISTANCE = 4
 
@@ -159,9 +159,7 @@ def excluded_points(x: QuantumLineSet, d: int) -> Weights:
 
 def _weights(x: QuantumLineSet, top: int) -> Weights:
     """X_top of the incident points of x, as a lines.weight_table."""
-    p, m = x.p, x.ambient_dim + 1
-    incident = vector_codes(p, m, [pt.coords for pt in lines_mod.incident_points(x)])
-    return lines_mod.weight_table(p, m, incident, top)
+    return lines_mod.weight_table(x.p, x.ambient_dim + 1, lines_mod.incident_points(x), top)
 
 
 def candidate_vertices(
@@ -172,18 +170,16 @@ def candidate_vertices(
     """Points not in the excluded set X_{d-1} of x (see excluded_points).
 
     With a restriction subspace, only its points are considered (the
-    subspace trick that keeps the compatibility graph small).
+    subspace trick that keeps the compatibility graph small). The pool is
+    held as sorted point codes, so the candidates come in point order.
     """
-    p, m = x.p, x.ambient_dim + 1
-    if restriction is not None:
-        pool = geometry.points_of(restriction)
-        codes = vector_codes(p, m, [pt.coords for pt in pool])
-        return list(itertools.compress(pool, excluded[codes] == OUTSIDE))
-    # the normalised vectors, first nonzero coordinate 1, have the codes
-    # [p^j, 2·p^j) for j = 0..m-1; in increasing order that is the point order
-    codes = np.concatenate([np.arange(p ** j, 2 * p ** j) for j in range(m)])
-    kept = np.unravel_index(codes[excluded[codes] == OUTSIDE], (p,) * m)
-    return [ProjPoint(x.modulus, coords) for coords in zip(*(digits.tolist() for digits in kept))]
+    m = x.ambient_dim + 1
+    if restriction is not None and restriction.ambient_dim != x.ambient_dim:
+        raise DimensionMismatch(
+            f"the restriction lives in PG({restriction.ambient_dim}, p), the lines in PG({m - 1}, p)"
+        )
+    pool = geometry.normalised_codes(x.p, m) if restriction is None else geometry.points_of(restriction)
+    return geometry.points_from_codes(x.modulus, m, pool[excluded[pool] == OUTSIDE])
 
 
 def gamma_graph(
@@ -204,6 +200,8 @@ def gamma_graph(
     """
     p, m = x.p, x.ambient_dim + 1
     verts = tuple(sorted(set(vertices)))
+    if any(v.ambient_dim != m - 1 for v in verts):
+        raise DimensionMismatch(f"a vertex lives outside PG({m - 1}, p), the space of the lines")
     codes = vector_codes(p, m, [v.coords for v in verts])
     outside = excluded[codes] == OUTSIDE
     rows: list[int] = []

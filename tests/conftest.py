@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qsol import io
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank
+from qsol import geometry, io
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors
 from qsol.pauli import PauliOperator, StabiliserGroup, symplectic_form, tau
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
@@ -111,7 +111,6 @@ def ternary_tset(data_dir):
 
 def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> FpMatrix:
     """m independent, pairwise symplectically orthogonal vectors of F_p^{2n}."""
-    from qsol.fields import rank_of_vectors
     from qsol.pauli import SymplecticVector
 
     rows: list[tuple[int, ...]] = []
@@ -155,7 +154,22 @@ def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
     if len(v) != m.ncols:
         raise ValueError("shape mismatch")
-    return rank(m.vstack(FpMatrix(m.modulus, (v.entries,), m.ncols))) == rank(m)
+    return rank_of_vectors(m.p, m.rows + (v.entries,)) == rank_of_vectors(m.p, m.rows)
+
+
+def points(s) -> list:
+    """The points of a line or subspace as ProjPoints, in order: geometry.points_of decoded."""
+    return geometry.points_from_codes(s.modulus, s.basis.ncols, geometry.points_of(s))
+
+
+def incident(x) -> list:
+    """The incident points of a line set as ProjPoints, in order: lines.incident_points decoded."""
+    return geometry.points_from_codes(x.modulus, x.ambient_dim + 1, lines_mod.incident_points(x))
+
+
+def weight(x) -> int:
+    """Number of qupit positions where a Pauli operator or symplectic vector is not the identity."""
+    return sum(1 for a, b in zip(x.x_part, x.z_part) if a or b)
 
 
 def all_exponent_vectors(modulus: PrimeModulus, m: int):

@@ -9,13 +9,16 @@ and the code projector is the sum over t in T. The Knill-Laflamme check is
 P E P = alpha_E P with alpha_E = tr(P E) / tr(P).
 
 Operators are plain (phase, x, z) triples and only numpy is used, nothing
-from qsol, so the results can be compared with ``qsol.oracle``, which works
-on a code basis and on permutation actions instead. Sized for small n.
+from qsol but its DimensionMismatch error, so the results can be compared
+with ``qsol.oracle``, which works on a code basis and on permutation actions
+instead. Sized for small n.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qsol.errors import DimensionMismatch
 
 
 def _omega(p: int) -> complex:
@@ -68,3 +71,23 @@ def kl(p: int, proj: np.ndarray, errors) -> list[tuple[complex, float]]:
         residual = np.linalg.norm(proj @ e @ proj - alpha * proj) / np.linalg.norm(proj)
         out.append((complex(alpha), float(residual)))
     return out
+
+
+def subspace_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-8) -> bool:
+    """True iff two orthonormal bases span the same subspace.
+
+    That is, the column counts agree and every singular value of a^dag b,
+    the cosine of a principal angle, is 1: the sine of every angle is at
+    most tolerance. The sines are the singular values of b - a a^dag b,
+    which avoids the cancellation in 1 - cos.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch("bases of different ambient dimension")
+    for m in (a, b):
+        cols = m.shape[1]
+        if np.linalg.norm(m.conj().T @ m - np.eye(cols)) > 1e-9 * max(1.0, np.sqrt(cols)):
+            raise ValueError("basis is not orthonormal within tolerance")
+    if a.shape[1] != b.shape[1]:
+        return False
+    sines = np.linalg.svd(b - a @ (a.conj().T @ b), compute_uv=False)
+    return bool(np.all(sines <= tolerance))

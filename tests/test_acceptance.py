@@ -18,7 +18,7 @@ from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, row_space
 from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
-from qsol.oracle import code_basis, component_basis, error_classes, kl_detect, subspace_equal
+from qsol.oracle import code_basis, component_basis, error_classes, kl_detect
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
@@ -31,12 +31,20 @@ from qsol.pauli import (
     symplectic_form,
     tau,
     tau_inv,
-    weight,
 )
 
 import cws_reference
 import dense_reference
-from conftest import group_elements, in_row_space, random_group, random_group_with_lines, random_symplectic_rows
+from conftest import (
+    group_elements,
+    in_row_space,
+    incident,
+    random_group,
+    random_group_with_lines,
+    random_symplectic_rows,
+    weight,
+)
+from dense_reference import subspace_equal
 
 
 def cws_mismatches(graph, d, restriction=None, constraints=()):
@@ -445,7 +453,7 @@ def test_property_gamma_graph_matches_rank_rule():
         d = rng.choice([2, 3])
         n = rng.randint(*sizes[p, d])
         x = random_graph_lines(rng, mod, n)
-        incident = lines_mod.incident_points(x)
+        incident_pts = incident(x)
         # edges are rare at d = 3, so the ends of up to two edges of Γ on a
         # sample of candidates go in first; random candidates, an incident
         # point and random points follow, and the two rules must agree on
@@ -454,13 +462,13 @@ def test_property_gamma_graph_matches_rank_rule():
         candidates = search.candidate_vertices(x, excluded)
         pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), excluded)
         verts = [pool.vertices[i] for e in rng.sample(sorted(pool.edges), min(2, pool.num_edges)) for i in e]
-        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident, 1)
+        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident_pts, 1)
         while len(verts) < 8:
             coords = tuple(rng.randrange(p) for _ in range(n))
             if any(coords):
                 verts.append(ProjPoint(mod, coords))
         gamma = search.gamma_graph(x, verts, excluded)
-        incident_coords = [pt.coords for pt in incident]
+        incident_coords = [pt.coords for pt in incident_pts]
         expected = {
             (a, b)
             for a, b in itertools.combinations(range(gamma.num_vertices), 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsol.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from qsol.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
 
 
 def machine(capsys):
@@ -13,6 +13,31 @@ def machine(capsys):
             key, value = line.split("=", 1)
             pairs.setdefault(key, []).append(value)
     return pairs
+
+
+class TestParser:
+    def test_one_parser_with_fresh_defaults_per_parse(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["recipe", "--graph", "g", "--d", "3", "--k", "2", "--restrict", "r"])
+        second = parser.parse_args(["recipe", "--graph", "g", "--d", "3"])
+        assert (first.k, first.restrict) == (2, "r")
+        assert (second.k, second.restrict, second.time_limit, second.format) == (0, None, None, "text")
+
+    @pytest.mark.parametrize("command, options", [
+        ("validate", {"gens"}),
+        ("distance", {"gens", "limit"}),
+        ("project", {"gens", "tset"}),
+        ("gamma", {"graph", "d", "restrict"}),
+        ("cliques", {"graph", "d", "restrict", "time_limit"}),
+        ("recipe", {"graph", "d", "restrict", "time_limit", "k"}),
+        ("verify", {"gens", "tset", "d"}),
+        ("extend", {"gens"}),
+    ])
+    def test_options_of_each_command(self, command, options):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+        assert dests == options | {"format"}
 
 
 class TestValidate:

@@ -84,11 +84,6 @@ class TestPrimeModulus:
         with pytest.raises(ValueError):
             PrimeModulus(bad)
 
-    def test_inverse(self):
-        mod = PrimeModulus(7)
-        for a in range(1, 7):
-            assert (a * mod.inv(a)) % 7 == 1
-
     def test_is_prime_matches_trial_division(self):
         for n in range(-2, 100):
             expected = n > 1 and all(n % d for d in range(2, n))

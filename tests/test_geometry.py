@@ -7,7 +7,7 @@ import pytest
 
 from qsol import geometry
 from qsol.errors import CollapsedImage, DimensionMismatch
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, quotient_map
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient_map, rank_of_vectors
 from qsol.geometry import (
     ProjLine,
     ProjPoint,
@@ -17,6 +17,8 @@ from qsol.geometry import (
     span,
 )
 from qsol.lines import QuantumLineSet, project_lines
+
+from conftest import points
 
 
 def gaussian_binomial(n, k, p):
@@ -61,7 +63,7 @@ class TestSubspacesAndSpan:
         b = ProjPoint(mod2, (0, 1, 1))
         s = span([a, b])
         assert s.rank == 2
-        assert {pt.coords for pt in points_of(s)} == {(1, 0, 0), (0, 1, 1), (1, 1, 1)}
+        assert {pt.coords for pt in points(s)} == {(1, 0, 0), (0, 1, 1), (1, 1, 1)}
 
     def test_canonical_basis_makes_equality_structural(self, mod2):
         s1 = ProjSubspace.from_rows(mod2, [(1, 1, 0), (0, 1, 1)], 3)
@@ -73,6 +75,70 @@ class TestSubspacesAndSpan:
         b = ProjPoint(mod2, (1, 0, 0))
         with pytest.raises(DimensionMismatch):
             span([a, b])
+
+
+def product_and_normalise(s):
+    """The points of a subspace by the enumeration points_of replaced: every
+    nonzero coefficient vector times the basis, normalised and deduplicated."""
+    p, rows, ncols = s.p, s.basis.rows, s.basis.ncols
+    seen = set()
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        if any(coeffs):
+            v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(ncols))
+            seen.add(ProjPoint.normalise(p, v))
+    return sorted(seen)
+
+
+def independent_rows(rng, p, r, m):
+    """r random independent vectors of F_p^m, in no normal form."""
+    rows = []
+    while len(rows) < r:
+        cand = tuple(rng.randrange(p) for _ in range(m))
+        if rank_of_vectors(p, rows + [cand]) == len(rows) + 1:
+            rows.append(cand)
+    return rows
+
+
+class TestPointsOf:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_product_and_normalise(self, p):
+        # ranks 1..m for m <= 6, up to p^r = 2401 coefficient vectors, where
+        # the reference still takes well under a second per subspace
+        rng = random.Random(4100 + p)
+        mod = PrimeModulus(p)
+        for m in range(1, 7):
+            for r in range(1, m + 1):
+                if p ** r > 2401:
+                    continue
+                rows = independent_rows(rng, p, r, m)
+                constraints = FpMatrix(mod, tuple(independent_rows(rng, p, m - r, m)), m)
+                cases = [
+                    ProjSubspace.from_rows(mod, rows, m),
+                    ProjSubspace(mod, kernel_basis(constraints)),
+                    # built directly, so the basis is in no normal form
+                    ProjSubspace(mod, FpMatrix(mod, tuple(rows), m)),
+                ]
+                if r == m:
+                    cases.append(ProjSubspace(mod, FpMatrix.identity(mod, m)))
+                if r == 2:
+                    cases += [ProjLine.from_rows(mod, rows, m), ProjLine(mod, FpMatrix(mod, tuple(rows), m))]
+                for s in cases:
+                    codes = points_of(s).tolist()
+                    assert codes == sorted(set(codes))
+                    assert [pt.coords for pt in points(s)] == product_and_normalise(s), (p, m, r, s)
+
+    def test_rank_zero_has_no_points(self, mod3):
+        assert points_of(ProjSubspace(mod3, FpMatrix(mod3, (), 4))).tolist() == []
+
+    def test_dependent_basis_rows_rejected(self, mod3):
+        with pytest.raises(ValueError):
+            points_of(ProjSubspace(mod3, FpMatrix(mod3, ((1, 2, 0), (2, 1, 0)), 3)))
+
+    def test_codes_read_coordinates_in_base_p(self, mod3):
+        # (0, 1, 2) is 0·9 + 1·3 + 2 = 5; then (1, 0, 0), (1, 1, 2) and (1, 2, 1)
+        line = ProjLine.from_rows(mod3, [(1, 0, 0), (0, 1, 2)], 3)
+        assert points_of(line).tolist() == [5, 9, 14, 16]
+        assert points_of(line).tolist() == geometry.vector_codes(3, 3, [pt.coords for pt in points(line)]).tolist()
 
 
 class TestProjection:
@@ -109,8 +175,8 @@ class TestProjection:
         line = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
         (img,) = project_lines(QuantumLineSet(mod2, (line,)), centre).lines
         q = quotient_map(centre, 4)
-        img_points = {ProjPoint(mod2, (q @ pt.vector()).entries) for pt in points_of(line)}
-        assert img_points == set(points_of(img))
+        img_points = {ProjPoint(mod2, (q @ pt.vector()).entries) for pt in points(line)}
+        assert img_points == set(points(img))
 
 
 class TestEnumeration:

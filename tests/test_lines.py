@@ -21,9 +21,9 @@ from qsol.lines import (
     project_lines,
     validate_even_skew,
 )
-from qsol.pauli import SymplecticVector, symplectic_form, weight
+from qsol.pauli import SymplecticVector, symplectic_form
 
-from conftest import random_group, random_group_with_lines
+from conftest import points, random_group, random_group_with_lines, weight
 
 
 class TestBoundArithmetic:
@@ -47,7 +47,7 @@ class TestLinesFromMatrix:
         assert x.n == 5
         assert x.ambient_dim == 4
         # line i = <e_i, adjacency column i> for the (I | A) matrix
-        first = {pt.coords for pt in geometry.points_of(x.lines[0])}
+        first = {pt.coords for pt in points(x.lines[0])}
         assert first == {(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (1, 1, 0, 0, 1)}
 
     def test_degenerate_column_pair_rejected(self, mod2):
@@ -76,9 +76,8 @@ class TestIncidentPoints:
         assert len(incident_points(five_qubit_lines)) == 15
 
     def test_sorted_and_deduplicated(self, five_qubit_lines):
-        pts = incident_points(five_qubit_lines)
-        assert pts == sorted(pts)
-        assert len({pt.coords for pt in pts}) == len(pts)
+        codes = incident_points(five_qubit_lines).tolist()
+        assert codes == sorted(set(codes))
 
 
 class TestEvenSkew:
@@ -117,7 +116,7 @@ def brute_force_min_dependent_set(x, limit):
     """d(X) by one rank call per choice of one point on each of w lines, w ascending."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    pts_per_line = [[pt.coords for pt in geometry.points_of(ln)] for ln in x.lines]
+    pts_per_line = [[pt.coords for pt in points(ln)] for ln in x.lines]
     for w in range(1, min(limit, x.n) + 1):
         for idxs in itertools.combinations(range(x.n), w):
             for choice in itertools.product(*(pts_per_line[i] for i in idxs)):

@@ -26,7 +26,6 @@ from qsol.pauli import (
     symplectic_form,
     tau,
     tau_inv,
-    weight,
 )
 
 from conftest import group_elements, in_row_space, random_group
@@ -158,11 +157,6 @@ class TestTauAndForm:
             de, dm = dense(e), dense(m)
             c = symplectic_form(tau(m), tau(e))
             assert np.allclose(de @ dm, omega ** c * (dm @ de), atol=1e-12)
-
-    def test_weight(self, mod2):
-        m = PauliOperator.from_letters("XIZYI")
-        assert weight(m) == 3
-        assert weight(tau(m)) == 3
 
 
 class TestStabiliserGroup:

@@ -1,6 +1,7 @@
 """Candidate points, compatibility graphs, clique search, and the recipe."""
 
 import collections
+import hashlib
 import itertools
 import random
 
@@ -8,9 +9,16 @@ import pytest
 
 import cws_reference
 from qsol import geometry, lines as lines_mod, oracle, search
-from qsol.errors import CollapsedImage, IsolatedVertex, TimeLimitExceeded, TooLarge, UnsupportedDistance
+from qsol.errors import (
+    CollapsedImage,
+    DimensionMismatch,
+    IsolatedVertex,
+    TimeLimitExceeded,
+    TooLarge,
+    UnsupportedDistance,
+)
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
-from qsol.geometry import ProjPoint
+from qsol.geometry import ProjPoint, ProjSubspace
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
 from qsol.search import (
@@ -28,7 +36,7 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import in_row_space
+from conftest import in_row_space, incident, points
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +119,11 @@ class TestExcludedPoints:
     @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 5, 3), (2, 5, 4), (2, 6, 4), (3, 4, 3), (5, 3, 3)])
     def test_equals_union_of_spans(self, p, n, d):
         x = cycle_lines(PrimeModulus(p), n)
-        incident = lines_mod.incident_points(x)
         # each point's weight is the least size of a subset whose span holds it
         weights = {}
         for size in range(1, d):
-            for subset in itertools.combinations(incident, size):
-                for pt in geometry.points_of(geometry.span(subset)):
+            for subset in itertools.combinations(incident(x), size):
+                for pt in points(geometry.span(subset)):
                     weights.setdefault(pt.coords, size)
         # the table is indexed by base-p codes, which count the vectors in
         # the order itertools.product lists them
@@ -129,8 +136,7 @@ class TestCandidateVertices:
     def test_pentagon_has_16(self, pentagon_lines):
         verts = candidate_vertices(pentagon_lines, excluded_points(pentagon_lines, 2))
         assert len(verts) == 16
-        incident = set(lines_mod.incident_points(pentagon_lines))
-        assert not incident & set(verts)
+        assert not set(incident(pentagon_lines)) & set(verts)
 
     @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 6, 4), (3, 4, 3), (5, 3, 2)])
     def test_unrestricted_pool_is_every_point_outside_in_order(self, p, n, d):
@@ -157,6 +163,32 @@ class TestCandidateVertices:
         excluded = excluded_points(nine_cycle_lines, 3)
         for pt in candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction):
             assert contains_point(nine_cycle_restriction, pt)
+
+    @pytest.mark.parametrize("p, n, d, restricted, count, digest", [
+        (2, 5, 2, False, 16, "e9eaea14485c0e7e"),
+        (2, 9, 3, True, 39, "f55e98515f7060a7"),
+        (2, 9, 3, False, 268, "135dceb0a93cd0c4"),
+        (3, 5, 2, False, 101, "d5aef567fae417a5"),
+        (2, 10, 4, False, 46, "3ec01b642cb55193"),
+    ])
+    def test_pool_is_pinned(self, nine_cycle_restriction, p, n, d, restricted, count, digest):
+        # the candidates in order, as the enumeration through one ProjPoint
+        # per point gave them: their number and the first 16 hex digits of
+        # the SHA-256 of their coordinates, one point per line
+        x = cycle_lines(PrimeModulus(p), n)
+        verts = candidate_vertices(x, excluded_points(x, d), nine_cycle_restriction if restricted else None)
+        text = "\n".join("".join(map(str, pt.coords)) for pt in verts)
+        assert (len(verts), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
+
+    def test_restriction_in_another_space_is_refused(self, nine_cycle_graph, mod2):
+        # a restriction in F_2^6 next to lines in F_2^9 has no points in common
+        # with them; its codes would index the table of another space
+        x = cycle_lines(mod2, 9)
+        restriction = ProjSubspace(mod2, FpMatrix.identity(mod2, 6))
+        with pytest.raises(DimensionMismatch):
+            candidate_vertices(x, excluded_points(x, 3), restriction)
+        with pytest.raises(DimensionMismatch):
+            run_recipe(nine_cycle_graph, d=3, restriction=restriction)
 
     def test_d_validation(self, pentagon_lines):
         # d is checked where X_{d-1} is built
@@ -208,6 +240,13 @@ class TestGammaGraph:
         assert set(masks) == set(ref_vertices)
         assert {frozenset((masks[i], masks[j])) for i, j in gamma.edges} == cws_reference.edges(images, ref_vertices)
 
+
+    def test_vertex_in_another_space_is_refused(self, pentagon_lines, mod2):
+        excluded = excluded_points(pentagon_lines, 2)
+        verts = candidate_vertices(pentagon_lines, excluded)
+        for stray in ([ProjPoint(mod2, (1, 0, 1))], [ProjPoint(mod2, (1,) * 6)], verts[:3] + [ProjPoint(mod2, (0, 1))]):
+            with pytest.raises(DimensionMismatch):
+                gamma_graph(pentagon_lines, stray, excluded)
 
     def test_lookup_table_over_budget_is_refused(self, mod2):
         # the table would hold 2^30 one-byte entries; the guard fires before
