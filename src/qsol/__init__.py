@@ -4,7 +4,7 @@ pairs, compatibility-graph clique search, and a numerical error-detection
 oracle on orthonormal code bases."""
 
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjLine, ProjPoint, ProjSubspace
+from .geometry import ProjLine, ProjSubspace
 from .lines import AtLeast, QuantumLineSet
 from .pauli import PauliOperator, StabiliserGroup, SymplecticVector
 from .search import CodeReport, CodingSet, CompatibilityGraph, LabelledGraph
@@ -20,7 +20,6 @@ __all__ = [
     "PauliOperator",
     "PrimeModulus",
     "ProjLine",
-    "ProjPoint",
     "ProjSubspace",
     "QuantumLineSet",
     "StabiliserGroup",

@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from . import io, lines as lines_mod, oracle, pauli, search
+from . import geometry, io, lines as lines_mod, oracle, pauli, search
 from .errors import InputFormatError, QsolError
 from .fields import kernel_basis
 from .geometry import ProjSubspace
@@ -83,8 +83,7 @@ def _gamma_pipeline(args):
     x = lines_mod.lines_from_matrix(group.gmatrix, graph.n, 0)
     restriction = _restriction_subspace(args, graph.modulus, graph.n)
     excluded = search.excluded_points(x, args.d)
-    verts = search.candidate_vertices(x, excluded, restriction)
-    return graph, x, verts, search.gamma_graph(x, verts, excluded)
+    return graph, search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
 
 
 def cmd_validate(args) -> int:
@@ -132,7 +131,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    _, _, verts, gamma = _gamma_pipeline(args)
+    _, gamma = _gamma_pipeline(args)
     pairs = [("vertices", gamma.num_vertices), ("edges", gamma.num_edges)]
     text = [f"compatibility graph: {gamma.num_vertices} vertices, {gamma.num_edges} edges"]
     _emit(args, pairs, text)
@@ -140,7 +139,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    _, _, _, gamma = _gamma_pipeline(args)
+    graph, gamma = _gamma_pipeline(args)
     cliques = search.find_cliques(gamma, args.time_limit)
     size = len(cliques[0]) if cliques else 0
     pairs = [
@@ -152,7 +151,8 @@ def cmd_cliques(args) -> int:
     ]
     text = [f"{len(cliques)} clique(s) of size {size}, {cliques.nodes} search nodes"]
     for c in cliques:
-        text.append("  " + " ".join("".join(str(e) for e in gamma.vertices[i].coords) for i in c))
+        vectors = geometry.digits(graph.modulus.p, graph.n, [gamma.vertices[i] for i in c]).tolist()
+        text.append("  " + " ".join("".join(map(str, v)) for v in vectors))
     _emit(args, pairs, text)
     return EXIT_OK
 

@@ -1,11 +1,9 @@
 """Points, lines and subspaces of PG(m, p).
 
-A point is the canonical representative of a one-dimensional subspace
-(first nonzero coordinate scaled to 1); a rank-r subspace is stored as its
-unique RREF basis, so equality of subspaces is equality of values.
-
-Enumerated points are held as codes: a vector of F_p^m is read as a base-p
-number, most significant coordinate first (vector_codes).
+A point is held as a code: its normalised vector (first nonzero coordinate
+1) read as a base-p number, most significant coordinate first (vector_codes,
+digits, normalise). A rank-r subspace is stored as its unique RREF basis,
+so equality of subspaces is equality of values.
 """
 
 from __future__ import annotations
@@ -18,42 +16,7 @@ import numpy as np
 
 from . import fields
 from .errors import DimensionMismatch
-from .fields import FpMatrix, FpVector, PrimeModulus
-
-
-@dataclass(frozen=True, order=True)
-class ProjPoint:
-    """A point of PG(m, p): a normalized nonzero vector of F_p^{m+1}."""
-
-    modulus: PrimeModulus
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.modulus.p
-        object.__setattr__(self, "coords", self.normalise(p, tuple(int(c) % p for c in self.coords)))
-
-    @staticmethod
-    def normalise(p: int, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """Scale reduced coordinates so that the first nonzero one is 1."""
-        lead = next((c for c in coords if c), None)
-        if lead is None:
-            raise ValueError("zero vector does not define a projective point")
-        if lead == 1:
-            return coords
-        inv = pow(lead, -1, p)
-        return tuple((inv * c) % p for c in coords)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def ambient_dim(self) -> int:
-        """Projective dimension m of the ambient PG(m, p)."""
-        return len(self.coords) - 1
-
-    def vector(self) -> FpVector:
-        return FpVector(self.modulus, self.coords)
+from .fields import FpMatrix, PrimeModulus
 
 
 @dataclass(frozen=True, order=True)
@@ -63,9 +26,12 @@ class ProjSubspace:
     modulus: PrimeModulus
     basis: FpMatrix
 
+    def __post_init__(self):
+        object.__setattr__(self, "basis", fields.row_space(self.basis))
+
     @classmethod
     def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjSubspace":
-        return cls(modulus, fields.row_space(FpMatrix.from_rows(modulus, rows, ncols)))
+        return cls(modulus, FpMatrix.from_rows(modulus, rows, ncols))
 
     @property
     def p(self) -> int:
@@ -88,15 +54,13 @@ class ProjLine:
     basis: FpMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "basis", fields.row_space(self.basis))
         if self.basis.nrows != 2:
-            raise ValueError("line basis must have exactly 2 rows")
+            raise ValueError("rows do not span a line")
 
     @classmethod
     def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjLine":
-        basis = fields.row_space(FpMatrix.from_rows(modulus, rows, ncols))
-        if basis.nrows != 2:
-            raise ValueError("rows do not span a line")
-        return cls(modulus, basis)
+        return cls(modulus, FpMatrix.from_rows(modulus, rows, ncols))
 
     @property
     def p(self) -> int:
@@ -107,13 +71,7 @@ class ProjLine:
         return self.basis.ncols - 1
 
 
-SubspaceLike = Union[ProjPoint, ProjLine, ProjSubspace]
-
-
-def _basis_rows(obj: SubspaceLike) -> tuple[tuple[int, ...], ...]:
-    if isinstance(obj, ProjPoint):
-        return (obj.coords,)
-    return obj.basis.rows
+SubspaceLike = Union[ProjLine, ProjSubspace]
 
 
 def _places(p: int, m: int) -> np.ndarray:
@@ -129,9 +87,31 @@ def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
     return vectors.reshape(-1, m) @ _places(p, m)
 
 
-def _digits(p: int, m: int, codes: np.ndarray) -> np.ndarray:
+def digits(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
     """The vectors of F_p^m with the given codes, one row each."""
-    return codes[:, None] // _places(p, m) % p
+    return np.asarray(codes, dtype=np.int64)[:, None] // _places(p, m) % p
+
+
+def unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes in increasing order (np.unique would import numpy.ma, about 1 MiB)."""
+    codes = np.sort(codes, axis=None)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def normalise(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The sorted codes of the points of PG(m-1, p) spanned by nonzero vectors of F_p^m, each once.
+
+    A point's normalised vector, first nonzero coordinate 1, has the least
+    code of its nonzero multiples. A code outside [1, p^m) is the zero
+    vector or no vector of F_p^m, and raises ValueError.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if ((codes < 1) | (codes >= p ** m)).any():
+        raise ValueError(f"a code outside [1, {p}^{m}) is no point of PG({m - 1}, {p})")
+    vectors = digits(p, m, codes)
+    return unique(np.min([c * vectors % p @ _places(p, m) for c in range(1, p)], axis=0))
 
 
 def normalised_codes(p: int, r: int) -> np.ndarray:
@@ -146,18 +126,17 @@ def normalised_codes(p: int, r: int) -> np.ndarray:
 def point_codes(p: int, bases: np.ndarray) -> np.ndarray:
     """The sorted codes of the points of each subspace of a stack, one row per subspace.
 
-    bases holds one basis of r independent rows of F_p^m per subspace, shape
-    (k, r, m). The points of a span are its normalised coefficient vectors
-    times its basis. A point's normalised vector, first nonzero coordinate
-    1, has the least code of its nonzero multiples; for an RREF basis that
-    is the product itself, since the first nonzero coordinate of c·B sits at
-    the pivot of the first nonzero c_i and equals c_i = 1.
+    bases holds one RREF basis of r rows of F_p^m per subspace, shape
+    (k, r, m), as ProjLine and ProjSubspace keep them. The points of a span
+    are its normalised coefficient vectors times its basis, and each product
+    is normalised already: its first nonzero coordinate sits at the pivot of
+    the first nonzero c_i and equals c_i = 1.
     """
     k, r, m = bases.shape
-    vectors = _digits(p, r, normalised_codes(p, r)) @ bases % p
+    vectors = digits(p, r, normalised_codes(p, r)) @ bases % p
     if not vectors.any(axis=2).all():
         raise ValueError("basis rows are dependent")
-    return np.sort(np.min([c * vectors % p @ _places(p, m) for c in range(1, p)], axis=0), axis=1)
+    return np.sort(vectors @ _places(p, m), axis=1)
 
 
 def points_of(s: ProjSubspace | ProjLine) -> np.ndarray:
@@ -166,23 +145,15 @@ def points_of(s: ProjSubspace | ProjLine) -> np.ndarray:
     return point_codes(s.p, basis)[0]
 
 
-def points_from_codes(modulus: PrimeModulus, m: int, codes: np.ndarray) -> list[ProjPoint]:
-    """The points of PG(m-1, p) whose normalised vectors have the given codes."""
-    return [ProjPoint(modulus, tuple(v)) for v in _digits(modulus.p, m, codes).tolist()]
-
-
 def span(objs: Sequence[SubspaceLike]) -> ProjSubspace:
     """Smallest subspace containing every input object."""
     if not objs:
         raise ValueError("span of nothing is undefined")
-    modulus = objs[0].modulus
-    rows: list[tuple[int, ...]] = []
-    for o in objs:
-        rows.extend(_basis_rows(o))
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
+    rows = [row for o in objs for row in o.basis.rows]
+    ncols = objs[0].basis.ncols
+    if any(o.basis.ncols != ncols for o in objs):
         raise DimensionMismatch("objects live in different ambient spaces")
-    return ProjSubspace.from_rows(modulus, rows, ncols)
+    return ProjSubspace.from_rows(objs[0].modulus, rows, ncols)
 
 
 def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:

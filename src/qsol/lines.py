@@ -111,8 +111,7 @@ def _line_points(x: QuantumLineSet) -> np.ndarray:
 
 def incident_points(x: QuantumLineSet) -> np.ndarray:
     """The sorted codes of the points that lie on the lines, each once."""
-    codes = np.sort(_line_points(x), axis=None)
-    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return geometry.unique(_line_points(x))
 
 
 def validate_even_skew(x: QuantumLineSet) -> bool:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDistance,
 )
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjPoint, ProjSubspace, vector_codes
+from .geometry import ProjSubspace, vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
 MAX_CANDIDATE_DISTANCE = 4
@@ -71,12 +71,12 @@ class LabelledGraph:
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Vertices are candidate projective points; each has one bitset row.
+    """Vertices are the codes of candidate points, in increasing order; each has one bitset row.
 
     Bit j of rows[i] is set exactly when vertices i and j are joined.
     """
 
-    vertices: tuple[ProjPoint, ...]
+    vertices: tuple[int, ...]
     rows: tuple[int, ...]
 
     def __post_init__(self):
@@ -166,12 +166,11 @@ def candidate_vertices(
     x: QuantumLineSet,
     excluded: Weights,
     restriction: ProjSubspace | None = None,
-) -> list[ProjPoint]:
-    """Points not in the excluded set X_{d-1} of x (see excluded_points).
+) -> np.ndarray:
+    """The sorted codes of the points not in the excluded set X_{d-1} of x (see excluded_points).
 
     With a restriction subspace, only its points are considered (the
-    subspace trick that keeps the compatibility graph small). The pool is
-    held as sorted point codes, so the candidates come in point order.
+    subspace trick that keeps the compatibility graph small).
     """
     m = x.ambient_dim + 1
     if restriction is not None and restriction.ambient_dim != x.ambient_dim:
@@ -179,12 +178,12 @@ def candidate_vertices(
             f"the restriction lives in PG({restriction.ambient_dim}, p), the lines in PG({m - 1}, p)"
         )
     pool = geometry.normalised_codes(x.p, m) if restriction is None else geometry.points_of(restriction)
-    return geometry.points_from_codes(x.modulus, m, pool[excluded[pool] == OUTSIDE])
+    return pool[excluded[pool] == OUTSIDE]
 
 
 def gamma_graph(
     x: QuantumLineSet,
-    vertices: Sequence[ProjPoint],
+    vertices: Sequence[int] | np.ndarray,
     excluded: Weights,
 ) -> CompatibilityGraph:
     """Join u, v iff no point of the line uv lies in the excluded set X_{d-1}.
@@ -194,26 +193,26 @@ def gamma_graph(
     same as asking that u, v and any d-1 or fewer incident points be
     independent.
 
-    The table is read at the codes of u, v and u + c·v, c = 1..p-1 (see
-    lines.line_codes). For v = u the sum u + (p-1)·u is the zero vector, whose
-    entry 0 takes the diagonal out of every row.
+    The vertices are codes of nonzero vectors of the lines' space, in any
+    order and of any scaling; the graph's vertices are their points, sorted
+    and each once (geometry.normalise). The table is read at the codes of u,
+    v and u + c·v, c = 1..p-1 (see lines.line_codes). For v = u the sum
+    u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
+    every row.
     """
     p, m = x.p, x.ambient_dim + 1
-    verts = tuple(sorted(set(vertices)))
-    if any(v.ambient_dim != m - 1 for v in verts):
-        raise DimensionMismatch(f"a vertex lives outside PG({m - 1}, p), the space of the lines")
-    codes = vector_codes(p, m, [v.coords for v in verts])
+    codes = geometry.normalise(p, m, vertices)
     outside = excluded[codes] == OUTSIDE
     rows: list[int] = []
     # blocks of rows keep the temporaries near 2^20 entries
-    step = max(1, 2 ** 20 // max(len(verts) * m, 1))
-    for lo in range(0, len(verts), step):
+    step = max(1, 2 ** 20 // max(len(codes) * m, 1))
+    for lo in range(0, len(codes), step):
         block = slice(lo, lo + step)
         on_line = excluded[line_codes(p, m, codes[block], codes)]
         joined = outside[block, None] & outside & (on_line == OUTSIDE).all(axis=0)
         packed = np.packbits(joined, axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return CompatibilityGraph(verts, tuple(rows))
+    return CompatibilityGraph(tuple(codes.tolist()), tuple(rows))
 
 
 class Cliques(list):
@@ -331,7 +330,7 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
     distinct points, so that there is no such line.
     """
     p, m = x.p, x.ambient_dim + 1
-    points = vector_codes(p, m, sorted({ProjPoint.normalise(p, v.entries) for v in t.nonzero()}))
+    points = geometry.normalise(p, m, vector_codes(p, m, [v.entries for v in t.nonzero()]))
     if len(points) < 2:
         return None
     i, j = np.triu_indices(len(points), 1)
@@ -458,7 +457,7 @@ def run_recipe(
     if k > 0:
         # the centre is chosen among the candidates of the unprojected x
         base_candidates = candidate_vertices(x, excluded_points(x, d))
-        centre = _lex_least_independent(g.modulus, base_candidates, k)
+        centre = _lex_least_independent(g.modulus, n, base_candidates, k)
         x = lines_mod.project_lines(x, centre)
         group = pauli.subgroup_fixing(group, centre)
 
@@ -476,10 +475,8 @@ def run_recipe(
     modulus = g.modulus
     length = n - k
     vectors = [FpVector(modulus, (0,) * length)]
-    for idx in chosen:
-        pt = gamma.vertices[idx]
-        for c in range(1, modulus.p):
-            vectors.append(FpVector(modulus, pt.coords).scale(c))
+    for pt in geometry.digits(modulus.p, length, [gamma.vertices[i] for i in chosen]).tolist():
+        vectors.extend(FpVector(modulus, pt).scale(c) for c in range(1, modulus.p))
     tset = CodingSet(modulus, length, tuple(vectors))
 
     if tset.nonzero():
@@ -526,10 +523,11 @@ def run_recipe(
     )
 
 
-def _lex_least_independent(modulus: PrimeModulus, points: Sequence[ProjPoint], k: int) -> list[FpVector]:
+def _lex_least_independent(modulus: PrimeModulus, m: int, codes: np.ndarray, k: int) -> list[FpVector]:
+    """The first k independent points of the sorted codes, whose order is the lexicographic one of their vectors."""
     chosen: list[FpVector] = []
-    for pt in sorted(points):
-        v = pt.vector()
+    for pt in geometry.digits(modulus.p, m, codes).tolist():
+        v = FpVector(modulus, pt)
         if fields.rank_of_vectors(modulus.p, [c.entries for c in chosen] + [v.entries]) == len(chosen) + 1:
             chosen.append(v)
         if len(chosen) == k:

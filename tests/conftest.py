@@ -157,14 +157,26 @@ def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     return rank_of_vectors(m.p, m.rows + (v.entries,)) == rank_of_vectors(m.p, m.rows)
 
 
-def points(s) -> list:
-    """The points of a line or subspace as ProjPoints, in order: geometry.points_of decoded."""
-    return geometry.points_from_codes(s.modulus, s.basis.ncols, geometry.points_of(s))
+def normalised(p: int, v) -> tuple[int, ...]:
+    """A nonzero vector scaled so that its first nonzero coordinate is 1: the reference for geometry.normalise."""
+    lead = next(c for c in v if c % p)
+    inv = pow(lead, -1, p)
+    return tuple(inv * c % p for c in v)
 
 
-def incident(x) -> list:
-    """The incident points of a line set as ProjPoints, in order: lines.incident_points decoded."""
-    return geometry.points_from_codes(x.modulus, x.ambient_dim + 1, lines_mod.incident_points(x))
+def vectors(p: int, m: int, codes) -> list[tuple[int, ...]]:
+    """The vectors of F_p^m with the given codes, as coordinate tuples: geometry.digits decoded."""
+    return [tuple(v) for v in geometry.digits(p, m, codes).tolist()]
+
+
+def points(s) -> list[tuple[int, ...]]:
+    """The points of a line or subspace as normalised vectors, in order: geometry.points_of decoded."""
+    return vectors(s.p, s.basis.ncols, geometry.points_of(s))
+
+
+def incident(x) -> list[tuple[int, ...]]:
+    """The incident points of a line set as normalised vectors, in order: lines.incident_points decoded."""
+    return vectors(x.p, x.ambient_dim + 1, lines_mod.incident_points(x))
 
 
 def weight(x) -> int:

@@ -16,7 +16,6 @@ import pytest
 from qsol import fields, geometry, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, row_space
-from qsol.geometry import ProjPoint
 from qsol.lines import AtLeast
 from qsol.oracle import code_basis, component_basis, error_classes, kl_detect
 from qsol.pauli import (
@@ -42,6 +41,7 @@ from conftest import (
     random_group,
     random_group_with_lines,
     random_symplectic_rows,
+    vectors,
     weight,
 )
 from dense_reference import subspace_equal
@@ -56,7 +56,7 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     x = lines_mod.lines_from_matrix(search.graph_to_generators(graph).gmatrix, graph.n, 0)
     excluded = search.excluded_points(x, d)
     gamma = search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
-    masks = [cws_reference.to_mask(v.coords) for v in gamma.vertices]
+    masks = [cws_reference.to_mask(v) for v in vectors(2, graph.n, gamma.vertices)]
     vertices = set(masks)
     edges = {frozenset((masks[i], masks[j])) for i, j in gamma.edges}
     cliques = {frozenset(masks[i] for i in c) for c in search.find_cliques(gamma)}
@@ -453,26 +453,27 @@ def test_property_gamma_graph_matches_rank_rule():
         d = rng.choice([2, 3])
         n = rng.randint(*sizes[p, d])
         x = random_graph_lines(rng, mod, n)
-        incident_pts = incident(x)
+        incident_codes = lines_mod.incident_points(x).tolist()
         # edges are rare at d = 3, so the ends of up to two edges of Γ on a
         # sample of candidates go in first; random candidates, an incident
         # point and random points follow, and the two rules must agree on
         # every pair of the list
         excluded = search.excluded_points(x, d)
-        candidates = search.candidate_vertices(x, excluded)
+        candidates = search.candidate_vertices(x, excluded).tolist()
         pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), excluded)
         verts = [pool.vertices[i] for e in rng.sample(sorted(pool.edges), min(2, pool.num_edges)) for i in e]
-        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident_pts, 1)
+        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident_codes, 1)
         while len(verts) < 8:
             coords = tuple(rng.randrange(p) for _ in range(n))
             if any(coords):
-                verts.append(ProjPoint(mod, coords))
+                # the code of the vector as drawn; Γ normalises it
+                verts += geometry.vector_codes(p, n, [coords]).tolist()
         gamma = search.gamma_graph(x, verts, excluded)
-        incident_coords = [pt.coords for pt in incident_pts]
+        pts, incident_coords = vectors(p, n, gamma.vertices), incident(x)
         expected = {
             (a, b)
             for a, b in itertools.combinations(range(gamma.num_vertices), 2)
-            if rank_rule_compatible(p, gamma.vertices[a].coords, gamma.vertices[b].coords, incident_coords, d)
+            if rank_rule_compatible(p, pts[a], pts[b], incident_coords, d)
         }
         assert set(gamma.edges) == expected, f"case {case}: p={p} d={d} n={n}"
         edges_seen[d] += len(expected)
@@ -537,21 +538,21 @@ def test_property_distance_bound_matches_projection_rule():
         if compatible_at:
             # no line through two of them meets X_{d-1}, so none collapses
             excluded = search.excluded_points(x, compatible_at)
-            candidates = search.candidate_vertices(x, excluded)
+            candidates = search.candidate_vertices(x, excluded).tolist()
             chosen = []
             for v in rng.sample(candidates, len(candidates)):
                 if len(chosen) == size:
                     break
                 if search.gamma_graph(x, chosen + [v], excluded).num_edges == len(chosen) * (len(chosen) + 1) // 2:
                     chosen.append(v)
-            points = [v.coords for v in chosen]
+            points = vectors(p, dim, chosen)
         else:
             points = [q for q in (tuple(rng.randrange(p) for _ in range(dim)) for _ in range(size)) if any(q)]
-        vectors = {(0,) * dim}
+        members = {(0,) * dim}
         for q in points:
             for c in rng.sample(range(1, p), rng.randint(1, p - 1)):
-                vectors.add(tuple(c * e % p for e in q))
-        t = search.CodingSet(mod, dim, tuple(FpVector(mod, v) for v in sorted(vectors)))
+                members.add(tuple(c * e % p for e in q))
+        t = search.CodingSet(mod, dim, tuple(FpVector(mod, v) for v in sorted(members)))
         expected = bound_outcome(projection_rule_bound, x, t, limit)
         assert bound_outcome(search.distance_bound, x, t, limit) == expected, f"case {case}: p={p} n={n} limit={limit}"
         if expected == "collapsed":
@@ -565,7 +566,7 @@ def test_property_distance_bound_matches_projection_rule():
             seen["d(X)"] += 1
         else:
             seen["exact"] += 1
-        seen["proportional"] += len(vectors) - 1 > len(points)
+        seen["proportional"] += len(members) - 1 > len(points)
     assert len(seen) == 6 and min(seen.values()) >= 5, f"outcomes seen: {dict(seen)}"
 
 

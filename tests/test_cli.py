@@ -1,5 +1,7 @@
 """End-to-end CLI runs through main(argv), checking output and exit codes."""
 
+import re
+
 import pytest
 
 from qsol.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
@@ -153,6 +155,116 @@ class TestGammaAndCliques:
         assert code == EXIT_FAIL
         err = capsys.readouterr().err
         assert "clique search timed out; best so far: 1 maximal clique(s) of size 7" in err
+
+
+def masked(out):
+    """The output with its elapsed times, the one part that changes from run to run, masked."""
+    return re.sub(r"(elapsed_ms=|elapsed: )\d+", r"\1*", out)
+
+
+PENTAGON_CLIQUES = """\
+6 clique(s) of size 5, 28 search nodes
+  00011 01100 10110 11011 11101
+  00011 01111 10101 11000 11110
+  00110 01011 10001 11101 11110
+  00110 01101 10111 11000 11011
+  01011 01101 10101 10110 11010
+  01100 01111 10001 10111 11010
+"""
+
+RESTRICTED_NINE_CYCLE_CLIQUES = """\
+6 clique(s) of size 11, 80 search nodes
+  000110001 001010011 010001100 011001010 011111111 100010101 100100100 101110111 110101000 111011011 111101110
+  000110001 001100010 010111101 011001110 011111011 100010101 100100100 101000110 110011001 111011111 111101010
+  000110101 001000110 010011001 011001010 011111011 100010001 100100100 101100010 110111101 111011111 111101110
+  000110101 001110011 010101100 011001110 011111111 100010001 100100100 101010111 110001000 111011011 111101010
+  001000110 001110011 010001100 010111101 011011111 100100100 101010111 101100010 110011001 110101000 111111011
+  001010011 001100010 010011001 010101100 011011111 100100100 101000110 101110111 110001000 110111101 111111011
+"""
+
+NINE_CYCLE_K1_TEXT = """\
+((9,8,3)) code
+  |T| = 4, K = |T|*p^k = 8
+  distance bound: 3
+  T is a subspace: yes
+  Singleton bound: k <= 5
+  graph: 65 vertices, 432 edges, 304 maximum clique(s) of size 3, 503 search nodes
+  elapsed: * ms
+"""
+
+NINE_CYCLE_K1_MACHINE = """\
+n=9
+k=1
+p=2
+T_size=4
+K=8
+d_bound=3
+subspace=1
+singleton_max_k=5
+cliques_found=304
+edges=432
+vertices=65
+elapsed_ms=*
+count.clique_nodes=503
+"""
+
+NINE_CYCLE_K2_TEXT = """\
+((9,8,2)) code
+  |T| = 2, K = |T|*p^k = 8
+  distance bound: >= 2
+  T is a subspace: yes
+  Singleton bound: k <= 7
+  graph: 10 vertices, 0 edges, 10 maximum clique(s) of size 1, 11 search nodes
+  elapsed: * ms
+  warning: additive code has distance 2 < d; pairs with the zero vector are certified to 2 only
+"""
+
+NINE_CYCLE_K2_MACHINE = """\
+n=9
+k=2
+p=2
+T_size=2
+K=8
+d_bound=2
+subspace=1
+singleton_max_k=7
+cliques_found=10
+edges=0
+vertices=10
+elapsed_ms=*
+count.clique_nodes=11
+warning=additive code has distance 2 < d; pairs with the zero vector are certified to 2 only
+"""
+
+
+class TestPinnedOutput:
+    """Whole outputs byte for byte, elapsed times masked: the printed vertices
+    are the clique points decoded from their codes, so a change in how points
+    are held or ordered shows here."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["cliques", "--graph", "pentagon.graph", "--d", "2"], PENTAGON_CLIQUES),
+        (["cliques", "--graph", "nine_cycle.graph", "--d", "3", "--restrict", "nine_cycle.restrict"],
+         RESTRICTED_NINE_CYCLE_CLIQUES),
+        (["recipe", "--graph", "nine_cycle.graph", "--d", "3", "--k", "1"], NINE_CYCLE_K1_TEXT),
+        (["recipe", "--graph", "nine_cycle.graph", "--d", "3", "--k", "1", "--format", "machine"],
+         NINE_CYCLE_K1_MACHINE),
+        (["recipe", "--graph", "nine_cycle.graph", "--d", "3", "--k", "2"], NINE_CYCLE_K2_TEXT),
+        (["recipe", "--graph", "nine_cycle.graph", "--d", "3", "--k", "2", "--format", "machine"],
+         NINE_CYCLE_K2_MACHINE),
+    ], ids=["pentagon-cliques", "nine-cycle-restricted-cliques", "k1-text", "k1-machine", "k2-text", "k2-machine"])
+    def test_whole_output(self, data_dir, capsys, argv, expected):
+        argv = [str(data_dir / a) if a.endswith((".graph", ".restrict")) else a for a in argv]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr()
+        assert (masked(out.out), out.err) == (expected, "")
+
+    def test_nine_cycle_k3_collapses(self, data_dir, capsys):
+        # the lexicographically least independent centre meets line 5
+        code = main(["recipe", "--graph", str(data_dir / "nine_cycle.graph"), "--d", "3", "--k", "3"])
+        assert code == EXIT_FAIL
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: CollapsedImage: line 5 meets the projection centre\n")
 
 
 class TestRecipe:

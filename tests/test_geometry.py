@@ -1,8 +1,9 @@
-"""Projective points, subspaces, projections, and subspace enumeration."""
+"""Point codes, projective subspaces, projections, and subspace enumeration."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qsol import geometry
@@ -10,15 +11,16 @@ from qsol.errors import CollapsedImage, DimensionMismatch
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient_map, rank_of_vectors
 from qsol.geometry import (
     ProjLine,
-    ProjPoint,
     ProjSubspace,
     iter_rref_bases,
+    normalise,
     points_of,
     span,
+    vector_codes,
 )
 from qsol.lines import QuantumLineSet, project_lines
 
-from conftest import points
+from conftest import normalised, points, vectors
 
 
 def gaussian_binomial(n, k, p):
@@ -32,25 +34,29 @@ def gaussian_binomial(n, k, p):
     return num // den
 
 
-class TestProjPoint:
-    def test_normalization_first_nonzero_is_one(self, mod3):
-        pt = ProjPoint(mod3, (0, 2, 1))
-        assert pt.coords == (0, 1, 2)
+class TestNormalise:
+    def test_first_nonzero_becomes_one(self):
+        # (0, 2, 1) over F_3 is the point of (0, 1, 2), code 0·9 + 1·3 + 2 = 5
+        assert normalise(3, 3, vector_codes(3, 3, [(0, 2, 1)])).tolist() == [5]
 
-    def test_proportional_vectors_give_equal_points(self, mod3):
-        assert ProjPoint(mod3, (2, 1, 0)) == ProjPoint(mod3, (1, 2, 0))
+    def test_proportional_vectors_give_one_point(self):
+        assert normalise(3, 3, vector_codes(3, 3, [(2, 1, 0), (1, 2, 0)])).tolist() == [15]
 
-    def test_zero_vector_rejected(self, mod2):
+    def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            ProjPoint(mod2, (0, 0, 0))
+            normalise(2, 3, vector_codes(2, 3, [(0, 0, 0)]))
 
-    def test_point_count_of_pg(self):
-        for p in (2, 3, 5):
-            mod = PrimeModulus(p)
-            for m in (1, 2, 3):
-                expected = (p ** (m + 1) - 1) // (p - 1)
-                whole = ProjSubspace(mod, FpMatrix.identity(mod, m + 1))
-                assert len(points_of(whole)) == expected
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_scaling_the_first_nonzero_coordinate(self, p):
+        # random nonzero vectors, some repeated or proportional, against
+        # normalising and deduplicating them one by one
+        rng = random.Random(4200 + p)
+        for m in range(1, 6):
+            vs = [v for v in (tuple(rng.randrange(p) for _ in range(m)) for _ in range(40)) if any(v)]
+            vs += [tuple(rng.randrange(1, p) * e % p for e in v) for v in vs[:10]]
+            rng.shuffle(vs)
+            codes = normalise(p, m, vector_codes(p, m, vs))
+            assert vectors(p, m, codes) == sorted({normalised(p, v) for v in vs}), (p, m)
 
 
 class TestSubspacesAndSpan:
@@ -59,20 +65,32 @@ class TestSubspacesAndSpan:
         assert len(points_of(line)) == 4
 
     def test_span_of_two_points_is_their_line(self, mod2):
-        a = ProjPoint(mod2, (1, 0, 0))
-        b = ProjPoint(mod2, (0, 1, 1))
+        a = ProjSubspace.from_rows(mod2, [(1, 0, 0)], 3)
+        b = ProjSubspace.from_rows(mod2, [(0, 1, 1)], 3)
         s = span([a, b])
         assert s.rank == 2
-        assert {pt.coords for pt in points(s)} == {(1, 0, 0), (0, 1, 1), (1, 1, 1)}
+        assert set(points(s)) == {(1, 0, 0), (0, 1, 1), (1, 1, 1)}
 
     def test_canonical_basis_makes_equality_structural(self, mod2):
         s1 = ProjSubspace.from_rows(mod2, [(1, 1, 0), (0, 1, 1)], 3)
         s2 = ProjSubspace.from_rows(mod2, [(1, 0, 1), (1, 1, 0)], 3)
         assert s1 == s2
 
+    @pytest.mark.parametrize("kind", [ProjSubspace, ProjLine])
+    def test_direct_construction_is_canonical(self, mod3, kind):
+        # over F_3 the RREF of these rows is ((1, 0, 2), (0, 1, 1)); a basis
+        # given directly is put in that form too, so equal subspaces are
+        # equal values and hash alike
+        rows = ((1, 1, 0), (0, 1, 1))
+        direct = kind(mod3, FpMatrix(mod3, rows, 3))
+        built = kind.from_rows(mod3, rows, 3)
+        assert direct.basis.rows == ((1, 0, 2), (0, 1, 1))
+        assert direct == built
+        assert direct in {built}
+
     def test_span_dimension_mismatch(self, mod2):
-        a = ProjPoint(mod2, (1, 0))
-        b = ProjPoint(mod2, (1, 0, 0))
+        a = ProjSubspace.from_rows(mod2, [(1, 0)], 2)
+        b = ProjSubspace.from_rows(mod2, [(1, 0, 0)], 3)
         with pytest.raises(DimensionMismatch):
             span([a, b])
 
@@ -85,7 +103,7 @@ def product_and_normalise(s):
     for coeffs in itertools.product(range(p), repeat=len(rows)):
         if any(coeffs):
             v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(ncols))
-            seen.add(ProjPoint.normalise(p, v))
+            seen.add(normalised(p, v))
     return sorted(seen)
 
 
@@ -115,7 +133,7 @@ class TestPointsOf:
                 cases = [
                     ProjSubspace.from_rows(mod, rows, m),
                     ProjSubspace(mod, kernel_basis(constraints)),
-                    # built directly, so the basis is in no normal form
+                    # built directly from rows in no normal form
                     ProjSubspace(mod, FpMatrix(mod, tuple(rows), m)),
                 ]
                 if r == m:
@@ -125,20 +143,29 @@ class TestPointsOf:
                 for s in cases:
                     codes = points_of(s).tolist()
                     assert codes == sorted(set(codes))
-                    assert [pt.coords for pt in points(s)] == product_and_normalise(s), (p, m, r, s)
+                    assert points(s) == product_and_normalise(s), (p, m, r, s)
+
+    def test_point_count_of_pg(self):
+        for p in (2, 3, 5):
+            mod = PrimeModulus(p)
+            for m in (1, 2, 3):
+                expected = (p ** (m + 1) - 1) // (p - 1)
+                whole = ProjSubspace(mod, FpMatrix.identity(mod, m + 1))
+                assert len(points_of(whole)) == expected
 
     def test_rank_zero_has_no_points(self, mod3):
         assert points_of(ProjSubspace(mod3, FpMatrix(mod3, (), 4))).tolist() == []
 
-    def test_dependent_basis_rows_rejected(self, mod3):
+    def test_dependent_basis_rows_rejected(self):
+        # ProjSubspace reduces such rows to their span; point_codes is given a raw stack
         with pytest.raises(ValueError):
-            points_of(ProjSubspace(mod3, FpMatrix(mod3, ((1, 2, 0), (2, 1, 0)), 3)))
+            geometry.point_codes(3, np.array([((1, 2, 0), (2, 1, 0))]))
 
     def test_codes_read_coordinates_in_base_p(self, mod3):
         # (0, 1, 2) is 0·9 + 1·3 + 2 = 5; then (1, 0, 0), (1, 1, 2) and (1, 2, 1)
         line = ProjLine.from_rows(mod3, [(1, 0, 0), (0, 1, 2)], 3)
         assert points_of(line).tolist() == [5, 9, 14, 16]
-        assert points_of(line).tolist() == geometry.vector_codes(3, 3, [pt.coords for pt in points(line)]).tolist()
+        assert points_of(line).tolist() == vector_codes(3, 3, points(line)).tolist()
 
 
 class TestProjection:
@@ -175,7 +202,7 @@ class TestProjection:
         line = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
         (img,) = project_lines(QuantumLineSet(mod2, (line,)), centre).lines
         q = quotient_map(centre, 4)
-        img_points = {ProjPoint(mod2, (q @ pt.vector()).entries) for pt in points(line)}
+        img_points = {normalised(2, (q @ FpVector(mod2, pt)).entries) for pt in points(line)}
         assert img_points == set(points(img))
 
 

@@ -8,7 +8,6 @@ import pytest
 from qsol import fields, geometry, lines as lines_mod, pauli
 from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
-from qsol.geometry import ProjPoint
 from qsol.lines import (
     AtLeast,
     QuantumLineSet,
@@ -47,7 +46,7 @@ class TestLinesFromMatrix:
         assert x.n == 5
         assert x.ambient_dim == 4
         # line i = <e_i, adjacency column i> for the (I | A) matrix
-        first = {pt.coords for pt in points(x.lines[0])}
+        first = set(points(x.lines[0]))
         assert first == {(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (1, 1, 0, 0, 1)}
 
     def test_degenerate_column_pair_rejected(self, mod2):
@@ -116,7 +115,7 @@ def brute_force_min_dependent_set(x, limit):
     """d(X) by one rank call per choice of one point on each of w lines, w ascending."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    pts_per_line = [[pt.coords for pt in points(ln)] for ln in x.lines]
+    pts_per_line = [points(ln) for ln in x.lines]
     for w in range(1, min(limit, x.n) + 1):
         for idxs in itertools.combinations(range(x.n), w):
             for choice in itertools.product(*(pts_per_line[i] for i in idxs)):

@@ -18,7 +18,7 @@ from qsol.errors import (
     UnsupportedDistance,
 )
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
-from qsol.geometry import ProjPoint, ProjSubspace
+from qsol.geometry import ProjSubspace
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
 from qsol.search import (
@@ -36,7 +36,7 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import in_row_space, incident, points
+from conftest import in_row_space, incident, normalised, points, vectors
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +110,9 @@ def gamma_of(x, d, restriction=None):
     return gamma_graph(x, candidate_vertices(x, excluded, restriction), excluded)
 
 
-def contains_point(subspace, pt):
-    """True iff the projective point lies in the subspace."""
-    return in_row_space(subspace.basis, pt.vector())
+def contains_point(subspace, v):
+    """True iff the point of the vector v lies in the subspace."""
+    return in_row_space(subspace.basis, FpVector(subspace.modulus, v))
 
 
 class TestExcludedPoints:
@@ -123,12 +123,12 @@ class TestExcludedPoints:
         weights = {}
         for size in range(1, d):
             for subset in itertools.combinations(incident(x), size):
-                for pt in points(geometry.span(subset)):
-                    weights.setdefault(pt.coords, size)
+                for pt in points(ProjSubspace.from_rows(x.modulus, subset, x.ambient_dim + 1)):
+                    weights.setdefault(pt, size)
         # the table is indexed by base-p codes, which count the vectors in
         # the order itertools.product lists them
-        vectors = itertools.product(range(p), repeat=x.ambient_dim + 1)
-        expected = [weights.get(ProjPoint.normalise(p, v), search.OUTSIDE) if any(v) else 0 for v in vectors]
+        space = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        expected = [weights.get(normalised(p, v), search.OUTSIDE) if any(v) else 0 for v in space]
         assert excluded_points(x, d).tolist() == expected
 
 
@@ -136,20 +136,21 @@ class TestCandidateVertices:
     def test_pentagon_has_16(self, pentagon_lines):
         verts = candidate_vertices(pentagon_lines, excluded_points(pentagon_lines, 2))
         assert len(verts) == 16
-        assert not set(incident(pentagon_lines)) & set(verts)
+        assert not set(lines_mod.incident_points(pentagon_lines).tolist()) & set(verts.tolist())
 
     @pytest.mark.parametrize("p, n, d", [(2, 5, 2), (2, 6, 4), (3, 4, 3), (5, 3, 2)])
     def test_unrestricted_pool_is_every_point_outside_in_order(self, p, n, d):
         x = cycle_lines(PrimeModulus(p), n)
         excluded = excluded_points(x, d)
-        # the table lists the vectors in the order itertools.product gives them
-        vectors = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        # the table lists the vectors in the order itertools.product gives
+        # them, so a vector's position is its code
+        space = itertools.product(range(p), repeat=x.ambient_dim + 1)
         expected = [
-            ProjPoint(x.modulus, v)
-            for v, weight in zip(vectors, excluded.tolist())
-            if any(v) and ProjPoint.normalise(p, v) == v and weight == search.OUTSIDE
+            code
+            for code, (v, weight) in enumerate(zip(space, excluded.tolist()))
+            if any(v) and normalised(p, v) == v and weight == search.OUTSIDE
         ]
-        assert candidate_vertices(x, excluded) == expected
+        assert candidate_vertices(x, excluded).tolist() == expected
 
     def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_restriction):
         # 24 of the 63 points of pi lie in the span of at most two incident
@@ -161,8 +162,8 @@ class TestCandidateVertices:
 
     def test_restriction_is_respected(self, nine_cycle_lines, nine_cycle_restriction):
         excluded = excluded_points(nine_cycle_lines, 3)
-        for pt in candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction):
-            assert contains_point(nine_cycle_restriction, pt)
+        for v in vectors(2, 9, candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction)):
+            assert contains_point(nine_cycle_restriction, v)
 
     @pytest.mark.parametrize("p, n, d, restricted, count, digest", [
         (2, 5, 2, False, 16, "e9eaea14485c0e7e"),
@@ -172,12 +173,11 @@ class TestCandidateVertices:
         (2, 10, 4, False, 46, "3ec01b642cb55193"),
     ])
     def test_pool_is_pinned(self, nine_cycle_restriction, p, n, d, restricted, count, digest):
-        # the candidates in order, as the enumeration through one ProjPoint
-        # per point gave them: their number and the first 16 hex digits of
-        # the SHA-256 of their coordinates, one point per line
+        # the candidates in order: their number and the first 16 hex digits
+        # of the SHA-256 of their coordinates, one point per line
         x = cycle_lines(PrimeModulus(p), n)
         verts = candidate_vertices(x, excluded_points(x, d), nine_cycle_restriction if restricted else None)
-        text = "\n".join("".join(map(str, pt.coords)) for pt in verts)
+        text = "\n".join("".join(map(str, v)) for v in vectors(p, n, verts))
         assert (len(verts), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
     def test_restriction_in_another_space_is_refused(self, nine_cycle_graph, mod2):
@@ -216,9 +216,10 @@ class TestGammaGraph:
 
         gamma = gamma_of(pentagon_lines, 2)
         edge_set = set(gamma.edges)
-        for a, b in itertools.combinations(range(len(gamma.vertices)), 2):
-            u = FpVector(mod2, gamma.vertices[a].coords)
-            v = FpVector(mod2, gamma.vertices[b].coords)
+        pts = vectors(2, 5, gamma.vertices)
+        for a, b in itertools.combinations(range(len(pts)), 2):
+            u = FpVector(mod2, pts[a])
+            v = FpVector(mod2, pts[b])
             try:
                 project_lines(pentagon_lines, [u, v])
                 projects = True
@@ -233,20 +234,53 @@ class TestGammaGraph:
         g = LabelledGraph.cycle(mod2, 10)
         x = cycle_lines(mod2, 10)
         gamma = gamma_of(x, 4)
-        masks = [cws_reference.to_mask(v.coords) for v in gamma.vertices]
+        masks = [cws_reference.to_mask(v) for v in vectors(2, 10, gamma.vertices)]
         images = nonzero_error_images(g.adjacency.rows, 3)
         ref_vertices = cws_reference.candidates(images, 10)
         assert (gamma.num_vertices, gamma.num_edges) == (46, 30)
         assert set(masks) == set(ref_vertices)
         assert {frozenset((masks[i], masks[j])) for i, j in gamma.edges} == cws_reference.edges(images, ref_vertices)
 
-
-    def test_vertex_in_another_space_is_refused(self, pentagon_lines, mod2):
+    def test_vertex_in_another_space_is_refused(self, pentagon_lines):
+        # a vertex is the code of a nonzero vector of F_2^5, 1..31: 0 is the
+        # zero vector, and -1 and 2^5 are no vector of the space (2^5 is one
+        # of F_2^6)
         excluded = excluded_points(pentagon_lines, 2)
-        verts = candidate_vertices(pentagon_lines, excluded)
-        for stray in ([ProjPoint(mod2, (1, 0, 1))], [ProjPoint(mod2, (1,) * 6)], verts[:3] + [ProjPoint(mod2, (0, 1))]):
-            with pytest.raises(DimensionMismatch):
-                gamma_graph(pentagon_lines, stray, excluded)
+        verts = candidate_vertices(pentagon_lines, excluded).tolist()
+        for stray in (0, -1, 2 ** 5):
+            for given in ([stray], verts[:3] + [stray]):
+                with pytest.raises(ValueError):
+                    gamma_graph(pentagon_lines, given, excluded)
+
+    def test_property_vertices_in_any_order_and_scaling(self):
+        # Γ of shuffled, repeated and rescaled candidate codes is Γ of the
+        # sorted candidates, vertices and rows alike, on labelled cycles
+        rng = random.Random(6016)
+        sizes = {2: (5, 7), 3: (3, 5), 5: (3, 4)}
+        edges = collections.Counter()
+        for case in range(30):
+            p = [2, 3, 5][case % 3]
+            n = rng.randint(*sizes[p])
+            d = rng.choice([2, 3])
+            mod = PrimeModulus(p)
+            labels = [(i, (i + 1) % n, rng.randrange(1, p)) for i in range(n)]
+            group = graph_to_generators(LabelledGraph.from_edges(mod, n, labels))
+            x = lines_mod.lines_from_matrix(group.gmatrix, n, 0)
+            excluded = excluded_points(x, d)
+            candidates = candidate_vertices(x, excluded)
+            expected = gamma_graph(x, candidates, excluded)
+            assert expected.vertices == tuple(candidates.tolist())
+            # each candidate once or twice, times a random nonzero scalar
+            given = []
+            for v in vectors(p, n, candidates):
+                for c in rng.choices(range(1, p), k=rng.randint(1, 2)):
+                    given.append(tuple(c * e % p for e in v))
+            rng.shuffle(given)
+            codes = geometry.vector_codes(p, n, given)
+            gamma = gamma_graph(x, codes.tolist() if case % 2 else codes, excluded)
+            assert (gamma.vertices, gamma.rows) == (expected.vertices, expected.rows), f"case {case}: p={p} n={n} d={d}"
+            edges[p] += expected.num_edges
+        assert all(edges[p] for p in (2, 3, 5)), f"edges compared: {dict(edges)}"
 
     def test_lookup_table_over_budget_is_refused(self, mod2):
         # the table would hold 2^30 one-byte entries; the guard fires before
@@ -276,12 +310,11 @@ class TestFindCliques:
         cliques = find_cliques(gamma)
         assert all(len(c) == 11 for c in cliques)
         printed = {v.entries for v in nine_cycle_tset.nonzero()}
-        as_sets = [{gamma.vertices[i].coords for i in c} for c in cliques]
+        as_sets = [set(vectors(2, 9, [gamma.vertices[i] for i in c])) for c in cliques]
         assert printed in as_sets
 
     def test_edgeless_graph(self, mod2):
-        pts = [ProjPoint(mod2, tuple(1 if j == i else 0 for j in range(4))) for i in range(4)]
-        gamma = CompatibilityGraph(tuple(pts), (0,) * 4)
+        gamma = CompatibilityGraph((1, 2, 4, 8), (0,) * 4)
         cliques = find_cliques(gamma)
         assert len(cliques) == 4
         assert all(len(c) == 1 for c in cliques)
@@ -317,8 +350,7 @@ class TestFindCliques:
                 if rng.random() < density:
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-            points = tuple(ProjPoint(PrimeModulus(2), tuple(int(j == i) for j in range(nv))) for i in range(nv))
-            gamma = CompatibilityGraph(points, tuple(rows))
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
             assert find_cliques(gamma) == brute_force_maximum_cliques(rows), f"case {case}: {nv} vertices"
 
 
