@@ -176,13 +176,13 @@ def cmd_verify(args) -> int:
         raise ValueError("d must be at least 2")
     group = io.parse_generators(_read(args.gens))
     tset = io.parse_coding_set(_read(args.tset))
-    basis = oracle.code_basis(group, tset)
+    basis = oracle.code_basis(group, tset.vectors)
     # every component contributes its measured rank, and the stacked basis
     # is checked orthonormal, so its column count is the code's dimension
     dim = basis.shape[1]
     expected = len(tset.vectors) * group.p ** group.k
-    errs = oracle.error_classes(group.modulus, group.n, args.d - 1)
-    report = oracle.kl_detect(basis, errs)
+    errs = oracle.error_classes(group.p, group.n, args.d - 1)
+    report = oracle.kl_detect(basis, group.p, errs)
     ok = report.passed and dim == expected
     pairs = [
         ("kl_pass", int(report.passed)),

@@ -127,7 +127,7 @@ class FpMatrix:
         return len(self.rows)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
+        return FpMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
 
     def __matmul__(self, other):
         p = self.p

@@ -134,8 +134,6 @@ def point_codes(p: int, bases: np.ndarray) -> np.ndarray:
     """
     k, r, m = bases.shape
     vectors = digits(p, r, normalised_codes(p, r)) @ bases % p
-    if not vectors.any(axis=2).all():
-        raise ValueError("basis rows are dependent")
     return np.sort(vectors @ _places(p, m), axis=1)
 
 

@@ -8,6 +8,11 @@ so each application is a gather and a phase multiply, and no dim x dim
 matrix is formed; the action of each generator is computed once per code
 and held as small integers.
 
+A stack of n-qupit Pauli operators is one integer array, one row per
+operator, with columns phase | x_1..x_n | z_1..z_n and entries reduced mod p
+(the phase mod 4 for p = 2): the phase, then the X block and the Z block of
+a generator file. Generators become rows once, in code_basis.
+
 The error-detection conditions are the K x K matrices B^dag E B = alpha_E I
 for the dim x K code basis B. B^dag E B depends only on the restriction of
 E to its support S, of weight w, and on the code's reduced Gram tensor R_S,
@@ -25,8 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGroup, TooLarge
-from .fields import FpVector, PrimeModulus
-from .pauli import PauliOperator, StabiliserGroup
+from .pauli import StabiliserGroup
 
 MAX_BYTES = 2 ** 28
 
@@ -71,14 +75,6 @@ def _digits(p: int, n: int) -> np.ndarray:
     return digits
 
 
-def _stack(ops: Sequence[PauliOperator], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (phase, x, z) rows of a list of n-qupit operators, as integer arrays."""
-    phase = np.array([m.phase for m in ops], dtype=np.int64)
-    x = np.array([m.x_part for m in ops], dtype=np.int64).reshape(len(ops), n)
-    z = np.array([m.z_part for m in ops], dtype=np.int64).reshape(len(ops), n)
-    return phase, x, z
-
-
 def _roots(p: int) -> np.ndarray:
     """The powers of the phase unit u of a Pauli action: u = i for p = 2, omega otherwise."""
     if p == 2:
@@ -92,8 +88,14 @@ def _action_dtypes(p: int, n: int) -> tuple[np.dtype, np.dtype]:
     return np.dtype(index), np.min_scalar_type(3 if p == 2 else p - 1)
 
 
-def _pauli_action(p: int, phase: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column actions of a stack of operators, one (phase, x, z) row each.
+def _split(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phase column and the x and z blocks of operator rows."""
+    n = ops.shape[1] // 2
+    return ops[:, 0], ops[:, 1:n + 1], ops[:, n + 1:]
+
+
+def _pauli_action(p: int, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column actions of a stack of operator rows.
 
     M_e |y> = u^power[e, y] |perm[e, y]>, so M_e[perm[e, y], y] is
     _roots(p)[power[e, y]]. For p = 2 an operator is i^(phase + x.z) X^x Z^z,
@@ -101,6 +103,7 @@ def _pauli_action(p: int, phase: np.ndarray, x: np.ndarray, z: np.ndarray) -> tu
     w^phase X^x Z^z and u = w. Both arrays have the small integer types of
     _action_dtypes. Only the sites where some row is nonzero are visited.
     """
+    phase, x, z = _split(ops)
     rows, n = x.shape
     index, small = _action_dtypes(p, n)
     order = 4 if p == 2 else p
@@ -118,48 +121,44 @@ def _pauli_action(p: int, phase: np.ndarray, x: np.ndarray, z: np.ndarray) -> tu
     return perm, power.astype(small)
 
 
-def apply_right(mat: np.ndarray, m: PauliOperator) -> np.ndarray:
-    """mat @ M without forming M densely."""
-    if mat.shape[-1] != m.p ** m.n:
-        raise DimensionMismatch(f"{mat.shape[-1]} columns, operator dimension {m.p ** m.n}")
-    (perm,), (power,) = _pauli_action(m.p, *_stack([m], m.n))
+def apply_right(mat: np.ndarray, p: int, op: np.ndarray) -> np.ndarray:
+    """mat @ M for one operator row M, without forming M densely."""
+    op = np.asarray(op, dtype=np.int64).reshape(1, -1)
+    dim = p ** (op.shape[1] // 2)
+    if mat.shape[-1] != dim:
+        raise DimensionMismatch(f"{mat.shape[-1]} columns, operator dimension {dim}")
+    (perm,), (power,) = _pauli_action(p, op)
     # (mat @ M)[i, x] = mat[i, perm[x]] * phases[x]
-    return mat[:, perm] * _roots(m.p)[power][np.newaxis, :]
+    return mat[:, perm] * _roots(p)[power][np.newaxis, :]
 
 
-def component_basis(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
-    """An orthonormal dim x p^k basis of Q_t, where generator i acts as omega^{t_i}.
-
-    This is code_basis on the one-vector coding set {t}.
-    """
-    return code_basis(s, [t])
-
-
-def component_projector(s: StabiliserGroup, t: FpVector | Sequence[int]) -> np.ndarray:
-    """The dense projector B B^dag onto Q_t, for inspection at small sizes.
+def component_projector(s: StabiliserGroup, t: Sequence[int]) -> np.ndarray:
+    """The dense projector B B^dag onto Q_t, where generator i acts as omega^{t_i}.
 
     The oracle itself works on bases and never calls this. The benchmark's
     tracer (perfbench/tracer.py) looks the name up, so it stays until the
     benchmark drops it.
     """
     _check_budget(s.p, s.n, s.p ** s.n)
-    b = component_basis(s, t)
+    b = code_basis(s, [t])
     return b @ b.conj().T
 
 
-def code_basis(s: StabiliserGroup, t_set) -> np.ndarray:
-    """The component bases of a coding set (or any vector list), side by side.
+def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarray:
+    """The component bases of a list of sign vectors t, side by side.
 
-    Each component Q_t gets an orthonormal dim x p^k basis. The projector
-    onto Q_t is Hermitian, so it is applied from the right to the rows of a
-    fixed (p^k + 1) x dim start block; the row space that survives is the
-    conjugate of Q_t, and exactly p^k singular values must stay above
-    tolerance. The action of each generator is computed once and serves
+    The vectors are the coding set's FpVectors or plain int tuples, one sign
+    per generator: generator i acts on Q_t as omega^{t_i}. Each Q_t gets an
+    orthonormal dim x p^k basis. The projector onto Q_t is Hermitian, so it
+    is applied from the right to the rows of a fixed (p^k + 1) x dim start
+    block; the row space that survives is the conjugate of Q_t, and exactly
+    p^k singular values must stay above tolerance. The generators become
+    operator rows here, and the action of each is computed once and serves
     every component; the budget counts the actions, held as small integers,
     with the basis. Raises ValueError unless the result is orthonormal,
     which also catches components that are not mutually orthogonal.
     """
-    vectors = list(getattr(t_set, "vectors", t_set))
+    vectors = list(vectors)
     p, n = s.p, s.n
     expected = p ** s.k
     columns = len(vectors) * expected + 1
@@ -170,17 +169,17 @@ def code_basis(s: StabiliserGroup, t_set) -> np.ndarray:
         dim * (columns * 16 + len(s.generators) * action_bytes),
     )
     # one generator per call, so that the integer temporaries of only one are held
-    actions = [_pauli_action(p, *_stack([g], n)) for g in s.generators]
+    gens = np.array([(g.phase, *g.x_part, *g.z_part) for g in s.generators], dtype=np.int64)
+    actions = [_pauli_action(p, gens[i:i + 1]) for i in range(len(gens))]
     roots = _roots(p)
     omega = np.exp(2j * np.pi / p)
     start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
     blocks = []
     for t in vectors:
-        t_entries = list(t.entries if isinstance(t, FpVector) else t)
-        if len(t_entries) != s.num_generators:
+        if len(t) != s.num_generators:
             raise ValueError("one sign per generator required")
         rows = start
-        for ((perm,), (power,)), ti in zip(actions, t_entries):
+        for ((perm,), (power,)), ti in zip(actions, t):
             phase = roots[power]
             acc = rows
             term = rows
@@ -207,32 +206,36 @@ def _check_orthonormal(b: np.ndarray) -> None:
         raise ValueError("basis is not orthonormal within tolerance")
 
 
-def error_classes(modulus: PrimeModulus, n: int, w_max: int) -> list[PauliOperator]:
-    """One phase-0 Pauli per symplectic class of weight 1..w_max."""
-    p = modulus.p
-    site_values = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
-    out = []
-    for w in range(1, w_max + 1):
-        for support in itertools.combinations(range(n), w):
-            for values in itertools.product(site_values, repeat=w):
-                x = [0] * n
-                z = [0] * n
-                for site, (a, b) in zip(support, values):
-                    x[site] = a
-                    z[site] = b
-                out.append(PauliOperator(modulus, n, 0, tuple(x), tuple(z)))
-    return out
+def error_classes(p: int, n: int, w_max: int) -> np.ndarray:
+    """One phase-0 operator row per symplectic class of weight 1..w_max.
+
+    The rows come by weight, then by support, then by the letters
+    (a, b) != (0, 0) at the support's sites in itertools.product order.
+    """
+    letters = np.array([(a, b) for a in range(p) for b in range(p) if a or b], dtype=np.int64)
+    width = 2 * n + 1
+    blocks = [np.zeros((0, width), dtype=np.int64)]
+    for w in range(1, min(w_max, n) + 1):
+        supports = np.array(list(itertools.combinations(range(n), w)))[:, np.newaxis, :]
+        # one row of w letters per value, the first site slowest
+        values = letters[np.indices((len(letters),) * w).reshape(w, -1).T]
+        block = np.zeros((len(supports), len(values), width), dtype=np.int64)
+        np.put_along_axis(block, 1 + supports, values[..., 0], axis=2)
+        np.put_along_axis(block, 1 + n + supports, values[..., 1], axis=2)
+        blocks.append(block.reshape(-1, width))
+    return np.concatenate(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLReport:
-    """Error-detection check: alpha table and residuals per error class."""
+    """alpha_E and the residual of each error row, in input order, and the failing rows' indices."""
 
     passed: bool
     max_residual: float
     tolerance: float
-    alphas: dict
-    failures: tuple
+    alphas: np.ndarray
+    residuals: np.ndarray
+    failures: np.ndarray
 
     def __len__(self):
         return len(self.alphas)
@@ -256,12 +259,10 @@ def _reduced_gram(b: np.ndarray, p: int, support: np.ndarray, start: int, stop: 
     return (f.conj().T @ f[:, start * cols:stop * cols]).reshape(size, cols, stop - start, cols)
 
 
-def _check_weight(
-    b: np.ndarray, p: int, supports: np.ndarray, phase: np.ndarray, x: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha_E and the residual of each error of one weight w.
 
-    The errors are (phase, x, z) rows with their supports as boolean masks,
+    The errors are operator rows with their supports as boolean masks,
     sorted by support and then by x part. With E_S |y> = u^power[y] |perm[y]>
     from _pauli_action on the w sites of E's support S,
     B^dag E B = sum_y u^power[y] R_S[perm[y], y] over the p^w columns y of
@@ -273,7 +274,7 @@ def _check_weight(
     per chunk.
     """
     cols = b.shape[1]
-    count, w = len(x), int(supports[0].sum())
+    count, w = len(ops), int(supports[0].sum())
     size, square = p ** w, cols * cols
     _check_bytes(
         f"one column of {p}^{w}*{cols}^2 = {size * square} entries of a reduced Gram tensor "
@@ -286,7 +287,9 @@ def _check_weight(
     chunk = max(1, MAX_BYTES // 2 // (size * 64 + square * 32))
     blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
     # each error restricted to its own w sites
-    x, z = x[supports].reshape(count, w), z[supports].reshape(count, w)
+    phase, x, z = _split(ops)
+    x = x[supports].reshape(count, w)
+    local = np.column_stack((phase, x, z[supports].reshape(count, w)))
     new_support = np.ones(count, dtype=bool)
     new_support[1:] = np.diff(supports, axis=0).any(axis=1)
     new_run = new_support.copy()
@@ -298,7 +301,7 @@ def _check_weight(
     whole = None
     for first in range(0, count, chunk):
         part = slice(first, first + chunk)
-        perm, power = _pauli_action(p, phase[part], x[part], z[part])
+        perm, power = _pauli_action(p, local[part])
         phases = roots[power]
         m = np.zeros((len(perm), square), dtype=complex)
         # the rows of this chunk where a support, or a run of one x part, begins
@@ -327,8 +330,8 @@ def _check_weight(
     return alphas, residuals
 
 
-def kl_detect(b: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = KL_TOL) -> KLReport:
-    """Check B^dag E B = alpha_E I for every error class.
+def kl_detect(b: np.ndarray, p: int, ops: np.ndarray, tolerance: float = KL_TOL) -> KLReport:
+    """Check B^dag E B = alpha_E I for every error row E.
 
     b is an orthonormal dim x K basis of the code. alpha_E = tr(B^dag E B) / K
     and the residual is ||B^dag E B - alpha_E I||_F / sqrt(K), which equal
@@ -338,36 +341,30 @@ def kl_detect(b: np.ndarray, errs: Iterable[PauliOperator], tolerance: float = K
     sum_{alpha, beta} E_S[alpha, beta] R_S[alpha, beta] for the reduced Gram
     tensor R_S. The errors are sorted by weight, support and x part, and
     each support's errors are checked against one R_S (_check_weight),
-    global phase included. The report keeps the order of errs.
+    global phase included. The report keeps the order of ops.
     """
     _check_orthonormal(b)
-    errs = list(errs)
-    dim, cols = b.shape
-    for e in errs:
-        if e.p ** e.n != dim:
-            raise DimensionMismatch(f"{dim} basis rows, operator dimension {e.p ** e.n}")
-    alphas = np.zeros(len(errs), dtype=complex)
-    residuals = np.zeros(len(errs))
-    if errs:
-        p, n = errs[0].p, errs[0].n
-        phase, x, z = _stack(errs, n)
-        on_support = (x != 0) | (z != 0)
-        weights = on_support.sum(axis=1)
-        order = np.lexsort((*x.T[::-1], *on_support.T[::-1], weights))
-        phase, x, z, on_support = phase[order], x[order], z[order], on_support[order]
-        bounds = np.searchsorted(weights[order], np.arange(n + 2))
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                rows = order[lo:hi]
-                alphas[rows], residuals[rows] = _check_weight(
-                    b, p, on_support[lo:hi], phase[lo:hi], x[lo:hi], z[lo:hi]
-                )
-    keys = [(e.x_part, e.z_part) for e in errs]
-    failures = tuple((keys[i], float(residuals[i])) for i in np.flatnonzero(residuals > tolerance))
+    ops = np.asarray(ops, dtype=np.int64)
+    dim = b.shape[0]
+    if ops.ndim != 2 or ops.shape[1] % 2 == 0 or p ** (ops.shape[1] // 2) != dim:
+        raise DimensionMismatch(f"{dim} basis rows, operator rows of shape {ops.shape} for p = {p}")
+    _, x, z = _split(ops)
+    on_support = (x != 0) | (z != 0)
+    weights = on_support.sum(axis=1)
+    order = np.lexsort((*x.T[::-1], *on_support.T[::-1], weights))
+    ops, on_support = ops[order], on_support[order]
+    alphas = np.zeros(len(ops), dtype=complex)
+    residuals = np.zeros(len(ops))
+    bounds = np.searchsorted(weights[order], np.arange(x.shape[1] + 2))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            alphas[order[lo:hi]], residuals[order[lo:hi]] = _check_weight(b, p, on_support[lo:hi], ops[lo:hi])
+    failures = np.flatnonzero(residuals > tolerance)
     return KLReport(
-        passed=not failures,
+        passed=not len(failures),
         max_residual=float(residuals.max(initial=0.0)),
         tolerance=tolerance,
-        alphas=dict(zip(keys, alphas.tolist())),
+        alphas=alphas,
+        residuals=residuals,
         failures=failures,
     )

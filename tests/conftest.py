@@ -3,6 +3,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsol import geometry, io
@@ -177,6 +178,17 @@ def points(s) -> list[tuple[int, ...]]:
 def incident(x) -> list[tuple[int, ...]]:
     """The incident points of a line set as normalised vectors, in order: lines.incident_points decoded."""
     return vectors(x.p, x.ambient_dim + 1, lines_mod.incident_points(x))
+
+
+def pauli_rows(ops) -> np.ndarray:
+    """Pauli operators as the oracle's (phase | x | z) integer rows."""
+    return np.array([(op.phase, *op.x_part, *op.z_part) for op in ops], dtype=np.int64)
+
+
+def row_triples(rows) -> list[tuple]:
+    """Operator rows as the (phase, x, z) triples of tests/dense_reference.py."""
+    n = len(rows[0]) // 2 if len(rows) else 0
+    return [(int(r[0]), tuple(r[1:n + 1].tolist()), tuple(r[n + 1:].tolist())) for r in rows]
 
 
 def weight(x) -> int:

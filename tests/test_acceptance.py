@@ -17,7 +17,7 @@ from qsol import fields, geometry, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, row_space
 from qsol.lines import AtLeast
-from qsol.oracle import code_basis, component_basis, error_classes, kl_detect
+from qsol.oracle import code_basis, error_classes, kl_detect
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
@@ -41,6 +41,7 @@ from conftest import (
     random_group,
     random_group_with_lines,
     random_symplectic_rows,
+    row_triples,
     vectors,
     weight,
 )
@@ -160,15 +161,15 @@ def test_criterion_3_ternary_example(ternary_lines, ternary_tset):
 
 def test_criterion_4_oracle_562(five_qubit_group, pentagon_tset, mod2):
     start = time.monotonic()
-    b = code_basis(five_qubit_group, pentagon_tset)
+    b = code_basis(five_qubit_group, pentagon_tset.vectors)
     # tr(B^dag B) is the trace of the code projector B B^dag
     trace = np.trace(b.conj().T @ b)
     assert b.shape == (32, 6)
     assert abs(trace.real - 6) <= 1e-9
     assert abs(trace.imag) <= 1e-9
-    errs = error_classes(mod2, 5, 1)
+    errs = error_classes(2, 5, 1)
     assert len(errs) == 15
-    report = kl_detect(b, errs, tolerance=1e-9)
+    report = kl_detect(b, 2, errs, tolerance=1e-9)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 10.0
@@ -177,12 +178,12 @@ def test_criterion_4_oracle_562(five_qubit_group, pentagon_tset, mod2):
 def test_criterion_5_oracle_9123(nine_cycle_graph, nine_cycle_tset, mod2):
     start = time.monotonic()
     group = search.graph_to_generators(nine_cycle_graph)
-    b = code_basis(group, nine_cycle_tset)
+    b = code_basis(group, nine_cycle_tset.vectors)
     assert b.shape == (512, 12)
     assert abs(np.trace(b.conj().T @ b).real - 12) <= 1e-9
-    errs = error_classes(mod2, 9, 2)
+    errs = error_classes(2, 9, 2)
     assert len(errs) == 27 + 324
-    report = kl_detect(b, errs, tolerance=1e-9)
+    report = kl_detect(b, 2, errs, tolerance=1e-9)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 300.0
@@ -198,7 +199,7 @@ def test_criterion_6_non_subspace_coding_set_is_stabiliser(five_qubit_ops, mod2)
     m1m2 = multiply(five_qubit_ops[0], five_qubit_ops[1])
     minus_m1m2 = PauliOperator(mod2, 5, m1m2.phase + 2, m1m2.x_part, m1m2.z_part)
     s_prime = StabiliserGroup.from_generators([minus_m1m2] + list(five_qubit_ops[2:]))
-    right = component_basis(s_prime, (0, 0, 0, 0))
+    right = code_basis(s_prime, [(0, 0, 0, 0)])
 
     assert subspace_equal(left, right, tolerance=1e-8)
 
@@ -405,11 +406,11 @@ def test_property_subspace_coding_set_is_stabiliser_code():
             gens = [s.element(row) for row in annihilator.rows]
             if gens:
                 sub = StabiliserGroup.from_generators(gens)
-                right = component_basis(sub, (0,) * sub.num_generators)
+                right = code_basis(sub, [(0,) * sub.num_generators])
             else:
                 right = np.eye(p ** n, dtype=complex)
         else:
-            right = component_basis(s, (0,) * m)
+            right = code_basis(s, [(0,) * m])
         assert subspace_equal(left, right, tolerance=1e-8)
 
 
@@ -586,27 +587,24 @@ def test_property_code_basis_matches_dense_reference():
         s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
         t_entries = rng.sample(list(itertools.product(range(p), repeat=m)), min(rng.randrange(1, 4), p ** m))
         t_set = [FpVector(mod, t) for t in t_entries]
-        errs = error_classes(mod, n, 1 if p ** n > 27 else min(2, n))
+        errs = error_classes(p, n, 1 if p ** n > 27 else min(2, n))
 
         b = code_basis(s, t_set)
-        report = kl_detect(b, errs)
+        report = kl_detect(b, p, errs)
         gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
         proj = dense_reference.code_projector(p, gens, t_entries)
-        reference = dict(zip(
-            [(e.x_part, e.z_part) for e in errs],
-            dense_reference.kl(p, proj, [(e.phase, e.x_part, e.z_part) for e in errs]),
-        ))
+        reference = dense_reference.kl(p, proj, row_triples(errs))
 
         label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
         assert b.shape == (p ** n, len(t_set) * p ** (n - m)), label
         assert np.allclose(b @ b.conj().T, proj, atol=1e-10), label
-        assert abs(report.max_residual - max(r for _, r in reference.values())) <= 1e-10, label
-        for key, (alpha, _) in reference.items():
-            assert abs(report.alphas[key] - alpha) <= 1e-10, label
-        failing = {key for key, (_, r) in reference.items() if r > 1e-9}
-        assert {key for key, _ in report.failures} == failing, label
-        for key, residual in report.failures:
-            assert abs(residual - reference[key][1]) <= 1e-10, label
+        assert abs(report.max_residual - max(r for _, r in reference)) <= 1e-10, label
+        for i, (alpha, _) in enumerate(reference):
+            assert abs(report.alphas[i] - alpha) <= 1e-10, label
+        failing = [i for i, (_, r) in enumerate(reference) if r > 1e-9]
+        assert report.failures.tolist() == failing, label
+        for i in report.failures:
+            assert abs(report.residuals[i] - reference[i][1]) <= 1e-10, label
         assert report.passed == (not failing), label
         outcomes[report.passed] += 1
     assert all(outcomes.values()), f"passing and failing codes seen: {outcomes}"

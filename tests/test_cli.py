@@ -122,6 +122,15 @@ class TestProject:
                      "--tset", str(centre)])
         assert code == EXIT_FAIL
 
+    def test_pentagon_coding_set_collapses(self, data_dir, capsys):
+        # the span of the ((5,6,2)) coding set is the whole F_2^5, so the
+        # quotient is 0-dimensional and every line meets the centre
+        code = main(["project", "--gens", str(data_dir / "pentagon.gens"),
+                     "--tset", str(data_dir / "pentagon.tset")])
+        assert code == EXIT_FAIL
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: CollapsedImage: line 0 meets the projection centre\n")
+
 
 class TestGammaAndCliques:
     def test_pentagon_gamma(self, data_dir, capsys):
@@ -237,6 +246,52 @@ warning=additive code has distance 2 < d; pairs with the zero vector are certifi
 """
 
 
+PENTAGON_VERIFY_D2_TEXT = """\
+KL pass, dim=6 (expected 6)
+15 error classes, max residual *
+"""
+
+PENTAGON_VERIFY_D2_MACHINE = """\
+kl_pass=1
+dim=6
+expected_dim=6
+error_classes=15
+max_residual=*
+"""
+
+PENTAGON_VERIFY_D3_TEXT = """\
+KL FAIL, dim=6 (expected 6)
+105 error classes, max residual *
+"""
+
+PENTAGON_VERIFY_D3_MACHINE = """\
+kl_pass=0
+dim=6
+expected_dim=6
+error_classes=105
+max_residual=*
+"""
+
+NINE_CYCLE_VERIFY_TEXT = """\
+KL pass, dim=12 (expected 12)
+351 error classes, max residual *
+"""
+
+NINE_CYCLE_VERIFY_MACHINE = """\
+kl_pass=1
+dim=12
+expected_dim=12
+error_classes=351
+max_residual=*
+"""
+
+
+def masked_residual(out):
+    """The output with its max_residual value masked, and that value."""
+    (value,) = re.findall(r"(?:max_residual=|max residual )(\S+)", out)
+    return re.sub(r"(max_residual=|max residual )\S+", r"\1*", out), float(value)
+
+
 class TestPinnedOutput:
     """Whole outputs byte for byte, elapsed times masked: the printed vertices
     are the clique points decoded from their codes, so a change in how points
@@ -258,6 +313,35 @@ class TestPinnedOutput:
         assert main(argv) == EXIT_OK
         out = capsys.readouterr()
         assert (masked(out.out), out.err) == (expected, "")
+
+    @pytest.mark.parametrize("gens, tset, d, form, code, expected", [
+        ("pentagon.gens", "pentagon.tset", "2", "text", EXIT_OK, PENTAGON_VERIFY_D2_TEXT),
+        ("pentagon.gens", "pentagon.tset", "2", "machine", EXIT_OK, PENTAGON_VERIFY_D2_MACHINE),
+        ("pentagon.gens", "pentagon.tset", "3", "text", EXIT_FAIL, PENTAGON_VERIFY_D3_TEXT),
+        ("pentagon.gens", "pentagon.tset", "3", "machine", EXIT_FAIL, PENTAGON_VERIFY_D3_MACHINE),
+        ("nine_cycle.gens", "nine_cycle.tset", "3", "text", EXIT_OK, NINE_CYCLE_VERIFY_TEXT),
+        ("nine_cycle.gens", "nine_cycle.tset", "3", "machine", EXIT_OK, NINE_CYCLE_VERIFY_MACHINE),
+    ], ids=["pentagon-d2-text", "pentagon-d2-machine", "pentagon-d3-text", "pentagon-d3-machine",
+            "nine-cycle-d3-text", "nine-cycle-d3-machine"])
+    def test_verify_output(self, data_dir, tmp_path, capsys, gens, tset, d, form, code, expected):
+        from qsol import io, search
+
+        gens_path = data_dir / gens
+        if not gens_path.exists():
+            # the ((9,12,3)) code's generators are those of the 9-cycle graph state
+            gens_path = tmp_path / gens
+            gens_path.write_text(io.format_generators(search.graph_to_generators(
+                io.parse_graph((data_dir / "nine_cycle.graph").read_text()))))
+        argv = ["verify", "--gens", str(gens_path), "--tset", str(data_dir / tset), "--d", d, "--format", form]
+        assert main(argv) == code
+        out = capsys.readouterr()
+        text, residual = masked_residual(out.out)
+        assert (text, out.err) == (expected, "")
+        if code == EXIT_OK:
+            assert residual <= 1e-9
+        else:
+            # each of the 60 weight-2 errors that the ((5,6,2)) code fails leaves a residual of 1/sqrt(3)
+            assert abs(residual - 3 ** -0.5) < 1e-3
 
     def test_nine_cycle_k3_collapses(self, data_dir, capsys):
         # the lexicographically least independent centre meets line 5

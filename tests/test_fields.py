@@ -124,6 +124,13 @@ class TestVectorsAndMatrices:
         m = random_matrix(rng, mod2, 3, 5)
         assert m.transpose().transpose() == m
 
+    def test_transpose_of_an_empty_matrix_keeps_its_shape(self, mod2):
+        # 0 x 3 -> 3 x 0 -> 0 x 3
+        empty = FpMatrix(mod2, (), 3)
+        t = empty.transpose()
+        assert (t.nrows, t.ncols) == (3, 0)
+        assert t.transpose() == empty
+
     def test_ragged_rows_rejected(self, mod2):
         with pytest.raises(ValueError):
             FpMatrix(mod2, ((1, 0), (1,)), 2)

@@ -3,10 +3,8 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from qsol import geometry
 from qsol.errors import CollapsedImage, DimensionMismatch
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient_map, rank_of_vectors
 from qsol.geometry import (
@@ -155,11 +153,6 @@ class TestPointsOf:
 
     def test_rank_zero_has_no_points(self, mod3):
         assert points_of(ProjSubspace(mod3, FpMatrix(mod3, (), 4))).tolist() == []
-
-    def test_dependent_basis_rows_rejected(self):
-        # ProjSubspace reduces such rows to their span; point_codes is given a raw stack
-        with pytest.raises(ValueError):
-            geometry.point_codes(3, np.array([((1, 2, 0), (2, 1, 0))]))
 
     def test_codes_read_coordinates_in_base_p(self, mod3):
         # (0, 1, 2) is 0·9 + 1·3 + 2 = 5; then (1, 0, 0), (1, 1, 2) and (1, 2, 1)

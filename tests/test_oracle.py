@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,6 @@ from qsol.errors import DimensionMismatch, InvalidGroup, TooLarge
 from qsol.fields import FpVector, PrimeModulus
 from qsol.oracle import (
     code_basis,
-    component_basis,
     component_projector,
     error_classes,
     kl_detect,
@@ -23,7 +23,7 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import random_group, random_symplectic_rows, weight
+from conftest import pauli_rows, random_group, random_symplectic_rows, row_triples
 from dense_reference import subspace_equal
 
 
@@ -37,6 +37,11 @@ def random_op(rng, modulus, n):
     )
 
 
+def row(op):
+    """One operator as the oracle's (phase | x | z) row."""
+    return pauli_rows([op])[0]
+
+
 def reference(op):
     """The operator's matrix as a Kronecker product, from tests/dense_reference.py."""
     return dense_reference.pauli_matrix(op.p, (op.phase, op.x_part, op.z_part))
@@ -44,7 +49,7 @@ def reference(op):
 
 def dense(op):
     """The operator's matrix as the oracle applies it: the identity times the operator."""
-    return oracle.apply_right(np.eye(op.p ** op.n, dtype=complex), op)
+    return oracle.apply_right(np.eye(op.p ** op.n, dtype=complex), op.p, row(op))
 
 
 class TestPauliDense:
@@ -70,11 +75,11 @@ class TestPauliDense:
         for _ in range(20):
             e = random_op(rng, mod3, 2)
             mat = rng.random() * np.eye(9) + np.ones((9, 9)) * 1j * rng.random()
-            assert np.allclose(oracle.apply_right(mat, e), mat @ reference(e), atol=1e-12)
+            assert np.allclose(oracle.apply_right(mat, 3, row(e)), mat @ reference(e), atol=1e-12)
 
     def test_apply_right_checks_dimension(self, mod2):
         with pytest.raises(DimensionMismatch):
-            oracle.apply_right(np.eye(4), PauliOperator.from_letters("XZZ"))
+            oracle.apply_right(np.eye(4), 2, row(PauliOperator.from_letters("XZZ")))
 
     def test_tensor_structure(self):
         xz = PauliOperator.from_letters("XZ")
@@ -84,7 +89,7 @@ class TestPauliDense:
 
 
 class TestComponentProjector:
-    """Q_t, held as the orthonormal basis B of component_basis; its projector is B B^dag."""
+    """Q_t, held as the orthonormal basis B = code_basis(s, [t]); its projector is B B^dag."""
 
     @pytest.mark.parametrize("p,n,m", [(2, 3, 2), (2, 4, 4), (3, 2, 2), (3, 3, 2)])
     def test_idempotent_with_correct_trace(self, p, n, m):
@@ -93,7 +98,7 @@ class TestComponentProjector:
         for _ in range(5):
             s = random_group(rng, mod, n, m)
             t = tuple(rng.randrange(p) for _ in range(m))
-            b = component_basis(s, t)
+            b = code_basis(s, [t])
             assert b.shape == (p ** n, p ** (n - m))
             assert np.allclose(b.conj().T @ b, np.eye(p ** (n - m)), atol=1e-12)
             pr = component_projector(s, t)
@@ -104,14 +109,14 @@ class TestComponentProjector:
 
     def test_distinct_components_are_orthogonal(self, five_qubit_group):
         signs = [(0, 0, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 1, 1, 0)]
-        bases = [component_basis(five_qubit_group, t) for t in signs]
+        bases = [code_basis(five_qubit_group, [t]) for t in signs]
         for i in range(len(bases)):
             for j in range(i + 1, len(bases)):
                 assert np.linalg.norm(bases[i].conj().T @ bases[j]) < 1e-12
 
     def test_generators_act_with_assigned_eigenvalues(self, five_qubit_group, mod3):
         t = (1, 0, 0, 1, 0)
-        b = component_basis(five_qubit_group, t)
+        b = code_basis(five_qubit_group, [t])
         for gen, ti in zip(five_qubit_group.generators, t):
             assert np.allclose(reference(gen) @ b, (-1) ** ti * b, atol=1e-10)
         # p = 3: g B = omega^t B
@@ -120,13 +125,13 @@ class TestComponentProjector:
         for _ in range(5):
             s = random_group(rng, mod3, 3, 2)
             t = (rng.randrange(3), rng.randrange(3))
-            b = component_basis(s, t)
+            b = code_basis(s, [t])
             for gen, ti in zip(s.generators, t):
                 assert np.allclose(reference(gen) @ b, omega ** ti * b, atol=1e-10)
 
     def test_sign_count_validation(self, five_qubit_group):
         with pytest.raises(ValueError):
-            component_basis(five_qubit_group, (0, 0))
+            code_basis(five_qubit_group, [(0, 0)])
 
     def test_rank_other_than_p_to_the_k_raises(self):
         # a repeated generator leaves a rank-2 eigenspace where p^k = 1 is
@@ -135,20 +140,23 @@ class TestComponentProjector:
         repeated = SimpleNamespace(p=2, n=2, k=0, num_generators=2, generators=(zi, zi))
         for t in [(0, 0), (0, 1)]:
             with pytest.raises(InvalidGroup):
-                component_basis(repeated, t)
+                code_basis(repeated, [t])
 
 
 class TestCodeProjector:
     def test_sums_components(self, five_qubit_group, pentagon_tset):
-        b = code_basis(five_qubit_group, pentagon_tset)
+        b = code_basis(five_qubit_group, pentagon_tset.vectors)
         assert b.shape == (32, 6)
         assert np.allclose(b.conj().T @ b, np.eye(6), atol=1e-12)
         total = sum(component_projector(five_qubit_group, t) for t in pentagon_tset.vectors)
         assert np.allclose(b @ b.conj().T, total, atol=1e-12)
 
     def test_accepts_raw_vector_lists(self, five_qubit_group, mod2):
+        # FpVectors and int tuples both iterate over their signs
         ts = [FpVector(mod2, (1, 0, 0, 0, 0)), FpVector(mod2, (0, 1, 0, 0, 0))]
-        assert code_basis(five_qubit_group, ts).shape == (32, 2)
+        b = code_basis(five_qubit_group, ts)
+        assert b.shape == (32, 2)
+        assert np.array_equal(code_basis(five_qubit_group, [t.entries for t in ts]), b)
 
     def test_repeated_component_is_not_orthonormal(self, five_qubit_group, mod2):
         t = FpVector(mod2, (1, 0, 0, 0, 0))
@@ -159,13 +167,13 @@ class TestCodeProjector:
         # 9 generator actions, one per call, serve all 12 components, not 12 x 9 = 108
         actions = []
         act = oracle._pauli_action
-        monkeypatch.setattr(oracle, "_pauli_action", lambda p, *rows: actions.append(len(rows[0])) or act(p, *rows))
-        assert code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset).shape == (512, 12)
+        monkeypatch.setattr(oracle, "_pauli_action", lambda p, ops: actions.append(len(ops)) or act(p, ops))
+        assert code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset.vectors).shape == (512, 12)
         assert actions == [1] * 9
 
     def test_holds_the_actions_as_small_integers(self, five_qubit_group, mod2, monkeypatch):
         # each of the 5 actions on 32 indices is an int32 index and a uint8 power
-        perm, power = oracle._pauli_action(2, *oracle._stack(five_qubit_group.generators, 5))
+        perm, power = oracle._pauli_action(2, pauli_rows(five_qubit_group.generators))
         assert (perm.dtype, power.dtype) == (np.int32, np.uint8)
         # the basis and start block take 32 x 2 x 16 = 1024 bytes, the actions 5 x 32 x 5 = 800
         t = [FpVector(mod2, (0,) * 5)]
@@ -183,45 +191,97 @@ class TestCodeProjector:
             code_basis(group, tset)
 
 
-class TestErrorClasses:
-    def test_counts(self, mod2, mod3):
-        assert len(error_classes(mod2, 5, 1)) == 15
-        assert len(error_classes(mod2, 9, 1)) == 27
-        assert len(error_classes(mod2, 9, 2)) == 27 + 324
-        assert len(error_classes(mod3, 2, 1)) == 16
+def error_class_operators(modulus, n, w_max):
+    """The error classes as PauliOperators, one object per error: the reference for error_classes."""
+    p = modulus.p
+    site_values = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    out = []
+    for w in range(1, w_max + 1):
+        for support in itertools.combinations(range(n), w):
+            for values in itertools.product(site_values, repeat=w):
+                x = [0] * n
+                z = [0] * n
+                for site, (a, b) in zip(support, values):
+                    x[site] = a
+                    z[site] = b
+                out.append(PauliOperator(modulus, n, 0, tuple(x), tuple(z)))
+    return out
 
-    def test_weights_and_phases(self, mod2):
-        for e in error_classes(mod2, 4, 2):
-            assert 1 <= weight(e) <= 2
-            assert e.phase == 0
+
+class TestErrorClasses:
+    def test_counts(self):
+        assert len(error_classes(2, 5, 1)) == 15
+        assert len(error_classes(2, 9, 1)) == 27
+        assert len(error_classes(2, 9, 2)) == 27 + 324
+        assert len(error_classes(3, 2, 1)) == 16
+        assert error_classes(2, 9, 2).shape == (351, 19)
+
+    def test_weights_and_phases(self):
+        rows = error_classes(2, 4, 2)
+        weights = ((rows[:, 1:5] != 0) | (rows[:, 5:] != 0)).sum(axis=1)
+        assert ((1 <= weights) & (weights <= 2)).all()
+        assert (rows[:, 0] == 0).all()
+
+    def test_matches_the_operator_loop_row_for_row(self):
+        # every (p, n, w_max) with p in {2, 3, 5}, n <= 5 and w_max <= n whose
+        # reference loop builds at most 20 000 operators: that leaves out
+        # n = 5 at w_max >= 4 for p = 3, and n = 4, 5 at w_max >= 3 for p = 5
+        checked = collections.Counter()
+        for p in (2, 3, 5):
+            mod = PrimeModulus(p)
+            for n in range(6):
+                for w_max in range(n + 1):
+                    if sum(math.comb(n, w) * (p * p - 1) ** w for w in range(1, w_max + 1)) > 20000:
+                        continue
+                    rows = error_classes(p, n, w_max)
+                    expected = pauli_rows(error_class_operators(mod, n, w_max))
+                    assert rows.shape == (len(expected), 2 * n + 1) and rows.dtype == np.int64
+                    assert np.array_equal(rows, expected.reshape(-1, 2 * n + 1)), (p, n, w_max)
+                    checked[p] += 1
+        assert checked == {2: 21, 3: 19, 5: 16}
 
 
 class TestKlDetect:
-    def test_five_qubit_code_detects_weight_two(self, five_qubit_group, mod2):
+    def test_five_qubit_code_detects_weight_two(self, five_qubit_group):
         # the [[5,0,3]] component is pure: every low-weight error has alpha 0
-        b = component_basis(five_qubit_group, (0,) * 5)
-        report = kl_detect(b, error_classes(mod2, 5, 2))
+        b = code_basis(five_qubit_group, [(0,) * 5])
+        report = kl_detect(b, 2, error_classes(2, 5, 2))
         assert report.passed
         assert report.max_residual <= 1e-9
-        assert all(abs(a) < 1e-9 for a in report.alphas.values())
+        assert all(abs(a) < 1e-9 for a in report.alphas)
 
-    def test_detects_failure(self, mod2):
+    def test_detects_failure(self):
         # span{|00>, |11>} does not detect single-qubit Z (a logical operator)
         s = StabiliserGroup.from_generators([PauliOperator.from_letters("ZZ")])
-        b = component_basis(s, (0,))
-        report = kl_detect(b, error_classes(mod2, 2, 1))
+        b = code_basis(s, [(0,)])
+        report = kl_detect(b, 2, error_classes(2, 2, 1))
         assert not report.passed
-        assert report.failures
+        assert len(report.failures)
 
-    def test_rejects_non_projector(self, mod2):
+    def test_rejects_non_projector(self):
         # B B^dag is a projector only for an orthonormal B
         with pytest.raises(ValueError):
-            kl_detect(np.ones((2, 2)), error_classes(mod2, 1, 1))
+            kl_detect(np.ones((2, 2)), 2, error_classes(2, 1, 1))
+
+    def test_rows_with_one_x_and_z_part_keep_their_own_phase(self, five_qubit_group, pentagon_tset):
+        # X.I.I.I.I and -X.I.I.I.I on the ((5,6,2)) code are two rows of the report
+        pentagon = code_basis(five_qubit_group, pentagon_tset.vectors)
+        x_and_minus_x = pauli_rows([PauliOperator.from_letters("XIIII", phase) for phase in (0, 2)])
+        report = kl_detect(pentagon, 2, x_and_minus_x)
+        assert len(report) == 2 and report.passed
+        # on Q_0 of the five-qubit group the generator XZIIZ has alpha 1, and
+        # i^phase XZIIZ has alpha i^phase
+        b = code_basis(five_qubit_group, [(0,) * 5])
+        phased = pauli_rows([PauliOperator.from_letters("XZIIZ", phase) for phase in range(4)])
+        report = kl_detect(b, 2, phased)
+        assert len(report) == 4 and report.passed
+        assert np.allclose(report.alphas, [1, 1j, -1, -1j], atol=1e-12)
 
     def test_property_matches_dense_reference_on_phased_errors(self):
         # kl_detect against tests/dense_reference.kl on random codes, with
         # phased errors of every weight from 0 to n (Y letters and phases
-        # 0-3 for p = 2, phases mod p otherwise), listed in shuffled order
+        # 0-3 for p = 2, phases mod p otherwise), listed in shuffled order;
+        # rows that repeat an (x, z) part keep their own entries
         rng = random.Random(1010)
         seen = collections.Counter()
         for case in range(60):
@@ -239,74 +299,74 @@ class TestKlDetect:
             s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
             t_entries = rng.sample(list(itertools.product(range(p), repeat=m)), t_size)
             b = code_basis(s, [FpVector(mod, t) for t in t_entries])
-            errs = {}
+            errs = []
             for w in range(n + 1):
                 for _ in range(4):
                     x, z = [0] * n, [0] * n
                     for site in rng.sample(range(n), w):
                         x[site], z[site] = rng.choice([(a, c) for a in range(p) for c in range(p) if a or c])
-                    e = PauliOperator(mod, n, rng.randrange(4 if p == 2 else p), tuple(x), tuple(z))
-                    errs.setdefault((e.x_part, e.z_part), e)
-            errs = list(errs.values())
+                    errs.append(PauliOperator(mod, n, rng.randrange(4 if p == 2 else p), tuple(x), tuple(z)))
             rng.shuffle(errs)
 
-            report = kl_detect(b, errs)
+            report = kl_detect(b, p, pauli_rows(errs))
             gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
             proj = dense_reference.code_projector(p, gens, t_entries)
             reference = dense_reference.kl(p, proj, [(e.phase, e.x_part, e.z_part) for e in errs])
-            keys = [(e.x_part, e.z_part) for e in errs]
 
             label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
-            assert list(report.alphas) == keys, label
-            for key, (alpha, _) in zip(keys, reference):
-                assert abs(report.alphas[key] - alpha) <= 1e-10, label
-            failing = [key for key, (_, r) in zip(keys, reference) if r > 1e-9]
-            assert [key for key, _ in report.failures] == failing, label
-            residual_of = dict(zip(keys, (r for _, r in reference)))
-            for key, residual in report.failures:
-                assert abs(residual - residual_of[key]) <= 1e-10, label
-            assert abs(report.max_residual - max(residual_of.values())) <= 1e-10, label
+            assert len(report) == len(report.residuals) == len(errs), label
+            for i, (alpha, residual) in enumerate(reference):
+                assert abs(report.alphas[i] - alpha) <= 1e-10, label
+                assert abs(report.residuals[i] - residual) <= 1e-10, label
+            failing = [i for i, (_, r) in enumerate(reference) if r > 1e-9]
+            assert report.failures.tolist() == failing, label
+            assert abs(report.max_residual - max(r for _, r in reference)) <= 1e-10, label
             seen[f"p={p}"] += 1
             seen["fails"] += bool(failing)
             seen["passes"] += not failing
             seen["odd phase"] += any(e.phase % 2 for e in errs)
             seen["Y"] += p == 2 and any(a and c for e in errs for a, c in zip(e.x_part, e.z_part))
-        assert min(seen.values()) >= 5 and len(seen) == 7, dict(seen)
+            seen["repeated (x, z)"] += len({(e.x_part, e.z_part) for e in errs}) < len(errs)
+        assert min(seen.values()) >= 5 and len(seen) == 8, dict(seen)
 
     def test_empty_error_list_passes(self, five_qubit_group):
-        report = kl_detect(component_basis(five_qubit_group, (0,) * 5), [])
+        report = kl_detect(code_basis(five_qubit_group, [(0,) * 5]), 2, np.zeros((0, 11), dtype=np.int64))
         assert report.passed and len(report) == 0 and report.max_residual == 0
 
-    def test_checks_the_qupit_count(self, five_qubit_group, mod2):
-        b = component_basis(five_qubit_group, (0,) * 5)
+    def test_checks_the_qupit_count(self, five_qubit_group):
+        b = code_basis(five_qubit_group, [(0,) * 5])
         with pytest.raises(DimensionMismatch):
-            kl_detect(b, error_classes(mod2, 4, 1))
+            kl_detect(b, 2, error_classes(2, 4, 1))
+        # one row on its own, rows without a phase column, and rows over another field
+        for ops, p in [(error_classes(2, 5, 1)[0], 2), (error_classes(2, 5, 1)[:, 1:], 2), (error_classes(3, 5, 1), 3)]:
+            with pytest.raises(DimensionMismatch):
+                kl_detect(b, p, ops)
 
-    def test_reduced_gram_budget_refuses_with_an_estimate(self, five_qubit_group, pentagon_tset, mod2, monkeypatch):
+    def test_reduced_gram_budget_refuses_with_an_estimate(self, five_qubit_group, pentagon_tset, monkeypatch):
         # R_S of a weight-2 support of the ((5,6,2)) code holds 2^4 * 6^2 = 576
         # entries; one of its columns, 2^2 * 6^2 = 144 entries, must fit 1/4 of the budget
-        b = code_basis(five_qubit_group, pentagon_tset)
+        b = code_basis(five_qubit_group, pentagon_tset.vectors)
         monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 144 * 16 - 1)
-        assert kl_detect(b, error_classes(mod2, 5, 1)).passed
+        assert kl_detect(b, 2, error_classes(2, 5, 1)).passed
         with pytest.raises(TooLarge, match=r"2\^2\*6\^2 = 144 entries of a reduced Gram tensor of 2\^4\*6\^2 = 576 entries needs about 0\.0 MiB, over 1/4 of"):
-            kl_detect(b, error_classes(mod2, 5, 2))
+            kl_detect(b, 2, error_classes(2, 5, 2))
 
-    def test_blocks_and_chunks_under_a_small_budget(self, five_qubit_group, pentagon_tset, mod2, monkeypatch):
+    def test_blocks_and_chunks_under_a_small_budget(self, five_qubit_group, pentagon_tset, monkeypatch):
         # R_S of a weight-2 support holds 4 columns of 2^2 * 6^2 entries; 1/4 of
         # the budget has room for 2 of them, and 1/2 for 6 errors' work of
         # 4 * 64 + 36 * 32 bytes each, so the 9 errors of each weight-2
         # support span 2 chunks, and each chunk forms its R_S in 2 blocks
-        b = code_basis(five_qubit_group, pentagon_tset)
-        errs = error_classes(mod2, 5, 2)
-        full = kl_detect(b, errs)
+        b = code_basis(five_qubit_group, pentagon_tset.vectors)
+        errs = error_classes(2, 5, 2)
+        full = kl_detect(b, 2, errs)
         blocks = []
         gram = oracle._reduced_gram
         monkeypatch.setattr(oracle, "_reduced_gram", lambda *args: blocks.append(args[3:]) or gram(*args))
         monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 2 * 144 * 16)
-        report = kl_detect(b, errs)
-        assert [k for k, _ in report.failures] == [k for k, _ in full.failures] and not report.passed
-        assert max(abs(r - f) for (_, r), (_, f) in zip(report.failures, full.failures)) <= 1e-12
-        assert max(abs(report.alphas[k] - a) for k, a in full.alphas.items()) <= 1e-12
+        report = kl_detect(b, 2, errs)
+        assert report.failures.tolist() == full.failures.tolist() and not report.passed
+        assert np.abs(report.residuals - full.residuals).max() <= 1e-12
+        assert np.abs(report.alphas - full.alphas).max() <= 1e-12
         assert abs(report.max_residual - full.max_residual) <= 1e-12
         # each of the 5 weight-1 supports forms its R_S of 2 columns once
         assert collections.Counter(blocks) == {(0, 2): 5 + 10 * 2, (2, 4): 10 * 2}
@@ -321,20 +381,21 @@ class TestKlDetect:
         s = StabiliserGroup.from_matrix(mod, 3, random_symplectic_rows(rng, mod, 3, 2), [1, 3])
         t = (2, 4)
         b = code_basis(s, [FpVector(mod, t)])
-        errs = [
-            PauliOperator(mod, 3, rng.randrange(5), e.x_part, e.z_part) for e in error_classes(mod, 3, 3)
-        ]
-        rng.shuffle(errs)
+        errs = error_classes(5, 3, 3)
+        errs[:, 0] = [rng.randrange(5) for _ in range(len(errs))]
+        order = list(range(len(errs)))
+        rng.shuffle(order)
+        errs = errs[order]
         monkeypatch.setattr(oracle, "MAX_BYTES", 2 ** 23)
         tracemalloc.start()
         try:
-            report = kl_detect(b, errs)
+            report = kl_detect(b, 5, errs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the budget, and about 8 MiB for the report's keys, alphas and the sorted rows
+        # the budget, and about 8 MiB for the report's alphas and the sorted rows
         assert peak < 2 ** 24, peak
-        assert len(report) == 15624 and list(report.alphas)[:50] == [(e.x_part, e.z_part) for e in errs[:50]]
+        assert len(report) == len(report.residuals) == 15624
         gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
         proj = dense_reference.code_projector(5, gens, [t])
         # the stabiliser's own elements, up to phase, have |alpha| = 1
@@ -342,32 +403,31 @@ class TestKlDetect:
             tuple((a * g1 + c * g2) % 5 for g1, g2 in zip(*(g.x_part + g.z_part for g in s.generators)))
             for a, c in itertools.product(range(5), repeat=2)
         }
-        sample = rng.sample(errs, 200) + [e for e in errs if e.x_part + e.z_part in span]
-        reference = dense_reference.kl(5, proj, [(e.phase, e.x_part, e.z_part) for e in sample])
-        residual_of = dict(report.failures)
+        sample = rng.sample(range(len(errs)), 200) + [i for i, e in enumerate(errs) if tuple(e[1:].tolist()) in span]
+        reference = dense_reference.kl(5, proj, row_triples(errs[sample]))
         assert sum(abs(alpha) > 0.5 for alpha, _ in reference) == 24
         assert 5 <= sum(residual > 1e-9 for _, residual in reference) < len(sample) - 5
-        for e, (alpha, residual) in zip(sample, reference):
-            key = (e.x_part, e.z_part)
-            assert abs(report.alphas[key] - alpha) <= 1e-10
-            assert abs(residual_of.get(key, 0.0) - residual) <= 1e-10
+        for i, (alpha, residual) in zip(sample, reference):
+            assert abs(report.alphas[i] - alpha) <= 1e-10
+            assert abs(report.residuals[i] - residual) <= 1e-10
+            assert (i in report.failures) == (residual > 1e-9)
 
-    def test_one_gram_product_per_support(self, nine_cycle_graph, nine_cycle_tset, mod2, monkeypatch):
+    def test_one_gram_product_per_support(self, nine_cycle_graph, nine_cycle_tset, monkeypatch):
         # the ((9,12,3)) check: 351 error classes on 9 + 36 supports
-        b = code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset)
+        b = code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset.vectors)
         supports = []
         gram = oracle._reduced_gram
         monkeypatch.setattr(oracle, "_reduced_gram", lambda b, p, s, *cols: supports.append(s.tobytes()) or gram(b, p, s, *cols))
         monkeypatch.setattr(oracle, "apply_right", None)
-        report = kl_detect(b, error_classes(mod2, 9, 2))
+        report = kl_detect(b, 2, error_classes(2, 9, 2))
         assert report.passed and len(report) == 351
         assert len(supports) == len(set(supports)) == 45
 
 
 class TestSubspaceEqual:
     def test_equal_and_unequal(self, five_qubit_group, mod2):
-        a = component_basis(five_qubit_group, (0,) * 5)
-        b = component_basis(five_qubit_group, (1, 0, 0, 0, 0))
+        a = code_basis(five_qubit_group, [(0,) * 5])
+        b = code_basis(five_qubit_group, [(1, 0, 0, 0, 0)])
         assert subspace_equal(a, a.copy())
         assert not subspace_equal(a, b)
         ab = code_basis(five_qubit_group, [FpVector(mod2, (0,) * 5), FpVector(mod2, (1, 0, 0, 0, 0))])

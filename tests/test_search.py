@@ -36,7 +36,7 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import in_row_space, incident, normalised, points, vectors
+from conftest import in_row_space, incident, normalised, pauli_rows, points, vectors
 
 
 @pytest.fixture(scope="module")
@@ -482,14 +482,14 @@ class TestRunRecipe:
         assert report.d_bound == 3 and not report.d_bound_exact
         assert any("certified to 3" in w for w in report.warnings)
 
-        basis = oracle.code_basis(report.group, report.coding_set)
-        assert oracle.kl_detect(basis, oracle.error_classes(mod2, 8, 2)).passed
+        basis = oracle.code_basis(report.group, report.coding_set.vectors)
+        assert oracle.kl_detect(basis, 2, oracle.error_classes(2, 8, 2)).passed
         stabilisers = []
         for i in range(8):
             z = [0] * 8
             z[i - 1] = z[(i + 1) % 8] = 1
             stabilisers.append(PauliOperator(mod2, 8, 0, tuple(int(j == i) for j in range(8)), tuple(z)))
-        kl = oracle.kl_detect(basis, stabilisers)
+        kl = oracle.kl_detect(basis, 2, pauli_rows(stabilisers))
         assert len(kl.failures) == 8
 
     def test_builds_the_weight_map_once(self, nine_cycle_graph, nine_cycle_restriction, monkeypatch):

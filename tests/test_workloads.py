@@ -1,8 +1,10 @@
 """Every benchmark workload (perfbench/workloads.py) sets up and runs one op with its output checks.
 
 A workload whose op no longer passes its own checks would otherwise fail only
-in a benchmark run. The module is loaded by path, as test_tracer_names.py
-loads the tracer, and writes nothing next to it.
+in a benchmark run. One verify-c9 op also runs under the span tracer
+(perfbench/tracer.py), whose oracle counters read the results of
+error_classes and kl_detect. Both modules are loaded by path and write
+nothing next to them.
 """
 
 import importlib.util
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 # the counters each op returns, the same at every seed
 COUNTERS = {
@@ -22,12 +25,16 @@ COUNTERS = {
 }
 
 
-def load_workloads(monkeypatch):
+def load(monkeypatch, name, path):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads(monkeypatch):
+    return load(monkeypatch, "perfbench_workloads", WORKLOADS)
 
 
 def test_every_workload_is_covered(monkeypatch):
@@ -40,3 +47,20 @@ def test_one_op_passes_its_checks(monkeypatch, tmp_path, name, seed):
     setup, _ = load_workloads(monkeypatch).WORKLOADS[name]
     op = setup(tmp_path, seed)
     assert op() == COUNTERS[name]
+
+
+def test_traced_verify_op_counts_every_error_class(monkeypatch, tmp_path):
+    # the tracer counts error classes by len() of error_classes' result and
+    # reads max_residual off kl_detect's report
+    tracer_module = load(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = tracer_module.Tracer({layer: importlib.import_module(f"qsol.{layer}") for layer in tracer_module.LAYERS})
+    setup, _ = load_workloads(monkeypatch).WORKLOADS["verify-c9"]
+    op = setup(tmp_path, 0)
+    tracer.begin_op()
+    try:
+        assert op() == COUNTERS["verify-c9"]
+    finally:
+        tracer.end_op()
+    (metrics,) = tracer.per_op()
+    assert metrics["oracle.error_classes.count"] == 351
+    assert metrics["oracle.kl.max_residual"] <= 1e-9
