@@ -73,15 +73,20 @@ class LabelledGraph:
 class CompatibilityGraph:
     """Vertices are the codes of candidate points, in increasing order; each has one bitset row.
 
-    Bit j of rows[i] is set exactly when vertices i and j are joined.
+    Bit j of rows[i] is set exactly when vertices i and j are joined. A row
+    with bit i set (a loop) or a bit at or past the vertex count is refused.
     """
 
     vertices: tuple[int, ...]
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != len(self.vertices):
+        n = len(self.vertices)
+        if len(self.rows) != n:
             raise ValueError("need one adjacency row per vertex")
+        for i, row in enumerate(self.rows):
+            if row >> n or row >> i & 1:
+                raise ValueError(f"row {i} must join vertex {i} only to other vertices 0..{n - 1}")
 
     @property
     def num_vertices(self) -> int:
@@ -90,11 +95,6 @@ class CompatibilityGraph:
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as index pairs (i, j) with i < j, read off the rows."""
-        return frozenset((i, j) for i, row in enumerate(self.rows) for j in _members(row) if j > i)
 
 
 def _members(mask: int) -> list[int]:
@@ -232,11 +232,21 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
     the clique so far plus the colour number can still reach the best size.
     The cut is strict, so every clique of the best size is kept.
 
+    A class below k_min = best size - clique size can never be branched on
+    (Konc and Janežič's MaxCliqueDyn), so it is built only to take its
+    vertices out of the uncoloured set, and only the classes from k_min up
+    are kept. The tree is MCQ's, node for node.
+
     The deadline is checked only once the first descent has recorded a
     clique; TimeLimitExceeded then carries the best cliques found so far,
-    each of them maximal, and names their number and size.
+    each of them maximal, and names their number and size. A negative or
+    NaN time_limit raises ValueError.
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a number of seconds >= 0, got {time_limit}")
     rows = g.rows
+    # apart[v]: every vertex other than v that is not joined to it, so may share its colour
+    apart = [~(row | 1 << v) for v, row in enumerate(rows)]
     deadline = None if time_limit is None else time.monotonic() + time_limit
     best: list[int] = []
     best_size = 0
@@ -256,13 +266,32 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
             elif size == best_size:
                 best.append(clique)
             return
-        order, colours = _colour(rows, cand)
-        for v, k in zip(reversed(order), reversed(colours)):
-            if size + k < best_size:
-                return
-            bit = 1 << v
-            expand(clique | bit, size + 1, cand & rows[v])
-            cand ^= bit
+        # greedy colour classes, each an independent set, so no clique within
+        # the classes up to colour k has more than k members
+        k_min = best_size - size
+        classes: list[int] = []
+        colour, uncoloured = 0, cand
+        while uncoloured:
+            colour += 1
+            free, cls = uncoloured, 0
+            while free:
+                low = free & -free
+                free &= apart[low.bit_length() - 1]
+                cls |= low
+            uncoloured ^= cls
+            if colour >= k_min:
+                classes.append(cls)
+        # branch in MCQ's order: from the last class down, each class from its highest vertex
+        for cls in reversed(classes):
+            while cls:
+                if size + colour < best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                expand(clique | bit, size + 1, cand & rows[v])
+                cand ^= bit
+            colour -= 1
 
     if rows:
         expand(0, 0, (1 << len(rows)) - 1)
@@ -271,28 +300,6 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
 
 def _as_tuples(cliques: list[int]) -> list[tuple[int, ...]]:
     return sorted(tuple(_members(c)) for c in cliques)
-
-
-def _colour(rows: Sequence[int], cand: int) -> tuple[list[int], list[int]]:
-    """Greedy colouring of the vertex set cand: the vertices in colour order and their colours.
-
-    Each colour class is an independent set, so no clique within the first
-    j vertices of the order has more than colours[j-1] members.
-    """
-    order: list[int] = []
-    colours: list[int] = []
-    colour = 0
-    while cand:
-        colour += 1
-        free = cand
-        while free:
-            low = free & -free
-            v = low.bit_length() - 1
-            free &= ~(rows[v] | low)
-            cand ^= low
-            order.append(v)
-            colours.append(colour)
-    return order, colours
 
 
 def is_subspace_t(t: CodingSet) -> bool:

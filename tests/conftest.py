@@ -180,6 +180,11 @@ def incident(x) -> list[tuple[int, ...]]:
     return vectors(x.p, x.ambient_dim + 1, lines_mod.incident_points(x))
 
 
+def edges(gamma) -> set[tuple[int, int]]:
+    """The edges of a compatibility graph as index pairs (i, j) with i < j, read off its bitset rows."""
+    return {(i, j) for i, row in enumerate(gamma.rows) for j in range(i + 1, gamma.num_vertices) if row >> j & 1}
+
+
 def pauli_rows(ops) -> np.ndarray:
     """Pauli operators as the oracle's (phase | x | z) integer rows."""
     return np.array([(op.phase, *op.x_part, *op.z_part) for op in ops], dtype=np.int64)

@@ -35,6 +35,7 @@ from qsol.pauli import (
 import cws_reference
 import dense_reference
 from conftest import (
+    edges,
     group_elements,
     in_row_space,
     incident,
@@ -59,7 +60,7 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     gamma = search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
     masks = [cws_reference.to_mask(v) for v in vectors(2, graph.n, gamma.vertices)]
     vertices = set(masks)
-    edges = {frozenset((masks[i], masks[j])) for i, j in gamma.edges}
+    pairs = {frozenset((masks[i], masks[j])) for i, j in edges(gamma)}
     cliques = {frozenset(masks[i] for i in c) for c in search.find_cliques(gamma)}
 
     images = cws_reference.error_images(graph.adjacency.rows, d - 1)
@@ -70,8 +71,8 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     problems = []
     if vertices != set(ref_vertices):
         problems.append(f"candidate set differs from the CWS reference in {sorted(vertices ^ set(ref_vertices))}")
-    if edges != ref_edges:
-        problems.append(f"edge set differs from the CWS reference in {len(edges ^ ref_edges)} pairs")
+    if pairs != ref_edges:
+        problems.append(f"edge set differs from the CWS reference in {len(pairs ^ ref_edges)} pairs")
     if cliques != ref_cliques:
         problems.append(f"maximum cliques differ from the CWS reference in {len(cliques ^ ref_cliques)} cliques")
     return problems, cliques
@@ -127,14 +128,15 @@ def test_criterion_2_nine_cycle_reproduction(
 
 def test_nine_cycle_unrestricted_recipe(nine_cycle_graph, data_dir, capsys):
     # without the restriction to pi, Γ has 268 vertices and 17 508 edges;
-    # its 18 maximum cliques of size 11 each give a ((9,12,3)) code
+    # its 18 maximum cliques of size 11 each give a ((9,12,3)) code, found
+    # in 10 301 search nodes
     from qsol.cli import EXIT_OK, main
 
     code = main(["recipe", "--graph", str(data_dir / "nine_cycle.graph"), "--d", "3", "--format", "machine"])
     assert code == EXIT_OK
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    counts = tuple(int(out[key]) for key in ("vertices", "edges", "cliques_found", "T_size"))
-    assert counts == (268, 17508, 18, 12)
+    counts = tuple(int(out[key]) for key in ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes"))
+    assert counts == (268, 17508, 18, 12, 10301)
     assert (out["n"], out["K"], out["d_bound"]) == ("9", "12", "3")
 
     problems, cliques = cws_mismatches(nine_cycle_graph, 3)
@@ -462,7 +464,7 @@ def test_property_gamma_graph_matches_rank_rule():
         excluded = search.excluded_points(x, d)
         candidates = search.candidate_vertices(x, excluded).tolist()
         pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), excluded)
-        verts = [pool.vertices[i] for e in rng.sample(sorted(pool.edges), min(2, pool.num_edges)) for i in e]
+        verts = [pool.vertices[i] for e in rng.sample(sorted(edges(pool)), min(2, pool.num_edges)) for i in e]
         verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident_codes, 1)
         while len(verts) < 8:
             coords = tuple(rng.randrange(p) for _ in range(n))
@@ -476,7 +478,7 @@ def test_property_gamma_graph_matches_rank_rule():
             for a, b in itertools.combinations(range(gamma.num_vertices), 2)
             if rank_rule_compatible(p, pts[a], pts[b], incident_coords, d)
         }
-        assert set(gamma.edges) == expected, f"case {case}: p={p} d={d} n={n}"
+        assert edges(gamma) == expected, f"case {case}: p={p} d={d} n={n}"
         edges_seen[d] += len(expected)
     assert all(edges_seen.values()), f"edges compared: {edges_seen}"
 

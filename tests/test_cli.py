@@ -367,6 +367,16 @@ class TestRecipe:
             counts += machine(capsys)["count.clique_nodes"]
         assert counts[0] == counts[1] and int(counts[0]) > 0
 
+    def test_ternary_five_cycle_search_tree(self, tmp_path, capsys):
+        # the c5-p3 benchmark op: the 5-cycle over F_3 at d = 2, unrestricted,
+        # whose 75 maximum cliques of size 13 take the search 2 881 nodes
+        graph = tmp_path / "c5.graph"
+        graph.write_text("3 5\n" + "".join(f"{i} {(i + 1) % 5} 1\n" for i in range(5)))
+        assert main(["recipe", "--graph", str(graph), "--d", "2", "--format", "machine"]) == EXIT_OK
+        pairs = machine(capsys)
+        counts = tuple(pairs[key][0] for key in ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes"))
+        assert counts == ("101", "3450", "75", "27", "2881")
+
 
 class TestVerify:
     def test_pentagon_code(self, data_dir, capsys):
@@ -458,6 +468,10 @@ class TestErrorPaths:
         ["recipe", "--graph", "pentagon.graph", "--d", "2", "--k", "5"],
         ["verify", "--gens", "pentagon.gens", "--tset", "pentagon.tset", "--d", "0"],
         ["verify", "--gens", "pentagon.gens", "--tset", "pentagon.tset", "--d", "1"],
+        ["cliques", "--graph", "pentagon.graph", "--d", "2", "--time-limit", "nan"],
+        ["cliques", "--graph", "pentagon.graph", "--d", "2", "--time-limit", "-1"],
+        ["recipe", "--graph", "pentagon.graph", "--d", "2", "--time-limit", "nan"],
+        ["recipe", "--graph", "pentagon.graph", "--d", "2", "--time-limit", "-1"],
     ])
     def test_out_of_range_option_exits_two(self, data_dir, capsys, argv):
         argv = [str(data_dir / a) if a.endswith((".gens", ".graph", ".tset")) else a for a in argv]

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -36,7 +37,7 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import in_row_space, incident, normalised, pauli_rows, points, vectors
+from conftest import edges, in_row_space, incident, normalised, pauli_rows, points, vectors
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ class TestGammaGraph:
         from qsol.lines import project_lines
 
         gamma = gamma_of(pentagon_lines, 2)
-        edge_set = set(gamma.edges)
+        edge_set = edges(gamma)
         pts = vectors(2, 5, gamma.vertices)
         for a, b in itertools.combinations(range(len(pts)), 2):
             u = FpVector(mod2, pts[a])
@@ -239,7 +240,7 @@ class TestGammaGraph:
         ref_vertices = cws_reference.candidates(images, 10)
         assert (gamma.num_vertices, gamma.num_edges) == (46, 30)
         assert set(masks) == set(ref_vertices)
-        assert {frozenset((masks[i], masks[j])) for i, j in gamma.edges} == cws_reference.edges(images, ref_vertices)
+        assert {frozenset((masks[i], masks[j])) for i, j in edges(gamma)} == cws_reference.edges(images, ref_vertices)
 
     def test_vertex_in_another_space_is_refused(self, pentagon_lines):
         # a vertex is the code of a nonzero vector of F_2^5, 1..31: 0 is the
@@ -288,6 +289,13 @@ class TestGammaGraph:
         x = cycle_lines(mod2, 30)
         with pytest.raises(TooLarge, match=r"1073741824 entries needs about 1024\.0 MiB, over the 256 MiB budget"):
             excluded_points(x, 2)
+
+    @pytest.mark.parametrize("rows", [(0b01, 0), (0b10, 0b11), (0b100, 0), (-1, 0)])
+    def test_malformed_rows_are_refused(self, rows):
+        # a loop at vertex 0 or 1, a bit past the last vertex, and a negative
+        # row, whose bits run on past every vertex
+        with pytest.raises(ValueError, match="must join vertex"):
+            CompatibilityGraph((1, 2), rows)
 
     def test_rows_are_symmetric_without_loops(self, pentagon_lines):
         gamma = gamma_of(pentagon_lines, 2)
@@ -338,6 +346,11 @@ class TestFindCliques:
                 if v not in clique:
                     assert gamma.rows[v] & members != members
 
+    @pytest.mark.parametrize("limit", [-1.0, float("nan")])
+    def test_bad_time_limit_is_refused(self, limit):
+        with pytest.raises(ValueError, match="time limit"):
+            find_cliques(CompatibilityGraph((1, 2), (0b10, 0b01)), time_limit=limit)
+
     def test_property_matches_brute_force(self):
         # every maximum clique of random graphs on up to 14 vertices, across
         # densities from edgeless to complete, against all vertex subsets
@@ -345,13 +358,94 @@ class TestFindCliques:
         for case in range(80):
             nv = 14 if case < 2 else rng.randint(0, 14)
             density = [0.0, 1.0][case] if case < 2 else rng.random()
-            rows = [0] * nv
-            for a, b in itertools.combinations(range(nv), 2):
-                if rng.random() < density:
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
+            rows = random_rows(rng, nv, density)
             gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
             assert find_cliques(gamma) == brute_force_maximum_cliques(rows), f"case {case}: {nv} vertices"
+
+    def test_property_same_search_tree_as_reference(self):
+        # the same cliques in the same number of nodes as the MCQ search that
+        # colours every candidate, and at a zero time limit the same best
+        # cliques from the same first descent
+        rng = random.Random(6015)
+        for case in range(24):
+            nv = rng.randint(15, 90)
+            density = rng.uniform(0.2, 0.9)
+            rows = random_rows(rng, nv, density)
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+            where = f"case {case}: {nv} vertices, density {density:.2f}"
+            cliques, expected = find_cliques(gamma), reference_find_cliques(gamma)
+            assert (cliques, cliques.nodes) == (expected, expected.nodes), where
+            assert search_outcome(find_cliques, gamma) == search_outcome(reference_find_cliques, gamma), where
+
+
+def random_rows(rng, nv, density):
+    """Bitset rows of a random graph on nv vertices with each pair joined with probability density."""
+    rows = [0] * nv
+    for a, b in itertools.combinations(range(nv), 2):
+        if rng.random() < density:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+def search_outcome(search_fn, graph):
+    """What a search at a zero time limit gives: the best cliques it carries out, or its result if it ends first."""
+    try:
+        cliques = search_fn(graph, time_limit=0.0)
+        return "done", list(cliques), cliques.nodes
+    except TimeLimitExceeded as err:
+        return "timed out", err.best
+
+
+def reference_find_cliques(g, time_limit=None):
+    """Plain MCQ, which colours every candidate of every node, with the same result type as find_cliques.
+
+    find_cliques colours only as far as its bound needs, and must still
+    visit the same nodes in the same order as this search.
+    """
+    rows = g.rows
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    best, best_size, nodes = [], 0, 0
+
+    def as_tuples(cliques):
+        return sorted(tuple(i for i in range(len(rows)) if c >> i & 1) for c in cliques)
+
+    def colour(cand):
+        order, colours, k = [], [], 0
+        while cand:
+            k += 1
+            free = cand
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~(rows[v] | low)
+                cand ^= low
+                order.append(v)
+                colours.append(k)
+        return order, colours
+
+    def expand(clique, size, cand):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if deadline is not None and best and time.monotonic() > deadline:
+            raise TimeLimitExceeded("timed out", best=as_tuples(best))
+        if not cand:
+            if size > best_size:
+                best, best_size = [clique], size
+            elif size == best_size:
+                best.append(clique)
+            return
+        order, colours = colour(cand)
+        for v, k in zip(reversed(order), reversed(colours)):
+            if size + k < best_size:
+                return
+            bit = 1 << v
+            expand(clique | bit, size + 1, cand & rows[v])
+            cand ^= bit
+
+    if rows:
+        expand(0, 0, (1 << len(rows)) - 1)
+    return search.Cliques(as_tuples(best), nodes)
 
 
 def brute_force_maximum_cliques(rows):
