@@ -257,6 +257,35 @@ def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
+def is_independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
+    """True iff the raw coefficient tuples are linearly independent over F_p.
+
+    For p = 2 this is the bit-packed rank_of_vectors. Otherwise it is
+    forward elimination: unlike Gauss-Jordan it clears only the rows below
+    each pivot, about half the row operations on a wide stack such as a
+    generator matrix, and it stops once every vector has a pivot.
+    """
+    if p == 2:
+        return rank_of_vectors(2, vectors) == len(vectors)
+    rows = [[e % p for e in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank == len(rows)
+
+
 def row_space_vectors(m: FpMatrix) -> list[FpVector]:
     """Every vector of the row space, sorted lexicographically.
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGroup, TooLarge
-from .pauli import StabiliserGroup
+from .pauli import StabiliserGroup, operator_rows, split_rows
 
 MAX_BYTES = 2 ** 28
 
@@ -88,12 +88,6 @@ def _action_dtypes(p: int, n: int) -> tuple[np.dtype, np.dtype]:
     return np.dtype(index), np.min_scalar_type(3 if p == 2 else p - 1)
 
 
-def _split(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The phase column and the x and z blocks of operator rows."""
-    n = ops.shape[1] // 2
-    return ops[:, 0], ops[:, 1:n + 1], ops[:, n + 1:]
-
-
 def _pauli_action(p: int, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column actions of a stack of operator rows.
 
@@ -103,7 +97,7 @@ def _pauli_action(p: int, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w^phase X^x Z^z and u = w. Both arrays have the small integer types of
     _action_dtypes. Only the sites where some row is nonzero are visited.
     """
-    phase, x, z = _split(ops)
+    phase, x, z = split_rows(ops)
     rows, n = x.shape
     index, small = _action_dtypes(p, n)
     order = 4 if p == 2 else p
@@ -169,7 +163,7 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
         dim * (columns * 16 + len(s.generators) * action_bytes),
     )
     # one generator per call, so that the integer temporaries of only one are held
-    gens = np.array([(g.phase, *g.x_part, *g.z_part) for g in s.generators], dtype=np.int64)
+    gens = operator_rows(s.generators, n)
     actions = [_pauli_action(p, gens[i:i + 1]) for i in range(len(gens))]
     roots = _roots(p)
     omega = np.exp(2j * np.pi / p)
@@ -287,7 +281,7 @@ def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) 
     chunk = max(1, MAX_BYTES // 2 // (size * 64 + square * 32))
     blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
     # each error restricted to its own w sites
-    phase, x, z = _split(ops)
+    phase, x, z = split_rows(ops)
     x = x[supports].reshape(count, w)
     local = np.column_stack((phase, x, z[supports].reshape(count, w)))
     new_support = np.ones(count, dtype=bool)
@@ -348,7 +342,7 @@ def kl_detect(b: np.ndarray, p: int, ops: np.ndarray, tolerance: float = KL_TOL)
     dim = b.shape[0]
     if ops.ndim != 2 or ops.shape[1] % 2 == 0 or p ** (ops.shape[1] // 2) != dim:
         raise DimensionMismatch(f"{dim} basis rows, operator rows of shape {ops.shape} for p = {p}")
-    _, x, z = _split(ops)
+    _, x, z = split_rows(ops)
     on_support = (x != 0) | (z != 0)
     weights = on_support.sum(axis=1)
     order = np.lexsort((*x.T[::-1], *on_support.T[::-1], weights))

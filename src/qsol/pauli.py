@@ -12,9 +12,11 @@ tau maps an operator to (x_part | z_part) in F_p^{2n}, discarding the phase.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from . import fields
 from .errors import (
@@ -137,10 +139,31 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.modulus, a.n, phase, x, z)
 
 
+def operator_rows(ops: Sequence[PauliOperator], n: int) -> np.ndarray:
+    """Operators on n qupits as (phase | x | z) integer rows, one per operator."""
+    return np.array([(op.phase, *op.x_part, *op.z_part) for op in ops], dtype=np.int64).reshape(len(ops), 2 * n + 1)
+
+
+def split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phase column and the x and z blocks of (phase | x | z) operator rows."""
+    n = rows.shape[1] // 2
+    return rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:]
+
+
+def _forms_vanish(p: int, rows: np.ndarray) -> bool:
+    """True iff X·Zᵀ − Z·Xᵀ = 0 mod p: its entry (i, j) is the symplectic form of rows i and j."""
+    _, x, z = split_rows(rows)
+    return not ((x @ z.T - z @ x.T) % p).any()
+
+
 def is_abelian(gens: Sequence[PauliOperator]) -> bool:
     """True iff all pairwise symplectic forms vanish."""
-    vs = [tau(g) for g in gens]
-    return all(symplectic_form(u, v) == 0 for u, v in itertools.combinations(vs, 2))
+    if not gens:
+        return True
+    first = gens[0]
+    if any(g.modulus != first.modulus or g.n != first.n for g in gens):
+        raise LengthMismatch("operators of different shape")
+    return _forms_vanish(first.p, operator_rows(gens, first.n))
 
 
 @dataclass(frozen=True)
@@ -155,25 +178,29 @@ class StabiliserGroup:
     modulus: PrimeModulus
     n: int
     generators: tuple[PauliOperator, ...]
-    gmatrix: FpMatrix = field(init=False, compare=False)
+    _rows: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
             if g.modulus != self.modulus or g.n != self.n:
                 raise ParameterMismatch("generator on a different system")
-        if not is_abelian(self.generators):
+        rows = operator_rows(self.generators, self.n)
+        rows.flags.writeable = False
+        if not _forms_vanish(self.p, rows):
             raise NonCommutingGenerators("generators do not pairwise commute")
-        rows = tuple(tau(g).entries for g in self.generators)
-        gmatrix = FpMatrix(self.modulus, rows, 2 * self.n)
-        if fields.rank(gmatrix) != len(self.generators):
+        if not fields.is_independent(self.p, rows[:, 1:].tolist()):
             raise InvalidGroup("generator matrix is not full rank")
         if self.modulus.p == 2:
             # i^c (tensor of letters) squares to (-1)^c; an odd phase puts
             # -identity into the group.
-            for g in self.generators:
-                if g.phase % 2:
-                    raise InvalidGroup("generator squares to -identity")
-        object.__setattr__(self, "gmatrix", gmatrix)
+            if (rows[:, 0] % 2).any():
+                raise InvalidGroup("generator squares to -identity")
+        object.__setattr__(self, "_rows", rows)
+
+    @functools.cached_property
+    def gmatrix(self) -> FpMatrix:
+        """The generator matrix: one row tau(g) per generator."""
+        return FpMatrix(self.modulus, self._rows[:, 1:].tolist(), 2 * self.n)
 
     @classmethod
     def from_generators(cls, gens: Sequence[PauliOperator]) -> "StabiliserGroup":
@@ -213,19 +240,40 @@ class StabiliserGroup:
         return self.n - len(self.generators)
 
     def element(self, exponents: Sequence[int]) -> PauliOperator:
-        """The product of generators with the given exponents, each taken mod p.
+        """The product g_1^(e_1) ... g_m^(e_m) of the generators, each exponent taken mod p.
 
-        Each generator is multiplied into one running product (e mod p) times,
-        starting from the first factor; only the all-zero exponents give the
-        identity.
+        Over the generator rows (c_i | x_i | z_i), the x|z parts of the
+        product are e·G mod p, and its phase is the sum that a running
+        product of multiply calls accumulates, in closed form:
+
+        p odd:  Σ e_i c_i + Σ C(e_i, 2) (z_i·x_i) + Σ_{i<j} e_i e_j (z_i·x_j)   mod p
+        p = 2:  Σ e_i c_i + Σ e_i (x_i·z_i) − x̄·z̄ + 2 Σ_{i<j} e_i e_j (z_i·x_j)   mod 4
+
+        where x̄ and z̄ are the reduced x and z parts of the product. For odd
+        p, X(x) Z(z) X(x') Z(z') = ω^(z·x') X(x + x') Z(z + z'); for p = 2 an
+        operator i^c σ is i^(c + x·z) X^x Z^z, and moving Z^(z_i) past
+        X^(x_j) gives (−1)^(z_i·x_j). The all-zero exponents give the identity.
         """
-        if len(exponents) != len(self.generators):
+        return self.elements([exponents])[0]
+
+    def elements(self, exponents: Sequence[Sequence[int]]) -> tuple[PauliOperator, ...]:
+        """element of each row of exponents, as one stack: the x|z parts are E·G mod p."""
+        p, m, n = self.p, len(self.generators), self.n
+        if any(len(row) != m for row in exponents):
             raise ValueError("one exponent per generator")
-        out = None
-        for g, e in zip(self.generators, exponents):
-            for _ in range(int(e) % self.p):
-                out = g if out is None else multiply(out, g)
-        return PauliOperator.identity(self.modulus, self.n) if out is None else out
+        e = np.array([[int(v) % p for v in row] for row in exponents], dtype=np.int64).reshape(len(exponents), m)
+        c, x, z = split_rows(self._rows)
+        zx = z @ x.T
+        x_bar, z_bar = e @ x % p, e @ z % p
+        cross = np.sum(e @ np.triu(zx, 1) * e, axis=1)
+        if p == 2:
+            phases = e @ (c + np.diag(zx)) - np.sum(x_bar * z_bar, axis=1) + 2 * cross
+        else:
+            phases = e @ c + (e * (e - 1) // 2) @ np.diag(zx) + cross
+        return tuple(
+            PauliOperator(self.modulus, n, phase, xs, zs)
+            for phase, xs, zs in zip(phases.tolist(), x_bar.tolist(), z_bar.tolist())
+        )
 
 
 def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
@@ -251,9 +299,10 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
     m = s.num_generators
     if len(t) != m or len(u) != m:
         raise ValueError("t, u must have one entry per generator")
-    if fields.rank_of_vectors(s.p, [t.entries, u.entries]) != 2:
+    q = fields.quotient_map([t, u], m)
+    if q.nrows > m - 2:
         raise DependentCentre("t and u are proportional or zero")
-    return subgroup_fixing(s, [t, u])
+    return StabiliserGroup(s.modulus, s.n, s.elements(q.rows))
 
 
 def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
@@ -264,7 +313,7 @@ def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> Stabilise
     num_generators - rank(centre) of them.
     """
     q = fields.quotient_map(list(centre), s.num_generators)
-    return StabiliserGroup(s.modulus, s.n, tuple(s.element(row) for row in q.rows))
+    return StabiliserGroup(s.modulus, s.n, s.elements(q.rows))
 
 
 def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:

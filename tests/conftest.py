@@ -8,7 +8,7 @@ import pytest
 
 from qsol import geometry, io
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors
-from qsol.pauli import PauliOperator, StabiliserGroup, symplectic_form, tau
+from qsol.pauli import PauliOperator, StabiliserGroup, multiply, symplectic_form, tau
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
 
@@ -199,6 +199,24 @@ def row_triples(rows) -> list[tuple]:
 def weight(x) -> int:
     """Number of qupit positions where a Pauli operator or symplectic vector is not the identity."""
     return sum(1 for a, b in zip(x.x_part, x.z_part) if a or b)
+
+
+def reference_power(a, e):
+    """a^e as a fresh identity followed by e multiply calls."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    out = PauliOperator.identity(a.modulus, a.n)
+    for _ in range(e):
+        out = multiply(out, a)
+    return out
+
+
+def reference_element(s, exponents):
+    """The product of the generator powers g^(e mod p), folded into a fresh identity."""
+    out = PauliOperator.identity(s.modulus, s.n)
+    for g, e in zip(s.generators, exponents):
+        out = multiply(out, reference_power(g, int(e) % s.p))
+    return out
 
 
 def all_exponent_vectors(modulus: PrimeModulus, m: int):

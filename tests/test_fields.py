@@ -10,6 +10,7 @@ from qsol.fields import (
     FpMatrix,
     FpVector,
     PrimeModulus,
+    is_independent,
     is_prime,
     kernel_basis,
     quotient_map,
@@ -168,6 +169,21 @@ class TestRref:
 
     def test_rank_of_vectors_empty(self):
         assert rank_of_vectors(2, []) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_is_independent_matches_rank(self, p):
+        # wide and tall stacks, with zero rows, repeats and multiples mixed in
+        rng = random.Random(40 + p)
+        mod = PrimeModulus(p)
+        assert is_independent(p, [])
+        for _ in range(120):
+            ncols = rng.randrange(1, 9)
+            vecs = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randrange(1, 7))]
+            if rng.random() < 0.4:
+                extra = rng.choice([[0] * ncols, [rng.randrange(1, p) * e for e in rng.choice(vecs)]])
+                vecs.insert(rng.randrange(len(vecs) + 1), extra)
+            expected = rank(FpMatrix.from_rows(mod, vecs, ncols)) == len(vecs)
+            assert is_independent(p, vecs) == expected
 
 
 class TestKernelAndInverse:

@@ -12,8 +12,8 @@ import pytest
 
 import dense_reference
 from qsol import pauli
-from qsol.errors import DependentCentre, InvalidGroup, NonCommutingGenerators
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank, row_space
+from qsol.errors import DependentCentre, InvalidGroup, LengthMismatch, NonCommutingGenerators
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, quotient_map, rank, row_space
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
@@ -22,36 +22,19 @@ from qsol.pauli import (
     extend_to_maximal_abelian,
     is_abelian,
     multiply,
+    subgroup_fixing,
     subgroup_tu,
     symplectic_form,
     tau,
     tau_inv,
 )
 
-from conftest import group_elements, in_row_space, random_group
+from conftest import group_elements, in_row_space, random_group, reference_element, reference_power
 
 
 def dense(op):
     """The operator's matrix as a Kronecker product."""
     return dense_reference.pauli_matrix(op.p, (op.phase, op.x_part, op.z_part))
-
-
-def reference_power(a, e):
-    """a^e as a fresh identity followed by e multiply calls."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    out = PauliOperator.identity(a.modulus, a.n)
-    for _ in range(e):
-        out = multiply(out, a)
-    return out
-
-
-def reference_element(s, exponents):
-    """The product of the generator powers g^(e mod p), folded into a fresh identity."""
-    out = PauliOperator.identity(s.modulus, s.n)
-    for g, e in zip(s.generators, exponents):
-        out = multiply(out, reference_power(g, int(e) % s.p))
-    return out
 
 
 def random_op(rng, modulus, n):
@@ -176,6 +159,18 @@ class TestStabiliserGroup:
         with pytest.raises(InvalidGroup):
             StabiliserGroup.from_generators([PauliOperator.from_letters("XX", phase=1)])
 
+    def test_rejects_rank_deficient_odd_p(self, mod3):
+        # g and g^2 commute but span one line of F_3^4
+        g = PauliOperator(mod3, 2, 0, (1, 2), (0, 1))
+        with pytest.raises(InvalidGroup):
+            StabiliserGroup.from_generators([g, reference_power(g, 2)])
+
+    def test_no_generators(self, mod3):
+        s = StabiliserGroup(mod3, 2, ())
+        assert s.k == 2 and s.gmatrix.nrows == 0 and s.gmatrix.ncols == 4
+        assert s.element(()) == PauliOperator.identity(mod3, 2)
+        assert s.elements([]) == ()
+
     def test_element_exponents(self, five_qubit_ops):
         s = StabiliserGroup.from_generators(five_qubit_ops)
         assert s.element((0, 0, 0, 0, 0)) == PauliOperator.identity(s.modulus, 5)
@@ -212,6 +207,37 @@ class TestStabiliserGroup:
         assert ternary_group.k == 4
 
 
+class TestIsAbelian:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_pairwise_forms(self, p):
+        # random lists, and generators of random groups with random operators appended
+        rng = random.Random(800 + p)
+        mod = PrimeModulus(p)
+        seen = set()
+        for _ in range(150):
+            n = rng.randrange(1, 4)
+            ops = [random_op(rng, mod, n) for _ in range(rng.randrange(0, 5))]
+            if rng.random() < 0.5:
+                ops = list(random_group(rng, mod, n, rng.randrange(1, n + 1)).generators) + ops[:1]
+            pairwise = all(symplectic_form(tau(a), tau(b)) == 0 for a, b in itertools.combinations(ops, 2))
+            assert is_abelian(ops) == pairwise
+            seen.add(pairwise)
+        assert seen == {True, False}
+
+    def test_small_cases(self):
+        mod5 = PrimeModulus(5)
+        x, z = PauliOperator(mod5, 1, 3, (1,), (0,)), PauliOperator(mod5, 1, 0, (0,), (4,))
+        assert is_abelian([])
+        assert is_abelian([x])
+        assert is_abelian([x, reference_power(x, 3)])
+        assert not is_abelian([x, z])
+        assert not is_abelian([x, x, z])
+
+    def test_mismatched_systems_rejected(self, mod2, mod3):
+        with pytest.raises(LengthMismatch):
+            is_abelian([PauliOperator.from_letters("X"), PauliOperator(mod3, 1, 0, (1,), (0,))])
+
+
 class TestCentraliser:
     @pytest.mark.parametrize("p,n,m", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
     def test_dual_rank_and_orthogonality(self, p, n, m):
@@ -232,11 +258,63 @@ class TestCentraliser:
             assert in_row_space(dual, FpVector(five_qubit_group.modulus, row))
 
 
+def random_centre(rng, mod, m, r):
+    """r independent vectors of F_p^m, and a list of them shuffled with zero vectors and combinations of them."""
+    p = mod.p
+    basis = []
+    while len(basis) < r:
+        cand = [rng.randrange(p) for _ in range(m)]
+        if rank(FpMatrix.from_rows(mod, basis + [cand], m)) == len(basis) + 1:
+            basis.append(cand)
+    extra = [[0] * m for _ in range(rng.randrange(2))]
+    for _ in range(rng.randrange(3)):
+        coeffs = [rng.randrange(p) for _ in basis]
+        extra.append([sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(m)])
+    basis = [FpVector(mod, v) for v in basis]
+    centre = basis + [FpVector(mod, v) for v in extra]
+    rng.shuffle(centre)
+    return basis, centre
+
+
 class TestSubgroupTu:
     def test_rejects_proportional_centre(self, five_qubit_group, mod2):
         t = FpVector(mod2, (1, 0, 0, 0, 0))
         with pytest.raises(DependentCentre):
             subgroup_tu(five_qubit_group, t, t)
+
+    def test_rejects_dependent_centre_odd_p(self, ternary_group, mod3):
+        t = FpVector(mod3, (1, 0, 2, 0, 0, 1, 0))
+        zero = FpVector(mod3, (0,) * 7)
+        for a, b in [(t, t.scale(2)), (zero, t), (t, zero)]:
+            with pytest.raises(DependentCentre):
+                subgroup_tu(ternary_group, a, b)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_property_generators_are_reference_elements(self, p):
+        # phased parents; centres of rank 1 to 3 listed with zero and dependent vectors
+        rng = random.Random(900 + p)
+        mod = PrimeModulus(p)
+        for _ in range(25):
+            n = rng.randrange(3, 6)
+            m = rng.randrange(3, n + 1)
+            base = random_group(rng, mod, n, m)
+            phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in range(m)]
+            s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
+            r = rng.randrange(1, 4)
+            basis, centre = random_centre(rng, mod, m, r)
+            expected = tuple(reference_element(s, row) for row in quotient_map(centre, m).rows)
+            sub = subgroup_fixing(s, centre)
+            assert sub.generators == expected and sub.num_generators == m - r
+            assert StabiliserGroup(mod, n, expected) == sub
+            assert sub.gmatrix.rows == tuple(tau(g).entries for g in expected)
+            if r == 2:
+                expected = tuple(reference_element(s, row) for row in quotient_map(basis, m).rows)
+                assert subgroup_tu(s, *basis).generators == expected
+
+    def test_centre_spanning_everything_leaves_no_generators(self, ternary_group, mod3):
+        centre = [FpVector(mod3, row) for row in FpMatrix.identity(mod3, 7).rows]
+        sub = subgroup_fixing(ternary_group, centre)
+        assert sub.generators == () and sub.k == 11
 
     def test_elements_belong_to_parent_and_annihilate_t_u(self, mod2, five_qubit_group):
         t = FpVector(mod2, (1, 0, 0, 0, 0))

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import cws_reference
-from qsol import geometry, lines as lines_mod, oracle, search
+from qsol import fields, geometry, lines as lines_mod, oracle, search
 from qsol.errors import (
     CollapsedImage,
     DimensionMismatch,
@@ -37,7 +37,7 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import edges, in_row_space, incident, normalised, pauli_rows, points, vectors
+from conftest import edges, in_row_space, incident, normalised, pauli_rows, points, reference_element, vectors
 
 
 @pytest.fixture(scope="module")
@@ -638,6 +638,13 @@ class TestRunRecipe:
         assert (report.vertices, report.edges, report.cliques_found) == (vertices, edges, cliques)
         capped = any("additive code has distance 2 < d" in w for w in report.warnings)
         assert capped == (k == 2)
+        # the subgroup's generators are the running products of the parent's
+        # generators given by the rows of the quotient map from the centre
+        group = graph_to_generators(nine_cycle_graph)
+        x = lines_mod.lines_from_matrix(group.gmatrix, 9, 0)
+        centre = search._lex_least_independent(group.modulus, 9, candidate_vertices(x, excluded_points(x, 3)), k)
+        rows = fields.quotient_map(centre, 9).rows
+        assert report.group.generators == tuple(reference_element(group, row) for row in rows)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_nine_cycle_centre_meets_line_5(self, nine_cycle_graph, k):

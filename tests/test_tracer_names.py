@@ -28,3 +28,6 @@ def test_per_op_finds_every_traced_name():
     (metrics,) = tracer.per_op()
     assert metrics["geometry.span.calls"] == 0
     assert metrics["search.distance_bound.self_s"] == 0.0
+    # qsol itself no longer calls pauli.multiply, but the tracer reads both pauli names
+    assert metrics["pauli.multiply.calls"] == 0
+    assert metrics["pauli.subgroup_tu.self_s"] == 0.0
