@@ -286,6 +286,47 @@ max_residual=*
 """
 
 
+TERNARY_PROJECT = """\
+3 11 6
+1 1 1 1 1 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 0 0
+0 0 0 0 0 0 1 0 0 0 0 1 1 0 1 1 0 0 1 1 1 0
+1 0 2 0 2 0 0 0 0 1 1 0 0 0 1 0 1 0 1 0 2 0
+0 1 0 1 1 1 0 0 0 0 2 2 2 1 2 1 1 1 0 0 2 0
+2 2 1 0 1 1 2 1 2 1 0 2 1 2 2 2 2 0 0 2 0 1
+"""
+
+PENTAGON_PAIR_PROJECT = """\
+2 5 2
+1 1 1 1 0 0 0 0 0 0
+0 0 0 0 1 0 1 0 1 0
+0 1 0 0 0 1 0 1 0 1
+"""
+
+PENTAGON_VALIDATE_TEXT = """\
+group on 5 qupits (p=2, k=0): valid
+even-skew line-set property: holds
+"""
+
+PENTAGON_VALIDATE_MACHINE = """\
+valid=1
+n=5
+k=0
+p=2
+even_skew=1
+"""
+
+TERNARY_VALIDATE_TEXT = """\
+group on 11 qupits (p=3, k=4): valid
+"""
+
+TERNARY_VALIDATE_MACHINE = """\
+valid=1
+n=11
+k=4
+p=3
+"""
+
+
 def masked_residual(out):
     """The output with its max_residual value masked, and that value."""
     (value,) = re.findall(r"(?:max_residual=|max residual )(\S+)", out)
@@ -342,6 +383,31 @@ class TestPinnedOutput:
         else:
             # each of the 60 weight-2 errors that the ((5,6,2)) code fails leaves a residual of 1/sqrt(3)
             assert abs(residual - 3 ** -0.5) < 1e-3
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["project", "--gens", "ternary.gens", "--tset", "ternary.tset"], TERNARY_PROJECT),
+        (["project", "--gens", "pentagon.gens", "--tset", "pair.tset"], PENTAGON_PAIR_PROJECT),
+        (["validate", "--gens", "pentagon.gens"], PENTAGON_VALIDATE_TEXT),
+        (["validate", "--gens", "pentagon.gens", "--format", "machine"], PENTAGON_VALIDATE_MACHINE),
+        (["validate", "--gens", "ternary.gens"], TERNARY_VALIDATE_TEXT),
+        (["validate", "--gens", "ternary.gens", "--format", "machine"], TERNARY_VALIDATE_MACHINE),
+        (["distance", "--gens", "pentagon.gens", "--limit", "2"], "d(X) >= 3 (search limit 2 exhausted)\n"),
+        (["distance", "--gens", "pentagon.gens", "--limit", "5"], "3\n"),
+        (["distance", "--gens", "pentagon.gens", "--limit", "2", "--format", "machine"], "d_lower=3\nexact=0\n"),
+        (["distance", "--gens", "pentagon.gens", "--limit", "5", "--format", "machine"], "d_lower=3\nexact=1\n"),
+        (["distance", "--gens", "ternary.gens", "--limit", "3"], "3\n"),
+        (["distance", "--gens", "ternary.gens", "--limit", "3", "--format", "machine"], "d_lower=3\nexact=1\n"),
+    ], ids=["ternary-project", "pentagon-pair-project", "pentagon-validate-text", "pentagon-validate-machine",
+            "ternary-validate-text", "ternary-validate-machine", "pentagon-distance-2-text",
+            "pentagon-distance-5-text", "pentagon-distance-2-machine", "pentagon-distance-5-machine",
+            "ternary-distance-3-text", "ternary-distance-3-machine"])
+    def test_line_set_output(self, data_dir, tmp_path, capsys, argv, expected):
+        # pair.tset is the pair of sign vectors of TestProject's pentagon projection
+        (tmp_path / "pair.tset").write_text("2 5\n0 0 0 0 0\n1 1 0 1 0\n0 1 1 0 1\n")
+        argv = [str((tmp_path if a == "pair.tset" else data_dir) / a) if a.endswith((".gens", ".tset")) else a
+                for a in argv]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == (expected, "")
 
     def test_nine_cycle_k3_collapses(self, data_dir, capsys):
         # the lexicographically least independent centre meets line 5
