@@ -4,7 +4,7 @@ pairs, compatibility-graph clique search, and a numerical error-detection
 oracle on orthonormal code bases."""
 
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjLine, ProjSubspace
+from .geometry import ProjSubspace
 from .lines import AtLeast, QuantumLineSet
 from .pauli import PauliOperator, StabiliserGroup, SymplecticVector
 from .search import CodeReport, CodingSet, CompatibilityGraph, LabelledGraph
@@ -19,7 +19,6 @@ __all__ = [
     "LabelledGraph",
     "PauliOperator",
     "PrimeModulus",
-    "ProjLine",
     "ProjSubspace",
     "QuantumLineSet",
     "StabiliserGroup",

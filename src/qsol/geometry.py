@@ -1,16 +1,17 @@
-"""Points, lines and subspaces of PG(m, p).
+"""Points and subspaces of PG(m, p).
 
 A point is held as a code: its normalised vector (first nonzero coordinate
 1) read as a base-p number, most significant coordinate first (vector_codes,
-digits, normalise). A rank-r subspace is stored as its unique RREF basis,
-so equality of subspaces is equality of values.
+digits, point_code, normalise). A rank-r subspace is stored as its unique
+RREF basis, so equality of subspaces is equality of values. A line is held
+as the codes of its points (lines.QuantumLineSet).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,34 +47,6 @@ class ProjSubspace:
         return self.basis.ncols - 1
 
 
-@dataclass(frozen=True, order=True)
-class ProjLine:
-    """A line of PG(m, p): a rank-2 subspace in canonical RREF form."""
-
-    modulus: PrimeModulus
-    basis: FpMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", fields.row_space(self.basis))
-        if self.basis.nrows != 2:
-            raise ValueError("rows do not span a line")
-
-    @classmethod
-    def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjLine":
-        return cls(modulus, FpMatrix.from_rows(modulus, rows, ncols))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.ncols - 1
-
-
-SubspaceLike = Union[ProjLine, ProjSubspace]
-
-
 def _places(p: int, m: int) -> np.ndarray:
     """The place value of each coordinate of a vector of F_p^m in its code."""
     return p ** np.arange(m - 1, -1, -1)
@@ -88,8 +61,8 @@ def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def digits(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The vectors of F_p^m with the given codes, one row each."""
-    return np.asarray(codes, dtype=np.int64)[:, None] // _places(p, m) % p
+    """The vectors of F_p^m with the given codes, along a new last axis."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // _places(p, m) % p
 
 
 def unique(codes: np.ndarray) -> np.ndarray:
@@ -103,15 +76,24 @@ def unique(codes: np.ndarray) -> np.ndarray:
 def normalise(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
     """The sorted codes of the points of PG(m-1, p) spanned by nonzero vectors of F_p^m, each once.
 
-    A point's normalised vector, first nonzero coordinate 1, has the least
-    code of its nonzero multiples. A code outside [1, p^m) is the zero
-    vector or no vector of F_p^m, and raises ValueError.
+    A code outside [1, p^m) is the zero vector or no vector of F_p^m, and
+    raises ValueError.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if ((codes < 1) | (codes >= p ** m)).any():
         raise ValueError(f"a code outside [1, {p}^{m}) is no point of PG({m - 1}, {p})")
-    vectors = digits(p, m, codes)
-    return unique(np.min([c * vectors % p @ _places(p, m) for c in range(1, p)], axis=0))
+    return unique(point_code(p, digits(p, m, codes)))
+
+
+def point_code(p: int, vectors: np.ndarray) -> np.ndarray:
+    """The code of the point of each vector along the last axis, and 0 for the zero vector.
+
+    The entries may be any integers; they are read mod p. A point's
+    normalised vector, first nonzero coordinate 1, has the least code of its
+    nonzero multiples.
+    """
+    places = _places(p, vectors.shape[-1])
+    return np.min([c * vectors % p @ places for c in range(1, p)], axis=0)
 
 
 def normalised_codes(p: int, r: int) -> np.ndarray:
@@ -123,27 +105,19 @@ def normalised_codes(p: int, r: int) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [np.arange(p ** j, 2 * p ** j) for j in range(r)])
 
 
-def point_codes(p: int, bases: np.ndarray) -> np.ndarray:
-    """The sorted codes of the points of each subspace of a stack, one row per subspace.
+def points_of(s: ProjSubspace) -> np.ndarray:
+    """The sorted codes of the (p^r - 1)/(p - 1) points of a rank-r subspace.
 
-    bases holds one RREF basis of r rows of F_p^m per subspace, shape
-    (k, r, m), as ProjLine and ProjSubspace keep them. The points of a span
-    are its normalised coefficient vectors times its basis, and each product
-    is normalised already: its first nonzero coordinate sits at the pivot of
-    the first nonzero c_i and equals c_i = 1.
+    The points of a span are its normalised coefficient vectors times its
+    RREF basis, and each product is normalised already: its first nonzero
+    coordinate sits at the pivot of the first nonzero c_i and equals c_i = 1.
     """
-    k, r, m = bases.shape
-    vectors = digits(p, r, normalised_codes(p, r)) @ bases % p
-    return np.sort(vectors @ _places(p, m), axis=1)
+    p, r, m = s.p, s.rank, s.basis.ncols
+    basis = np.array(s.basis.rows, dtype=np.int64).reshape(r, m)
+    return np.sort(digits(p, r, normalised_codes(p, r)) @ basis % p @ _places(p, m))
 
 
-def points_of(s: ProjSubspace | ProjLine) -> np.ndarray:
-    """The sorted codes of the (p^r - 1)/(p - 1) points of a rank-r subspace."""
-    basis = np.array(s.basis.rows, dtype=np.int64).reshape(1, s.basis.nrows, s.basis.ncols)
-    return point_codes(s.p, basis)[0]
-
-
-def span(objs: Sequence[SubspaceLike]) -> ProjSubspace:
+def span(objs: Sequence[ProjSubspace]) -> ProjSubspace:
     """Smallest subspace containing every input object."""
     if not objs:
         raise ValueError("span of nothing is undefined")

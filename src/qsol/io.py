@@ -2,7 +2,8 @@
 
 Generator format: header line "p n k", then n-k lines of 2n residues
 (X block then Z block), matching printed matrices column for column.
-Graph format: header "p n", then "i j label" lines (0-based, label in [1, p)).
+Graph format: header "p n", then "i j label" lines (0-based, label in [1, p)),
+each vertex pair at most once.
 Coding-set format: header "p len", then one vector per line.
 Restriction format: one homogeneous constraint (coefficient row) per line.
 """
@@ -74,12 +75,18 @@ def parse_graph(text: str) -> LabelledGraph:
     except ValueError as exc:
         raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
     edges = []
+    # the line of each edge so far, keyed by its ends in either order
+    seen: dict[tuple[int, int], int] = {}
     for ln, line in lines[1:]:
         i, j, label = _int_fields(line, ln, 3)
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InputFormatError(f"line {ln}: bad edge ({i}, {j})", line=ln)
         if not (1 <= label < p):
             raise InputFormatError(f"line {ln}: label must be in [1, {p})", line=ln)
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise InputFormatError(f"line {ln}: edge ({i}, {j}) repeats the edge of line {seen[key]}", line=ln)
+        seen[key] = ln
         edges.append((i, j, label))
     return LabelledGraph.from_edges(modulus, n, edges)
 

@@ -1,9 +1,11 @@
 """Quantum sets of lines and the dependent-point distance.
 
-The i-th line of the set is spanned by columns i and i+n of a generator
-matrix G; projecting the set from a pair of sign vectors produces the line
-set of the corresponding subgroup, bit for bit, because both sides use the
-same quotient map.
+A line is held as the sorted codes of its p + 1 points (see geometry), and
+a line set as one array of them, one row per line. The i-th line of the set
+is spanned by columns i and i+n of a generator matrix G; projecting the set
+from a pair of sign vectors maps every point through the quotient map that
+also builds the subgroup's generators, so the result equals the line set of
+that subgroup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from . import fields, geometry
 from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from .fields import FpMatrix, FpVector, PrimeModulus
-from .geometry import ProjLine
 
 
 class AtLeast(NamedTuple):
@@ -50,17 +51,30 @@ def min_distance_result(results: Sequence[DependentSetSize]) -> DependentSetSize
     return AtLeast(bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumLineSet:
-    """An ordered list of n lines of PG(m, p)."""
+    """An ordered list of n lines of PG(dim - 1, p), each held as the sorted codes of its p + 1 points.
+
+    points is a read-only (n, p + 1) int64 array, one row per line (see
+    lines_spanned_by). Two line sets are equal when their moduli, dimensions
+    and point arrays are.
+    """
 
     modulus: PrimeModulus
-    lines: tuple[ProjLine, ...]
+    dim: int
+    points: np.ndarray
 
     def __post_init__(self):
-        dims = {ln.ambient_dim for ln in self.lines}
-        if len(dims) > 1:
-            raise ValueError("lines live in different ambient spaces")
+        points = np.array(self.points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != self.p + 1:
+            raise ValueError(f"need {self.p + 1} point codes per line, got an array of shape {points.shape}")
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuantumLineSet):
+            return NotImplemented
+        return (self.modulus, self.dim) == (other.modulus, other.dim) and np.array_equal(self.points, other.points)
 
     @property
     def p(self) -> int:
@@ -68,84 +82,71 @@ class QuantumLineSet:
 
     @property
     def n(self) -> int:
-        return len(self.lines)
+        return len(self.points)
 
-    @property
-    def ambient_dim(self) -> int:
-        if not self.lines:
-            raise ValueError("empty line set has no ambient dimension")
-        return self.lines[0].ambient_dim
+
+def lines_spanned_by(modulus: PrimeModulus, a: np.ndarray, b: np.ndarray) -> QuantumLineSet:
+    """Line i = span of a_i and b_i, two (n, m) stacks of vectors of F_p^m.
+
+    Its points are b_i and a_i + c·b_i for c = 0..p-1. They are distinct
+    points when a_i and b_i are independent; otherwise one of them is the
+    zero vector, and DegenerateLine names the first such line as the
+    columns i and i+n of the generator matrix (a^T | b^T).
+    """
+    p = modulus.p
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n, m = a.shape
+    vectors = np.concatenate([b[:, None], a[:, None] + np.arange(p)[:, None] * b[:, None]], axis=1)
+    codes = geometry.point_code(p, vectors)
+    degenerate = np.flatnonzero((codes == 0).any(axis=1))
+    if len(degenerate):
+        i = int(degenerate[0])
+        raise DegenerateLine(f"columns {i} and {i + n} are dependent")
+    return QuantumLineSet(modulus, m, np.sort(codes, axis=1))
 
 
 def lines_from_matrix(g: FpMatrix, n: int, k: int) -> QuantumLineSet:
     """Line i = span of columns i and i+n of the (n-k) x 2n matrix G."""
     if g.nrows != n - k or g.ncols != 2 * n:
         raise ValueError(f"expected a {n - k} x {2 * n} matrix")
-    p = g.p
-    lines = []
-    for i in range(n):
-        c1 = tuple(row[i] for row in g.rows)
-        c2 = tuple(row[i + n] for row in g.rows)
-        if fields.rank_of_vectors(p, [c1, c2]) != 2:
-            raise DegenerateLine(f"columns {i} and {i + n} are dependent")
-        lines.append(ProjLine.from_rows(g.modulus, [c1, c2], n - k))
-    return QuantumLineSet(g.modulus, tuple(lines))
+    columns = np.array(g.rows, dtype=np.int64).reshape(n - k, 2 * n).T
+    return lines_spanned_by(g.modulus, columns[:n], columns[n:])
 
 
 def matrix_from_lines(x: QuantumLineSet) -> FpMatrix:
-    """Generator matrix whose column pairs (i, i+n) are the RREF line bases."""
-    m = x.ambient_dim + 1
-    n = x.n
-    cols = [None] * (2 * n)
-    for i, ln in enumerate(x.lines):
-        cols[i] = ln.basis.rows[0]
-        cols[i + n] = ln.basis.rows[1]
-    rows = tuple(tuple(col[r] for col in cols) for r in range(m))
-    return FpMatrix(x.modulus, rows, 2 * n)
+    """Generator matrix whose column pairs (i, i+n) are the RREF bases of the lines.
 
-
-def _line_points(x: QuantumLineSet) -> np.ndarray:
-    """The sorted codes of the p+1 points of each line, one row per line."""
-    return geometry.point_codes(x.p, np.array([ln.basis.rows for ln in x.lines], dtype=np.int64))
+    A line is spanned by any two of its points; the RREF basis of their span
+    is the line's one canonical basis.
+    """
+    pairs = geometry.digits(x.p, x.dim, x.points[:, :2]).tolist()
+    bases = np.array([fields.row_space(FpMatrix(x.modulus, pair, x.dim)).rows for pair in pairs], dtype=np.int64)
+    bases = bases.reshape(x.n, 2, x.dim)
+    return FpMatrix(x.modulus, np.hstack([bases[:, 0].T, bases[:, 1].T]).tolist(), 2 * x.n)
 
 
 def incident_points(x: QuantumLineSet) -> np.ndarray:
     """The sorted codes of the points that lie on the lines, each once."""
-    return geometry.unique(_line_points(x))
+    return geometry.unique(x.points)
 
 
 def validate_even_skew(x: QuantumLineSet) -> bool:
     """Check that every co-dimension-2 subspace is skew to evenly many lines.
 
     Only meaningful over F_2; the equivalent characterisation fails for
-    odd primes.  A co-dimension-2 subspace is encoded by a rank-2 matrix
-    of constraints; a line is skew to it iff the constraints restrict to
-    an invertible 2x2 map on the line.
+    odd primes. A co-dimension-2 subspace is the kernel of a rank-2 matrix
+    of constraints, and a line is skew to it when none of its three points
+    lies in it. Over F_2 a code is the point's bit vector, so a constraint
+    vanishes on a point when the AND of their bits has even parity.
     """
     if x.p != 2:
         raise UnsupportedModulus("even-skew characterisation requires p = 2")
-    m = x.ambient_dim
-    if m < 1:
+    if x.dim < 2:
         return True
-
-    def pack(row):
-        v = 0
-        for e in row:
-            v = (v << 1) | (e & 1)
-        return v
-
-    line_bits = [(pack(ln.basis.rows[0]), pack(ln.basis.rows[1])) for ln in x.lines]
-    for rows in geometry.iter_rref_bases(m + 1, 2, 2):
-        b1, b2 = pack(rows[0]), pack(rows[1])
-        skew = 0
-        for l1, l2 in line_bits:
-            a = bin(b1 & l1).count("1") & 1
-            b = bin(b1 & l2).count("1") & 1
-            c = bin(b2 & l1).count("1") & 1
-            d = bin(b2 & l2).count("1") & 1
-            if (a & d) ^ (b & c):
-                skew += 1
-        if skew & 1:
+    vectors = geometry.digits(2, x.dim, x.points)
+    for rows in geometry.iter_rref_bases(x.dim, 2, 2):
+        skew = (vectors @ np.array(rows).T % 2).any(axis=2).all(axis=1)
+        if np.count_nonzero(skew) & 1:
             return False
     return True
 
@@ -166,8 +167,7 @@ def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
         raise ValueError("limit must be at least 1")
     if x.n < 2 or limit < 2:
         return AtLeast(limit + 1)
-    p, m = x.p, x.ambient_dim + 1
-    points = _line_points(x)
+    p, m, points = x.p, x.dim, x.points
     for depth in range(1, min(limit, x.n)):
         for i in range(x.n):
             table = weight_table(p, m, np.delete(points, i, axis=0).ravel(), depth)
@@ -223,15 +223,17 @@ def line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def project_lines(x: QuantumLineSet, ts: Sequence[FpVector]) -> QuantumLineSet:
     """Project every line from the span of the given vectors.
 
-    Each line's basis rows go through fields.quotient_map of the vectors,
-    the same map whose rows generate the subgroup on the generator side
-    (pauli.subgroup_fixing).
+    Each point goes through fields.quotient_map of the vectors, the same map
+    whose rows generate the subgroup on the generator side
+    (pauli.subgroup_fixing). A line meets the centre exactly when one of its
+    points maps to zero, and the first such line raises CollapsedImage; the
+    points of every other line map to the p + 1 points of its image.
     """
-    q = fields.quotient_map(list(ts), x.ambient_dim + 1).transpose()
-    out = []
-    for i, ln in enumerate(x.lines):
-        image = ln.basis @ q
-        if fields.rank_of_vectors(x.p, image.rows) < 2:
-            raise CollapsedImage(f"line {i} meets the projection centre", index=i)
-        out.append(ProjLine.from_rows(x.modulus, image.rows, image.ncols))
-    return QuantumLineSet(x.modulus, tuple(out))
+    q = fields.quotient_map(list(ts), x.dim)
+    q = np.array(q.rows, dtype=np.int64).reshape(q.nrows, x.dim)
+    codes = geometry.point_code(x.p, geometry.digits(x.p, x.dim, x.points) @ q.T)
+    collapsed = np.flatnonzero((codes == 0).any(axis=1))
+    if len(collapsed):
+        i = int(collapsed[0])
+        raise CollapsedImage(f"line {i} meets the projection centre", index=i)
+    return QuantumLineSet(x.modulus, len(q), np.sort(codes, axis=1))

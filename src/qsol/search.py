@@ -74,7 +74,9 @@ class CompatibilityGraph:
     """Vertices are the codes of candidate points, in increasing order; each has one bitset row.
 
     Bit j of rows[i] is set exactly when vertices i and j are joined. A row
-    with bit i set (a loop) or a bit at or past the vertex count is refused.
+    with bit i set (a loop) or a bit at or past the vertex count is refused,
+    and so are rows that are not symmetric: the bit matrix must equal its
+    transpose.
     """
 
     vertices: tuple[int, ...]
@@ -87,6 +89,17 @@ class CompatibilityGraph:
         for i, row in enumerate(self.rows):
             if row >> n or row >> i & 1:
                 raise ValueError(f"row {i} must join vertex {i} only to other vertices 0..{n - 1}")
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8)
+        packed = packed.reshape(n, width)
+        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        # bit c of byte b of row i is entry (8b + c, i) of the transpose, so unpacking
+        # the byte columns builds it without a strided copy of the n x n bits
+        transposed = np.unpackbits(np.ascontiguousarray(packed.T)[:, None], axis=1, bitorder="little")
+        transposed = transposed.reshape(8 * width, n)[:n]
+        if not np.array_equal(bits, transposed):
+            i, j = np.argwhere(bits > transposed)[0].tolist()
+            raise ValueError(f"row {i} joins vertex {j}, but row {j} does not join vertex {i}")
 
     @property
     def num_vertices(self) -> int:
@@ -159,7 +172,7 @@ def excluded_points(x: QuantumLineSet, d: int) -> Weights:
 
 def _weights(x: QuantumLineSet, top: int) -> Weights:
     """X_top of the incident points of x, as a lines.weight_table."""
-    return lines_mod.weight_table(x.p, x.ambient_dim + 1, lines_mod.incident_points(x), top)
+    return lines_mod.weight_table(x.p, x.dim, lines_mod.incident_points(x), top)
 
 
 def candidate_vertices(
@@ -172,8 +185,8 @@ def candidate_vertices(
     With a restriction subspace, only its points are considered (the
     subspace trick that keeps the compatibility graph small).
     """
-    m = x.ambient_dim + 1
-    if restriction is not None and restriction.ambient_dim != x.ambient_dim:
+    m = x.dim
+    if restriction is not None and restriction.basis.ncols != m:
         raise DimensionMismatch(
             f"the restriction lives in PG({restriction.ambient_dim}, p), the lines in PG({m - 1}, p)"
         )
@@ -200,7 +213,7 @@ def gamma_graph(
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
     every row.
     """
-    p, m = x.p, x.ambient_dim + 1
+    p, m = x.p, x.dim
     codes = geometry.normalise(p, m, vertices)
     outside = excluded[codes] == OUTSIDE
     rows: list[int] = []
@@ -336,7 +349,7 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
     weights is the table X_{max(limit-1, 1)}. None when T has fewer than two
     distinct points, so that there is no such line.
     """
-    p, m = x.p, x.ambient_dim + 1
+    p, m = x.p, x.dim
     points = geometry.normalise(p, m, vector_codes(p, m, [v.entries for v in t.nonzero()]))
     if len(points) < 2:
         return None

@@ -171,13 +171,13 @@ def vectors(p: int, m: int, codes) -> list[tuple[int, ...]]:
 
 
 def points(s) -> list[tuple[int, ...]]:
-    """The points of a line or subspace as normalised vectors, in order: geometry.points_of decoded."""
+    """The points of a subspace as normalised vectors, in order: geometry.points_of decoded."""
     return vectors(s.p, s.basis.ncols, geometry.points_of(s))
 
 
 def incident(x) -> list[tuple[int, ...]]:
     """The incident points of a line set as normalised vectors, in order: lines.incident_points decoded."""
-    return vectors(x.p, x.ambient_dim + 1, lines_mod.incident_points(x))
+    return vectors(x.p, x.dim, lines_mod.incident_points(x))
 
 
 def edges(gamma) -> set[tuple[int, int]]:

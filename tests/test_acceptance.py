@@ -535,7 +535,7 @@ def test_property_distance_bound_matches_projection_rule():
                 edges.append((0, ring, rng.randrange(1, p)))
             group = search.graph_to_generators(search.LabelledGraph.from_edges(mod, n, edges))
             x = lines_mod.lines_from_matrix(group.gmatrix, n, 0)
-        dim = x.ambient_dim + 1
+        dim = x.dim
         size = rng.randint(1, 4)
         compatible_at = {"cycle": 2, "leaf": 3}.get(kind) or rng.choice([2, 3, None])
         if compatible_at:

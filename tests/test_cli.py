@@ -520,6 +520,14 @@ class TestErrorPaths:
         bad.write_text("2 2 0\n1 0 0 1\n")
         assert main(["validate", "--gens", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+    def test_repeated_graph_edge_exits_two(self, tmp_path, capsys, i, j):
+        graph = tmp_path / "twice.graph"
+        graph.write_text(f"3 3\n0 1 1\n1 2 1\n{i} {j} 2\n")
+        assert main(["gamma", "--graph", str(graph), "--d", "2"]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: line 4: edge ({i}, {j}) repeats the edge of line 2\n")
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         # a graph with an isolated vertex cannot seed the recipe
         lonely = tmp_path / "lonely.graph"

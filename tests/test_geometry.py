@@ -8,7 +8,6 @@ import pytest
 from qsol.errors import CollapsedImage, DimensionMismatch
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient_map, rank_of_vectors
 from qsol.geometry import (
-    ProjLine,
     ProjSubspace,
     iter_rref_bases,
     normalise,
@@ -16,7 +15,7 @@ from qsol.geometry import (
     span,
     vector_codes,
 )
-from qsol.lines import QuantumLineSet, project_lines
+from qsol.lines import lines_spanned_by, project_lines
 
 from conftest import normalised, points, vectors
 
@@ -59,7 +58,7 @@ class TestNormalise:
 
 class TestSubspacesAndSpan:
     def test_points_of_line_count(self, mod3):
-        line = ProjLine.from_rows(mod3, [(1, 0, 0), (0, 1, 0)], 3)
+        line = ProjSubspace.from_rows(mod3, [(1, 0, 0), (0, 1, 0)], 3)
         assert len(points_of(line)) == 4
 
     def test_span_of_two_points_is_their_line(self, mod2):
@@ -74,14 +73,13 @@ class TestSubspacesAndSpan:
         s2 = ProjSubspace.from_rows(mod2, [(1, 0, 1), (1, 1, 0)], 3)
         assert s1 == s2
 
-    @pytest.mark.parametrize("kind", [ProjSubspace, ProjLine])
-    def test_direct_construction_is_canonical(self, mod3, kind):
+    def test_direct_construction_is_canonical(self, mod3):
         # over F_3 the RREF of these rows is ((1, 0, 2), (0, 1, 1)); a basis
         # given directly is put in that form too, so equal subspaces are
         # equal values and hash alike
         rows = ((1, 1, 0), (0, 1, 1))
-        direct = kind(mod3, FpMatrix(mod3, rows, 3))
-        built = kind.from_rows(mod3, rows, 3)
+        direct = ProjSubspace(mod3, FpMatrix(mod3, rows, 3))
+        built = ProjSubspace.from_rows(mod3, rows, 3)
         assert direct.basis.rows == ((1, 0, 2), (0, 1, 1))
         assert direct == built
         assert direct in {built}
@@ -136,8 +134,6 @@ class TestPointsOf:
                 ]
                 if r == m:
                     cases.append(ProjSubspace(mod, FpMatrix.identity(mod, m)))
-                if r == 2:
-                    cases += [ProjLine.from_rows(mod, rows, m), ProjLine(mod, FpMatrix(mod, tuple(rows), m))]
                 for s in cases:
                     codes = points_of(s).tolist()
                     assert codes == sorted(set(codes))
@@ -156,7 +152,7 @@ class TestPointsOf:
 
     def test_codes_read_coordinates_in_base_p(self, mod3):
         # (0, 1, 2) is 0·9 + 1·3 + 2 = 5; then (1, 0, 0), (1, 1, 2) and (1, 2, 1)
-        line = ProjLine.from_rows(mod3, [(1, 0, 0), (0, 1, 2)], 3)
+        line = ProjSubspace.from_rows(mod3, [(1, 0, 0), (0, 1, 2)], 3)
         assert points_of(line).tolist() == [5, 9, 14, 16]
         assert points_of(line).tolist() == vector_codes(3, 3, points(line)).tolist()
 
@@ -172,9 +168,9 @@ class TestProjection:
         assert (q @ FpVector(mod2, (1, 1, 0))).is_zero()
 
     def test_line_through_centre_collapses(self, mod2):
-        line = ProjLine.from_rows(mod2, [(1, 0, 0), (0, 1, 0)], 3)
+        line = lines_spanned_by(mod2, [(1, 0, 0)], [(0, 1, 0)])
         with pytest.raises(CollapsedImage):
-            project_lines(QuantumLineSet(mod2, (line,)), [FpVector(mod2, (1, 0, 0))])
+            project_lines(line, [FpVector(mod2, (1, 0, 0))])
 
     def test_projection_is_linear_on_representatives(self, mod3):
         rng = random.Random(31)
@@ -192,11 +188,11 @@ class TestProjection:
     def test_two_points_of_a_line_project_to_collinear_points(self, mod2):
         # the image of a line is the span of the images of its points
         centre = [FpVector(mod2, (1, 1, 1, 1))]
-        line = ProjLine.from_rows(mod2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
-        (img,) = project_lines(QuantumLineSet(mod2, (line,)), centre).lines
+        line = lines_spanned_by(mod2, [(1, 0, 0, 0)], [(0, 1, 0, 0)])
+        (img,) = project_lines(line, centre).points
         q = quotient_map(centre, 4)
-        img_points = {normalised(2, (q @ FpVector(mod2, pt)).entries) for pt in points(line)}
-        assert img_points == set(points(img))
+        img_points = {normalised(2, (q @ FpVector(mod2, pt)).entries) for pt in vectors(2, 4, line.points[0])}
+        assert img_points == set(vectors(2, 3, img))
 
 
 class TestEnumeration:

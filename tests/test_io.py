@@ -60,6 +60,15 @@ class TestGraph:
         with pytest.raises(InputFormatError):
             io.parse_graph("2 3\n0 1 0\n")
 
+    @pytest.mark.parametrize("second", ["0 1 2", "1 0 2", "1 0 1"])
+    def test_repeated_edge_reports_its_line(self, second):
+        # over F_3 the edge 0-1 given again, in the same or the reversed
+        # order and with another label or the same one
+        text = f"3 3\n0 1 1\n# a comment line\n1 2 1\n{second}\n"
+        with pytest.raises(InputFormatError, match=r"line 5: edge \(\d, \d\) repeats the edge of line 2") as err:
+            io.parse_graph(text)
+        assert err.value.line == 5
+
 
 class TestCodingSet:
     def test_parse_and_round_trip(self, data_dir):

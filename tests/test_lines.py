@@ -3,9 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from qsol import fields, geometry, lines as lines_mod, pauli
+from qsol import fields, lines as lines_mod, pauli
 from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.lines import (
@@ -14,6 +15,7 @@ from qsol.lines import (
     distance_value,
     incident_points,
     lines_from_matrix,
+    lines_spanned_by,
     matrix_from_lines,
     min_dependent_set,
     min_distance_result,
@@ -22,7 +24,7 @@ from qsol.lines import (
 )
 from qsol.pauli import SymplecticVector, symplectic_form
 
-from conftest import points, random_group, random_group_with_lines, weight
+from conftest import normalised, random_group, random_group_with_lines, vectors, weight
 
 
 class TestBoundArithmetic:
@@ -44,9 +46,9 @@ class TestLinesFromMatrix:
     def test_pentagon_lines(self, five_qubit_lines):
         x = five_qubit_lines
         assert x.n == 5
-        assert x.ambient_dim == 4
+        assert x.dim == 5
         # line i = <e_i, adjacency column i> for the (I | A) matrix
-        first = set(points(x.lines[0]))
+        first = set(vectors(x.p, x.dim, x.points[0]))
         assert first == {(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (1, 1, 0, 0, 1)}
 
     def test_degenerate_column_pair_rejected(self, mod2):
@@ -66,7 +68,80 @@ class TestLinesFromMatrix:
             for _ in range(10):
                 _, x = random_group_with_lines(rng, mod, 4, 3)
                 g2 = matrix_from_lines(x)
-                assert lines_from_matrix(g2, x.n, x.n - (x.ambient_dim + 1)) == x
+                assert lines_from_matrix(g2, x.n, x.n - x.dim) == x
+
+
+def independent_pairs(rng, p, n, m):
+    """n pairs of independent vectors of F_p^m, as two (n, m) arrays with entries in [-p, 2p)."""
+    pairs = []
+    while len(pairs) < n:
+        pair = [tuple(rng.randrange(-p, 2 * p) for _ in range(m)) for _ in range(2)]
+        if fields.rank_of_vectors(p, pair) == 2:
+            pairs.append(pair)
+    return np.array(pairs, dtype=np.int64).reshape(n, 2, m).transpose(1, 0, 2)
+
+
+class TestLinesSpannedBy:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_points_are_the_normalised_combinations(self, p):
+        # every c1·a + c2·b with (c1, c2) nonzero, normalised, each point once, in code order
+        rng = random.Random(900 + p)
+        mod = PrimeModulus(p)
+        for _ in range(20):
+            n, m = rng.randrange(1, 6), rng.randrange(2, 6)
+            a, b = independent_pairs(rng, p, n, m)
+            x = lines_spanned_by(mod, a, b)
+            assert (x.modulus, x.dim, x.points.shape) == (mod, m, (n, p + 1))
+            for i in range(n):
+                combinations = {
+                    normalised(p, tuple((c1 * u + c2 * v) % p for u, v in zip(a[i].tolist(), b[i].tolist())))
+                    for c1 in range(p)
+                    for c2 in range(p)
+                    if c1 or c2
+                }
+                assert vectors(p, m, x.points[i]) == sorted(combinations)
+            # any other basis of each line gives an equal line set
+            alpha, beta, gamma, delta = (rng.randrange(p) for _ in range(4))
+            if (alpha * delta - beta * gamma) % p:
+                assert lines_spanned_by(mod, alpha * a + beta * b, gamma * a + delta * b) == x
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_dependent_pair_names_its_columns(self, p):
+        # a zero column or two proportional columns, at a random line, with
+        # possibly a second dependent pair after it
+        rng = random.Random(950 + p)
+        mod = PrimeModulus(p)
+        for case in range(24):
+            n, m = rng.randrange(1, 6), rng.randrange(2, 5)
+            a, b = independent_pairs(rng, p, n, m)
+            bad = sorted(rng.sample(range(n), min(n, rng.randrange(1, 3))))
+            for i in bad:
+                c = rng.randrange(1, p)
+                kind = (case + i) % 4
+                if kind == 0:
+                    a[i] = 0
+                elif kind == 1:
+                    b[i] = 0
+                elif kind == 2:
+                    a[i] = c * b[i] + p * rng.randrange(-1, 2)
+                else:
+                    b[i] = c * a[i]
+            match = rf"columns {bad[0]} and {bad[0] + n} are dependent"
+            with pytest.raises(DegenerateLine, match=match):
+                lines_spanned_by(mod, a, b)
+            g = FpMatrix(mod, np.hstack([a.T, b.T]).tolist(), 2 * n)
+            with pytest.raises(DegenerateLine, match=match):
+                lines_from_matrix(g, n, n - m)
+
+    def test_points_are_read_only(self, five_qubit_lines):
+        with pytest.raises(ValueError):
+            five_qubit_lines.points[0, 0] = 0
+
+    def test_equality_reads_every_field(self, five_qubit_lines, mod2):
+        x = five_qubit_lines
+        assert QuantumLineSet(mod2, 5, x.points.tolist()) == x
+        assert QuantumLineSet(mod2, 6, x.points) != x
+        assert QuantumLineSet(mod2, 5, x.points[::-1]) != x
 
 
 class TestIncidentPoints:
@@ -115,7 +190,7 @@ def brute_force_min_dependent_set(x, limit):
     """d(X) by one rank call per choice of one point on each of w lines, w ascending."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    pts_per_line = [points(ln) for ln in x.lines]
+    pts_per_line = [vectors(x.p, x.dim, row) for row in x.points]
     for w in range(1, min(limit, x.n) + 1):
         for idxs in itertools.combinations(range(x.n), w):
             for choice in itertools.product(*(pts_per_line[i] for i in idxs)):
@@ -126,16 +201,17 @@ def brute_force_min_dependent_set(x, limit):
 
 def random_line_set(rng, mod, n, dim):
     """n random lines, each spanned by two vectors of F_p^dim or repeating an earlier one (1 in 5)."""
-    lines = []
-    while len(lines) < n:
-        if lines and rng.randrange(5) == 0:
-            lines.append(rng.choice(lines))
+    pairs = []
+    while len(pairs) < n:
+        if pairs and rng.randrange(5) == 0:
+            pairs.append(rng.choice(pairs))
             continue
         rows = [tuple(rng.randrange(mod.p) for _ in range(dim)) for _ in range(2)]
         if fields.rank_of_vectors(mod.p, rows) == 2:
-            lines.append(geometry.ProjLine.from_rows(mod, rows, dim))
-    rng.shuffle(lines)
-    return QuantumLineSet(mod, tuple(lines))
+            pairs.append(rows)
+    rng.shuffle(pairs)
+    a, b = np.array(pairs, dtype=np.int64).reshape(n, 2, dim).transpose(1, 0, 2)
+    return lines_spanned_by(mod, a, b)
 
 
 class TestMinDependentSet:
@@ -159,8 +235,8 @@ class TestMinDependentSet:
         assert {2, 3, AtLeast(2)} <= seen and any(isinstance(r, AtLeast) and r.bound > 2 for r in seen)
 
     def test_empty_and_single_line_sets(self, five_qubit_lines, mod2):
-        assert min_dependent_set(QuantumLineSet(mod2, ()), 3) == AtLeast(4)
-        assert min_dependent_set(QuantumLineSet(mod2, five_qubit_lines.lines[:1]), 3) == AtLeast(4)
+        assert min_dependent_set(QuantumLineSet(mod2, 5, np.zeros((0, 3))), 3) == AtLeast(4)
+        assert min_dependent_set(QuantumLineSet(mod2, 5, five_qubit_lines.points[:1]), 3) == AtLeast(4)
 
     def test_limit_one_builds_no_table(self, five_qubit_lines, monkeypatch):
         monkeypatch.setattr(lines_mod, "weight_table", None)
@@ -179,7 +255,7 @@ class TestMinDependentSet:
         assert min_dependent_set(five_qubit_lines, 2) == AtLeast(3)
 
     def test_repeated_line_gives_two(self, five_qubit_lines, mod2):
-        doubled = QuantumLineSet(mod2, (five_qubit_lines.lines[0], five_qubit_lines.lines[0]))
+        doubled = QuantumLineSet(mod2, 5, five_qubit_lines.points[[0, 0]])
         assert min_dependent_set(doubled, 3) == 2
 
     def test_limit_validation(self, five_qubit_lines):
@@ -204,12 +280,40 @@ class TestMinDependentSet:
 
 
 class TestProjectLines:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_projecting_each_point(self, p):
+        # against quotient_map(...) @ FpVector on every point, normalised and
+        # sorted; centres of one vector up to the whole space, dependent ones
+        # included, so that lines collapse at random places
+        rng = random.Random(980 + p)
+        mod = PrimeModulus(p)
+        outcomes = {True: 0, False: 0}
+        while min(outcomes.values()) < 12:
+            m = rng.randrange(3, 6)
+            x = random_line_set(rng, mod, rng.randrange(1, 6), m)
+            nonzero = [v for v in (tuple(rng.randrange(p) for _ in range(m)) for _ in range(3 * m)) if any(v)]
+            centre = [FpVector(mod, v) for v in nonzero[: rng.randrange(1, m + 1)]]
+            q = fields.quotient_map(centre, m)
+            images = [[q @ FpVector(mod, v) for v in vectors(p, m, row)] for row in x.points]
+            first = next((i for i, image in enumerate(images) if any(v.is_zero() for v in image)), None)
+            if first is None:
+                y = project_lines(x, centre)
+                assert (y.modulus, y.dim) == (mod, q.nrows)
+                assert [vectors(p, y.dim, row) for row in y.points] == [
+                    sorted(normalised(p, v.entries) for v in image) for image in images
+                ]
+            else:
+                with pytest.raises(CollapsedImage) as err:
+                    project_lines(x, centre)
+                assert err.value.index == first
+            outcomes[first is None] += 1
+
     def test_projection_drops_ambient_dimension(self, five_qubit_lines, mod2):
         t = FpVector(mod2, (1, 1, 0, 1, 0))
         u = FpVector(mod2, (0, 1, 1, 0, 1))
         projected = project_lines(five_qubit_lines, [t, u])
         assert projected.n == 5
-        assert projected.ambient_dim == 2
+        assert projected.dim == 3
 
     def test_collapse_carries_line_index(self, five_qubit_lines, mod2):
         # e_1 lies on line 0, so projecting from it collapses that line

@@ -124,11 +124,11 @@ class TestExcludedPoints:
         weights = {}
         for size in range(1, d):
             for subset in itertools.combinations(incident(x), size):
-                for pt in points(ProjSubspace.from_rows(x.modulus, subset, x.ambient_dim + 1)):
+                for pt in points(ProjSubspace.from_rows(x.modulus, subset, x.dim)):
                     weights.setdefault(pt, size)
         # the table is indexed by base-p codes, which count the vectors in
         # the order itertools.product lists them
-        space = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        space = itertools.product(range(p), repeat=x.dim)
         expected = [weights.get(normalised(p, v), search.OUTSIDE) if any(v) else 0 for v in space]
         assert excluded_points(x, d).tolist() == expected
 
@@ -145,7 +145,7 @@ class TestCandidateVertices:
         excluded = excluded_points(x, d)
         # the table lists the vectors in the order itertools.product gives
         # them, so a vector's position is its code
-        space = itertools.product(range(p), repeat=x.ambient_dim + 1)
+        space = itertools.product(range(p), repeat=x.dim)
         expected = [
             code
             for code, (v, weight) in enumerate(zip(space, excluded.tolist()))
@@ -296,6 +296,32 @@ class TestGammaGraph:
         # row, whose bits run on past every vertex
         with pytest.raises(ValueError, match="must join vertex"):
             CompatibilityGraph((1, 2), rows)
+
+    @pytest.mark.parametrize("rows, i, j", [((0b110, 0, 0), 0, 1), ((0b110, 0b001, 0), 0, 2), ((0, 0b100, 0), 1, 2)])
+    def test_one_way_rows_are_refused(self, rows, i, j):
+        with pytest.raises(ValueError, match=f"row {i} joins vertex {j}, but row {j} does not join vertex {i}"):
+            CompatibilityGraph((1, 2, 3), rows)
+
+    def test_symmetry_check_matches_bit_tests(self):
+        # random graphs on up to 20 vertices, across the byte boundaries, with
+        # one bit flipped in every other case, against pairwise bit tests
+        rng = random.Random(6016)
+        seen = {True: 0, False: 0}
+        for case in range(80):
+            nv = rng.randint(2, 20)
+            rows = random_rows(rng, nv, rng.random())
+            if case % 2:
+                i, j = rng.sample(range(nv), 2)
+                rows[i] ^= 1 << j
+            one_way = [(i, j) for i in range(nv) for j in range(nv) if rows[i] >> j & 1 and not rows[j] >> i & 1]
+            if one_way:
+                i, j = one_way[0]
+                with pytest.raises(ValueError, match=f"row {i} joins vertex {j}, but row {j} does not join"):
+                    CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+            else:
+                assert CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows)).rows == tuple(rows)
+            seen[not one_way] += 1
+        assert min(seen.values()) >= 30
 
     def test_rows_are_symmetric_without_loops(self, pentagon_lines):
         gamma = gamma_of(pentagon_lines, 2)
