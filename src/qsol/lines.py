@@ -137,7 +137,8 @@ def validate_even_skew(x: QuantumLineSet) -> bool:
     odd primes. A co-dimension-2 subspace is the kernel of a rank-2 matrix
     of constraints, and a line is skew to it when none of its three points
     lies in it. Over F_2 a code is the point's bit vector, so a constraint
-    vanishes on a point when the AND of their bits has even parity.
+    vanishes on a point when the AND of their bits has even parity: their
+    product mod 2 is 0.
     """
     if x.p != 2:
         raise UnsupportedModulus("even-skew characterisation requires p = 2")
