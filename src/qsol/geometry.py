@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fields
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooLarge
 from .fields import FpMatrix, PrimeModulus
 
 
@@ -42,13 +42,11 @@ class ProjSubspace:
     def rank(self) -> int:
         return self.basis.nrows
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.ncols - 1
-
 
 def _places(p: int, m: int) -> np.ndarray:
-    """The place value of each coordinate of a vector of F_p^m in its code."""
+    """The place value of each coordinate of a vector of F_p^m in its int64 code; wider codes are refused."""
+    if p ** m > 2 ** 63:
+        raise TooLarge(f"the vectors of F_{p}^{m} have codes up to {p}^{m} - 1, past the 64-bit integers")
     return p ** np.arange(m - 1, -1, -1)
 
 

@@ -56,8 +56,8 @@ class QuantumLineSet:
     """An ordered list of n lines of PG(dim - 1, p), each held as the sorted codes of its p + 1 points.
 
     points is a read-only (n, p + 1) int64 array, one row per line (see
-    lines_spanned_by). Two line sets are equal when their moduli, dimensions
-    and point arrays are.
+    lines_spanned_by): the increasing codes of p + 1 points. Two line sets
+    are equal when their moduli, dimensions and point arrays are.
     """
 
     modulus: PrimeModulus
@@ -65,9 +65,12 @@ class QuantumLineSet:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] != self.p + 1:
-            raise ValueError(f"need {self.p + 1} point codes per line, got an array of shape {points.shape}")
+        p, points = self.p, np.array(self.points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != p + 1:
+            raise ValueError(f"need {p + 1} point codes per line, got an array of shape {points.shape}")
+        own = geometry.point_code(p, geometry.digits(p, self.dim, points)) == points
+        if not (own.all() and (np.diff(points, prepend=0) > 0).all()):
+            raise ValueError(f"a line needs the increasing codes of {p + 1} points of PG({self.dim - 1}, {p})")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
@@ -75,6 +78,9 @@ class QuantumLineSet:
         if not isinstance(other, QuantumLineSet):
             return NotImplemented
         return (self.modulus, self.dim) == (other.modulus, other.dim) and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        return hash((self.modulus, self.dim, self.points.shape, self.points.tobytes()))
 
     @property
     def p(self) -> int:

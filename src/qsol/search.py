@@ -92,14 +92,13 @@ class CompatibilityGraph:
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8)
         packed = packed.reshape(n, width)
-        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        # bit c of byte b of row i is entry (8b + c, i) of the transpose, so unpacking
-        # the byte columns builds it without a strided copy of the n x n bits
-        transposed = np.unpackbits(np.ascontiguousarray(packed.T)[:, None], axis=1, bitorder="little")
-        transposed = transposed.reshape(8 * width, n)[:n]
-        if not np.array_equal(bits, transposed):
-            i, j = np.argwhere(bits > transposed)[0].tolist()
-            raise ValueError(f"row {i} joins vertex {j}, but row {j} does not join vertex {i}")
+        # eight rows at a time, so no n x n array is built, against byte column b (bit c of row j is entry (j, 8b + c))
+        for b in range(width):
+            rows = np.unpackbits(packed[8 * b:8 * b + 8], axis=1, count=n, bitorder="little")
+            one_way = rows > np.unpackbits(packed[:, b], bitorder="little").reshape(n, 8).T[:len(rows)]
+            if one_way.any():
+                i, j = np.argwhere(one_way)[0].tolist()
+                raise ValueError(f"row {8 * b + i} joins vertex {j}, but row {j} does not join vertex {8 * b + i}")
 
     @property
     def num_vertices(self) -> int:
@@ -188,7 +187,7 @@ def candidate_vertices(
     m = x.dim
     if restriction is not None and restriction.basis.ncols != m:
         raise DimensionMismatch(
-            f"the restriction lives in PG({restriction.ambient_dim}, p), the lines in PG({m - 1}, p)"
+            f"the restriction lives in PG({restriction.basis.ncols - 1}, p), the lines in PG({m - 1}, p)"
         )
     pool = geometry.normalised_codes(x.p, m) if restriction is None else geometry.points_of(restriction)
     return pool[excluded[pool] == OUTSIDE]

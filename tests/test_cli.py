@@ -131,6 +131,26 @@ class TestProject:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: CollapsedImage: line 0 meets the projection centre\n")
 
+    def test_codes_past_64_bits_are_refused(self, tmp_path, capsys):
+        # F_31^13 has codes up to 31^13 - 1 > 2^63, which int64 codes cannot hold;
+        # F_31^12 still fits, so the 12-cycle state validates
+        from qsol import io
+        from qsol.fields import PrimeModulus
+        from qsol.search import LabelledGraph, graph_to_generators
+
+        for n in (12, 13):
+            gens = tmp_path / f"cycle{n}.gens"
+            gens.write_text(io.format_generators(graph_to_generators(LabelledGraph.cycle(PrimeModulus(31), n))))
+        assert main(["validate", "--gens", str(tmp_path / "cycle12.gens"), "--format", "machine"]) == EXIT_OK
+        assert capsys.readouterr().out == "valid=1\nn=12\nk=0\np=31\n"
+        tset = tmp_path / "one.tset"
+        tset.write_text("31 13\n" + " ".join(["0"] * 13) + "\n" + " ".join(["1"] + ["0"] * 12) + "\n")
+        message = "error: TooLarge: the vectors of F_31^13 have codes up to 31^13 - 1, past the 64-bit integers\n"
+        for argv in (["validate"], ["project", "--tset", str(tset)]):
+            assert main(argv + ["--gens", str(tmp_path / "cycle13.gens")]) == EXIT_FAIL
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", message)
+
 
 class TestGammaAndCliques:
     def test_pentagon_gamma(self, data_dir, capsys):

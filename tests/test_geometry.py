@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from qsol.errors import CollapsedImage, DimensionMismatch
+from qsol.errors import CollapsedImage, DimensionMismatch, TooLarge
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient_map, rank_of_vectors
 from qsol.geometry import (
     ProjSubspace,
+    digits,
     iter_rref_bases,
     normalise,
     points_of,
@@ -42,6 +43,20 @@ class TestNormalise:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             normalise(2, 3, vector_codes(2, 3, [(0, 0, 0)]))
+
+    @pytest.mark.parametrize("p, m", [(2, 63), (3, 39), (31, 12)])
+    def test_codes_stop_at_64_bits(self, p, m):
+        # p^m <= 2^63 is the largest space whose codes fit an int64; one more
+        # coordinate would wrap them, so it is refused
+        top = (1,) + (p - 1,) * (m - 1)
+        assert vector_codes(p, m, [top]).tolist() == [2 * p ** (m - 1) - 1]
+        assert digits(p, m, [2 * p ** (m - 1) - 1]).tolist() == [list(top)]
+        with pytest.raises(TooLarge, match=f"codes up to {p}\\^{m + 1} - 1, past the 64-bit integers"):
+            vector_codes(p, m + 1, [(1,) + top])
+        with pytest.raises(TooLarge):
+            digits(p, m + 1, [1])
+        with pytest.raises(TooLarge):
+            normalise(p, m + 1, [1])
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_scaling_the_first_nonzero_coordinate(self, p):

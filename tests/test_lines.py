@@ -143,6 +143,25 @@ class TestLinesSpannedBy:
         assert QuantumLineSet(mod2, 6, x.points) != x
         assert QuantumLineSet(mod2, 5, x.points[::-1]) != x
 
+    def test_equal_sets_hash_alike(self, five_qubit_lines, mod2):
+        x = five_qubit_lines
+        assert hash(QuantumLineSet(mod2, 5, x.points.tolist())) == hash(x)
+        assert len({x, QuantumLineSet(mod2, 5, x.points.tolist()), QuantumLineSet(mod2, 5, x.points[::-1])}) == 2
+
+    @pytest.mark.parametrize("row", [
+        (1, 5, 5, 9),  # a repeated point
+        (5, 1, 9, 13),  # not increasing
+        (0, 1, 5, 9),  # the zero vector
+        (1, 5, 9, 19),  # 19 = (0, 2, 0, 1) is not normalised
+        (1, 5, 9, 81),  # past F_3^4
+        (-1, 5, 9, 13),
+    ])
+    def test_rows_must_be_increasing_codes_of_points(self, row):
+        mod3 = PrimeModulus(3)
+        assert QuantumLineSet(mod3, 4, [(1, 5, 9, 13)]).n == 1
+        with pytest.raises(ValueError, match="increasing codes of 4 points of PG\\(3, 3\\)"):
+            QuantumLineSet(mod3, 4, [(1, 5, 9, 13), row])
+
 
 class TestIncidentPoints:
     def test_pentagon_has_15_incident_points(self, five_qubit_lines):

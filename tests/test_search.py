@@ -302,6 +302,17 @@ class TestGammaGraph:
         with pytest.raises(ValueError, match=f"row {i} joins vertex {j}, but row {j} does not join vertex {i}"):
             CompatibilityGraph((1, 2, 3), rows)
 
+    def test_one_way_pair_across_row_blocks(self):
+        # rows are checked 64 at a time: row 3 sees the missing bit first, but
+        # the pair is reported from row 150, the row that has it
+        rows = [0] * 200
+        rows[0] = 1 << 199
+        rows[199] = 1
+        assert CompatibilityGraph(tuple(range(1, 201)), tuple(rows)).num_edges == 1
+        rows[150] |= 1 << 3
+        with pytest.raises(ValueError, match="row 150 joins vertex 3, but row 3 does not join vertex 150"):
+            CompatibilityGraph(tuple(range(1, 201)), tuple(rows))
+
     def test_symmetry_check_matches_bit_tests(self):
         # random graphs on up to 20 vertices, across the byte boundaries, with
         # one bit flipped in every other case, against pairwise bit tests
