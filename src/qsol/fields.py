@@ -8,15 +8,12 @@ entry tuples, which keeps every downstream search reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import TooLarge
-
 _MAX_PRIME = 31
-# budget of one enumerated table, in bytes: the weight tables of lines and
-# the row-space enumeration below refuse a larger one with TooLarge
+# budget of one enumerated table, in bytes: a weight table of lines
+# (lines.weight_table) above it is refused with TooLarge
 MAX_TABLE_BYTES = 2 ** 28
 
 
@@ -233,8 +230,7 @@ def quotient_map(vectors: Sequence[FpVector], dim: int) -> FpMatrix:
 def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
     """Rank of a small stack of raw coefficient tuples.
 
-    Bit-packed fast path for p = 2; plain elimination otherwise.  This is
-    the inner loop of the skew tests and the dependent-point search.
+    Bit-packed fast path for p = 2; plain elimination otherwise.
     """
     if p == 2:
         by_high: dict[int, int] = {}
@@ -284,29 +280,3 @@ def is_independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         rank += 1
     return rank == len(rows)
-
-
-def row_space_vectors(m: FpMatrix) -> list[FpVector]:
-    """Every vector of the row space, sorted lexicographically.
-
-    The p^rank vectors take at least one 8-byte slot per entry; a row space
-    above MAX_TABLE_BYTES on that count is refused before any is built.
-    """
-    basis = row_space(m)
-    p = m.p
-    count = p ** basis.nrows
-    size = count * m.ncols * 8
-    if size > MAX_TABLE_BYTES:
-        raise TooLarge(
-            f"a row space of {p}^{basis.nrows} = {count} vectors of length {m.ncols} needs at least "
-            f"{size / 2 ** 20:.1f} MiB, over the {MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
-        )
-    out = []
-    for coeffs in itertools.product(range(p), repeat=basis.nrows):
-        v = [0] * m.ncols
-        for c, row in zip(coeffs, basis.rows):
-            if c:
-                v = [(a + c * b) % p for a, b in zip(v, row)]
-        out.append(FpVector(m.modulus, tuple(v)))
-    out.sort()
-    return out

@@ -9,9 +9,8 @@ as the codes of its points (lines.QuantumLineSet).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,25 +123,3 @@ def span(objs: Sequence[ProjSubspace]) -> ProjSubspace:
     if any(o.basis.ncols != ncols for o in objs):
         raise DimensionMismatch("objects live in different ambient spaces")
     return ProjSubspace.from_rows(objs[0].modulus, rows, ncols)
-
-
-def iter_rref_bases(ncols: int, r: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All rank-r RREF matrices with ncols columns, as raw row tuples.
-
-    One per r-dimensional subspace of F_p^ncols; no hashing or dedup needed.
-    """
-    for pivots in itertools.combinations(range(ncols), r):
-        free_positions = [
-            (i, c)
-            for i in range(r)
-            for c in range(pivots[i] + 1, ncols)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * ncols for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(free_positions, values):
-                rows[i][c] = v
-            yield tuple(tuple(row) for row in rows)
-

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import fields, geometry
+from . import fields, geometry, pauli
 from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from .fields import FpMatrix, FpVector, PrimeModulus
 
@@ -140,22 +140,19 @@ def validate_even_skew(x: QuantumLineSet) -> bool:
     """Check that every co-dimension-2 subspace is skew to evenly many lines.
 
     Only meaningful over F_2; the equivalent characterisation fails for
-    odd primes. A co-dimension-2 subspace is the kernel of a rank-2 matrix
-    of constraints, and a line is skew to it when none of its three points
-    lies in it. Over F_2 a code is the point's bit vector, so a constraint
-    vanishes on a point when the AND of their bits has even parity: their
-    product mod 2 is 0.
+    odd primes. The subspace ker(f, g) meets the line span(a, b) exactly
+    when the determinant of [[f·a, f·b], [g·a, g·b]], which is (a∧b)(f, g),
+    vanishes. Over F_2 a skew line adds 1, so the count mod 2 is
+    (Σ_i a_i∧b_i)(f, g), and it vanishes for every f, g exactly when
+    Aᵀ·B − Bᵀ·A = 0 mod 2, with the lines' a_i and b_i as the rows of A and
+    B: the generator rows (Aᵀ | Bᵀ) pairwise commute. Any two points of a
+    line serve, since over F_2 a change of basis has determinant 1; over
+    F_p it scales a∧b by its determinant, which is why the test needs p = 2.
     """
     if x.p != 2:
         raise UnsupportedModulus("even-skew characterisation requires p = 2")
-    if x.dim < 2:
-        return True
-    vectors = geometry.digits(2, x.dim, x.points)
-    for rows in geometry.iter_rref_bases(x.dim, 2, 2):
-        skew = (vectors @ np.array(rows).T % 2).any(axis=2).all(axis=1)
-        if np.count_nonzero(skew) & 1:
-            return False
-    return True
+    a, b = geometry.digits(2, x.dim, x.points[:, :2]).transpose(1, 2, 0)
+    return pauli.forms_vanish(2, a, b)
 
 
 def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:

@@ -150,9 +150,8 @@ def split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:]
 
 
-def _forms_vanish(p: int, rows: np.ndarray) -> bool:
-    """True iff X·Zᵀ − Z·Xᵀ = 0 mod p: its entry (i, j) is the symplectic form of rows i and j."""
-    _, x, z = split_rows(rows)
+def forms_vanish(p: int, x: np.ndarray, z: np.ndarray) -> bool:
+    """True iff X·Zᵀ − Z·Xᵀ = 0 mod p: its entry (i, j) is the symplectic form of rows i and j of (X | Z)."""
     return not ((x @ z.T - z @ x.T) % p).any()
 
 
@@ -163,7 +162,8 @@ def is_abelian(gens: Sequence[PauliOperator]) -> bool:
     first = gens[0]
     if any(g.modulus != first.modulus or g.n != first.n for g in gens):
         raise LengthMismatch("operators of different shape")
-    return _forms_vanish(first.p, operator_rows(gens, first.n))
+    _, x, z = split_rows(operator_rows(gens, first.n))
+    return forms_vanish(first.p, x, z)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,8 @@ class StabiliserGroup:
                 raise ParameterMismatch("generator on a different system")
         rows = operator_rows(self.generators, self.n)
         rows.flags.writeable = False
-        if not _forms_vanish(self.p, rows):
+        _, x, z = split_rows(rows)
+        if not forms_vanish(self.p, x, z):
             raise NonCommutingGenerators("generators do not pairwise commute")
         if not fields.is_independent(self.p, rows[:, 1:].tolist()):
             raise InvalidGroup("generator matrix is not full rank")
@@ -221,6 +222,8 @@ class StabiliserGroup:
             raise ValueError("generator matrix must have 2n columns")
         if phases is None:
             phases = [0] * g.nrows
+        if len(phases) != g.nrows:
+            raise ValueError(f"need one phase per generator row: {len(phases)} phases for {g.nrows} rows")
         gens = tuple(
             PauliOperator(modulus, n, ph, row[:n], row[n:])
             for ph, row in zip(phases, g.rows)
@@ -320,13 +323,17 @@ def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
     """Grow the group until its code C' satisfies C' = C'^{perp_s}.
 
     At each step the lexicographically least vector of the symplectic dual
-    not already in the row space is adjoined with phase 0.
+    not already in the row space W is adjoined with phase 0. Let r_1..r_s be
+    the dual's RREF basis, pivots increasing. The vector Σ c_i r_i has c_i at
+    the i-th pivot and, before it, only entries that c_1..c_{i-1} fix, so the
+    dual's vectors sort as their coefficient tuples. The least one outside W
+    is therefore r_j for the largest j with r_j outside W: every combination
+    of r_{j+1}..r_s lies in W.
     """
     current = s
     while current.num_generators < current.n:
-        rows = set(fields.row_space_vectors(current.gmatrix))
-        # the dual's vectors come sorted, so the first one outside the row space is the least
-        v = next(v for v in fields.row_space_vectors(centraliser_basis(current)) if v not in rows)
-        new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v.entries))
+        rows = current.gmatrix.rows
+        v = next(r for r in reversed(centraliser_basis(current).rows) if fields.is_independent(s.p, rows + (r,)))
+        new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v))
         current = StabiliserGroup(s.modulus, s.n, current.generators + (new_gen,))
     return current

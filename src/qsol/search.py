@@ -53,10 +53,20 @@ class LabelledGraph:
 
     @classmethod
     def from_edges(cls, modulus: PrimeModulus, n: int, edges: Sequence[tuple[int, int, int]]) -> "LabelledGraph":
+        """The graph with the given (i, j, label) edges, labels taken mod p.
+
+        A label that is 0 mod p would leave i and j unjoined, and a pair
+        given twice (in either order) would keep only its last label; both
+        raise ValueError.
+        """
         rows = [[0] * n for _ in range(n)]
         for i, j, label in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
+            if label % modulus.p == 0:
+                raise ValueError(f"edge ({i}, {j}) has label {label}, which is 0 mod {modulus.p}")
+            if rows[i][j]:
+                raise ValueError(f"edge ({i}, {j}) is given twice")
             rows[i][j] = rows[j][i] = label % modulus.p
         return cls(modulus, FpMatrix.from_rows(modulus, rows, n))
 

@@ -1,5 +1,6 @@
 """Shared fixtures: worked examples, parsed data files, random generators."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -7,8 +8,17 @@ import numpy as np
 import pytest
 
 from qsol import geometry, io
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors
-from qsol.pauli import PauliOperator, StabiliserGroup, multiply, symplectic_form, tau
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors, row_space
+from qsol.pauli import (
+    PauliOperator,
+    StabiliserGroup,
+    SymplecticVector,
+    centraliser_basis,
+    multiply,
+    symplectic_form,
+    tau,
+    tau_inv,
+)
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
 
@@ -112,8 +122,6 @@ def ternary_tset(data_dir):
 
 def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> FpMatrix:
     """m independent, pairwise symplectically orthogonal vectors of F_p^{2n}."""
-    from qsol.pauli import SymplecticVector
-
     rows: list[tuple[int, ...]] = []
     attempts = 0
     while len(rows) < m:
@@ -220,8 +228,6 @@ def reference_element(s, exponents):
 
 
 def all_exponent_vectors(modulus: PrimeModulus, m: int):
-    import itertools
-
     for entries in itertools.product(range(modulus.p), repeat=m):
         yield FpVector(modulus, entries)
 
@@ -229,3 +235,56 @@ def all_exponent_vectors(modulus: PrimeModulus, m: int):
 def group_elements(s: StabiliserGroup) -> set:
     """Every element of the group, phases included."""
     return {s.element(v.entries) for v in all_exponent_vectors(s.modulus, s.num_generators)}
+
+
+# ------------------------------------------------- brute-force enumerations
+
+def row_space_vectors(m: FpMatrix) -> list[FpVector]:
+    """Every vector of the row space, sorted lexicographically: one per coefficient tuple of its RREF basis."""
+    basis = row_space(m)
+    p = m.p
+    out = []
+    for coeffs in itertools.product(range(p), repeat=basis.nrows):
+        v = [0] * m.ncols
+        for c, row in zip(coeffs, basis.rows):
+            v = [(a + c * b) % p for a, b in zip(v, row)]
+        out.append(FpVector(m.modulus, tuple(v)))
+    return sorted(out)
+
+
+def iter_rref_bases(ncols: int, r: int, p: int):
+    """All rank-r RREF matrices with ncols columns, as row tuples: one per r-dimensional subspace of F_p^ncols."""
+    for pivots in itertools.combinations(range(ncols), r):
+        free_positions = [(i, c) for i in range(r) for c in range(pivots[i] + 1, ncols) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free_positions)):
+            rows = [[0] * ncols for _ in range(r)]
+            for i in range(r):
+                rows[i][pivots[i]] = 1
+            for (i, c), v in zip(free_positions, values):
+                rows[i][c] = v
+            yield tuple(tuple(row) for row in rows)
+
+
+def reference_even_skew(x) -> bool:
+    """lines.validate_even_skew by counting, for every co-dimension-2 subspace of F_2^dim, the lines skew to it.
+
+    The subspace is the kernel of a rank-2 matrix of constraints, and a line
+    is skew to it when none of its three points lies in it.
+    """
+    line_vectors = geometry.digits(2, x.dim, x.points)
+    for rows in iter_rref_bases(x.dim, 2, 2):
+        skew = (line_vectors @ np.array(rows).T % 2).any(axis=2).all(axis=1)
+        if np.count_nonzero(skew) & 1:
+            return False
+    return True
+
+
+def reference_extend(s: StabiliserGroup) -> StabiliserGroup:
+    """pauli.extend_to_maximal_abelian by listing the dual, sorted, and adjoining its first vector outside the row space."""
+    current = s
+    while current.num_generators < current.n:
+        rows = set(row_space_vectors(current.gmatrix))
+        v = next(v for v in row_space_vectors(centraliser_basis(current)) if v not in rows)
+        new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v.entries))
+        current = StabiliserGroup(s.modulus, s.n, current.generators + (new_gen,))
+    return current

@@ -42,6 +42,7 @@ from conftest import (
     random_group,
     random_group_with_lines,
     random_symplectic_rows,
+    row_space_vectors,
     row_triples,
     vectors,
     weight,
@@ -318,7 +319,7 @@ def test_property_min_dependent_set_is_kernel_min_weight():
         ker = kernel_basis(g)
         min_wt = min(
             weight(SymplecticVector(mod, n, v.entries))
-            for v in fields.row_space_vectors(ker)
+            for v in row_space_vectors(ker)
             if not v.is_zero()
         )
         assert lines_mod.min_dependent_set(x, n) == min_wt
@@ -398,7 +399,7 @@ def test_property_subspace_coding_set_is_stabiliser_code():
             if fields.rank_of_vectors(p, basis_rows + [cand]) == len(basis_rows) + 1:
                 basis_rows.append(cand)
         if basis_rows:
-            t_vectors = fields.row_space_vectors(FpMatrix.from_rows(mod, basis_rows, m))
+            t_vectors = row_space_vectors(FpMatrix.from_rows(mod, basis_rows, m))
         else:
             t_vectors = [FpVector(mod, (0,) * m)]
         left = code_basis(s, t_vectors)

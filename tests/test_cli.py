@@ -59,6 +59,18 @@ class TestValidate:
         assert main(["validate", "--gens", str(data_dir / "pentagon.gens")]) == EXIT_OK
         assert "valid" in capsys.readouterr().out
 
+    def test_twelve_cycle_graph_state(self, tmp_path, capsys):
+        # F_2^12 has 2 794 155 co-dimension-2 subspaces, far too many to enumerate here
+        from qsol import io
+        from qsol.fields import PrimeModulus
+        from qsol.search import LabelledGraph, graph_to_generators
+
+        gens = tmp_path / "c12.gens"
+        gens.write_text(io.format_generators(graph_to_generators(LabelledGraph.cycle(PrimeModulus(2), 12))))
+        assert main(["validate", "--gens", str(gens), "--format", "machine"]) == EXIT_OK
+        pairs = machine(capsys)
+        assert (pairs["valid"], pairs["n"], pairs["k"], pairs["even_skew"]) == (["1"], ["12"], ["0"], ["1"])
+
 
 class TestDistance:
     def test_exact(self, data_dir, capsys):
@@ -520,14 +532,23 @@ class TestExtend:
         assert extended.num_generators == 3
         assert row_space(centraliser_basis(extended)) == row_space(extended.gmatrix)
 
-    def test_oversized_group_is_refused(self, tmp_path, capsys):
-        # one generator on 11 qubits leaves a 21-dimensional dual: 2^21
-        # vectors of length 22 are over the byte budget
+    def test_eleven_qubit_one_generator_group(self, tmp_path, capsys):
+        # one generator on 11 qubits leaves a 21-dimensional dual of 2^21
+        # vectors, too many to list
+        from qsol import io
+        from qsol.fields import FpVector, row_space
+        from qsol.pauli import centraliser_basis
+
+        from conftest import in_row_space
+
+        row = [1] + [0] * 21
         lonely = tmp_path / "lonely.gens"
-        lonely.write_text("2 11 10\n" + " ".join(["1"] + ["0"] * 21) + "\n")
-        assert main(["extend", "--gens", str(lonely)]) == EXIT_FAIL
-        err = capsys.readouterr().err
-        assert "TooLarge: a row space of 2^21 = 2097152 vectors of length 22 needs at least 352.0 MiB" in err
+        lonely.write_text("2 11 10\n" + " ".join(map(str, row)) + "\n")
+        assert main(["extend", "--gens", str(lonely)]) == EXIT_OK
+        extended = io.parse_generators(capsys.readouterr().out)
+        assert extended.num_generators == 11
+        assert row_space(centraliser_basis(extended)) == row_space(extended.gmatrix)
+        assert in_row_space(extended.gmatrix, FpVector(extended.modulus, row))
 
 
 class TestErrorPaths:

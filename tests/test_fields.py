@@ -17,11 +17,10 @@ from qsol.fields import (
     rank,
     rank_of_vectors,
     row_space,
-    row_space_vectors,
     rref,
 )
 
-from conftest import in_row_space
+from conftest import in_row_space, row_space_vectors
 
 
 def random_matrix(rng, modulus, nrows, ncols):

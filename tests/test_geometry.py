@@ -1,4 +1,4 @@
-"""Point codes, projective subspaces, projections, and subspace enumeration."""
+"""Point codes, projective subspaces, projections, and the subspace enumeration of the test references."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, quotient
 from qsol.geometry import (
     ProjSubspace,
     digits,
-    iter_rref_bases,
     normalise,
     points_of,
     span,
@@ -18,7 +17,7 @@ from qsol.geometry import (
 )
 from qsol.lines import lines_spanned_by, project_lines
 
-from conftest import normalised, points, vectors
+from conftest import iter_rref_bases, normalised, points, vectors
 
 
 def gaussian_binomial(n, k, p):

@@ -24,7 +24,15 @@ from qsol.lines import (
 )
 from qsol.pauli import SymplecticVector, symplectic_form
 
-from conftest import normalised, random_group, random_group_with_lines, vectors, weight
+from conftest import (
+    normalised,
+    random_group,
+    random_group_with_lines,
+    reference_even_skew,
+    row_space_vectors,
+    vectors,
+    weight,
+)
 
 
 class TestBoundArithmetic:
@@ -204,6 +212,19 @@ class TestEvenSkew:
             assert validate_even_skew(x) == abelian
             seen[abelian] += 1
 
+    def test_matches_codimension_two_count(self):
+        # against counting the skew lines of every co-dimension-2 subspace,
+        # on random line sets with and without repeated lines
+        rng = random.Random(72)
+        mod = PrimeModulus(2)
+        seen = {(quantum, repeated): 0 for quantum in (True, False) for repeated in (True, False)}
+        for _ in range(240):
+            x = random_line_set(rng, mod, rng.randrange(0, 7), rng.randrange(2, 6))
+            quantum = reference_even_skew(x)
+            assert validate_even_skew(x) == quantum
+            seen[quantum, len(set(map(tuple, x.points.tolist()))) < x.n] += 1
+        assert min(seen.values()) >= 10
+
 
 def brute_force_min_dependent_set(x, limit):
     """d(X) by one rank call per choice of one point on each of w lines, w ascending."""
@@ -292,7 +313,7 @@ class TestMinDependentSet:
             ker = fields.kernel_basis(g.gmatrix)
             min_wt = min(
                 weight(SymplecticVector(mod, 4, v.entries))
-                for v in fields.row_space_vectors(ker)
+                for v in row_space_vectors(ker)
                 if not v.is_zero()
             )
             assert min_dependent_set(x, 4) == min_wt

@@ -29,7 +29,14 @@ from qsol.pauli import (
     tau_inv,
 )
 
-from conftest import group_elements, in_row_space, random_group, reference_element, reference_power
+from conftest import (
+    group_elements,
+    in_row_space,
+    random_group,
+    reference_element,
+    reference_extend,
+    reference_power,
+)
 
 
 def dense(op):
@@ -201,6 +208,13 @@ class TestStabiliserGroup:
         for g, row in zip(five_qubit_group.generators, five_qubit_group.gmatrix.rows):
             assert tau(g).entries == row
 
+    @pytest.mark.parametrize("phases", [[0], [0, 0, 0, 0]])
+    def test_from_matrix_needs_one_phase_per_row(self, five_qubit_group, phases):
+        # pairing rows with phases would drop whatever the shorter list lacks
+        g = FpMatrix(five_qubit_group.modulus, five_qubit_group.gmatrix.rows[:3], 10)
+        with pytest.raises(ValueError, match=f"{len(phases)} phases for 3 rows"):
+            StabiliserGroup.from_matrix(five_qubit_group.modulus, 5, g, phases)
+
     def test_k_property(self, ternary_group):
         assert ternary_group.n == 11
         assert ternary_group.num_generators == 7
@@ -359,6 +373,20 @@ class TestExtendToMaximalAbelian:
     def test_deterministic(self, five_qubit_group):
         sub = StabiliserGroup.from_generators(five_qubit_group.generators[:3])
         assert extend_to_maximal_abelian(sub) == extend_to_maximal_abelian(sub)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_lex_least_reference(self, p):
+        # against listing the sorted dual and adjoining its first vector
+        # outside the row space, from phased groups of 0 up to n - 1 generators
+        rng = random.Random(360 + p)
+        mod = PrimeModulus(p)
+        sizes = {2: (1, 5), 3: (1, 4), 5: (1, 3)}[p]
+        for _ in range(30):
+            n = rng.randint(*sizes)
+            base = random_group(rng, mod, n, rng.randrange(0, n))
+            phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in base.generators]
+            s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
+            assert extend_to_maximal_abelian(s) == reference_extend(s)
 
 
 def test_five_qubit_primed_identity(five_qubit_ops, five_qubit_primed_ops):

@@ -69,6 +69,17 @@ class TestLabelledGraph:
         g = LabelledGraph.from_edges(mod3, 2, [(0, 1, 5)])
         assert g.adjacency.rows[0][1] == 2
 
+    @pytest.mark.parametrize("label", [0, 3, -3])
+    def test_label_zero_mod_p_is_refused(self, mod3, label):
+        with pytest.raises(ValueError, match=f"edge \\(0, 1\\) has label {label}, which is 0 mod 3"):
+            LabelledGraph.from_edges(mod3, 3, [(1, 2, 1), (0, 1, label)])
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+    def test_repeated_edge_is_refused(self, mod3, i, j):
+        # in either order of the ends, a second label would overwrite the first
+        with pytest.raises(ValueError, match=f"edge \\({i}, {j}\\) is given twice"):
+            LabelledGraph.from_edges(mod3, 3, [(0, 1, 1), (1, 2, 1), (i, j, 2)])
+
 
 class TestGraphToGenerators:
     def test_pentagon_matches_hand_matrix(self, pentagon_graph, five_qubit_group):
