@@ -72,6 +72,9 @@ class LabelledGraph:
 
     @classmethod
     def cycle(cls, modulus: PrimeModulus, n: int) -> "LabelledGraph":
+        """The n-cycle with every edge labelled 1; n < 3 raises ValueError."""
+        if n < 3:
+            raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
         return cls.from_edges(modulus, n, [(i, (i + 1) % n, 1) for i in range(n)])
 
     @property
@@ -257,7 +260,9 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
     A class below k_min = best size - clique size can never be branched on
     (Konc and Janežič's MaxCliqueDyn), so it is built only to take its
     vertices out of the uncoloured set, and only the classes from k_min up
-    are kept. The tree is MCQ's, node for node.
+    are kept. The tree is MCQ's, node for node. Inside the search vertex v
+    is bit n - 1 - v of non-negative masks, so each colouring step takes the
+    lowest free vertex by one bit_length call and two table lookups.
 
     The deadline is checked only once the first descent has recorded a
     clique; TimeLimitExceeded then carries the best cliques found so far,
@@ -266,9 +271,17 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a number of seconds >= 0, got {time_limit}")
-    rows = g.rows
-    # apart[v]: every vertex other than v that is not joined to it, so may share its colour
-    apart = [~(row | 1 << v) for v, row in enumerate(rows)]
+    n = len(g.rows)
+    full = (1 << n) - 1
+    # vertex v is bit n - 1 - v, so the lowest free vertex is the highest free
+    # bit, and b = free.bit_length() = n - v indexes the tables; apart[b]: every
+    # vertex other than v that is not joined to it, so may share its colour
+    rows, apart, bits = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for v, row in enumerate(g.rows):
+        b = n - v
+        rows[b] = _reversed_bits(row, n)
+        bits[b] = 1 << b - 1
+        apart[b] = full ^ (rows[b] | bits[b])
     deadline = None if time_limit is None else time.monotonic() + time_limit
     best: list[int] = []
     best_size = 0
@@ -280,7 +293,7 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
         if deadline is not None and best and time.monotonic() > deadline:
             raise TimeLimitExceeded(
                 f"clique search timed out; best so far: {len(best)} maximal clique(s) of size {best_size}",
-                best=_as_tuples(best),
+                best=_as_tuples(best, n),
             )
         if not cand:
             if size > best_size:
@@ -297,31 +310,42 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
             colour += 1
             free, cls = uncoloured, 0
             while free:
-                low = free & -free
-                free &= apart[low.bit_length() - 1]
-                cls |= low
+                b = free.bit_length()
+                free &= apart[b]
+                cls |= bits[b]
             uncoloured ^= cls
             if colour >= k_min:
                 classes.append(cls)
-        # branch in MCQ's order: from the last class down, each class from its highest vertex
+        # branch in MCQ's order: from the last class down, each class from its
+        # highest vertex, which is its lowest bit
         for cls in reversed(classes):
             while cls:
                 if size + colour < best_size:
                     return
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
                 cls ^= bit
-                expand(clique | bit, size + 1, cand & rows[v])
+                expand(clique | bit, size + 1, cand & rows[bit.bit_length()])
                 cand ^= bit
             colour -= 1
 
-    if rows:
-        expand(0, 0, (1 << len(rows)) - 1)
-    return Cliques(_as_tuples(best), nodes)
+    if n:
+        expand(0, 0, full)
+    return Cliques(_as_tuples(best, n), nodes)
 
 
-def _as_tuples(cliques: list[int]) -> list[tuple[int, ...]]:
-    return sorted(tuple(_members(c)) for c in cliques)
+# the bits of each byte in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bits(mask: int, n: int) -> int:
+    """mask below 2^n with bit j moved to bit n - 1 - j."""
+    width = (n + 7) // 8
+    return int.from_bytes(mask.to_bytes(width, "little").translate(_REVERSED_BYTES), "big") >> 8 * width - n
+
+
+def _as_tuples(cliques: list[int], n: int) -> list[tuple[int, ...]]:
+    """The cliques, as masks with vertex v at bit n - 1 - v, as sorted vertex tuples."""
+    return sorted(tuple(_members(_reversed_bits(c, n))) for c in cliques)
 
 
 def is_subspace_t(t: CodingSet) -> bool:

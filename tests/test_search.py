@@ -57,6 +57,14 @@ class TestLabelledGraph:
         g = LabelledGraph.cycle(mod2, 4)
         assert g.adjacency.rows == ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0))
 
+    def test_cycle_on_three_vertices(self, mod2):
+        assert LabelledGraph.cycle(mod2, 3).adjacency.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_needs_three_vertices(self, mod2, n):
+        with pytest.raises(ValueError, match=f"a cycle needs at least 3 vertices, got {n}"):
+            LabelledGraph.cycle(mod2, n)
+
     def test_rejects_asymmetric(self, mod2):
         with pytest.raises(ValueError):
             LabelledGraph(mod2, FpMatrix.from_rows(mod2, [(0, 1), (0, 0)], 2))
@@ -424,6 +432,22 @@ class TestFindCliques:
             cliques, expected = find_cliques(gamma), reference_find_cliques(gamma)
             assert (cliques, cliques.nodes) == (expected, expected.nodes), where
             assert search_outcome(find_cliques, gamma) == search_outcome(reference_find_cliques, gamma), where
+
+    @pytest.mark.parametrize("nv", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
+    def test_vertex_counts_at_byte_boundaries(self, nv):
+        # the search reverses each row over whole bytes and shifts out the
+        # padding, so vertex counts on either side of a byte edge must decode
+        # to the same cliques and tree as the reference
+        rng = random.Random(6017 + nv)
+        for density in (0.0, 0.25, 0.5, 1.0):
+            rows = random_rows(rng, nv, density)
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+            where = f"{nv} vertices, density {density}"
+            cliques, expected = find_cliques(gamma), reference_find_cliques(gamma)
+            assert (cliques, cliques.nodes) == (expected, expected.nodes), where
+            assert search_outcome(find_cliques, gamma) == search_outcome(reference_find_cliques, gamma), where
+            if nv <= 14:
+                assert cliques == brute_force_maximum_cliques(rows), where
 
 
 def random_rows(rng, nv, density):
