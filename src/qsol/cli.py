@@ -77,6 +77,17 @@ def _restriction_subspace(args, modulus, width):
     return ProjSubspace(modulus, kernel_basis(constraints))
 
 
+def _read_code(args):
+    """The generators and the coding set of a code, refused unless they match in field and length."""
+    group = io.parse_generators(_read(args.gens))
+    tset = io.parse_coding_set(_read(args.tset))
+    if tset.p != group.p:
+        raise ValueError(f"coding set over F_{tset.p}, generators over F_{group.p}")
+    if tset.length != group.num_generators:
+        raise ValueError(f"coding set of length {tset.length}, {group.num_generators} generators")
+    return group, tset
+
+
 def _gamma_pipeline(args):
     graph = io.parse_graph(_read(args.graph))
     group = search.graph_to_generators(graph)
@@ -118,8 +129,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_project(args) -> int:
-    group = io.parse_generators(_read(args.gens))
-    tset = io.parse_coding_set(_read(args.tset))
+    group, tset = _read_code(args)
     x = lines_mod.lines_from_matrix(group.gmatrix, group.n, group.k)
     projected = lines_mod.project_lines(x, tset.nonzero())
     g = lines_mod.matrix_from_lines(projected)
@@ -174,8 +184,7 @@ def cmd_recipe(args) -> int:
 def cmd_verify(args) -> int:
     if args.d < 2:
         raise ValueError("d must be at least 2")
-    group = io.parse_generators(_read(args.gens))
-    tset = io.parse_coding_set(_read(args.tset))
+    group, tset = _read_code(args)
     basis = oracle.code_basis(group, tset.vectors)
     # every component contributes its measured rank, and the stacked basis
     # is checked orthonormal, so its column count is the code's dimension

@@ -6,7 +6,11 @@ generator projectors (1/p) sum_j w^{-j t_i} g_i^j to a fixed start block.
 Every Pauli acts on the computational basis as a permutation with phases,
 so each application is a gather and a phase multiply, and no dim x dim
 matrix is formed; the action of each generator is computed once per code
-and held as small integers.
+and held as small integers. Each generator acts once on the start blocks of
+all components, stacked, with its eigenvalue coefficients per component,
+and one batched SVD ends the pass; the components are taken in chunks that
+fit the byte budget. For p = 2, when every generator acts with phases +-1,
+the basis is real, and so are the Gram products of the KL check.
 
 A stack of n-qupit Pauli operators is one integer array, one row per
 operator, with columns phase | x_1..x_n | z_1..z_n and entries reduced mod p
@@ -146,11 +150,22 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
     orthonormal dim x p^k basis. The projector onto Q_t is Hermitian, so it
     is applied from the right to the rows of a fixed (p^k + 1) x dim start
     block; the row space that survives is the conjugate of Q_t, and exactly
-    p^k singular values must stay above tolerance. The generators become
-    operator rows here, and the action of each is computed once and serves
-    every component; the budget counts the actions, held as small integers,
-    with the basis. Raises ValueError unless the result is orthonormal,
-    which also catches components that are not mutually orthogonal.
+    p^k singular values must stay above tolerance.
+
+    The generators become operator rows here, and the action of each is
+    computed once. All components go through one pass over the generators:
+    each generator acts on a (components, p^k + 1, dim) block, with
+    omega^{-j t_i} as a per-component coefficient, and one batched SVD
+    follows. The components are taken in chunks: each holds its block, the
+    running sum acc, the gathered term and its multiple, four
+    (p^k + 1) x dim arrays, and a chunk takes as many components as fit
+    1/2 of MAX_BYTES, at least one. For p = 2, when every generator acts
+    with phases +-1 only (an even power table: no odd count of Y letters),
+    the start block, the phases and the coefficients are real, and so is
+    the basis; otherwise it is complex. The up-front budget counts the
+    actions, held as small integers, with a complex basis. Raises
+    ValueError unless the result is orthonormal, which also catches
+    components that are not mutually orthogonal.
     """
     vectors = list(vectors)
     p, n = s.p, s.n
@@ -162,33 +177,40 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
         f"a complex {dim} x {columns} array with the actions of {len(s.generators)} generators",
         dim * (columns * 16 + len(s.generators) * action_bytes),
     )
+    if any(len(t) != s.num_generators for t in vectors):
+        raise ValueError("one sign per generator required")
+    signs = np.array([tuple(t) for t in vectors], dtype=np.int64).reshape(len(vectors), -1)
     # one generator per call, so that the integer temporaries of only one are held
     gens = operator_rows(s.generators, n)
     actions = [_pauli_action(p, gens[i:i + 1]) for i in range(len(gens))]
     roots = _roots(p)
-    omega = np.exp(2j * np.pi / p)
-    start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(complex)
-    blocks = []
-    for t in vectors:
-        if len(t) != s.num_generators:
-            raise ValueError("one sign per generator required")
-        rows = start
-        for ((perm,), (power,)), ti in zip(actions, t):
+    if p == 2 and not any((power & 1).any() for _, power in actions):
+        roots = roots.real
+    # omega = u^(order / p), so omega^{-j t} is a root too, and +-1 when p = 2
+    order = len(roots)
+    start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(roots.dtype)
+    chunk = max(1, MAX_BYTES // 2 // (4 * start.nbytes))
+    b = np.empty((dim, len(vectors) * expected), dtype=roots.dtype)
+    for first in range(0, len(vectors), chunk):
+        t = signs[first:first + chunk]
+        rows = np.broadcast_to(start, (len(t), *start.shape))
+        for ((perm,), (power,)), ti in zip(actions, t.T):
             phase = roots[power]
             acc = rows
             term = rows
             for j in range(1, p):
-                term = term[:, perm] * phase
-                acc = acc + omega ** (-j * ti) * term
+                term = term[..., perm] * phase
+                acc = acc + roots[-j * ti * (order // p) % order][:, np.newaxis, np.newaxis] * term
             rows = acc / p
         # the start entries are of order 1, and so are the singular values of the
         # directions that survive; rounding leaves the others near 1e-16
         _, sing, vh = np.linalg.svd(rows, full_matrices=False)
-        rank = int(np.count_nonzero(sing > RANK_TOL * max(sing[0], 1.0)))
-        if rank != expected:
-            raise InvalidGroup(f"component Q_t has rank {rank} != p^k = {expected}")
-        blocks.append(vh[:rank].conj().T)
-    b = np.hstack(blocks)
+        ranks = np.count_nonzero(sing > RANK_TOL * np.maximum(sing[:, :1], 1.0), axis=1)
+        if (ranks != expected).any():
+            bad = np.flatnonzero(ranks != expected)[0]
+            raise InvalidGroup(f"component Q_t, t = {tuple(t[bad].tolist())}, has rank {ranks[bad]} != p^k = {expected}")
+        cols = slice(first * expected, (first + len(t)) * expected)
+        b[:, cols] = vh[:, :expected].conj().transpose(2, 0, 1).reshape(dim, -1)
     _check_orthonormal(b)
     return b
 

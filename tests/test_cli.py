@@ -495,6 +495,29 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert machine(capsys)["kl_pass"] == ["0"]
 
+    @pytest.mark.parametrize("command", [["verify", "--d", "3"], ["project"]])
+    @pytest.mark.parametrize("header, width, message", [
+        ("3 9", 9, "coding set over F_3, generators over F_2"),
+        ("2 8", 8, "coding set of length 8, 9 generators"),
+    ], ids=["other-prime", "other-length"])
+    def test_coding_set_must_match_the_generators(self, data_dir, tmp_path, capsys, monkeypatch,
+                                                  command, header, width, message):
+        # the ((9,12,3)) coding set read over F_3, or cut to 8 signs, against
+        # the 9 generators of the 9-cycle over F_2: both are refused before
+        # any basis is built, with a message that names both sides
+        from qsol import io, oracle, search
+
+        gens = tmp_path / "c9.gens"
+        gens.write_text(io.format_generators(search.graph_to_generators(
+            io.parse_graph((data_dir / "nine_cycle.graph").read_text()))))
+        rows = [line.split()[:width] for line in (data_dir / "nine_cycle.tset").read_text().splitlines()[2:]]
+        tset = tmp_path / "c9.tset"
+        tset.write_text("\n".join([header] + [" ".join(r) for r in rows]) + "\n")
+        monkeypatch.setattr(oracle, "code_basis", None)
+        assert main(command + ["--gens", str(gens), "--tset", str(tset)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: {message}\n")
+
     def test_fifteen_qubit_code_within_budget(self, tmp_path, capsys):
         # the ((15,2,2)) code of the 15-cycle graph state with T = {0, 1^15}:
         # the weight-15 vector is the image of no weight-1 error. Its basis is

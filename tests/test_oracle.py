@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qsol import oracle
+from qsol import oracle, search
 from qsol.errors import DimensionMismatch, InvalidGroup, TooLarge
 from qsol.fields import FpVector, PrimeModulus
 from qsol.oracle import (
@@ -189,6 +189,90 @@ class TestCodeProjector:
         tset = [FpVector(mod2, (0,) * 24), FpVector(mod2, (1,) * 24)]
         with pytest.raises(TooLarge, match=r"16777216 x 3 array needs about 768\.0 MiB"):
             code_basis(group, tset)
+
+
+@pytest.fixture(scope="module")
+def ternary_five_cycle_code(mod3):
+    """The ((5,27,2))_3 code that the recipe finds on the 5-cycle over F_3."""
+    report = search.run_recipe(LabelledGraph.cycle(mod3, 5), d=2)
+    assert (report.dimension, report.t_size) == (27, 27)
+    return report.group, report.coding_set.vectors
+
+
+@pytest.fixture(scope="module")
+def nine_cycle_code(nine_cycle_graph, nine_cycle_tset):
+    return graph_to_generators(nine_cycle_graph), nine_cycle_tset.vectors
+
+
+@pytest.fixture(scope="module")
+def pentagon_code(five_qubit_group, pentagon_tset):
+    return five_qubit_group, pentagon_tset.vectors
+
+
+@pytest.fixture(scope="module")
+def odd_y_code():
+    """YZ and ZY commute, and each has one Y letter, so i.X.Z puts phases +-i in its action."""
+    return StabiliserGroup.from_generators([PauliOperator.from_letters(g) for g in ("YZ", "ZY")]), [(0, 0), (1, 0), (1, 1)]
+
+
+class TestBasisField:
+    """The basis is real when every generator acts with phases +-1, and complex otherwise."""
+
+    @pytest.mark.parametrize("code, dtype, w_max, sample", [
+        ("nine_cycle", np.float64, 3, 16),
+        ("pentagon", np.float64, 2, None),
+        ("odd_y", np.complex128, 2, None),
+        ("ternary_five_cycle", np.complex128, 2, 40),
+    ])
+    def test_matches_dense_reference(self, request, code, dtype, w_max, sample):
+        # the ((9,12,3)) and ((5,6,2)) codes have graph-state generators, real
+        # for p = 2; p = 3 phases are cube roots of unity. The dense check of
+        # the 9-cycle takes a sample of its errors, weight-3 ones included,
+        # where the code fails; the reference builds a dense 512 x 512
+        # product for every error
+        s, vectors = request.getfixturevalue(f"{code}_code")
+        b = code_basis(s, vectors)
+        assert b.dtype == dtype
+        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
+        proj = dense_reference.code_projector(s.p, gens, [tuple(t) for t in vectors])
+        assert np.abs(b @ b.conj().T - proj).max() <= 1e-12
+        errs = error_classes(s.p, s.n, w_max)
+        if sample:
+            errs = errs[random.Random(1100).sample(range(len(errs)), sample)]
+        report = kl_detect(b, s.p, errs)
+        reference = dense_reference.kl(s.p, proj, row_triples(errs))
+        assert np.abs(report.alphas - [alpha for alpha, _ in reference]).max() <= 1e-12
+        assert np.abs(report.residuals - [residual for _, residual in reference]).max() <= 1e-12
+        # every code fails some of the compared errors, so residuals of order 1 agree too
+        assert report.residuals.max() > 0.1
+
+    @pytest.mark.parametrize("w_max", [2, 3])
+    def test_real_basis_checks_as_its_complex_copy(self, nine_cycle_code, w_max):
+        # kl_detect follows B's dtype: at d = 3 the ((9,12,3)) code passes, at d = 4 it fails
+        b = code_basis(*nine_cycle_code)
+        errs = error_classes(2, 9, w_max)
+        real, complex_ = kl_detect(b, 2, errs), kl_detect(b.astype(complex), 2, errs)
+        assert np.abs(real.alphas - complex_.alphas).max() <= 1e-12
+        assert np.abs(real.residuals - complex_.residuals).max() <= 1e-12
+        assert real.failures.tolist() == complex_.failures.tolist()
+        assert real.passed == complex_.passed == (w_max == 2)
+
+    @pytest.mark.parametrize("code", ["nine_cycle", "ternary_five_cycle"])
+    def test_chunks_give_the_same_basis(self, request, code, monkeypatch):
+        # a chunk of c components holds the block, acc, term and a multiple of
+        # term, 4 (p^k + 1) x dim arrays each, within 1/2 of MAX_BYTES: the 12
+        # components of ((9,12,3)) and the 27 of ((5,27,2))_3 go 1, 2 or 5 at a time
+        s, vectors = request.getfixturevalue(f"{code}_code")
+        whole = code_basis(s, vectors)
+        per_component = 4 * 2 * whole.shape[0] * whole.itemsize
+        batches = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: batches.append(len(a)) or svd(a, **kw))
+        for c in (1, 2, 5):
+            batches.clear()
+            monkeypatch.setattr(oracle, "MAX_BYTES", 2 * (c + 1) * per_component - 2)
+            assert np.array_equal(code_basis(s, vectors), whole)
+            assert batches == [c] * (len(vectors) // c) + [len(vectors) % c] * bool(len(vectors) % c)
 
 
 def error_class_operators(modulus, n, w_max):
