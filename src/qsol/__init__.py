@@ -6,7 +6,7 @@ oracle on orthonormal code bases."""
 from .fields import FpMatrix, FpVector, PrimeModulus
 from .geometry import ProjSubspace
 from .lines import AtLeast, QuantumLineSet
-from .pauli import PauliOperator, StabiliserGroup, SymplecticVector
+from .pauli import PauliOperator, StabiliserGroup
 from .search import CodeReport, CodingSet, CompatibilityGraph, LabelledGraph
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ProjSubspace",
     "QuantumLineSet",
     "StabiliserGroup",
-    "SymplecticVector",
 ]
 
 __version__ = "0.1.0"

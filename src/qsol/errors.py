@@ -9,10 +9,6 @@ class DimensionMismatch(QsolError):
     """Operands live in incompatible ambient spaces."""
 
 
-class LengthMismatch(QsolError):
-    """Symplectic vectors of different length or modulus."""
-
-
 class ParameterMismatch(QsolError):
     """Pauli operators with different qupit count or local dimension."""
 

@@ -50,6 +50,8 @@ def parse_generators(text: str) -> StabiliserGroup:
         modulus = PrimeModulus(p)
     except ValueError as exc:
         raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
+    if n < 1 or not 0 <= k <= n:
+        raise InputFormatError(f"line {lineno}: need n >= 1 and 0 <= k <= n, got n = {n}, k = {k}", line=lineno)
     body = lines[1:]
     if len(body) != n - k:
         raise InputFormatError(f"expected {n - k} generator rows, got {len(body)}")

@@ -15,7 +15,7 @@ the basis is real, and so are the Gram products of the KL check.
 A stack of n-qupit Pauli operators is one integer array, one row per
 operator, with columns phase | x_1..x_n | z_1..z_n and entries reduced mod p
 (the phase mod 4 for p = 2): the phase, then the X block and the Z block of
-a generator file. Generators become rows once, in code_basis.
+a generator file, and the rows of a StabiliserGroup, which code_basis reads.
 
 The error-detection conditions are the K x K matrices B^dag E B = alpha_E I
 for the dim x K code basis B. B^dag E B depends only on the restriction of
@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGroup, TooLarge
-from .pauli import StabiliserGroup, operator_rows, split_rows
+from .pauli import StabiliserGroup, split_rows
 
 MAX_BYTES = 2 ** 28
 
@@ -152,14 +152,14 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
     block; the row space that survives is the conjugate of Q_t, and exactly
     p^k singular values must stay above tolerance.
 
-    The generators become operator rows here, and the action of each is
-    computed once. All components go through one pass over the generators:
-    each generator acts on a (components, p^k + 1, dim) block, with
-    omega^{-j t_i} as a per-component coefficient, and one batched SVD
-    follows. The components are taken in chunks: each holds its block, the
-    running sum acc, the gathered term and its multiple, four
-    (p^k + 1) x dim arrays, and a chunk takes as many components as fit
-    1/2 of MAX_BYTES, at least one. For p = 2, when every generator acts
+    The action of each generator row of s.rows is computed once. All
+    components go through one pass over the generators: each generator
+    acts on a (components, p^k + 1, dim) block, with omega^{-j t_i} as a
+    per-component coefficient, and one batched SVD follows. The
+    components are taken in chunks: each holds its block, the running sum
+    acc, the gathered term and its multiple, four (p^k + 1) x dim arrays,
+    and a chunk takes as many components as fit 1/2 of MAX_BYTES, at
+    least one. For p = 2, when every generator acts
     with phases +-1 only (an even power table: no odd count of Y letters),
     the start block, the phases and the coefficients are real, and so is
     the basis; otherwise it is complex. The up-front budget counts the
@@ -174,15 +174,14 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
     dim = _check_budget(p, n, columns)
     action_bytes = sum(t.itemsize for t in _action_dtypes(p, n))
     _check_bytes(
-        f"a complex {dim} x {columns} array with the actions of {len(s.generators)} generators",
-        dim * (columns * 16 + len(s.generators) * action_bytes),
+        f"a complex {dim} x {columns} array with the actions of {s.num_generators} generators",
+        dim * (columns * 16 + s.num_generators * action_bytes),
     )
     if any(len(t) != s.num_generators for t in vectors):
         raise ValueError("one sign per generator required")
     signs = np.array([tuple(t) for t in vectors], dtype=np.int64).reshape(len(vectors), -1)
     # one generator per call, so that the integer temporaries of only one are held
-    gens = operator_rows(s.generators, n)
-    actions = [_pauli_action(p, gens[i:i + 1]) for i in range(len(gens))]
+    actions = [_pauli_action(p, s.rows[i:i + 1]) for i in range(s.num_generators)]
     roots = _roots(p)
     if p == 2 and not any((power & 1).any() for _, power in actions):
         roots = roots.real

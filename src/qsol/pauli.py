@@ -1,4 +1,4 @@
-"""Pauli operators over prime qupits and their symplectic representation.
+"""Pauli operators over prime qupits and stabiliser groups held as integer rows.
 
 Phase conventions
 -----------------
@@ -7,29 +7,29 @@ p = 2:  an operator is i^phase times a tensor product of the letters
 p >= 3: an operator is w^phase X(a) Z(b) with w = exp(2 pi i / p); phases
         live mod p and compose via X(a)Z(b) X(a')Z(b') = w^{b.a'} X(a+a')Z(b+b').
 
-tau maps an operator to (x_part | z_part) in F_p^{2n}, discarding the phase.
+A stack of operators on n qupits is an (m, 2n + 1) int64 array of
+(phase | x | z) rows; its x|z block, the phase dropped, is the symplectic
+image (x_part | z_part) in F_p^{2n} of each operator.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import fields
-from .errors import (
-    DependentCentre,
-    InvalidGroup,
-    LengthMismatch,
-    NonCommutingGenerators,
-    ParameterMismatch,
-)
+from .errors import DependentCentre, InvalidGroup, NonCommutingGenerators, ParameterMismatch
 from .fields import FpMatrix, FpVector, PrimeModulus
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
+
+
+def _phase_modulus(p: int) -> int:
+    return 4 if p == 2 else p
 
 
 @dataclass(frozen=True, order=True)
@@ -56,7 +56,7 @@ class PauliOperator:
 
     @property
     def phase_modulus(self) -> int:
-        return 4 if self.modulus.p == 2 else self.modulus.p
+        return _phase_modulus(self.modulus.p)
 
     @classmethod
     def identity(cls, modulus: PrimeModulus, n: int) -> "PauliOperator":
@@ -72,54 +72,6 @@ class PauliOperator:
         if self.p != 2:
             raise ValueError("letter form only defined for qubits")
         return "".join(_XZ_TO_LETTER[(x, z)] for x, z in zip(self.x_part, self.z_part))
-
-
-@dataclass(frozen=True, order=True)
-class SymplecticVector:
-    """An element of F_p^{2n}: x block then z block."""
-
-    modulus: PrimeModulus
-    n: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.modulus.p
-        if len(self.entries) != 2 * self.n:
-            raise ValueError("length must be exactly 2n")
-        object.__setattr__(self, "entries", tuple(int(e) % p for e in self.entries))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def x_part(self) -> tuple[int, ...]:
-        return self.entries[: self.n]
-
-    @property
-    def z_part(self) -> tuple[int, ...]:
-        return self.entries[self.n :]
-
-
-def tau(m: PauliOperator) -> SymplecticVector:
-    """Forget the phase; concatenate x and z parts."""
-    return SymplecticVector(m.modulus, m.n, m.x_part + m.z_part)
-
-
-def tau_inv(v: SymplecticVector) -> PauliOperator:
-    """Phase-0 operator with the given symplectic parts."""
-    return PauliOperator(v.modulus, v.n, 0, v.x_part, v.z_part)
-
-
-def symplectic_form(u: SymplecticVector, v: SymplecticVector) -> int:
-    """sum_i (u_i v_{i+n} - v_i u_{i+n}) mod p."""
-    if u.modulus != v.modulus or u.n != v.n:
-        raise LengthMismatch("symplectic vectors of different shape")
-    n, p = u.n, u.p
-    total = 0
-    for i in range(n):
-        total += u.entries[i] * v.entries[i + n] - v.entries[i] * u.entries[i + n]
-    return total % p
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -139,11 +91,6 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.modulus, a.n, phase, x, z)
 
 
-def operator_rows(ops: Sequence[PauliOperator], n: int) -> np.ndarray:
-    """Operators on n qupits as (phase | x | z) integer rows, one per operator."""
-    return np.array([(op.phase, *op.x_part, *op.z_part) for op in ops], dtype=np.int64).reshape(len(ops), 2 * n + 1)
-
-
 def split_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The phase column and the x and z blocks of (phase | x | z) operator rows."""
     n = rows.shape[1] // 2
@@ -155,59 +102,60 @@ def forms_vanish(p: int, x: np.ndarray, z: np.ndarray) -> bool:
     return not ((x @ z.T - z @ x.T) % p).any()
 
 
-def is_abelian(gens: Sequence[PauliOperator]) -> bool:
-    """True iff all pairwise symplectic forms vanish."""
-    if not gens:
-        return True
-    first = gens[0]
-    if any(g.modulus != first.modulus or g.n != first.n for g in gens):
-        raise LengthMismatch("operators of different shape")
-    _, x, z = split_rows(operator_rows(gens, first.n))
-    return forms_vanish(first.p, x, z)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabiliserGroup:
     """An abelian Pauli subgroup that does not contain -identity.
 
-    The gmatrix rows are the tau images of the stored generators, in order;
-    operations that depend on the generator order (the sign vectors t) are
-    always relative to this stored list.
+    rows is a read-only (m, 2n + 1) int64 array, one (phase | x | z) row per
+    generator: x and z reduced mod p, the phase mod 4 for p = 2 and mod p
+    otherwise. The gmatrix rows are its x|z blocks, in order; operations that
+    depend on the generator order (the sign vectors t) are always relative to
+    this stored order. Two groups are equal when their moduli, n and rows are.
     """
 
     modulus: PrimeModulus
     n: int
-    generators: tuple[PauliOperator, ...]
-    _rows: np.ndarray = field(init=False, compare=False, repr=False)
+    rows: np.ndarray
 
     def __post_init__(self):
-        for g in self.generators:
-            if g.modulus != self.modulus or g.n != self.n:
-                raise ParameterMismatch("generator on a different system")
-        rows = operator_rows(self.generators, self.n)
-        rows.flags.writeable = False
+        p, width = self.p, 2 * self.n + 1
+        rows = np.array(self.rows, dtype=np.int64)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, width)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"need (phase | x | z) rows of width {width}, got an array of shape {rows.shape}")
+        rows[:, 0] %= _phase_modulus(p)
+        rows[:, 1:] %= p
+        rows.setflags(write=False)
         _, x, z = split_rows(rows)
-        if not forms_vanish(self.p, x, z):
+        if not forms_vanish(p, x, z):
             raise NonCommutingGenerators("generators do not pairwise commute")
-        if not fields.is_independent(self.p, rows[:, 1:].tolist()):
+        if not fields.is_independent(p, rows[:, 1:].tolist()):
             raise InvalidGroup("generator matrix is not full rank")
-        if self.modulus.p == 2:
-            # i^c (tensor of letters) squares to (-1)^c; an odd phase puts
-            # -identity into the group.
-            if (rows[:, 0] % 2).any():
-                raise InvalidGroup("generator squares to -identity")
-        object.__setattr__(self, "_rows", rows)
+        # i^c (tensor of letters) squares to (-1)^c; an odd phase puts
+        # -identity into the group.
+        if p == 2 and (rows[:, 0] % 2).any():
+            raise InvalidGroup("generator squares to -identity")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, StabiliserGroup):
+            return NotImplemented
+        return (self.modulus, self.n) == (other.modulus, other.n) and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self):
+        return hash((self.modulus, self.n, self.rows.shape, self.rows.tobytes()))
 
     @functools.cached_property
     def gmatrix(self) -> FpMatrix:
-        """The generator matrix: one row tau(g) per generator."""
-        return FpMatrix(self.modulus, self._rows[:, 1:].tolist(), 2 * self.n)
+        """The generator matrix: the x|z block of each row."""
+        return FpMatrix(self.modulus, self.rows[:, 1:].tolist(), 2 * self.n)
 
-    @classmethod
-    def from_generators(cls, gens: Sequence[PauliOperator]) -> "StabiliserGroup":
-        if not gens:
-            raise ValueError("need modulus and n for an empty group")
-        return cls(gens[0].modulus, gens[0].n, tuple(gens))
+    @functools.cached_property
+    def generators(self) -> tuple[PauliOperator, ...]:
+        """The rows as PauliOperator objects, in order."""
+        n = self.n
+        return tuple(PauliOperator(self.modulus, n, row[0], row[1:n + 1], row[n + 1:]) for row in self.rows.tolist())
 
     @classmethod
     def from_matrix(
@@ -217,18 +165,14 @@ class StabiliserGroup:
         g: FpMatrix,
         phases: Sequence[int] | None = None,
     ) -> "StabiliserGroup":
-        """Group with generators tau^{-1}(row_j), optionally phased."""
+        """Group whose generator rows are the rows of g, optionally phased."""
         if g.ncols != 2 * n:
             raise ValueError("generator matrix must have 2n columns")
         if phases is None:
             phases = [0] * g.nrows
         if len(phases) != g.nrows:
             raise ValueError(f"need one phase per generator row: {len(phases)} phases for {g.nrows} rows")
-        gens = tuple(
-            PauliOperator(modulus, n, ph, row[:n], row[n:])
-            for ph, row in zip(phases, g.rows)
-        )
-        return cls(modulus, n, gens)
+        return cls(modulus, n, [(ph, *row) for ph, row in zip(phases, g.rows)])
 
     @property
     def p(self) -> int:
@@ -236,18 +180,19 @@ class StabiliserGroup:
 
     @property
     def num_generators(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
 
     @property
     def k(self) -> int:
-        return self.n - len(self.generators)
+        return self.n - len(self.rows)
 
-    def element(self, exponents: Sequence[int]) -> PauliOperator:
-        """The product g_1^(e_1) ... g_m^(e_m) of the generators, each exponent taken mod p.
+    def elements(self, exponents: Sequence[Sequence[int]]) -> np.ndarray:
+        """The products g_1^(e_1) ... g_m^(e_m) of the generators, one (phase | x | z) row per row e of exponents.
 
-        Over the generator rows (c_i | x_i | z_i), the x|z parts of the
-        product are e·G mod p, and its phase is the sum that a running
-        product of multiply calls accumulates, in closed form:
+        Each exponent is taken mod p. Over the generator rows (c_i | x_i | z_i),
+        the x|z parts of the products are E·G mod p, and the phase of each is
+        the sum that a running product of multiply calls accumulates, in
+        closed form:
 
         p odd:  Σ e_i c_i + Σ C(e_i, 2) (z_i·x_i) + Σ_{i<j} e_i e_j (z_i·x_j)   mod p
         p = 2:  Σ e_i c_i + Σ e_i (x_i·z_i) − x̄·z̄ + 2 Σ_{i<j} e_i e_j (z_i·x_j)   mod 4
@@ -257,15 +202,11 @@ class StabiliserGroup:
         operator i^c σ is i^(c + x·z) X^x Z^z, and moving Z^(z_i) past
         X^(x_j) gives (−1)^(z_i·x_j). The all-zero exponents give the identity.
         """
-        return self.elements([exponents])[0]
-
-    def elements(self, exponents: Sequence[Sequence[int]]) -> tuple[PauliOperator, ...]:
-        """element of each row of exponents, as one stack: the x|z parts are E·G mod p."""
-        p, m, n = self.p, len(self.generators), self.n
+        p, m = self.p, self.num_generators
         if any(len(row) != m for row in exponents):
             raise ValueError("one exponent per generator")
         e = np.array([[int(v) % p for v in row] for row in exponents], dtype=np.int64).reshape(len(exponents), m)
-        c, x, z = split_rows(self._rows)
+        c, x, z = split_rows(self.rows)
         zx = z @ x.T
         x_bar, z_bar = e @ x % p, e @ z % p
         cross = np.sum(e @ np.triu(zx, 1) * e, axis=1)
@@ -273,22 +214,13 @@ class StabiliserGroup:
             phases = e @ (c + np.diag(zx)) - np.sum(x_bar * z_bar, axis=1) + 2 * cross
         else:
             phases = e @ c + (e * (e - 1) // 2) @ np.diag(zx) + cross
-        return tuple(
-            PauliOperator(self.modulus, n, phase, xs, zs)
-            for phase, xs, zs in zip(phases.tolist(), x_bar.tolist(), z_bar.tolist())
-        )
+        return np.column_stack([phases % _phase_modulus(p), x_bar, z_bar])
 
 
 def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
-    """Canonical basis of the symplectic dual of the group's row space."""
-    p = s.p
-    n = s.n
-    swapped = FpMatrix(
-        s.modulus,
-        tuple(tuple((-e) % p for e in row[n:]) + row[:n] for row in s.gmatrix.rows),
-        2 * n,
-    )
-    return fields.kernel_basis(swapped)
+    """Canonical basis of the symplectic dual of the group's row space: the kernel of the rows (−z | x)."""
+    _, x, z = split_rows(s.rows)
+    return fields.kernel_basis(FpMatrix(s.modulus, np.hstack([-z, x]).tolist(), 2 * s.n))
 
 
 def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup:
@@ -332,8 +264,7 @@ def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
     """
     current = s
     while current.num_generators < current.n:
-        rows = current.gmatrix.rows
-        v = next(r for r in reversed(centraliser_basis(current).rows) if fields.is_independent(s.p, rows + (r,)))
-        new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v))
-        current = StabiliserGroup(s.modulus, s.n, current.generators + (new_gen,))
+        rows = current.rows[:, 1:].tolist()
+        v = next(r for r in reversed(centraliser_basis(current).rows) if fields.is_independent(s.p, rows + [r]))
+        current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
     return current

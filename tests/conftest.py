@@ -9,16 +9,7 @@ import pytest
 
 from qsol import geometry, io
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors, row_space
-from qsol.pauli import (
-    PauliOperator,
-    StabiliserGroup,
-    SymplecticVector,
-    centraliser_basis,
-    multiply,
-    symplectic_form,
-    tau,
-    tau_inv,
-)
+from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
 
@@ -120,6 +111,17 @@ def ternary_tset(data_dir):
 
 # ------------------------------------------------------------ random helpers
 
+def symplectic_form(p: int, u, v) -> int:
+    """sum_i (u_i v_{i+n} - v_i u_{i+n}) mod p for two (x | z) vectors of F_p^{2n}: the per-pair reference for pauli.forms_vanish."""
+    n = len(u) // 2
+    return sum(u[i] * v[i + n] - v[i] * u[i + n] for i in range(n)) % p
+
+
+def xz(op) -> tuple[int, ...]:
+    """The symplectic image (x_part | z_part) of a Pauli operator: its (phase | x | z) row without the phase."""
+    return op.x_part + op.z_part
+
+
 def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> FpMatrix:
     """m independent, pairwise symplectically orthogonal vectors of F_p^{2n}."""
     rows: list[tuple[int, ...]] = []
@@ -131,8 +133,7 @@ def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m:
         cand = tuple(rng.randrange(modulus.p) for _ in range(2 * n))
         if not any(cand):
             continue
-        v = SymplecticVector(modulus, n, cand)
-        if any(symplectic_form(SymplecticVector(modulus, n, r), v) for r in rows):
+        if any(symplectic_form(modulus.p, r, cand) for r in rows):
             continue
         if rank_of_vectors(modulus.p, rows + [cand]) != len(rows) + 1:
             continue
@@ -198,15 +199,21 @@ def pauli_rows(ops) -> np.ndarray:
     return np.array([(op.phase, *op.x_part, *op.z_part) for op in ops], dtype=np.int64)
 
 
+def group_of(ops) -> StabiliserGroup:
+    """The stabiliser group generated by a nonempty list of Pauli operators, in order."""
+    return StabiliserGroup(ops[0].modulus, ops[0].n, pauli_rows(ops))
+
+
 def row_triples(rows) -> list[tuple]:
     """Operator rows as the (phase, x, z) triples of tests/dense_reference.py."""
     n = len(rows[0]) // 2 if len(rows) else 0
     return [(int(r[0]), tuple(r[1:n + 1].tolist()), tuple(r[n + 1:].tolist())) for r in rows]
 
 
-def weight(x) -> int:
-    """Number of qupit positions where a Pauli operator or symplectic vector is not the identity."""
-    return sum(1 for a, b in zip(x.x_part, x.z_part) if a or b)
+def weight(v) -> int:
+    """Number of qupit positions where an (x | z) vector of F_p^{2n} is not the identity."""
+    n = len(v) // 2
+    return sum(1 for a, b in zip(v[:n], v[n:]) if a or b)
 
 
 def reference_power(a, e):
@@ -227,14 +234,20 @@ def reference_element(s, exponents):
     return out
 
 
+def reference_rows(s, exponents) -> np.ndarray:
+    """The (phase | x | z) rows of reference_element for each row of exponents: the reference for s.elements."""
+    return pauli_rows([reference_element(s, e) for e in exponents]).reshape(len(exponents), 2 * s.n + 1)
+
+
 def all_exponent_vectors(modulus: PrimeModulus, m: int):
     for entries in itertools.product(range(modulus.p), repeat=m):
         yield FpVector(modulus, entries)
 
 
 def group_elements(s: StabiliserGroup) -> set:
-    """Every element of the group, phases included."""
-    return {s.element(v.entries) for v in all_exponent_vectors(s.modulus, s.num_generators)}
+    """Every element of the group as a (phase | x | z) tuple."""
+    exponents = [v.entries for v in all_exponent_vectors(s.modulus, s.num_generators)]
+    return set(map(tuple, s.elements(exponents).tolist()))
 
 
 # ------------------------------------------------- brute-force enumerations
@@ -285,6 +298,5 @@ def reference_extend(s: StabiliserGroup) -> StabiliserGroup:
     while current.num_generators < current.n:
         rows = set(row_space_vectors(current.gmatrix))
         v = next(v for v in row_space_vectors(centraliser_basis(current)) if v not in rows)
-        new_gen = tau_inv(SymplecticVector(s.modulus, s.n, v.entries))
-        current = StabiliserGroup(s.modulus, s.n, current.generators + (new_gen,))
+        current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v.entries)]))
     return current

@@ -48,12 +48,12 @@ def projector(p: int, generators, t) -> np.ndarray:
     dim = p ** len(generators[0][1])
     out = np.eye(dim, dtype=complex)
     for op, ti in zip(generators, t):
-        g = pauli_matrix(p, op)
-        acc = np.zeros((dim, dim), dtype=complex)
-        power = np.eye(dim, dtype=complex)
-        for j in range(p):
-            acc += _omega(p) ** (-j * ti) * power
+        # the j = 0 term is the identity; only g^1..g^(p-1) are formed
+        g = power = pauli_matrix(p, op)
+        acc = np.eye(dim, dtype=complex) + _omega(p) ** (-ti) * g
+        for j in range(2, p):
             power = power @ g
+            acc += _omega(p) ** (-j * ti) * power
         out = out @ (acc / p)
     return out
 

@@ -21,15 +21,12 @@ from qsol.oracle import code_basis, error_classes, kl_detect
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
-    SymplecticVector,
     centraliser_basis,
     extend_to_maximal_abelian,
-    is_abelian,
+    forms_vanish,
     multiply,
+    split_rows,
     subgroup_tu,
-    symplectic_form,
-    tau,
-    tau_inv,
 )
 
 import cws_reference
@@ -37,15 +34,19 @@ import dense_reference
 from conftest import (
     edges,
     group_elements,
+    group_of,
     in_row_space,
     incident,
+    pauli_rows,
     random_group,
     random_group_with_lines,
     random_symplectic_rows,
     row_space_vectors,
     row_triples,
+    symplectic_form,
     vectors,
     weight,
+    xz,
 )
 from dense_reference import subspace_equal
 
@@ -195,13 +196,13 @@ def test_criterion_5_oracle_9123(nine_cycle_graph, nine_cycle_tset, mod2):
 def test_criterion_6_non_subspace_coding_set_is_stabiliser(five_qubit_ops, mod2):
     # Q(S, {e1, e2}) coincides with the stabiliser code of
     # <-M1.M2, M3, M4, M5> even though {e1, e2} is not a subspace
-    s = StabiliserGroup.from_generators(five_qubit_ops)
+    s = group_of(five_qubit_ops)
     t_set = [FpVector(mod2, (1, 0, 0, 0, 0)), FpVector(mod2, (0, 1, 0, 0, 0))]
     left = code_basis(s, t_set)
 
     m1m2 = multiply(five_qubit_ops[0], five_qubit_ops[1])
     minus_m1m2 = PauliOperator(mod2, 5, m1m2.phase + 2, m1m2.x_part, m1m2.z_part)
-    s_prime = StabiliserGroup.from_generators([minus_m1m2] + list(five_qubit_ops[2:]))
+    s_prime = group_of([minus_m1m2] + list(five_qubit_ops[2:]))
     right = code_basis(s_prime, [(0, 0, 0, 0)])
 
     assert subspace_equal(left, right, tolerance=1e-8)
@@ -213,7 +214,7 @@ def test_criterion_7_primed_generator_identity(five_qubit_ops, five_qubit_primed
             multiply(five_qubit_primed_ops[i], five_qubit_primed_ops[(i + 1) % 5]),
             five_qubit_primed_ops[(i + 3) % 5],
         )
-        assert tau(prod) == tau(five_qubit_ops[i])
+        assert xz(prod) == xz(five_qubit_ops[i])
 
 
 # ----------------------------------------------------------------------------
@@ -221,37 +222,18 @@ def test_criterion_7_primed_generator_identity(five_qubit_ops, five_qubit_primed
 # ----------------------------------------------------------------------------
 
 
-def random_symplectic_vector(rng, modulus, n):
-    return SymplecticVector(modulus, n, tuple(rng.randrange(modulus.p) for _ in range(2 * n)))
-
-
 def test_property_symplectic_form_antisymmetry():
+    # the per-pair reference form is alternating, and forms_vanish on the
+    # pair of rows (u, v) holds exactly when it is zero
     rng = random.Random(9001)
     for case in range(200):
         p = rng.choice([2, 3])
-        mod = PrimeModulus(p)
         n = rng.randrange(1, 7)
-        u = random_symplectic_vector(rng, mod, n)
-        v = random_symplectic_vector(rng, mod, n)
-        assert symplectic_form(u, v) == (-symplectic_form(v, u)) % p
-        assert symplectic_form(u, u) == 0
-
-
-def test_property_tau_round_trip():
-    rng = random.Random(9002)
-    for case in range(200):
-        p = rng.choice([2, 3])
-        mod = PrimeModulus(p)
-        n = rng.randrange(1, 7)
-        v = random_symplectic_vector(rng, mod, n)
-        assert tau(tau_inv(v)) == v
-        m = PauliOperator(
-            mod, n,
-            rng.randrange(4 if p == 2 else p),
-            tuple(rng.randrange(p) for _ in range(n)),
-            tuple(rng.randrange(p) for _ in range(n)),
-        )
-        assert tau_inv(tau(m)) == PauliOperator(mod, n, 0, m.x_part, m.z_part)
+        u, v = (tuple(rng.randrange(p) for _ in range(2 * n)) for _ in range(2))
+        assert symplectic_form(p, u, v) == (-symplectic_form(p, v, u)) % p
+        assert symplectic_form(p, u, u) == 0
+        pair = np.array([u, v])
+        assert forms_vanish(p, pair[:, :n], pair[:, n:]) == (symplectic_form(p, u, v) == 0)
 
 
 def test_property_abelian_iff_forms_vanish_iff_dense_commuting():
@@ -269,13 +251,14 @@ def test_property_abelian_iff_forms_vanish_iff_dense_commuting():
             for _ in range(rng.randrange(2, 4))
         ]
         forms_zero = all(
-            symplectic_form(tau(a), tau(b)) == 0 for a, b in itertools.combinations(ops, 2)
+            symplectic_form(p, xz(a), xz(b)) == 0 for a, b in itertools.combinations(ops, 2)
         )
         dense = [dense_reference.pauli_matrix(p, (m.phase, m.x_part, m.z_part)) for m in ops]
         commuting = all(
             np.allclose(a @ b, b @ a, atol=1e-12) for a, b in itertools.combinations(dense, 2)
         )
-        assert is_abelian(ops) == forms_zero == commuting
+        _, x, z = split_rows(pauli_rows(ops))
+        assert forms_vanish(p, x, z) == forms_zero == commuting
 
 
 def test_property_even_skew_iff_rows_commute(mod2):
@@ -294,8 +277,7 @@ def test_property_even_skew_iff_rows_commute(mod2):
             x = lines_mod.lines_from_matrix(g, n, n - m)
         except DegenerateLine:
             continue
-        vs = [SymplecticVector(mod2, n, r) for r in rows]
-        abelian = all(symplectic_form(u, v) == 0 for u, v in itertools.combinations(vs, 2))
+        abelian = all(symplectic_form(2, u, v) == 0 for u, v in itertools.combinations(rows, 2))
         assert lines_mod.validate_even_skew(x) == abelian
         cases += 1
 
@@ -318,7 +300,7 @@ def test_property_min_dependent_set_is_kernel_min_weight():
         g = lines_mod.matrix_from_lines(x)
         ker = kernel_basis(g)
         min_wt = min(
-            weight(SymplecticVector(mod, n, v.entries))
+            weight(v.entries)
             for v in row_space_vectors(ker)
             if not v.is_zero()
         )
@@ -406,9 +388,9 @@ def test_property_subspace_coding_set_is_stabiliser_code():
 
         if r:
             annihilator = kernel_basis(FpMatrix.from_rows(mod, basis_rows, m))
-            gens = [s.element(row) for row in annihilator.rows]
-            if gens:
-                sub = StabiliserGroup.from_generators(gens)
+            gens = s.elements(annihilator.rows)
+            if len(gens):
+                sub = StabiliserGroup(mod, n, gens)
                 right = code_basis(sub, [(0,) * sub.num_generators])
             else:
                 right = np.eye(p ** n, dtype=complex)
@@ -594,8 +576,7 @@ def test_property_code_basis_matches_dense_reference():
 
         b = code_basis(s, t_set)
         report = kl_detect(b, p, errs)
-        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
-        proj = dense_reference.code_projector(p, gens, t_entries)
+        proj = dense_reference.code_projector(p, row_triples(s.rows), t_entries)
         reference = dense_reference.kl(p, proj, row_triples(errs))
 
         label = f"case {case}: p={p} n={n} m={m} T={t_entries}"

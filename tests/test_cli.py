@@ -584,6 +584,18 @@ class TestErrorPaths:
         bad.write_text("2 2 0\n1 0 0 1\n")
         assert main(["validate", "--gens", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, fields", [
+        ("2 3 -1\n" + "1 0 0 0 0 0\n" * 4, "n = 3, k = -1"),
+        ("2 3 4\n", "n = 3, k = 4"),
+        ("2 0 0\n", "n = 0, k = 0"),
+    ], ids=["negative-k", "k-above-n", "no-qupits"])
+    def test_bad_generator_header_exits_two(self, tmp_path, capsys, text, fields):
+        bad = tmp_path / "bad.gens"
+        bad.write_text(text)
+        assert main(["validate", "--gens", str(bad)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: line 1: need n >= 1 and 0 <= k <= n, got {fields}\n")
+
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
     def test_repeated_graph_edge_exits_two(self, tmp_path, capsys, i, j):
         graph = tmp_path / "twice.graph"

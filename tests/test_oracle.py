@@ -23,7 +23,7 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import pauli_rows, random_group, random_symplectic_rows, row_triples
+from conftest import group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
 from dense_reference import subspace_equal
 
 
@@ -137,7 +137,7 @@ class TestComponentProjector:
         # a repeated generator leaves a rank-2 eigenspace where p^k = 1 is
         # expected, and an empty one for inconsistent signs
         zi = PauliOperator.from_letters("ZI")
-        repeated = SimpleNamespace(p=2, n=2, k=0, num_generators=2, generators=(zi, zi))
+        repeated = SimpleNamespace(p=2, n=2, k=0, num_generators=2, rows=pauli_rows([zi, zi]))
         for t in [(0, 0), (0, 1)]:
             with pytest.raises(InvalidGroup):
                 code_basis(repeated, [t])
@@ -173,7 +173,7 @@ class TestCodeProjector:
 
     def test_holds_the_actions_as_small_integers(self, five_qubit_group, mod2, monkeypatch):
         # each of the 5 actions on 32 indices is an int32 index and a uint8 power
-        perm, power = oracle._pauli_action(2, pauli_rows(five_qubit_group.generators))
+        perm, power = oracle._pauli_action(2, five_qubit_group.rows)
         assert (perm.dtype, power.dtype) == (np.int32, np.uint8)
         # the basis and start block take 32 x 2 x 16 = 1024 bytes, the actions 5 x 32 x 5 = 800
         t = [FpVector(mod2, (0,) * 5)]
@@ -212,7 +212,7 @@ def pentagon_code(five_qubit_group, pentagon_tset):
 @pytest.fixture(scope="module")
 def odd_y_code():
     """YZ and ZY commute, and each has one Y letter, so i.X.Z puts phases +-i in its action."""
-    return StabiliserGroup.from_generators([PauliOperator.from_letters(g) for g in ("YZ", "ZY")]), [(0, 0), (1, 0), (1, 1)]
+    return group_of([PauliOperator.from_letters(g) for g in ("YZ", "ZY")]), [(0, 0), (1, 0), (1, 1)]
 
 
 class TestBasisField:
@@ -233,8 +233,7 @@ class TestBasisField:
         s, vectors = request.getfixturevalue(f"{code}_code")
         b = code_basis(s, vectors)
         assert b.dtype == dtype
-        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
-        proj = dense_reference.code_projector(s.p, gens, [tuple(t) for t in vectors])
+        proj = dense_reference.code_projector(s.p, row_triples(s.rows), [tuple(t) for t in vectors])
         assert np.abs(b @ b.conj().T - proj).max() <= 1e-12
         errs = error_classes(s.p, s.n, w_max)
         if sample:
@@ -336,7 +335,7 @@ class TestKlDetect:
 
     def test_detects_failure(self):
         # span{|00>, |11>} does not detect single-qubit Z (a logical operator)
-        s = StabiliserGroup.from_generators([PauliOperator.from_letters("ZZ")])
+        s = group_of([PauliOperator.from_letters("ZZ")])
         b = code_basis(s, [(0,)])
         report = kl_detect(b, 2, error_classes(2, 2, 1))
         assert not report.passed
@@ -393,8 +392,7 @@ class TestKlDetect:
             rng.shuffle(errs)
 
             report = kl_detect(b, p, pauli_rows(errs))
-            gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
-            proj = dense_reference.code_projector(p, gens, t_entries)
+            proj = dense_reference.code_projector(p, row_triples(s.rows), t_entries)
             reference = dense_reference.kl(p, proj, [(e.phase, e.x_part, e.z_part) for e in errs])
 
             label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
@@ -480,11 +478,10 @@ class TestKlDetect:
         # the budget, and about 8 MiB for the report's alphas and the sorted rows
         assert peak < 2 ** 24, peak
         assert len(report) == len(report.residuals) == 15624
-        gens = [(g.phase, g.x_part, g.z_part) for g in s.generators]
-        proj = dense_reference.code_projector(5, gens, [t])
+        proj = dense_reference.code_projector(5, row_triples(s.rows), [t])
         # the stabiliser's own elements, up to phase, have |alpha| = 1
         span = {
-            tuple((a * g1 + c * g2) % 5 for g1, g2 in zip(*(g.x_part + g.z_part for g in s.generators)))
+            tuple((a * g1 + c * g2) % 5 for g1, g2 in zip(*s.rows[:, 1:].tolist()))
             for a, c in itertools.product(range(5), repeat=2)
         }
         sample = rng.sample(range(len(errs)), 200) + [i for i, e in enumerate(errs) if tuple(e[1:].tolist()) in span]

@@ -1,4 +1,4 @@
-"""Pauli operators, phases, the tau map, and stabiliser groups.
+"""Pauli operators, phases, the symplectic form, and stabiliser groups held as (phase | x | z) rows.
 
 Phase bookkeeping is checked against the Kronecker-product matrices of
 tests/dense_reference.py, which need nothing from qsol.
@@ -12,30 +12,31 @@ import pytest
 
 import dense_reference
 from qsol import pauli
-from qsol.errors import DependentCentre, InvalidGroup, LengthMismatch, NonCommutingGenerators
+from qsol.errors import DependentCentre, InvalidGroup, NonCommutingGenerators
 from qsol.fields import FpMatrix, FpVector, PrimeModulus, quotient_map, rank, row_space
 from qsol.pauli import (
     PauliOperator,
     StabiliserGroup,
-    SymplecticVector,
     centraliser_basis,
     extend_to_maximal_abelian,
-    is_abelian,
+    forms_vanish,
     multiply,
+    split_rows,
     subgroup_fixing,
     subgroup_tu,
-    symplectic_form,
-    tau,
-    tau_inv,
 )
 
 from conftest import (
     group_elements,
+    group_of,
     in_row_space,
+    pauli_rows,
     random_group,
-    reference_element,
     reference_extend,
     reference_power,
+    reference_rows,
+    symplectic_form,
+    xz,
 )
 
 
@@ -114,16 +115,12 @@ class TestMultiply:
 
 
 class TestTauAndForm:
-    def test_tau_round_trip(self, mod3):
-        rng = random.Random(7)
-        for _ in range(30):
-            v = SymplecticVector(mod3, 3, tuple(rng.randrange(3) for _ in range(6)))
-            assert tau(tau_inv(v)) == v
-
     def test_tau_discards_phase(self, mod2):
-        a = PauliOperator(mod2, 2, 2, (1, 0), (1, 1))
-        b = PauliOperator(mod2, 2, 0, (1, 0), (1, 1))
-        assert tau(a) == tau(b)
+        # the generator matrix holds the symplectic images, without phases; the group keeps them
+        a = StabiliserGroup(mod2, 2, [(2, 1, 0, 1, 1)])
+        b = StabiliserGroup(mod2, 2, [(0, 1, 0, 1, 1)])
+        assert a.gmatrix == b.gmatrix
+        assert a != b
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_commutation_bridge(self, p):
@@ -135,7 +132,7 @@ class TestTauAndForm:
             a, b = random_op(rng, mod, n), random_op(rng, mod, n)
             da, db = dense(a), dense(b)
             commute = np.allclose(da @ db, db @ da, atol=1e-12)
-            assert commute == (symplectic_form(tau(a), tau(b)) == 0)
+            assert commute == (symplectic_form(p, xz(a), xz(b)) == 0)
 
     def test_twisted_commutation_scalar(self, mod3):
         # E.M = omega^{(tau M, tau E)} M.E, verified entrywise on qutrits
@@ -145,45 +142,65 @@ class TestTauAndForm:
             n = rng.randrange(1, 3)
             e, m = random_op(rng, mod3, n), random_op(rng, mod3, n)
             de, dm = dense(e), dense(m)
-            c = symplectic_form(tau(m), tau(e))
+            c = symplectic_form(3, xz(m), xz(e))
             assert np.allclose(de @ dm, omega ** c * (dm @ de), atol=1e-12)
 
 
 class TestStabiliserGroup:
     def test_rejects_non_commuting(self, mod2):
         with pytest.raises(NonCommutingGenerators):
-            StabiliserGroup.from_generators(
-                [PauliOperator.from_letters("XI"), PauliOperator.from_letters("ZI")]
-            )
+            group_of([PauliOperator.from_letters("XI"), PauliOperator.from_letters("ZI")])
 
     def test_rejects_rank_deficient(self, mod2):
         with pytest.raises(InvalidGroup):
-            StabiliserGroup.from_generators(
-                [PauliOperator.from_letters("XX"), PauliOperator.from_letters("XX")]
-            )
+            group_of([PauliOperator.from_letters("XX"), PauliOperator.from_letters("XX")])
 
     def test_rejects_minus_identity_via_odd_phase(self):
         with pytest.raises(InvalidGroup):
-            StabiliserGroup.from_generators([PauliOperator.from_letters("XX", phase=1)])
+            group_of([PauliOperator.from_letters("XX", phase=1)])
 
     def test_rejects_rank_deficient_odd_p(self, mod3):
         # g and g^2 commute but span one line of F_3^4
         g = PauliOperator(mod3, 2, 0, (1, 2), (0, 1))
         with pytest.raises(InvalidGroup):
-            StabiliserGroup.from_generators([g, reference_power(g, 2)])
+            group_of([g, reference_power(g, 2)])
+
+    @pytest.mark.parametrize("rows", [[(0, 1, 0, 1)], [(0, 1, 0, 1, 0, 0)], [0, 1, 0, 1, 0], [[(0, 1, 0, 1, 0)]]])
+    def test_rejects_rows_of_wrong_width(self, mod2, rows):
+        with pytest.raises(ValueError, match="rows of width 5"):
+            StabiliserGroup(mod2, 2, rows)
+
+    @pytest.mark.parametrize("p, row, reduced", [
+        (2, (6, -1, 0, 1, 0), (2, 1, 0, 1, 0)),
+        (3, (-1, -1, 4, 0, 5), (2, 2, 1, 0, 2)),
+    ])
+    def test_rows_are_reduced_and_read_only(self, p, row, reduced):
+        s = StabiliserGroup(PrimeModulus(p), 2, [row])
+        assert s.rows.dtype == np.int64 and s.rows.tolist() == [list(reduced)]
+        with pytest.raises(ValueError):
+            s.rows[0, 0] = 0
+
+    def test_equality_and_hash_follow_the_rows(self, five_qubit_group):
+        mod, rows = five_qubit_group.modulus, five_qubit_group.rows
+        same = [StabiliserGroup(mod, 5, rows.tolist()), StabiliserGroup.from_matrix(mod, 5, five_qubit_group.gmatrix)]
+        for s in same:
+            assert s == five_qubit_group and hash(s) == hash(five_qubit_group)
+        phased = rows.copy()
+        phased[2, 0] = 2
+        assert StabiliserGroup(mod, 5, phased) != five_qubit_group
 
     def test_no_generators(self, mod3):
         s = StabiliserGroup(mod3, 2, ())
         assert s.k == 2 and s.gmatrix.nrows == 0 and s.gmatrix.ncols == 4
-        assert s.element(()) == PauliOperator.identity(mod3, 2)
-        assert s.elements([]) == ()
+        assert s.rows.shape == (0, 5) and s.generators == ()
+        assert s.elements([()]).tolist() == [[0] * 5]
+        assert s.elements([]).shape == (0, 5)
 
     def test_element_exponents(self, five_qubit_ops):
-        s = StabiliserGroup.from_generators(five_qubit_ops)
-        assert s.element((0, 0, 0, 0, 0)) == PauliOperator.identity(s.modulus, 5)
-        assert s.element((1, 0, 0, 0, 0)) == five_qubit_ops[0]
+        s = group_of(five_qubit_ops)
         prod = multiply(five_qubit_ops[1], five_qubit_ops[3])
-        assert s.element((0, 1, 0, 1, 0)) == prod
+        expected = pauli_rows([PauliOperator.identity(s.modulus, 5), five_qubit_ops[0], prod])
+        assert np.array_equal(s.elements([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 1, 0)]), expected)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_element_matches_reference_fold(self, p):
@@ -199,14 +216,15 @@ class TestStabiliserGroup:
             phases += [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in base.generators[1:]]
             s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
             zero = (0,) * s.num_generators
-            assert s.element(zero) == reference_element(s, zero) == PauliOperator.identity(mod, n)
-            for _ in range(25):
-                exponents = [rng.randrange(-2 * p, 3 * p) for _ in s.generators]
-                assert s.element(exponents) == reference_element(s, exponents)
+            assert s.elements([zero]).tolist() == reference_rows(s, [zero]).tolist() == [[0] * (2 * n + 1)]
+            exponents = [[rng.randrange(-2 * p, 3 * p) for _ in range(s.num_generators)] for _ in range(25)]
+            assert np.array_equal(s.elements(exponents), reference_rows(s, exponents))
 
-    def test_gmatrix_rows_are_tau_images(self, five_qubit_group):
-        for g, row in zip(five_qubit_group.generators, five_qubit_group.gmatrix.rows):
-            assert tau(g).entries == row
+    def test_gmatrix_rows_are_tau_images(self, ternary_group):
+        # and the generators view holds the same rows as operators
+        assert np.array_equal(pauli_rows(ternary_group.generators), ternary_group.rows)
+        for g, row in zip(ternary_group.generators, ternary_group.gmatrix.rows):
+            assert xz(g) == row
 
     @pytest.mark.parametrize("phases", [[0], [0, 0, 0, 0]])
     def test_from_matrix_needs_one_phase_per_row(self, five_qubit_group, phases):
@@ -221,6 +239,12 @@ class TestStabiliserGroup:
         assert ternary_group.k == 4
 
 
+def is_abelian(p, n, ops):
+    """pauli.forms_vanish on the (phase | x | z) rows of a list of operators on n qupits."""
+    _, x, z = split_rows(pauli_rows(ops).reshape(len(ops), 2 * n + 1))
+    return forms_vanish(p, x, z)
+
+
 class TestIsAbelian:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_pairwise_forms(self, p):
@@ -233,23 +257,19 @@ class TestIsAbelian:
             ops = [random_op(rng, mod, n) for _ in range(rng.randrange(0, 5))]
             if rng.random() < 0.5:
                 ops = list(random_group(rng, mod, n, rng.randrange(1, n + 1)).generators) + ops[:1]
-            pairwise = all(symplectic_form(tau(a), tau(b)) == 0 for a, b in itertools.combinations(ops, 2))
-            assert is_abelian(ops) == pairwise
+            pairwise = all(symplectic_form(p, xz(a), xz(b)) == 0 for a, b in itertools.combinations(ops, 2))
+            assert is_abelian(p, n, ops) == pairwise
             seen.add(pairwise)
         assert seen == {True, False}
 
     def test_small_cases(self):
         mod5 = PrimeModulus(5)
         x, z = PauliOperator(mod5, 1, 3, (1,), (0,)), PauliOperator(mod5, 1, 0, (0,), (4,))
-        assert is_abelian([])
-        assert is_abelian([x])
-        assert is_abelian([x, reference_power(x, 3)])
-        assert not is_abelian([x, z])
-        assert not is_abelian([x, x, z])
-
-    def test_mismatched_systems_rejected(self, mod2, mod3):
-        with pytest.raises(LengthMismatch):
-            is_abelian([PauliOperator.from_letters("X"), PauliOperator(mod3, 1, 0, (1,), (0,))])
+        assert is_abelian(5, 1, [])
+        assert is_abelian(5, 1, [x])
+        assert is_abelian(5, 1, [x, reference_power(x, 3)])
+        assert not is_abelian(5, 1, [x, z])
+        assert not is_abelian(5, 1, [x, x, z])
 
 
 class TestCentraliser:
@@ -262,9 +282,8 @@ class TestCentraliser:
             dual = centraliser_basis(s)
             assert dual.nrows == 2 * n - m
             for drow in dual.rows:
-                dv = SymplecticVector(mod, n, drow)
                 for grow in s.gmatrix.rows:
-                    assert symplectic_form(SymplecticVector(mod, n, grow), dv) == 0
+                    assert symplectic_form(p, grow, drow) == 0
 
     def test_dual_contains_group_rows(self, five_qubit_group):
         dual = centraliser_basis(five_qubit_group)
@@ -316,19 +335,19 @@ class TestSubgroupTu:
             s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
             r = rng.randrange(1, 4)
             basis, centre = random_centre(rng, mod, m, r)
-            expected = tuple(reference_element(s, row) for row in quotient_map(centre, m).rows)
+            expected = reference_rows(s, quotient_map(centre, m).rows)
             sub = subgroup_fixing(s, centre)
-            assert sub.generators == expected and sub.num_generators == m - r
+            assert np.array_equal(sub.rows, expected) and sub.num_generators == m - r
             assert StabiliserGroup(mod, n, expected) == sub
-            assert sub.gmatrix.rows == tuple(tau(g).entries for g in expected)
+            assert sub.gmatrix.rows == tuple(map(tuple, expected[:, 1:].tolist()))
             if r == 2:
-                expected = tuple(reference_element(s, row) for row in quotient_map(basis, m).rows)
-                assert subgroup_tu(s, *basis).generators == expected
+                expected = reference_rows(s, quotient_map(basis, m).rows)
+                assert np.array_equal(subgroup_tu(s, *basis).rows, expected)
 
     def test_centre_spanning_everything_leaves_no_generators(self, ternary_group, mod3):
         centre = [FpVector(mod3, row) for row in FpMatrix.identity(mod3, 7).rows]
         sub = subgroup_fixing(ternary_group, centre)
-        assert sub.generators == () and sub.k == 11
+        assert sub.rows.shape == (0, 23) and sub.k == 11
 
     def test_elements_belong_to_parent_and_annihilate_t_u(self, mod2, five_qubit_group):
         t = FpVector(mod2, (1, 0, 0, 0, 0))
@@ -371,7 +390,7 @@ class TestExtendToMaximalAbelian:
             assert row_space(centraliser_basis(big)) == row_space(big.gmatrix)
 
     def test_deterministic(self, five_qubit_group):
-        sub = StabiliserGroup.from_generators(five_qubit_group.generators[:3])
+        sub = StabiliserGroup(five_qubit_group.modulus, 5, five_qubit_group.rows[:3])
         assert extend_to_maximal_abelian(sub) == extend_to_maximal_abelian(sub)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -396,4 +415,4 @@ def test_five_qubit_primed_identity(five_qubit_ops, five_qubit_primed_ops):
             multiply(five_qubit_primed_ops[i], five_qubit_primed_ops[(i + 1) % 5]),
             five_qubit_primed_ops[(i + 3) % 5],
         )
-        assert tau(prod) == tau(five_qubit_ops[i])
+        assert xz(prod) == xz(five_qubit_ops[i])
