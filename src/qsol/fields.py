@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 _MAX_PRIME = 31
 # budget of one enumerated table, in bytes: a weight table of lines
 # (lines.weight_table) above it is refused with TooLarge
@@ -205,7 +207,7 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     return FpMatrix(m.modulus, tuple(tuple(r) for r in rows[: len(piv)]), m.ncols)
 
 
-def quotient_map(vectors: Sequence[FpVector], dim: int) -> FpMatrix:
+def quotient_map(vectors: Sequence[FpVector], dim: int) -> np.ndarray:
     """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
 
     One elimination of [C | I], with the vectors as the columns of C, picks
@@ -213,18 +215,20 @@ def quotient_map(vectors: Sequence[FpVector], dim: int) -> FpMatrix:
     their given order, and then the standard basis vectors that complete it
     to a basis A, also greedily. The right-hand block is then A^{-1}, and its
     rows past the first r are the map: A^{-1} A = I makes them vanish on the
-    span of the vectors, and they have rank dim - r.
+    span of the vectors, and they have rank dim - r. The map is returned as
+    a read-only (dim - r, dim) int64 array of residues mod p.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     if any(len(v) != dim for v in vectors):
         raise ValueError("vectors must have length dim")
-    modulus = vectors[0].modulus
     r = len(vectors)
     aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    aug, pivots = _rref_rows(aug, r + dim, modulus.p)
+    aug, pivots = _rref_rows(aug, r + dim, vectors[0].p)
     centre_rank = sum(1 for c in pivots if c < r)
-    return FpMatrix(modulus, tuple(tuple(row[r:]) for row in aug[centre_rank:]), dim)
+    q = np.array([row[r:] for row in aug[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
+    q.setflags(write=False)
+    return q
 
 
 def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:

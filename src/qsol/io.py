@@ -54,7 +54,9 @@ def parse_generators(text: str) -> StabiliserGroup:
         raise InputFormatError(f"line {lineno}: need n >= 1 and 0 <= k <= n, got n = {n}, k = {k}", line=lineno)
     body = lines[1:]
     if len(body) != n - k:
-        raise InputFormatError(f"expected {n - k} generator rows, got {len(body)}")
+        # the first surplus row, or the header when rows are missing
+        ln = body[n - k][0] if len(body) > n - k else lineno
+        raise InputFormatError(f"line {ln}: expected {n - k} generator rows, got {len(body)}", line=ln)
     rows = [tuple(_int_fields(line, ln, 2 * n)) for ln, line in body]
     return StabiliserGroup.from_matrix(modulus, n, FpMatrix.from_rows(modulus, rows, 2 * n))
 
@@ -103,11 +105,16 @@ def parse_coding_set(text: str) -> CodingSet:
         modulus = PrimeModulus(p)
     except ValueError as exc:
         raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
-    vectors = [FpVector(modulus, tuple(_int_fields(line, ln, length))) for ln, line in lines[1:]]
-    try:
-        return CodingSet(modulus, length, tuple(vectors))
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    # the line of each vector so far, so that a repeat names both lines
+    seen: dict[FpVector, int] = {}
+    for ln, line in lines[1:]:
+        v = FpVector(modulus, tuple(_int_fields(line, ln, length)))
+        if v in seen:
+            raise InputFormatError(f"line {ln}: vector {v.entries} repeats the vector of line {seen[v]}", line=ln)
+        seen[v] = ln
+    if FpVector(modulus, (0,) * length) not in seen:
+        raise InputFormatError(f"line {lineno}: coding set must contain the zero vector", line=lineno)
+    return CodingSet(modulus, length, tuple(seen))
 
 
 def format_coding_set(t: CodingSet) -> str:

@@ -186,13 +186,20 @@ class StabiliserGroup:
     def k(self) -> int:
         return self.n - len(self.rows)
 
-    def elements(self, exponents: Sequence[Sequence[int]]) -> np.ndarray:
+    @functools.cached_property
+    def _zx_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The strict upper triangle and the diagonal of z·xᵀ over the generator rows (see elements)."""
+        _, x, z = split_rows(self.rows)
+        zx = z @ x.T
+        return np.triu(zx, 1), np.diag(zx)
+
+    def elements(self, exponents: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
         """The products g_1^(e_1) ... g_m^(e_m) of the generators, one (phase | x | z) row per row e of exponents.
 
-        Each exponent is taken mod p. Over the generator rows (c_i | x_i | z_i),
-        the x|z parts of the products are E·G mod p, and the phase of each is
-        the sum that a running product of multiply calls accumulates, in
-        closed form:
+        exponents is an (r, m) integer array, or its rows; each exponent is
+        taken mod p. Over the generator rows (c_i | x_i | z_i), the x|z parts
+        of the products are E·G mod p, and the phase of each is the sum that
+        a running product of multiply calls accumulates, in closed form:
 
         p odd:  Σ e_i c_i + Σ C(e_i, 2) (z_i·x_i) + Σ_{i<j} e_i e_j (z_i·x_j)   mod p
         p = 2:  Σ e_i c_i + Σ e_i (x_i·z_i) − x̄·z̄ + 2 Σ_{i<j} e_i e_j (z_i·x_j)   mod 4
@@ -202,19 +209,24 @@ class StabiliserGroup:
         operator i^c σ is i^(c + x·z) X^x Z^z, and moving Z^(z_i) past
         X^(x_j) gives (−1)^(z_i·x_j). The all-zero exponents give the identity.
         """
-        p, m = self.p, self.num_generators
-        if any(len(row) != m for row in exponents):
+        p, n, m = self.p, self.n, self.num_generators
+        e = np.asarray(exponents, dtype=np.int64)
+        if e.shape == (0,):
+            e = e.reshape(0, m)
+        if e.ndim != 2 or e.shape[1] != m:
             raise ValueError("one exponent per generator")
-        e = np.array([[int(v) % p for v in row] for row in exponents], dtype=np.int64).reshape(len(exponents), m)
-        c, x, z = split_rows(self.rows)
-        zx = z @ x.T
-        x_bar, z_bar = e @ x % p, e @ z % p
-        cross = np.sum(e @ np.triu(zx, 1) * e, axis=1)
+        e = e % p
+        upper, diagonal = self._zx_parts
+        # (Σ e_i c_i | E·X | E·Z), then x̄ and z̄ reduced in place
+        out = e @ self.rows
+        out[:, 1:] %= p
+        cross = np.sum(e @ upper * e, axis=1)
         if p == 2:
-            phases = e @ (c + np.diag(zx)) - np.sum(x_bar * z_bar, axis=1) + 2 * cross
+            phases = out[:, 0] + e @ diagonal - np.sum(out[:, 1:n + 1] * out[:, n + 1:], axis=1) + 2 * cross
         else:
-            phases = e @ c + (e * (e - 1) // 2) @ np.diag(zx) + cross
-        return np.column_stack([phases % _phase_modulus(p), x_bar, z_bar])
+            phases = out[:, 0] + (e * (e - 1) // 2) @ diagonal + cross
+        out[:, 0] = phases % _phase_modulus(p)
+        return out
 
 
 def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
@@ -235,9 +247,9 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
     if len(t) != m or len(u) != m:
         raise ValueError("t, u must have one entry per generator")
     q = fields.quotient_map([t, u], m)
-    if q.nrows > m - 2:
+    if len(q) > m - 2:
         raise DependentCentre("t and u are proportional or zero")
-    return StabiliserGroup(s.modulus, s.n, s.elements(q.rows))
+    return StabiliserGroup(s.modulus, s.n, s.elements(q))
 
 
 def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
@@ -247,8 +259,7 @@ def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> Stabilise
     of the centre, which vanish on the span of the centre; there are
     num_generators - rank(centre) of them.
     """
-    q = fields.quotient_map(list(centre), s.num_generators)
-    return StabiliserGroup(s.modulus, s.n, s.elements(q.rows))
+    return StabiliserGroup(s.modulus, s.n, s.elements(fields.quotient_map(list(centre), s.num_generators)))
 
 
 def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:

@@ -160,6 +160,11 @@ def random_group_with_lines(rng: random.Random, modulus: PrimeModulus, n: int, m
     raise RuntimeError("no line-compatible random group found")
 
 
+def apply_map(q: np.ndarray, v: FpVector) -> FpVector:
+    """The image of v under an int64 matrix such as fields.quotient_map, reduced mod p."""
+    return FpVector(v.modulus, tuple((q @ np.array(v.entries, dtype=np.int64)).tolist()))
+
+
 def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
     if len(v) != m.ncols:
@@ -248,6 +253,16 @@ def group_elements(s: StabiliserGroup) -> set:
     """Every element of the group as a (phase | x | z) tuple."""
     exponents = [v.entries for v in all_exponent_vectors(s.modulus, s.num_generators)]
     return set(map(tuple, s.elements(exponents).tolist()))
+
+
+def reference_line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The codes of a_i + c·b_j, c = 1..p-1, indexed [c-1, i, j], digit by digit: the reference for lines.line_codes."""
+    codes = np.zeros((p - 1, len(a), len(b)), dtype=np.int64)
+    # most significant digit first, and scalar by scalar, so temporaries stay (len(a), len(b))
+    for a_digit, b_digit in zip(np.unravel_index(a, (p,) * m), np.unravel_index(b, (p,) * m)):
+        for c in range(1, p):
+            codes[c - 1] = codes[c - 1] * p + (a_digit[:, None] + c * b_digit) % p
+    return codes
 
 
 # ------------------------------------------------- brute-force enumerations

@@ -604,6 +604,29 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"input error: line 4: edge ({i}, {j}) repeats the edge of line 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 0\n1 0 0 1\n", "line 1: expected 2 generator rows, got 1"),
+        ("2 2 1\n1 0 0 1\n# surplus\n0 1 1 0\n", "line 4: expected 1 generator rows, got 2"),
+    ], ids=["missing-row", "surplus-row"])
+    def test_wrong_number_of_generator_rows_names_its_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "rows.gens"
+        bad.write_text(text)
+        assert main(["validate", "--gens", str(bad)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 5\n1 0 0 0 0\n0 1 0 0 0\n", "line 1: coding set must contain the zero vector"),
+        ("2 5\n0 0 0 0 0\n1 0 1 0 0\n\n1 0 1 0 0\n", "line 5: vector (1, 0, 1, 0, 0) repeats the vector of line 3"),
+    ], ids=["no-zero", "repeat"])
+    @pytest.mark.parametrize("command", [["project"], ["verify", "--d", "2"]], ids=["project", "verify"])
+    def test_bad_coding_set_names_its_line(self, data_dir, tmp_path, capsys, text, message, command):
+        bad = tmp_path / "bad.tset"
+        bad.write_text(text)
+        assert main(command + ["--gens", str(data_dir / "pentagon.gens"), "--tset", str(bad)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: {message}\n")
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         # a graph with an isolated vertex cannot seed the recipe
         lonely = tmp_path / "lonely.graph"

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qsol import fields
@@ -20,7 +21,7 @@ from qsol.fields import (
     rref,
 )
 
-from conftest import in_row_space, row_space_vectors
+from conftest import apply_map, in_row_space, row_space_vectors
 
 
 def random_matrix(rng, modulus, nrows, ncols):
@@ -274,15 +275,30 @@ class TestQuotientMap:
             if r < len(centre):
                 dependent += 1
                 if independent:
-                    assert quotient_map(independent, dim) == q
+                    assert np.array_equal(quotient_map(independent, dim), q)
             if independent:
-                assert q.rows == reference_inverse(reference_complete_basis(independent, dim)).rows[r:]
+                inverse = reference_inverse(reference_complete_basis(independent, dim))
+                assert q.tolist() == [list(row) for row in inverse.rows[r:]]
             else:
-                assert q == FpMatrix.identity(mod, dim)
-            assert q.ncols == dim and q.nrows == dim - r == rank(q)
+                assert q.tolist() == [list(row) for row in FpMatrix.identity(mod, dim).rows]
+            assert q.shape == (dim - r, dim) and rank_of_vectors(p, q.tolist()) == dim - r
             for v in centre:
-                assert (q @ v).is_zero()
+                assert apply_map(q, v).is_zero()
         assert 0 < dependent < 300
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_read_only_int64_rows(self, p):
+        mod = PrimeModulus(p)
+        q = quotient_map([FpVector(mod, (1, 0, p - 1, 0)), FpVector(mod, (0, 0, 1, 1))], 4)
+        assert q.dtype == np.int64 and q.shape == (2, 4) and not q.flags.writeable
+        assert ((0 <= q) & (q < p)).all()
+        with pytest.raises(ValueError):
+            q[0, 0] = 1
+
+    def test_centre_spanning_everything_gives_no_rows(self, mod3):
+        centre = [FpVector(mod3, row) for row in ((1, 2, 0), (0, 1, 1), (1, 0, 0), (2, 2, 2))]
+        q = quotient_map(centre, 3)
+        assert q.shape == (0, 3) and q.dtype == np.int64 and not q.flags.writeable
 
     def test_rejects_empty_or_mislength_centre(self, mod2):
         with pytest.raises(ValueError):

@@ -30,6 +30,17 @@ class TestGenerators:
         with pytest.raises(InputFormatError):
             io.parse_generators("2 2 0\n1 0 0 1\n")
 
+    @pytest.mark.parametrize("text, line, got", [
+        ("2 2 0\n1 0 0 1\n", 1, 1),
+        ("# header\n2 2 1\n1 0 0 1\n\n0 1 1 0\n1 1 1 1\n", 5, 3),
+        ("2 2 1\n", 1, 0),
+    ], ids=["missing-row", "surplus-rows", "no-rows"])
+    def test_wrong_row_count_reports_line(self, text, line, got):
+        # a surplus names its first extra row, a shortfall the header
+        with pytest.raises(InputFormatError, match=rf"^line {line}: expected \d generator rows, got {got}$") as err:
+            io.parse_generators(text)
+        assert err.value.line == line
+
     def test_non_integer_field_reports_line(self):
         with pytest.raises(InputFormatError) as err:
             io.parse_generators("2 1 0\nx y\n")
@@ -83,6 +94,22 @@ class TestCodingSet:
     def test_wrong_width(self):
         with pytest.raises(InputFormatError):
             io.parse_coding_set("2 3\n0 0 0\n1 0\n")
+
+    def test_missing_zero_reports_header_line(self):
+        with pytest.raises(InputFormatError, match=r"^line 2: coding set must contain the zero vector$") as err:
+            io.parse_coding_set("# T\n3 2\n1 0\n0 1\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("repeat", ["1 2", "4 5", "1 -1"])
+    def test_repeated_vector_reports_its_line(self, repeat):
+        # the same vector of F_3^2, written as given or through other representatives
+        with pytest.raises(InputFormatError, match=r"^line 5: vector \(1, 2\) repeats the vector of line 3$") as err:
+            io.parse_coding_set(f"3 2\n0 0\n1 2\n# comment\n{repeat}\n")
+        assert err.value.line == 5
+
+    def test_vectors_keep_their_order(self):
+        t = io.parse_coding_set("3 2\n1 2\n0 0\n2 0\n")
+        assert [v.entries for v in t.vectors] == [(1, 2), (0, 0), (2, 0)]
 
 
 class TestRestriction:

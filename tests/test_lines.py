@@ -12,22 +12,27 @@ from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.lines import (
     AtLeast,
     QuantumLineSet,
+    chunk_widths,
     distance_value,
     incident_points,
     lines_from_matrix,
+    line_codes,
     lines_spanned_by,
     matrix_from_lines,
     min_dependent_set,
     min_distance_result,
     project_lines,
     validate_even_skew,
+    weight_table,
 )
 
 from conftest import (
+    apply_map,
     normalised,
     random_group,
     random_group_with_lines,
     reference_even_skew,
+    reference_line_codes,
     row_space_vectors,
     symplectic_form,
     vectors,
@@ -318,10 +323,62 @@ class TestMinDependentSet:
             assert min_dependent_set(x, 4) == min_wt
 
 
+class TestLineCodes:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+    def test_property_matches_reference(self, p):
+        # m from 1 to one digit past two chunk widths (the XOR path for p = 2),
+        # with empty a or b and the codes 0 and p^m - 1 in every draw
+        rng = random.Random(1100 + p)
+        for m in range(1, 2 * chunk_widths(p, 2 ** 8)[-1] + 2):
+            for _ in range(6):
+                a, b = (
+                    np.array(
+                        [0, p ** m - 1][: rng.randrange(3)] + [rng.randrange(p ** m) for _ in range(rng.randrange(6))],
+                        dtype=np.int64,
+                    )
+                    for _ in range(2)
+                )
+                for a, b in ((a, b), (a[:0], b), (a, b[:0])):
+                    codes = line_codes(p, m, a, b)
+                    assert codes.dtype == np.int64 and codes.shape == (p - 1, len(a), len(b))
+                    assert np.array_equal(codes, reference_line_codes(p, m, a, b))
+
+    @pytest.mark.parametrize("p, k", [(3, 5), (5, 3), (7, 2), (13, 2), (17, 1), (31, 1)])
+    def test_chunk_width_is_the_widest_within_two_bytes(self, p, k):
+        assert p ** (2 * k) <= 2 ** 16 < p ** (2 * k + 2)
+        assert chunk_widths(p, 3 * k) == [k] * 3 and chunk_widths(p, 3 * k + 1) == [1] + [k] * 3
+
+    def test_sum_tables_stay_within_budget(self):
+        # from the chunk plan alone, for every odd prime and every dimension a weight table admits
+        for p in (q for q in range(3, 32) if fields.is_prime(q)):
+            m = 1
+            while p ** m <= fields.MAX_TABLE_BYTES:
+                widths = chunk_widths(p, m)
+                assert sum(widths) == m and min(widths) >= 1
+                assert len(set(widths[1:])) <= 1 and widths[0] <= widths[-1]
+                assert all((p - 1) * p ** (2 * w) <= (p - 1) * 2 ** 16 for w in widths)
+                m += 1
+
+    def test_sum_table_is_cached_read_only_bytes(self):
+        table = lines_mod._sum_table(3, 5)
+        assert table is lines_mod._sum_table(3, 5)
+        assert table.dtype == np.uint8 and table.shape == (2, 243 * 243) and not table.flags.writeable
+        assert table.nbytes == 2 * 243 ** 2
+
+    @pytest.mark.parametrize("p, m", [(2, 6), (3, 5), (3, 7), (5, 4), (7, 3)])
+    def test_weight_table_matches_reference_kernel(self, p, m, monkeypatch):
+        rng = random.Random(1200 + 10 * p + m)
+        draws = [np.array(sorted({rng.randrange(1, p ** m) for _ in range(rng.randrange(1, 3 * m))})) for _ in range(6)]
+        tables = [weight_table(p, m, points, 3) for points in draws]
+        monkeypatch.setattr(lines_mod, "line_codes", reference_line_codes)
+        for points, table in zip(draws, tables):
+            assert table.tobytes() == weight_table(p, m, points, 3).tobytes()
+
+
 class TestProjectLines:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_projecting_each_point(self, p):
-        # against quotient_map(...) @ FpVector on every point, normalised and
+        # against the image under quotient_map(...) of every point, normalised and
         # sorted; centres of one vector up to the whole space, dependent ones
         # included, so that lines collapse at random places
         rng = random.Random(980 + p)
@@ -333,11 +390,11 @@ class TestProjectLines:
             nonzero = [v for v in (tuple(rng.randrange(p) for _ in range(m)) for _ in range(3 * m)) if any(v)]
             centre = [FpVector(mod, v) for v in nonzero[: rng.randrange(1, m + 1)]]
             q = fields.quotient_map(centre, m)
-            images = [[q @ FpVector(mod, v) for v in vectors(p, m, row)] for row in x.points]
+            images = [[apply_map(q, FpVector(mod, v)) for v in vectors(p, m, row)] for row in x.points]
             first = next((i for i, image in enumerate(images) if any(v.is_zero() for v in image)), None)
             if first is None:
                 y = project_lines(x, centre)
-                assert (y.modulus, y.dim) == (mod, q.nrows)
+                assert (y.modulus, y.dim) == (mod, len(q))
                 assert [vectors(p, y.dim, row) for row in y.points] == [
                     sorted(normalised(p, v.entries) for v in image) for image in images
                 ]

@@ -196,6 +196,35 @@ class TestStabiliserGroup:
         assert s.elements([()]).tolist() == [[0] * 5]
         assert s.elements([]).shape == (0, 5)
 
+    def test_elements_of_no_exponent_rows(self, ternary_group, mod3):
+        # as arrays: no generators with some rows, and no rows with or without generators
+        s = StabiliserGroup(mod3, 2, ())
+        assert s.elements(np.zeros((3, 0), dtype=np.int64)).tolist() == [[0] * 5] * 3
+        assert s.elements(np.zeros((0, 0), dtype=np.int64)).shape == (0, 5)
+        for empty in ([], np.zeros((0, 7), dtype=np.int64)):
+            assert ternary_group.elements(empty).shape == (0, 23)
+
+    def test_elements_read_arrays_and_rows_alike(self, ternary_group):
+        rng = random.Random(77)
+        exponents = [[rng.randrange(-3, 6) for _ in range(7)] for _ in range(10)]
+        frozen = np.array(exponents, dtype=np.int64)
+        frozen.setflags(write=False)
+        expected = reference_rows(ternary_group, exponents)
+        out = ternary_group.elements(frozen)
+        assert np.array_equal(out, expected) and np.array_equal(ternary_group.elements(exponents), expected)
+        # the output is a fresh array: writing to it leaves the group's rows and cached products alone
+        out[:] = 0
+        assert np.array_equal(ternary_group.elements(frozen), expected)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[(1, 0)], [(0,) * 8], np.zeros(7, dtype=np.int64), np.zeros((2, 6), dtype=np.int64)],
+        ids=["short-row", "long-row", "one-dimensional", "six-columns"],
+    )
+    def test_elements_need_one_exponent_per_generator(self, ternary_group, bad):
+        with pytest.raises(ValueError):
+            ternary_group.elements(bad)
+
     def test_element_exponents(self, five_qubit_ops):
         s = group_of(five_qubit_ops)
         prod = multiply(five_qubit_ops[1], five_qubit_ops[3])
@@ -335,13 +364,13 @@ class TestSubgroupTu:
             s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
             r = rng.randrange(1, 4)
             basis, centre = random_centre(rng, mod, m, r)
-            expected = reference_rows(s, quotient_map(centre, m).rows)
+            expected = reference_rows(s, quotient_map(centre, m))
             sub = subgroup_fixing(s, centre)
             assert np.array_equal(sub.rows, expected) and sub.num_generators == m - r
             assert StabiliserGroup(mod, n, expected) == sub
             assert sub.gmatrix.rows == tuple(map(tuple, expected[:, 1:].tolist()))
             if r == 2:
-                expected = reference_rows(s, quotient_map(basis, m).rows)
+                expected = reference_rows(s, quotient_map(basis, m))
                 assert np.array_equal(subgroup_tu(s, *basis).rows, expected)
 
     def test_centre_spanning_everything_leaves_no_generators(self, ternary_group, mod3):
