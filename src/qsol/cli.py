@@ -150,7 +150,8 @@ def cmd_gamma(args) -> int:
 
 def cmd_cliques(args) -> int:
     graph, gamma = _gamma_pipeline(args)
-    cliques = search.find_cliques(gamma, args.time_limit)
+    symmetries = () if args.restrict else search.gamma_symmetries(graph, gamma)
+    cliques = search.find_cliques(gamma, args.time_limit, symmetries)
     size = len(cliques[0]) if cliques else 0
     pairs = [
         ("vertices", gamma.num_vertices),
@@ -158,6 +159,7 @@ def cmd_cliques(args) -> int:
         ("cliques_found", len(cliques)),
         ("clique_size", size),
         ("count.clique_nodes", cliques.nodes),
+        ("count.gamma_orbits", cliques.orbits),
     ]
     text = [f"{len(cliques)} clique(s) of size {size}, {cliques.nodes} search nodes"]
     for c in cliques:

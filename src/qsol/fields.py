@@ -128,23 +128,6 @@ class FpMatrix:
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
 
-    def __matmul__(self, other):
-        p = self.p
-        if isinstance(other, FpVector):
-            if len(other) != self.ncols:
-                raise ValueError("shape mismatch")
-            return FpVector(self.modulus, tuple(sum(a * b for a, b in zip(row, other.entries)) % p for row in self.rows))
-        if isinstance(other, FpMatrix):
-            if other.nrows != self.ncols:
-                raise ValueError("shape mismatch")
-            cols = other.transpose().rows
-            return FpMatrix(
-                self.modulus,
-                tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols) for row in self.rows),
-                other.ncols,
-            )
-        return NotImplemented
-
 
 class RrefResult(NamedTuple):
     matrix: FpMatrix

@@ -240,15 +240,140 @@ def gamma_graph(
     return CompatibilityGraph(tuple(codes.tolist()), tuple(rows))
 
 
-class Cliques(list):
-    """Maximum cliques as sorted vertex tuples, with the search's node count."""
+def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
+    """A strong generating set of the label-preserving permutations of g's vertices.
 
-    def __init__(self, cliques: list[tuple[int, ...]], nodes: int):
+    Each generator is a tuple s with s[v] the image of vertex v, and
+    A[s[u]][s[v]] = A[u][v] for every pair. The base is a breadth-first
+    order b_0, b_1, ... of the vertices. From the last level up, level i
+    looks for one permutation fixing b_0..b_{i-1} for each image of b_i
+    that the generators found so far do not reach, so each level's
+    generators and those below it generate the stabiliser of b_0..b_{i-1}.
+    A completion is built by backtracking along the same order: a vertex
+    with a parent in the order maps to a neighbour of its parent's image,
+    and every choice keeps the labels to the vertices already mapped. The
+    group itself is never enumerated (K_12 has 12! automorphisms).
+    """
+    adj = g.adjacency.rows
+    n = len(adj)
+    # breadth first from each vertex not yet reached; a component's first vertex has no parent
+    order: list[int] = []
+    parent: list[int | None] = [None] * n
+    scanned = 0
+    for root in range(n):
+        if root not in order:
+            order.append(root)
+        while scanned < len(order):
+            u = order[scanned]
+            scanned += 1
+            for v, label in enumerate(adj[u]):
+                if label and v not in order:
+                    order.append(v)
+                    parent[v] = u
+    # a permutation keeps each vertex's multiset of labels, and so the
+    # multiset of (label, multiset) over its neighbours
+    labels = [sorted(row) for row in adj]
+    kind = [(labels[v], sorted((a, labels[u]) for u, a in enumerate(adj[v]) if a)) for v in range(n)]
+    image = [-1] * n
+    used = [False] * n
+
+    def fits(t: int, w: int) -> bool:
+        """True iff order[t] may map to w, given the images of order[:t]."""
+        v = order[t]
+        if used[w] or kind[w] != kind[v]:
+            return False
+        row_v, row_w = adj[v], adj[w]
+        return all(row_w[image[u]] == row_v[u] for u in order[:t])
+
+    def complete(t: int) -> bool:
+        if t == n:
+            return True
+        v = order[t]
+        pool = range(n) if parent[v] is None else [w for w, label in enumerate(adj[image[parent[v]]]) if label]
+        for w in pool:
+            if fits(t, w):
+                image[v], used[w] = w, True
+                if complete(t + 1):
+                    return True
+                image[v], used[w] = -1, False
+        return False
+
+    generators: list[tuple[int, ...]] = []
+    for level in reversed(range(n)):
+        base = order[level]
+        for u in order[level:]:
+            image[u], used[u] = -1, False
+        for u in order[:level]:
+            image[u], used[u] = u, True
+        reached = _orbit(base, generators)
+        for c in range(n):
+            if c in reached or not fits(level, c):
+                continue
+            image[base], used[c] = c, True
+            if complete(level + 1):
+                generators.append(tuple(image))
+                reached = _orbit(base, generators)
+                for u in order[level + 1:]:
+                    used[image[u]], image[u] = False, -1
+            image[base], used[c] = -1, False
+    return generators
+
+
+def _orbit(v: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of v under the group the permutations generate."""
+    orbit, todo = {v}, [v]
+    for u in todo:
+        for s in perms:
+            if s[u] not in orbit:
+                orbit.add(s[u])
+                todo.append(s[u])
+    return orbit
+
+
+def gamma_symmetries(g: LabelledGraph, gamma: CompatibilityGraph) -> list[np.ndarray]:
+    """The generators of automorphisms(g), each as an int array that permutes Γ's vertex indices.
+
+    A label-preserving permutation s of g's vertices moves coordinate v of
+    each vector to coordinate s[v]. That maps the lines of g's graph state
+    onto each other, so it fixes X_{d-1} and permutes the points outside it
+    and the joins between them. Γ must therefore be built from g itself
+    (k = 0) over a pool the permutations keep, such as the whole space; an
+    image that is not a vertex of Γ raises ValueError.
+    """
+    generators = automorphisms(g)
+    if not generators or not gamma.vertices:
+        return []
+    p, n = g.modulus.p, g.n
+    # coordinate s[v] of an image is coordinate v of the vertex, for every
+    # generator at once; a scatter and a dict, where argsort and searchsorted
+    # would map about 0.4 MiB of numpy's sorting code into every recipe run
+    moved = np.empty((len(gamma.vertices), len(generators), n), dtype=np.int64)
+    moved[:, np.arange(len(generators))[:, None], generators] = geometry.digits(p, n, gamma.vertices)[:, None]
+    index = {code: i for i, code in enumerate(gamma.vertices)}
+    try:
+        return [np.array([index[code] for code in images]) for images in geometry.point_code(p, moved).T.tolist()]
+    except KeyError:
+        raise ValueError("a symmetry of the graph moves a vertex of Γ off Γ") from None
+
+
+class Cliques(list):
+    """Maximum cliques as sorted vertex tuples, with the search's node count.
+
+    orbits is the number of orbits of the vertices under the symmetries
+    that the search's root was given: the vertex count without any.
+    """
+
+    def __init__(self, cliques: list[tuple[int, ...]], nodes: int, orbits: int | None = None):
         super().__init__(cliques)
         self.nodes = nodes
+        self.orbits = orbits
 
 
-def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliques:
+def find_cliques(
+    g: CompatibilityGraph,
+    time_limit: float | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
+) -> Cliques:
     """Every maximum clique of the compatibility graph, as sorted vertex tuples.
 
     Branch and bound over the bitset rows with a greedy-colouring bound
@@ -264,14 +389,28 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
     is bit n - 1 - v of non-negative masks, so each colouring step takes the
     lowest free vertex by one bit_length call and two table lookups.
 
+    symmetries are automorphisms of the graph, each a permutation s of the
+    vertex indices (see gamma_symmetries), and change the root only. After
+    branching on v the root drops v's whole orbit under the group they
+    generate, not v alone, and skips the vertices dropped. The dropped set
+    is a union of orbits, so every maximum clique has an image that holds
+    the first-branched vertex of the earliest orbit it meets, and the root
+    finds that image. The cliques found are closed under the symmetries at
+    the end, so the result is the same sorted list. With no symmetries the
+    orbits are single vertices and the tree is MCQ's; a symmetry that is not
+    a permutation of the vertices raises ValueError.
+
     The deadline is checked only once the first descent has recorded a
     clique; TimeLimitExceeded then carries the best cliques found so far,
-    each of them maximal, and names their number and size. A negative or
-    NaN time_limit raises ValueError.
+    each of them maximal and not closed under the symmetries, and names
+    their number and size. A negative or NaN time_limit raises ValueError.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a number of seconds >= 0, got {time_limit}")
     n = len(g.rows)
+    perms = [np.asarray(s).tolist() for s in symmetries]
+    if any(sorted(s) != list(range(n)) for s in perms):
+        raise ValueError(f"a symmetry must be a permutation of the {n} vertices")
     full = (1 << n) - 1
     # vertex v is bit n - 1 - v, so the lowest free vertex is the highest free
     # bit, and b = free.bit_length() = n - v indexes the tables; apart[b]: every
@@ -282,6 +421,15 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
         rows[b] = _reversed_bits(row, n)
         bits[b] = 1 << b - 1
         apart[b] = full ^ (rows[b] | bits[b])
+    # orbit[b]: the bits of v's orbit, v alone without symmetries
+    orbit = list(bits)
+    if perms:
+        for v in range(n):
+            if orbit[n - v] == bits[n - v]:
+                members = _orbit(v, perms)
+                mask = sum(bits[n - u] for u in members)
+                for u in members:
+                    orbit[n - u] = mask
     deadline = None if time_limit is None else time.monotonic() + time_limit
     best: list[int] = []
     best_size = 0
@@ -316,6 +464,20 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
             uncoloured ^= cls
             if colour >= k_min:
                 classes.append(cls)
+        if not size:
+            # the root, in the same order, drops each branched vertex's orbit
+            for cls in reversed(classes):
+                cls &= cand
+                while cls:
+                    if colour < best_size:
+                        return
+                    bit = cls & -cls
+                    b = bit.bit_length()
+                    expand(bit, 1, cand & rows[b])
+                    cand &= ~orbit[b]
+                    cls &= cand
+                colour -= 1
+            return
         # branch in MCQ's order: from the last class down, each class from its
         # highest vertex, which is its lowest bit
         for cls in reversed(classes):
@@ -330,7 +492,17 @@ def find_cliques(g: CompatibilityGraph, time_limit: float | None = None) -> Cliq
 
     if n:
         expand(0, 0, full)
-    return Cliques(_as_tuples(best, n), nodes)
+    cliques = _as_tuples(best, n)
+    if perms:
+        found, cliques = set(cliques), list(cliques)
+        for clique in cliques:
+            for s in perms:
+                image = tuple(sorted(s[v] for v in clique))
+                if image not in found:
+                    found.add(image)
+                    cliques.append(image)
+        cliques.sort()
+    return Cliques(cliques, nodes, len(set(orbit[1:])))
 
 
 # the bits of each byte in reverse order
@@ -431,6 +603,7 @@ class CodeReport:
     cliques_found: int
     clique_size: int
     clique_nodes: int
+    gamma_orbits: int
     vertices: int
     edges: int
     elapsed_ms: int
@@ -457,6 +630,7 @@ class CodeReport:
             f"vertices={self.vertices}",
             f"elapsed_ms={self.elapsed_ms}",
             f"count.clique_nodes={self.clique_nodes}",
+            f"count.gamma_orbits={self.gamma_orbits}",
         ]
         for w in self.warnings:
             lines.append(f"warning={w}")
@@ -517,7 +691,10 @@ def run_recipe(
     excluded = excluded_points(x, d)
     verts = candidate_vertices(x, excluded, restriction)
     gamma = gamma_graph(x, verts, excluded)
-    cliques = find_cliques(gamma, time_limit)
+    # the graph's symmetries act on Γ only in the unprojected coordinates and
+    # on the whole pool; a restriction's stabiliser would cost more than its search
+    symmetries = gamma_symmetries(g, gamma) if k == 0 and restriction is None else ()
+    cliques = find_cliques(gamma, time_limit, symmetries)
     if cliques:
         chosen = cliques[0]
     else:
@@ -567,6 +744,7 @@ def run_recipe(
         cliques_found=len(cliques),
         clique_size=len(chosen),
         clique_nodes=cliques.nodes,
+        gamma_orbits=cliques.orbits,
         vertices=gamma.num_vertices,
         edges=gamma.num_edges,
         elapsed_ms=elapsed_ms,

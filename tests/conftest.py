@@ -165,6 +165,16 @@ def apply_map(q: np.ndarray, v: FpVector) -> FpVector:
     return FpVector(v.modulus, tuple((q @ np.array(v.entries, dtype=np.int64)).tolist()))
 
 
+def matrix_product(a: FpMatrix, b: FpMatrix) -> FpMatrix:
+    """a·b over F_p by plain loops; the library keeps no matrix product of its own."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    rows = tuple(
+        tuple(sum(x * b.rows[t][j] for t, x in enumerate(row)) % a.p for j in range(b.ncols)) for row in a.rows
+    )
+    return FpMatrix(a.modulus, rows, b.ncols)
+
+
 def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
     if len(v) != m.ncols:

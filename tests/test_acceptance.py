@@ -131,19 +131,35 @@ def test_criterion_2_nine_cycle_reproduction(
 def test_nine_cycle_unrestricted_recipe(nine_cycle_graph, data_dir, capsys):
     # without the restriction to pi, Γ has 268 vertices and 17 508 edges;
     # its 18 maximum cliques of size 11 each give a ((9,12,3)) code, found
-    # in 10 301 search nodes
+    # in 2 029 search nodes when the root branches once per orbit of the
+    # 25 that the cycle's dihedral symmetry leaves (10 301 without it)
     from qsol.cli import EXIT_OK, main
 
     code = main(["recipe", "--graph", str(data_dir / "nine_cycle.graph"), "--d", "3", "--format", "machine"])
     assert code == EXIT_OK
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    counts = tuple(int(out[key]) for key in ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes"))
-    assert counts == (268, 17508, 18, 12, 10301)
+    keys = ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes", "count.gamma_orbits")
+    assert tuple(int(out[key]) for key in keys) == (268, 17508, 18, 12, 2029, 25)
     assert (out["n"], out["K"], out["d_bound"]) == ("9", "12", "3")
 
     problems, cliques = cws_mismatches(nine_cycle_graph, 3)
     assert not problems, "; ".join(problems)
     assert len(cliques) == 18 and {len(c) for c in cliques} == {11}
+
+
+def test_twelve_cycle_unrestricted_at_d4():
+    # Γ of the 12-cycle at d = 4 has 1 523 vertices and 211 maximum cliques
+    # of size 15; without the symmetric root their search took 84 962 nodes.
+    # d(X) = 3 caps the certified bound at 3, and the oracle agrees: the
+    # code detects every error of weight 2 but not every one of weight 3
+    report = search.run_recipe(search.LabelledGraph.cycle(PrimeModulus(2), 12), d=4)
+    counts = (report.vertices, report.cliques_found, report.clique_size, report.clique_nodes, report.gamma_orbits)
+    assert counts == (1523, 211, 15, 7245, 88)
+    assert (report.dimension, report.d_bound, report.d_bound_exact) == (16, 3, True)
+    assert report.warnings == ("additive code has distance 3 < d; pairs with the zero vector are certified to 3 only",)
+    basis = code_basis(report.group, report.coding_set.vectors)
+    assert kl_detect(basis, 2, error_classes(2, 12, 2)).passed
+    assert not kl_detect(basis, 2, error_classes(2, 12, 3)).passed
 
 
 def test_criterion_3_ternary_example(ternary_lines, ternary_tset):

@@ -1,9 +1,14 @@
 """End-to-end CLI runs through main(argv), checking output and exit codes."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsol
 from qsol.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
 
 
@@ -204,7 +209,7 @@ def masked(out):
 
 
 PENTAGON_CLIQUES = """\
-6 clique(s) of size 5, 28 search nodes
+6 clique(s) of size 5, 15 search nodes
   00011 01100 10110 11011 11101
   00011 01111 10101 11000 11110
   00110 01011 10001 11101 11110
@@ -247,6 +252,7 @@ edges=432
 vertices=65
 elapsed_ms=*
 count.clique_nodes=503
+count.gamma_orbits=65
 """
 
 NINE_CYCLE_K2_TEXT = """\
@@ -274,6 +280,7 @@ edges=0
 vertices=10
 elapsed_ms=*
 count.clique_nodes=11
+count.gamma_orbits=10
 warning=additive code has distance 2 < d; pairs with the zero vector are certified to 2 only
 """
 
@@ -457,6 +464,14 @@ class TestRecipe:
         pairs = machine(capsys)
         assert pairs["n"] == ["5"] and pairs["K"] == ["6"] and pairs["d_bound"] == ["2"]
 
+    def test_python_m_qsol_runs_the_command(self, data_dir):
+        # the command as CI runs it, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(Path(qsol.__file__).parents[1]))
+        argv = ["recipe", "--graph", str(data_dir / "pentagon.graph"), "--d", "2", "--format", "machine"]
+        run = subprocess.run([sys.executable, "-m", "qsol", *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        assert "cliques_found=6" in run.stdout.splitlines()
+
     def test_node_count_repeats(self, data_dir, capsys):
         argv = ["recipe", "--graph", str(data_dir / "pentagon.graph"), "--d", "2", "--format", "machine"]
         counts = []
@@ -467,13 +482,31 @@ class TestRecipe:
 
     def test_ternary_five_cycle_search_tree(self, tmp_path, capsys):
         # the c5-p3 benchmark op: the 5-cycle over F_3 at d = 2, unrestricted,
-        # whose 75 maximum cliques of size 13 take the search 2 881 nodes
+        # whose 75 maximum cliques of size 13 take the search 821 nodes when
+        # its root branches once per orbit of the 17 that the cycle's
+        # dihedral symmetry leaves (2 881 without it)
         graph = tmp_path / "c5.graph"
         graph.write_text("3 5\n" + "".join(f"{i} {(i + 1) % 5} 1\n" for i in range(5)))
         assert main(["recipe", "--graph", str(graph), "--d", "2", "--format", "machine"]) == EXIT_OK
         pairs = machine(capsys)
-        counts = tuple(pairs[key][0] for key in ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes"))
-        assert counts == ("101", "3450", "75", "27", "2881")
+        keys = ("vertices", "edges", "cliques_found", "T_size", "count.clique_nodes", "count.gamma_orbits")
+        assert tuple(pairs[key][0] for key in keys) == ("101", "3450", "75", "27", "821", "17")
+
+    @pytest.mark.parametrize("command", ["cliques", "recipe"])
+    @pytest.mark.parametrize("graph, d, restrict, nodes, orbits", [
+        ("pentagon.graph", "2", None, "15", "4"),
+        ("nine_cycle.graph", "3", "nine_cycle.restrict", "80", "39"),
+    ])
+    def test_root_orbits(self, data_dir, capsys, command, graph, d, restrict, nodes, orbits):
+        # the pentagon's 16 vertices fall into 4 orbits under its dihedral
+        # symmetry; a restricted search is given no symmetries, so each of
+        # its 39 vertices is an orbit and the tree is MCQ's
+        argv = [command, "--graph", str(data_dir / graph), "--d", d, "--format", "machine"]
+        if restrict:
+            argv += ["--restrict", str(data_dir / restrict)]
+        assert main(argv) == EXIT_OK
+        pairs = machine(capsys)
+        assert (pairs["count.clique_nodes"], pairs["count.gamma_orbits"]) == ([nodes], [orbits])
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Candidate points, compatibility graphs, clique search, and the recipe."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import random
@@ -119,9 +120,12 @@ def nonzero_error_images(adjacency, max_weight):
     return images - {0}
 
 
+def graph_lines(g):
+    return lines_mod.lines_from_matrix(graph_to_generators(g).gmatrix, g.n, 0)
+
+
 def cycle_lines(modulus, n):
-    group = graph_to_generators(LabelledGraph.cycle(modulus, n))
-    return lines_mod.lines_from_matrix(group.gmatrix, n, 0)
+    return graph_lines(LabelledGraph.cycle(modulus, n))
 
 
 def gamma_of(x, d, restriction=None):
@@ -535,6 +539,163 @@ def brute_force_maximum_cliques(rows):
         for s in range(1 << len(rows))
         if is_clique[s] and bin(s).count("1") == size
     )
+
+
+def random_labelled_graph(rng, p, n, density, connected=False):
+    """A random graph on n vertices with labels in 1..p-1, spanned by a random tree when connected."""
+    labels = {}
+    if connected:
+        for v in range(1, n):
+            labels[rng.randrange(v), v] = rng.randrange(1, p)
+    for pair in itertools.combinations(range(n), 2):
+        if pair not in labels and rng.random() < density:
+            labels[pair] = rng.randrange(1, p)
+    return LabelledGraph.from_edges(PrimeModulus(p), n, [(a, b, label) for (a, b), label in labels.items()])
+
+
+def circulant(n, steps):
+    """C_n(S): vertex i joined to i ± s mod n for each s in S, every label 1, over F_2."""
+    pairs = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return LabelledGraph.from_edges(PrimeModulus(2), n, [(a, b, 1) for a, b in sorted(pairs)])
+
+
+def generated_group(perms, n):
+    """Every product of the permutations, by closure from the identity."""
+    identity = tuple(range(n))
+    group, todo = {identity}, [identity]
+    for g in todo:
+        for s in perms:
+            h = tuple(s[v] for v in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+def brute_force_automorphisms(g):
+    """The label-preserving permutations, by testing all n! of them."""
+    a, n = g.adjacency.rows, g.n
+    return {
+        s for s in itertools.permutations(range(n))
+        if all(a[s[u]][s[v]] == a[u][v] for u, v in itertools.combinations(range(n), 2))
+    }
+
+
+class TestAutomorphisms:
+    def test_property_generates_the_brute_force_group(self):
+        # random labelled graphs, edgeless, complete, disconnected and with no
+        # automorphism among them, against all n! permutations
+        mod2, mod3 = PrimeModulus(2), PrimeModulus(3)
+        fixed = [
+            LabelledGraph.from_edges(mod2, 7, []),
+            LabelledGraph.from_edges(mod2, 7, [(a, b, 1) for a, b in itertools.combinations(range(7), 2)]),
+            LabelledGraph.from_edges(mod2, 6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)]),
+            LabelledGraph.from_edges(mod3, 3, [(0, 1, 1), (1, 2, 2)]),
+        ]
+        rng = random.Random(6024)
+        graphs = fixed + [
+            random_labelled_graph(rng, rng.choice([2, 3, 5]), rng.randint(1, 7), rng.random())
+            for _ in range(120)
+        ]
+        orders = collections.Counter()
+        for case, g in enumerate(graphs):
+            generators = search.automorphisms(g)
+            group = brute_force_automorphisms(g)
+            assert generated_group(generators, g.n) == group, f"case {case}: {g.adjacency.rows}"
+            assert tuple(range(g.n)) not in generators
+            orders[len(group)] += 1
+        assert [len(brute_force_automorphisms(g)) for g in fixed] == [5040, 5040, 72, 1]
+        assert orders[1] > 10 and sum(orders.values()) - orders[1] > 10, dict(orders)
+
+    def test_complete_graph_is_not_enumerated(self, mod2):
+        # 12! automorphisms from one generator per level of the base
+        g = LabelledGraph.from_edges(mod2, 12, [(a, b, 1) for a, b in itertools.combinations(range(12), 2)])
+        generators = search.automorphisms(g)
+        assert len(generators) == 11
+        assert all(sorted(s) == list(range(12)) for s in generators)
+
+
+class TestGammaSymmetries:
+    def test_property_permutations_map_rows_onto_rows(self):
+        # each permutation s of Γ's vertices takes the joins of i to the joins of s[i]
+        rng = random.Random(6025)
+        graphs = [(LabelledGraph.cycle(PrimeModulus(p), n), d) for p, n, d in [(2, 5, 2), (3, 5, 2), (2, 9, 3)]]
+        graphs += [
+            (random_labelled_graph(rng, p, rng.randint(3, 6 if p == 2 else 4), rng.random(), connected=True),
+             rng.choice([2, 3]))
+            for p in (2, 3) for _ in range(15)
+        ]
+        moved = 0
+        for case, (g, d) in enumerate(graphs):
+            gamma = gamma_of(graph_lines(g), d)
+            for s in search.gamma_symmetries(g, gamma):
+                assert sorted(s.tolist()) == list(range(gamma.num_vertices)), f"case {case}"
+                for i, row in enumerate(gamma.rows):
+                    image = sum(1 << int(s[j]) for j in range(gamma.num_vertices) if row >> j & 1)
+                    assert image == gamma.rows[s[i]], f"case {case}: row {i}"
+                moved += 1
+        assert moved > 10
+
+    def test_image_off_gamma_is_refused(self, pentagon_graph, pentagon_lines):
+        # one vertex of the pentagon's Γ alone is not closed under the cycle's symmetry
+        gamma = gamma_of(pentagon_lines, 2)
+        with pytest.raises(ValueError, match="moves a vertex of Γ off Γ"):
+            search.gamma_symmetries(pentagon_graph, CompatibilityGraph(gamma.vertices[:1], (0,)))
+
+
+class TestSymmetricRoot:
+    @pytest.mark.parametrize("p, n, d, nodes, orbits, symmetric_nodes, symmetric_orbits", [
+        (2, 5, 2, 28, 16, 15, 4),
+        (3, 5, 2, 2881, 101, 821, 17),
+        (2, 9, 3, 10301, 268, 2029, 25),
+    ], ids=["pentagon", "c5-p3", "nine-cycle"])
+    def test_pinned_counts(self, p, n, d, nodes, orbits, symmetric_nodes, symmetric_orbits):
+        # without symmetries the search is MCQ's, with the same node counts as
+        # before the symmetric root; with them it finds the same list
+        g = LabelledGraph.cycle(PrimeModulus(p), n)
+        gamma = gamma_of(graph_lines(g), d)
+        plain = find_cliques(gamma)
+        symmetric = find_cliques(gamma, symmetries=search.gamma_symmetries(g, gamma))
+        assert (plain.nodes, plain.orbits, symmetric.nodes, symmetric.orbits) == (
+            nodes, orbits, symmetric_nodes, symmetric_orbits)
+        assert symmetric == plain
+
+    def test_property_same_cliques_on_random_graphs(self):
+        rng = random.Random(6026)
+        symmetric_cases = 0
+        for case in range(40):
+            p, d = rng.choice([2, 3]), rng.choice([2, 3])
+            n = rng.randint(3, {(2, 2): 6, (2, 3): 7, (3, 2): 4, (3, 3): 5}[p, d])
+            g = random_labelled_graph(rng, p, n, rng.random(), connected=True)
+            gamma = gamma_of(graph_lines(g), d)
+            symmetries = search.gamma_symmetries(g, gamma)
+            cliques = find_cliques(gamma, symmetries=symmetries)
+            assert cliques == find_cliques(gamma), f"case {case}: p={p} d={d} {g.adjacency.rows}"
+            symmetric_cases += cliques.orbits < gamma.num_vertices
+        assert symmetric_cases > 5
+
+    @pytest.mark.parametrize("n, steps, d", [
+        (5, (1, 2), 2), (6, (3,), 3), (6, (1, 3), 2), (7, (1, 2, 3), 3), (8, (1,), 2), (8, (1, 4), 3),
+        (8, (1, 2, 3), 3), (9, (2,), 3), (9, (1, 3), 3), (10, (1,), 2),
+    ])
+    def test_same_cliques_on_circulants(self, n, steps, d):
+        g = circulant(n, steps)
+        gamma = gamma_of(graph_lines(g), d)
+        cliques = find_cliques(gamma, symmetries=search.gamma_symmetries(g, gamma))
+        assert cliques == find_cliques(gamma)
+        assert cliques.orbits < gamma.num_vertices
+
+    def test_time_out_carries_the_unexpanded_first_descent(self, nine_cycle_graph, nine_cycle_lines):
+        gamma = gamma_of(nine_cycle_lines, 3)
+        outcomes = [search_outcome(find_cliques, gamma)]
+        symmetric = functools.partial(find_cliques, symmetries=search.gamma_symmetries(nine_cycle_graph, gamma))
+        outcomes.append(search_outcome(symmetric, gamma))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == "timed out" and len(outcomes[0][1]) == 1
+
+    @pytest.mark.parametrize("symmetry", [(0, 0), (1,), (0, 1, 2)])
+    def test_symmetry_must_permute_the_vertices(self, symmetry):
+        with pytest.raises(ValueError, match="permutation of the 2 vertices"):
+            find_cliques(CompatibilityGraph((1, 2), (0b10, 0b01)), symmetries=[symmetry])
 
 
 class TestCodingSet:
