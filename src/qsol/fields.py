@@ -163,55 +163,79 @@ def rref(m: FpMatrix) -> RrefResult:
     return RrefResult(FpMatrix(m.modulus, tuple(tuple(r) for r in rows), m.ncols), len(pivots), tuple(pivots))
 
 
-def rank(m: FpMatrix) -> int:
-    return rref(m).rank
-
-
 def row_space(m: FpMatrix) -> FpMatrix:
     """Canonical basis (RREF, zero rows dropped) of the row space."""
     red = rref(m)
     return FpMatrix(m.modulus, red.matrix.rows[: red.rank], m.ncols)
 
 
+def null_space(p: int, rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
+    """The RREF basis of {x in F_p^dim : r·x = 0 for every row r}, as a read-only int64 array.
+
+    One Gauss-Jordan pass over the rows takes its pivot columns from the last
+    column down. A column with no pivot left zero in every row not yet
+    chosen, and each pivot column is cleared from every other row, so after
+    the pass pivot row i is 1 at its pivot P_i and zero past it and at every
+    other pivot. Such a row sets x[P_i] = −Σ R[i][f]·x[f] over the free
+    columns f < P_i, so the null space has one basis row per free column f:
+    1 at f, −R[i][f] at each pivot P_i > f, and zero elsewhere. Each row
+    leads with its free column, where every other row is zero, so the rows
+    in increasing f are in RREF; a subspace has exactly one RREF basis, so
+    the result does not depend on how the rows were reduced. The array is
+    (dim − rank, dim), one row per basis vector, entries in [0, p).
+    """
+    unused = [[e % p for e in row] for row in rows]
+    if any(len(row) != dim for row in unused):
+        raise ValueError(f"rows must have length {dim}")
+    pivots: dict[int, list[int]] = {}
+    for c in range(dim - 1, -1, -1):
+        i = next((i for i, row in enumerate(unused) if row[c]), None)
+        if i is None:
+            continue
+        top = unused.pop(i)
+        inv = pow(top[c], -1, p)
+        if inv != 1:
+            top[: c + 1] = [inv * e % p for e in top[: c + 1]]
+        # top is zero past c, so only columns <= c of the other rows change
+        head = top[: c + 1]
+        for row in [*pivots.values(), *unused]:
+            f = row[c]
+            if f:
+                row[: c + 1] = [(a - f * b) % p for a, b in zip(row, head)]
+        pivots[c] = top
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [0] * dim
+        v[f] = 1
+        for c, row in pivots.items():
+            v[c] = -row[f] % p
+        basis.append(v)
+    out = np.array(basis, dtype=np.int64).reshape(len(basis), dim)
+    out.setflags(write=False)
+    return out
+
+
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Canonical (RREF) basis of the right null space, one row per basis vector."""
-    red = rref(m)
-    p = m.p
-    pivots = red.pivots
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red.matrix.rows[r][f]) % p
-        basis.append(v)
-    rows, piv = _rref_rows(basis, m.ncols, p)
-    return FpMatrix(m.modulus, tuple(tuple(r) for r in rows[: len(piv)]), m.ncols)
+    return FpMatrix(m.modulus, null_space(m.p, m.rows, m.ncols).tolist(), m.ncols)
 
 
 def quotient_map(vectors: Sequence[FpVector], dim: int) -> np.ndarray:
     """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
 
-    One elimination of [C | I], with the vectors as the columns of C, picks
-    as pivots the greedy independent subset of the vectors, r of them in
-    their given order, and then the standard basis vectors that complete it
-    to a basis A, also greedily. The right-hand block is then A^{-1}, and its
-    rows past the first r are the map: A^{-1} A = I makes them vanish on the
-    span of the vectors, and they have rank dim - r. The map is returned as
-    a read-only (dim - r, dim) int64 array of residues mod p.
+    Its rows are the RREF basis of the vectors' null space (null_space): they
+    vanish on the span of the vectors, r its dimension, and have rank
+    dim − r, so they map F_p^dim onto F_p^(dim − r) with that span as the
+    kernel. The map is returned as a read-only (dim − r, dim) int64 array of
+    residues mod p.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     if any(len(v) != dim for v in vectors):
         raise ValueError("vectors must have length dim")
-    r = len(vectors)
-    aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    aug, pivots = _rref_rows(aug, r + dim, vectors[0].p)
-    centre_rank = sum(1 for c in pivots if c < r)
-    q = np.array([row[r:] for row in aug[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
-    q.setflags(write=False)
-    return q
+    return null_space(vectors[0].p, [v.entries for v in vectors], dim)
 
 
 def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:

@@ -165,15 +165,20 @@ def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
     is 1 + the least weight of a point of some line L in the weight table of
     the other lines. The tables are built one depth at a time, so no layer
     past the answer is built, and to at most n-1, since a least spanning set
-    takes at most one point from each other line. A repeated line puts the
-    points of its copy at weight 1, giving 2.
+    takes at most one point from each other line. At depth 1 the table of
+    the other lines holds just their points, so the answer is 2 exactly when
+    some point lies on two lines (a repeated line shares all of them), and
+    tables are built only from depth 2.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if x.n < 2 or limit < 2:
         return AtLeast(limit + 1)
+    codes = x.points.ravel().tolist()
+    if len(set(codes)) < len(codes):
+        return 2
     p, m, points = x.p, x.dim, x.points
-    for depth in range(1, min(limit, x.n)):
+    for depth in range(2, min(limit, x.n)):
         for i in range(x.n):
             table = weight_table(p, m, np.delete(points, i, axis=0).ravel(), depth)
             if (table[points[i]] != OUTSIDE).any():

@@ -151,12 +151,6 @@ class StabiliserGroup:
         """The generator matrix: the x|z block of each row."""
         return FpMatrix(self.modulus, self.rows[:, 1:].tolist(), 2 * self.n)
 
-    @functools.cached_property
-    def generators(self) -> tuple[PauliOperator, ...]:
-        """The rows as PauliOperator objects, in order."""
-        n = self.n
-        return tuple(PauliOperator(self.modulus, n, row[0], row[1:n + 1], row[n + 1:]) for row in self.rows.tolist())
-
     @classmethod
     def from_matrix(
         cls,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsol import geometry, io
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors, row_space
+from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors, rref, row_space
 from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
@@ -175,6 +175,58 @@ def matrix_product(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix(a.modulus, rows, b.ncols)
 
 
+def rank(m: FpMatrix) -> int:
+    """The rank of a matrix, read off its RREF."""
+    return rref(m).rank
+
+
+def reference_kernel_basis(m: FpMatrix) -> FpMatrix:
+    """The RREF basis of the right null space by two eliminations: the reference for fields.kernel_basis.
+
+    One basis vector per free column f of the RREF of m (1 at f, minus the
+    pivot rows' entries in column f at the pivots), then an RREF of those.
+    """
+    red = rref(m)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in red.pivots):
+        v = [0] * m.ncols
+        v[f] = 1
+        for r, c in enumerate(red.pivots):
+            v[c] = -red.matrix.rows[r][f]
+        basis.append(v)
+    red = rref(FpMatrix(m.modulus, tuple(map(tuple, basis)), m.ncols))
+    return FpMatrix(m.modulus, red.matrix.rows[: red.rank], m.ncols)
+
+
+def reference_quotient_map(vectors, dim: int) -> np.ndarray:
+    """The projection from the span of the vectors by one elimination of [C | I]: the reference for fields.quotient_map.
+
+    With the vectors as the columns of C, the pivots in C are the greedy
+    independent subset of the vectors, r of them, and the pivots in I
+    complete it greedily to a basis A; the right-hand block is A^{-1}, and
+    its rows past the first r vanish on the span of the vectors.
+    """
+    r = len(vectors)
+    aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    red = rref(FpMatrix(vectors[0].modulus, tuple(map(tuple, aug)), r + dim))
+    centre_rank = sum(1 for c in red.pivots if c < r)
+    return np.array([row[r:] for row in red.matrix.rows[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
+
+
+def reference_min_dependent_set(x, limit: int):
+    """lines.min_dependent_set by one weight table per omitted line from depth 1, repeated points included."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    if x.n < 2 or limit < 2:
+        return lines_mod.AtLeast(limit + 1)
+    for depth in range(1, min(limit, x.n)):
+        for i in range(x.n):
+            table = lines_mod.weight_table(x.p, x.dim, np.delete(x.points, i, axis=0).ravel(), depth)
+            if (table[x.points[i]] != lines_mod.OUTSIDE).any():
+                return depth + 1
+    return lines_mod.AtLeast(limit + 1)
+
+
 def in_row_space(m: FpMatrix, v: FpVector) -> bool:
     """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
     if len(v) != m.ncols:
@@ -241,10 +293,16 @@ def reference_power(a, e):
     return out
 
 
+def generators(s: StabiliserGroup) -> tuple[PauliOperator, ...]:
+    """The group's (phase | x | z) rows as PauliOperator objects, in order."""
+    n = s.n
+    return tuple(PauliOperator(s.modulus, n, row[0], row[1:n + 1], row[n + 1:]) for row in s.rows.tolist())
+
+
 def reference_element(s, exponents):
     """The product of the generator powers g^(e mod p), folded into a fresh identity."""
     out = PauliOperator.identity(s.modulus, s.n)
-    for g, e in zip(s.generators, exponents):
+    for g, e in zip(generators(s), exponents):
         out = multiply(out, reference_power(g, int(e) % s.p))
     return out
 

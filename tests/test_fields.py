@@ -14,14 +14,22 @@ from qsol.fields import (
     is_independent,
     is_prime,
     kernel_basis,
+    null_space,
     quotient_map,
-    rank,
     rank_of_vectors,
     row_space,
     rref,
 )
 
-from conftest import apply_map, in_row_space, matrix_product, row_space_vectors
+from conftest import (
+    apply_map,
+    in_row_space,
+    matrix_product,
+    rank,
+    reference_kernel_basis,
+    reference_quotient_map,
+    row_space_vectors,
+)
 
 
 def random_matrix(rng, modulus, nrows, ncols):
@@ -304,6 +312,57 @@ class TestQuotientMap:
             quotient_map([], 3)
         with pytest.raises(ValueError):
             quotient_map([FpVector(mod2, (1, 0))], 3)
+
+
+class TestNullSpace:
+    @staticmethod
+    def random_rows(rng, p, dim):
+        """0-4 rows of F_p^dim, with zero, repeated and dependent rows mixed in."""
+        rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(rng.randrange(5))]
+        for i, row in enumerate(rows):
+            if i and rng.random() < 0.3:
+                c = rng.randrange(p)
+                rows[i] = [(c * a + rng.randrange(2) * b) % p for a, b in zip(rows[0], rows[i - 1])]
+            elif rng.random() < 0.1:
+                rows[i] = [0] * dim
+        return rows
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 31])
+    def test_property_matches_references(self, p):
+        # null_space, kernel_basis and quotient_map against the two-pass kernel
+        # and the [C | I] elimination they replace, dim 1-10 and 0-4 rows
+        rng = random.Random(1300 + p)
+        mod = PrimeModulus(p)
+        shapes = set()
+        for case in range(400):
+            dim = case % 10 + 1
+            rows = self.random_rows(rng, p, dim)
+            basis = null_space(p, rows, dim)
+            m = FpMatrix(mod, tuple(map(tuple, rows)), dim)
+            expected = reference_kernel_basis(m)
+            assert basis.dtype == np.int64 and not basis.flags.writeable
+            assert basis.tolist() == [list(row) for row in expected.rows]
+            assert kernel_basis(m) == expected
+            if rows:
+                centre = [FpVector(mod, row) for row in rows]
+                assert np.array_equal(quotient_map(centre, dim), reference_quotient_map(centre, dim))
+            # RREF: every row annihilated by the input, of full rank dim - rank(m), equal to its own RREF
+            assert basis.shape == (dim - rank(m), dim) and ((0 <= basis) & (basis < p)).all()
+            assert not (np.array(rows, dtype=np.int64).reshape(-1, dim) @ basis.T % p).any()
+            assert rref(FpMatrix(mod, tuple(map(tuple, basis.tolist())), dim)).matrix.rows[: len(basis)] == tuple(
+                map(tuple, basis.tolist())
+            )
+            shapes.add((len(rows), len(basis) == dim))
+        # the empty input, nonzero inputs, and full-rank and deficient cases all occur
+        assert {(0, True), (4, False)} <= shapes
+
+    def test_pivots_from_the_last_column(self, mod3):
+        # the row (1, 2, 0, 1) pivots at its last column: x3 = -(x0 + 2·x1)
+        assert null_space(3, [(1, 2, 0, 1)], 4).tolist() == [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 0]]
+
+    def test_rejects_mislength_rows(self):
+        with pytest.raises(ValueError):
+            null_space(2, [(1, 0)], 3)
 
 
 def test_row_space_drops_zero_rows(mod2):

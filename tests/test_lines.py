@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qsol import fields, lines as lines_mod, pauli
+from qsol import fields, geometry, lines as lines_mod, pauli
 from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from qsol.fields import FpMatrix, FpVector, PrimeModulus
 from qsol.lines import (
@@ -33,6 +33,7 @@ from conftest import (
     random_group_with_lines,
     reference_even_skew,
     reference_line_codes,
+    reference_min_dependent_set,
     row_space_vectors,
     symplectic_form,
     vectors,
@@ -287,10 +288,41 @@ class TestMinDependentSet:
         assert min_dependent_set(five_qubit_lines, 1) == AtLeast(2)
 
     def test_per_line_table_over_budget_is_refused(self, five_qubit_lines, monkeypatch):
-        # each of the pentagon's tables has 2^5 entries, over a 16-byte budget
+        # each of the pentagon's depth-2 tables has 2^5 entries, over a 16-byte
+        # budget; limit 2 builds none (see test_limit_two_builds_no_table)
         monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16)
         with pytest.raises(TooLarge, match=r"32 entries needs about 0\.0 MiB, over the 0 MiB budget"):
-            min_dependent_set(five_qubit_lines, 2)
+            min_dependent_set(five_qubit_lines, 3)
+
+    def test_limit_two_builds_no_table(self, five_qubit_lines, mod2, monkeypatch):
+        # d(X) = 2 is a point on two lines, read off the points themselves
+        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16)
+        assert min_dependent_set(five_qubit_lines, 2) == AtLeast(3)
+        meeting = lines_spanned_by(mod2, np.array([[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]), np.eye(5, dtype=np.int64)[1:3])
+        assert min_dependent_set(meeting, 2) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_property_matches_per_line_tables(self, p):
+        # limits 1-4 on random line sets with shared points and repeated lines,
+        # against one weight table per omitted line from depth 1
+        rng = random.Random(1400 + p)
+        mod = PrimeModulus(p)
+        seen = set()
+        for _ in range(40):
+            n, dim = rng.randrange(2, 6), rng.randrange(3, 8 if p == 2 else 6)
+            x = random_line_set(rng, mod, n, dim)
+            if rng.random() < 0.3:
+                # a line through a point of another line and a second vector
+                shared = geometry.digits(p, dim, x.points[rng.randrange(n), :1])
+                other = shared
+                while fields.rank_of_vectors(p, np.vstack([shared, other]).tolist()) < 2:
+                    other = np.array([[rng.randrange(p) for _ in range(dim)]])
+                x = QuantumLineSet(mod, dim, np.vstack([x.points, lines_spanned_by(mod, shared, other).points]))
+            for limit in range(1, 5):
+                expected = reference_min_dependent_set(x, limit)
+                assert min_dependent_set(x, limit) == expected
+                seen.add(expected)
+        assert {2, 3, AtLeast(2)} <= seen
 
     def test_pentagon_distance_three(self, five_qubit_lines):
         assert min_dependent_set(five_qubit_lines, 5) == 3

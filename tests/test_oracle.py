@@ -23,7 +23,7 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
+from conftest import generators, group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
 from dense_reference import subspace_equal
 
 
@@ -117,7 +117,7 @@ class TestComponentProjector:
     def test_generators_act_with_assigned_eigenvalues(self, five_qubit_group, mod3):
         t = (1, 0, 0, 1, 0)
         b = code_basis(five_qubit_group, [t])
-        for gen, ti in zip(five_qubit_group.generators, t):
+        for gen, ti in zip(generators(five_qubit_group), t):
             assert np.allclose(reference(gen) @ b, (-1) ** ti * b, atol=1e-10)
         # p = 3: g B = omega^t B
         rng = random.Random(820)
@@ -126,7 +126,7 @@ class TestComponentProjector:
             s = random_group(rng, mod3, 3, 2)
             t = (rng.randrange(3), rng.randrange(3))
             b = code_basis(s, [t])
-            for gen, ti in zip(s.generators, t):
+            for gen, ti in zip(generators(s), t):
                 assert np.allclose(reference(gen) @ b, omega ** ti * b, atol=1e-10)
 
     def test_sign_count_validation(self, five_qubit_group):
