@@ -3,7 +3,7 @@ via finite projective geometry: quantum sets of lines, projections from point
 pairs, compatibility-graph clique search, and a numerical error-detection
 oracle on orthonormal code bases."""
 
-from .fields import FpMatrix, FpVector, PrimeModulus
+from .fields import FpVector, PrimeModulus
 from .geometry import ProjSubspace
 from .lines import AtLeast, QuantumLineSet
 from .pauli import PauliOperator, StabiliserGroup
@@ -14,7 +14,6 @@ __all__ = [
     "CodeReport",
     "CodingSet",
     "CompatibilityGraph",
-    "FpMatrix",
     "FpVector",
     "LabelledGraph",
     "PauliOperator",

@@ -2,19 +2,21 @@
 
 Every subcommand is a one-shot, fully deterministic computation: files in,
 report out.  Machine format emits stable key=value lines; text format says
-the same thing in prose.  Exit codes: 0 success, 1 verification failure,
-2 input error.
+the same thing in prose.  Exit codes: 0 success, 1 verification failure or
+a reader of stdout gone early (as `| head` does; no message), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 from . import geometry, io, lines as lines_mod, oracle, pauli, search
 from .errors import InputFormatError, QsolError
-from .fields import kernel_basis
+from .fields import null_space
 from .geometry import ProjSubspace
 from .lines import AtLeast
 
@@ -74,7 +76,7 @@ def _restriction_subspace(args, modulus, width):
     if not args.restrict:
         return None
     constraints = io.parse_restriction(_read(args.restrict), modulus, width)
-    return ProjSubspace(modulus, kernel_basis(constraints))
+    return ProjSubspace(modulus, null_space(modulus.p, constraints, width))
 
 
 def _read_code(args):
@@ -134,8 +136,8 @@ def cmd_project(args) -> int:
     projected = lines_mod.project_lines(x, tset.nonzero())
     g = lines_mod.matrix_from_lines(projected)
     n = projected.n
-    k = n - g.nrows
-    out = [f"{group.p} {n} {k}"] + [" ".join(str(e) for e in row) for row in g.rows]
+    k = n - len(g)
+    out = [f"{group.p} {n} {k}"] + [" ".join(str(e) for e in row) for row in g.tolist()]
     print("\n".join(out))
     return EXIT_OK
 
@@ -232,7 +234,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone; devnull takes its place, so that the flush at exit succeeds
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (InputFormatError, OSError, ValueError) as exc:
         # the library raises ValueError for a parameter out of its range
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,15 +1,17 @@
 """Exact dense linear algebra over the prime fields F_p, 2 <= p <= 31.
 
-Matrices and vectors are immutable; every entry is stored as its smallest
-non-negative representative and all arithmetic reduces eagerly, so equality
-of values is equality of objects.  All tie-breaking is lexicographic on
-entry tuples, which keeps every downstream search reproducible.
+A matrix is an int64 array of residues, one row per vector, and a vector an
+immutable FpVector; every entry is stored as its smallest non-negative
+representative. Row spaces, null spaces and ranks come from one
+Gauss-Jordan elimination, and ranks over F_2 from rows packed into
+integers. All tie-breaking is lexicographic on entry tuples, which keeps
+every downstream search reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,121 +90,97 @@ class FpVector:
             raise ValueError("vector shape or modulus mismatch")
 
 
-@dataclass(frozen=True, order=True)
-class FpMatrix:
-    """An immutable row-major matrix of residues mod p."""
+def tagged(p: int, rows: np.ndarray) -> np.ndarray:
+    """A view of an int64 array of residues mod p whose dtype's metadata records p.
 
-    modulus: PrimeModulus
-    rows: tuple[tuple[int, ...], ...]
-    ncols: int
-
-    def __post_init__(self):
-        p = self.modulus.p
-        reduced = tuple(tuple(int(e) % p for e in row) for row in self.rows)
-        for row in reduced:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", reduced)
-
-    @classmethod
-    def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int | None = None) -> "FpMatrix":
-        rows = tuple(tuple(r) for r in rows)
-        if ncols is None:
-            if not rows:
-                raise ValueError("ncols required for an empty matrix")
-            ncols = len(rows[0])
-        return cls(modulus, rows, ncols)
-
-    @classmethod
-    def identity(cls, modulus: PrimeModulus, n: int) -> "FpMatrix":
-        return cls(modulus, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
-
-
-class RrefResult(NamedTuple):
-    matrix: FpMatrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def _rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place Gauss-Jordan elimination; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        if inv != 1:
-            rows[r] = [(inv * e) % p for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rref(m: FpMatrix) -> RrefResult:
-    """Unique reduced row-echelon form, rank and pivot columns."""
-    rows = [list(r) for r in m.rows]
-    rows, pivots = _rref_rows(rows, m.ncols, m.p)
-    return RrefResult(FpMatrix(m.modulus, tuple(tuple(r) for r in rows), m.ncols), len(pivots), tuple(pivots))
-
-
-def row_space(m: FpMatrix) -> FpMatrix:
-    """Canonical basis (RREF, zero rows dropped) of the row space."""
-    red = rref(m)
-    return FpMatrix(m.modulus, red.matrix.rows[: red.rank], m.ncols)
-
-
-def null_space(p: int, rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
-    """The RREF basis of {x in F_p^dim : r·x = 0 for every row r}, as a read-only int64 array.
-
-    One Gauss-Jordan pass over the rows takes its pivot columns from the last
-    column down. A column with no pivot left zero in every row not yet
-    chosen, and each pivot column is cleared from every other row, so after
-    the pass pivot row i is 1 at its pivot P_i and zero past it and at every
-    other pivot. Such a row sets x[P_i] = −Σ R[i][f]·x[f] over the free
-    columns f < P_i, so the null space has one basis row per free column f:
-    1 at f, −R[i][f] at each pivot P_i > f, and zero elsewhere. Each row
-    leads with its free column, where every other row is zero, so the rows
-    in increasing f are in RREF; a subspace has exactly one RREF basis, so
-    the result does not depend on how the rows were reduced. The array is
-    (dim − rank, dim), one row per basis vector, entries in [0, p).
+    StabiliserGroup.gmatrix is one, so lines.lines_from_matrix needs no modulus.
     """
-    unused = [[e % p for e in row] for row in rows]
-    if any(len(row) != dim for row in unused):
-        raise ValueError(f"rows must have length {dim}")
+    return rows.view(np.dtype(np.int64, metadata={"p": p}))
+
+
+def _residue_rows(p: int, rows: np.ndarray | Sequence[Sequence[int]], dim: int) -> list[list[int]]:
+    """The rows as lists of residues mod p; a row of another length than dim raises ValueError."""
+    a = np.asarray(rows, dtype=np.int64)
+    if a.shape == (0,):
+        a = a.reshape(0, dim)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ValueError(f"need rows of length {dim}, got an array of shape {a.shape}")
+    return (a % p).tolist()
+
+
+def _echelon(p: int, rows: list[list[int]], columns: range) -> dict[int, list[int]]:
+    """The forward pass of Gauss-Jordan elimination over F_p, taking the pivot columns in the given order.
+
+    Each column in turn takes the first of the rows (lists of residues,
+    reduced in place) without a pivot that is nonzero there, and clears it
+    from the others without one. The result maps each pivot column to its
+    row, in the order taken; a pivot row is zero at every pivot taken before
+    its own. The pass stops once every row holds a pivot, since a later
+    column would find no row, so the number of pivots is the rank.
+    """
     pivots: dict[int, list[int]] = {}
-    for c in range(dim - 1, -1, -1):
-        i = next((i for i, row in enumerate(unused) if row[c]), None)
+    for c in columns:
+        if not rows:
+            break
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
         if i is None:
             continue
-        top = unused.pop(i)
+        top = rows.pop(i)
+        inv = pow(top[c], -1, p)
+        for row in rows:
+            f = row[c] * inv % p
+            if f:
+                row[:] = [(a - f * b) % p for a, b in zip(row, top)]
+        pivots[c] = top
+    return pivots
+
+
+def _gauss_jordan(p: int, rows: list[list[int]], columns: range) -> dict[int, list[int]]:
+    """_echelon, then each pivot row, last taken first, scaled to 1 at its pivot and cleared from the rows above it.
+
+    Afterwards every pivot row is 1 at its own pivot and 0 at every other;
+    the rows above change only at that pivot and at columns without one.
+    """
+    pivots = _echelon(p, rows, columns)
+    above = list(pivots.values())
+    for c, top in reversed(pivots.items()):
+        above.pop()
         inv = pow(top[c], -1, p)
         if inv != 1:
-            top[: c + 1] = [inv * e % p for e in top[: c + 1]]
-        # top is zero past c, so only columns <= c of the other rows change
-        head = top[: c + 1]
-        for row in [*pivots.values(), *unused]:
+            top[:] = [inv * e % p for e in top]
+        for row in above:
             f = row[c]
             if f:
-                row[: c + 1] = [(a - f * b) % p for a, b in zip(row, head)]
-        pivots[c] = top
+                row[:] = [(a - f * b) % p for a, b in zip(row, top)]
+    return pivots
+
+
+def rref(p: int, rows: np.ndarray | Sequence[Sequence[int]], dim: int) -> np.ndarray:
+    """The RREF basis of the row space: leading 1s, zero rows dropped, as a read-only (rank, dim) int64 array.
+
+    The pivots are taken from the first column on, so the basis rows come
+    in increasing pivot order. A subspace has exactly one such basis.
+    """
+    basis = list(_gauss_jordan(p, _residue_rows(p, rows, dim), range(dim)).values())
+    out = np.array(basis, dtype=np.int64).reshape(len(basis), dim)
+    out.setflags(write=False)
+    return out
+
+
+def null_space(p: int, rows: np.ndarray | Sequence[Sequence[int]], dim: int) -> np.ndarray:
+    """The RREF basis of {x in F_p^dim : r·x = 0 for every row r}, as a read-only int64 array.
+
+    The elimination takes its pivot columns from the last column down, so
+    pivot row i is 1 at its pivot P_i and zero past it and at every other
+    pivot. Such a row sets x[P_i] = −Σ R[i][f]·x[f] over the free columns
+    f < P_i, so the null space has one basis row per free column f: 1 at f,
+    −R[i][f] at each pivot P_i > f, and zero elsewhere. Each row leads with
+    its free column, where every other row is zero, so the rows in
+    increasing f are in RREF; a subspace has exactly one RREF basis, so the
+    result does not depend on how the rows were reduced. The array is
+    (dim − rank, dim), one row per basis vector, entries in [0, p).
+    """
+    pivots = _gauss_jordan(p, _residue_rows(p, rows, dim), range(dim - 1, -1, -1))
     basis = []
     for f in range(dim):
         if f in pivots:
@@ -217,11 +195,6 @@ def null_space(p: int, rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
     return out
 
 
-def kernel_basis(m: FpMatrix) -> FpMatrix:
-    """Canonical (RREF) basis of the right null space, one row per basis vector."""
-    return FpMatrix(m.modulus, null_space(m.p, m.rows, m.ncols).tolist(), m.ncols)
-
-
 def quotient_map(vectors: Sequence[FpVector], dim: int) -> np.ndarray:
     """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
 
@@ -233,16 +206,18 @@ def quotient_map(vectors: Sequence[FpVector], dim: int) -> np.ndarray:
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    if any(len(v) != dim for v in vectors):
-        raise ValueError("vectors must have length dim")
     return null_space(vectors[0].p, [v.entries for v in vectors], dim)
 
 
-def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
+def rank_of_vectors(p: int, vectors: np.ndarray | Sequence[Sequence[int]]) -> int:
     """Rank of a small stack of raw coefficient tuples.
 
-    Bit-packed fast path for p = 2; plain elimination otherwise.
+    Bit-packed for p = 2, where a row is one integer and a row operation one
+    XOR; otherwise the forward pass of the Gauss-Jordan elimination, which
+    is all that a rank needs.
     """
+    if isinstance(vectors, np.ndarray):
+        vectors = vectors.tolist()
     if p == 2:
         by_high: dict[int, int] = {}
         for vec in vectors:
@@ -257,37 +232,11 @@ def rank_of_vectors(p: int, vectors: Sequence[Sequence[int]]) -> int:
                     by_high[h] = x
                     break
         return len(by_high)
-    rows = [[e % p for e in vec] for vec in vectors]
-    if not rows:
+    if len(vectors) == 0:
         return 0
-    _, pivots = _rref_rows(rows, len(rows[0]), p)
-    return len(pivots)
+    return len(_echelon(p, _residue_rows(p, vectors, len(vectors[0])), range(len(vectors[0]))))
 
 
-def is_independent(p: int, vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff the raw coefficient tuples are linearly independent over F_p.
-
-    For p = 2 this is the bit-packed rank_of_vectors. Otherwise it is
-    forward elimination: unlike Gauss-Jordan it clears only the rows below
-    each pivot, about half the row operations on a wide stack such as a
-    generator matrix, and it stops once every vector has a pivot.
-    """
-    if p == 2:
-        return rank_of_vectors(2, vectors) == len(vectors)
-    rows = [[e % p for e in vec] for vec in vectors]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if rank == len(rows):
-            break
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[c], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
-        rank += 1
-    return rank == len(rows)
+def is_independent(p: int, vectors: np.ndarray | Sequence[Sequence[int]]) -> bool:
+    """True iff the raw coefficient tuples are linearly independent over F_p."""
+    return rank_of_vectors(p, vectors) == len(vectors)

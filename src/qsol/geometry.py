@@ -10,28 +10,37 @@ as the codes of its points (lines.QuantumLineSet).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fields
 from .errors import DimensionMismatch, TooLarge
-from .fields import FpMatrix, PrimeModulus
+from .fields import PrimeModulus
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class ProjSubspace:
-    """A projective subspace, stored as the RREF basis of its vector span."""
+    """A projective subspace of PG(m - 1, p), stored as the RREF basis of its vector span.
+
+    Any (r, m) integer basis is stored as the read-only (rank, m) int64
+    array fields.rref makes of it, so equal subspaces are equal values.
+    """
 
     modulus: PrimeModulus
-    basis: FpMatrix
+    basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", fields.row_space(self.basis))
+        basis = np.asarray(self.basis, dtype=np.int64)
+        object.__setattr__(self, "basis", fields.rref(self.p, basis, basis.shape[-1]))
 
-    @classmethod
-    def from_rows(cls, modulus: PrimeModulus, rows: Iterable[Sequence[int]], ncols: int) -> "ProjSubspace":
-        return cls(modulus, FpMatrix.from_rows(modulus, rows, ncols))
+    def __eq__(self, other):
+        if not isinstance(other, ProjSubspace):
+            return NotImplemented
+        return self.modulus == other.modulus and np.array_equal(self.basis, other.basis)
+
+    def __hash__(self):
+        return hash((self.modulus, self.basis.shape, self.basis.tobytes()))
 
     @property
     def p(self) -> int:
@@ -39,7 +48,7 @@ class ProjSubspace:
 
     @property
     def rank(self) -> int:
-        return self.basis.nrows
+        return len(self.basis)
 
 
 def _places(p: int, m: int) -> np.ndarray:
@@ -109,17 +118,14 @@ def points_of(s: ProjSubspace) -> np.ndarray:
     RREF basis, and each product is normalised already: its first nonzero
     coordinate sits at the pivot of the first nonzero c_i and equals c_i = 1.
     """
-    p, r, m = s.p, s.rank, s.basis.ncols
-    basis = np.array(s.basis.rows, dtype=np.int64).reshape(r, m)
-    return np.sort(digits(p, r, normalised_codes(p, r)) @ basis % p @ _places(p, m))
+    p, (r, m) = s.p, s.basis.shape
+    return np.sort(digits(p, r, normalised_codes(p, r)) @ s.basis % p @ _places(p, m))
 
 
 def span(objs: Sequence[ProjSubspace]) -> ProjSubspace:
     """Smallest subspace containing every input object."""
     if not objs:
         raise ValueError("span of nothing is undefined")
-    rows = [row for o in objs for row in o.basis.rows]
-    ncols = objs[0].basis.ncols
-    if any(o.basis.ncols != ncols for o in objs):
+    if len({o.basis.shape[1] for o in objs}) > 1:
         raise DimensionMismatch("objects live in different ambient spaces")
-    return ProjSubspace.from_rows(objs[0].modulus, rows, ncols)
+    return ProjSubspace(objs[0].modulus, np.vstack([o.basis for o in objs]))

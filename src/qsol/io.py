@@ -10,10 +10,10 @@ Restriction format: one homogeneous constraint (coefficient row) per line.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
 from .errors import InputFormatError
-from .fields import FpMatrix, FpVector, PrimeModulus
+from .fields import FpVector, PrimeModulus
 from .pauli import StabiliserGroup
 from .search import CodingSet, LabelledGraph
 
@@ -57,13 +57,13 @@ def parse_generators(text: str) -> StabiliserGroup:
         # the first surplus row, or the header when rows are missing
         ln = body[n - k][0] if len(body) > n - k else lineno
         raise InputFormatError(f"line {ln}: expected {n - k} generator rows, got {len(body)}", line=ln)
-    rows = [tuple(_int_fields(line, ln, 2 * n)) for ln, line in body]
-    return StabiliserGroup.from_matrix(modulus, n, FpMatrix.from_rows(modulus, rows, 2 * n))
+    rows = [_int_fields(line, ln, 2 * n) for ln, line in body]
+    return StabiliserGroup.from_matrix(modulus, n, np.array(rows, dtype=np.int64).reshape(n - k, 2 * n))
 
 
 def format_generators(s: StabiliserGroup) -> str:
     lines = [f"{s.p} {s.n} {s.k}"]
-    for row in s.gmatrix.rows:
+    for row in s.gmatrix.tolist():
         lines.append(" ".join(str(e) for e in row))
     return "\n".join(lines) + "\n"
 
@@ -124,10 +124,11 @@ def format_coding_set(t: CodingSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_restriction(text: str, modulus: PrimeModulus, width: int) -> FpMatrix:
-    """Constraint rows of a homogeneous system; solutions form the subspace."""
+def parse_restriction(text: str, modulus: PrimeModulus, width: int) -> np.ndarray:
+    """Constraint rows of a homogeneous system, as a read-only int64 array mod p; solutions form the subspace."""
     lines = _content_lines(text)
     if not lines:
         raise InputFormatError("empty restriction file")
-    rows = [tuple(_int_fields(line, ln, width)) for ln, line in lines]
-    return FpMatrix.from_rows(modulus, rows, width)
+    rows = np.array([_int_fields(line, ln, width) for ln, line in lines], dtype=np.int64) % modulus.p
+    rows.setflags(write=False)
+    return rows

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fields, geometry, pauli
 from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
-from .fields import FpMatrix, FpVector, PrimeModulus
+from .fields import FpVector, PrimeModulus
 
 
 class AtLeast(NamedTuple):
@@ -112,24 +112,28 @@ def lines_spanned_by(modulus: PrimeModulus, a: np.ndarray, b: np.ndarray) -> Qua
     return QuantumLineSet(modulus, m, np.sort(codes, axis=1))
 
 
-def lines_from_matrix(g: FpMatrix, n: int, k: int) -> QuantumLineSet:
-    """Line i = span of columns i and i+n of the (n-k) x 2n matrix G."""
-    if g.nrows != n - k or g.ncols != 2 * n:
+def lines_from_matrix(g: np.ndarray, n: int, k: int) -> QuantumLineSet:
+    """Line i = span of columns i and i+n of the (n-k) x 2n matrix G, an int64 array that records p (fields.tagged)."""
+    if g.shape != (n - k, 2 * n):
         raise ValueError(f"expected a {n - k} x {2 * n} matrix")
-    columns = np.array(g.rows, dtype=np.int64).reshape(n - k, 2 * n).T
-    return lines_spanned_by(g.modulus, columns[:n], columns[n:])
+    p = (g.dtype.metadata or {}).get("p")
+    if p is None:
+        raise ValueError("the matrix does not record its modulus (see fields.tagged)")
+    return lines_spanned_by(PrimeModulus(p), g[:, :n].T, g[:, n:].T)
 
 
-def matrix_from_lines(x: QuantumLineSet) -> FpMatrix:
+def matrix_from_lines(x: QuantumLineSet) -> np.ndarray:
     """Generator matrix whose column pairs (i, i+n) are the RREF bases of the lines.
 
     A line is spanned by any two of its points; the RREF basis of their span
-    is the line's one canonical basis.
+    is the line's one canonical basis. The matrix is a read-only (m, 2n)
+    int64 array that records p (fields.tagged).
     """
-    pairs = geometry.digits(x.p, x.dim, x.points[:, :2]).tolist()
-    bases = np.array([fields.row_space(FpMatrix(x.modulus, pair, x.dim)).rows for pair in pairs], dtype=np.int64)
-    bases = bases.reshape(x.n, 2, x.dim)
-    return FpMatrix(x.modulus, np.hstack([bases[:, 0].T, bases[:, 1].T]).tolist(), 2 * x.n)
+    pairs = geometry.digits(x.p, x.dim, x.points[:, :2])
+    bases = np.array([fields.rref(x.p, pair, x.dim) for pair in pairs]).reshape(x.n, 2, x.dim)
+    g = np.hstack([bases[:, 0].T, bases[:, 1].T])
+    g.setflags(write=False)
+    return fields.tagged(x.p, g)
 
 
 def incident_points(x: QuantumLineSet) -> np.ndarray:

@@ -22,10 +22,7 @@ import numpy as np
 
 from . import fields
 from .errors import DependentCentre, InvalidGroup, NonCommutingGenerators, ParameterMismatch
-from .fields import FpMatrix, FpVector, PrimeModulus
-
-_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
+from .fields import FpVector, PrimeModulus
 
 
 def _phase_modulus(p: int) -> int:
@@ -34,7 +31,11 @@ def _phase_modulus(p: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class PauliOperator:
-    """An n-qupit Pauli operator: phase + X-part + Z-part."""
+    """An n-qupit Pauli operator: phase + X-part + Z-part.
+
+    The library builds none; they stay as the operands of multiply, which
+    the benchmark's tracer (perfbench/tracer.py) looks up by name.
+    """
 
     modulus: PrimeModulus
     n: int
@@ -58,24 +59,13 @@ class PauliOperator:
     def phase_modulus(self) -> int:
         return _phase_modulus(self.modulus.p)
 
-    @classmethod
-    def identity(cls, modulus: PrimeModulus, n: int) -> "PauliOperator":
-        return cls(modulus, n, 0, (0,) * n, (0,) * n)
-
-    @classmethod
-    def from_letters(cls, letters: str, phase: int = 0) -> "PauliOperator":
-        """Qubit-only constructor from a string like 'XZIIZ'."""
-        xz = [_LETTER_TO_XZ[ch] for ch in letters]
-        return cls(PrimeModulus(2), len(xz), phase, tuple(x for x, _ in xz), tuple(z for _, z in xz))
-
-    def letters(self) -> str:
-        if self.p != 2:
-            raise ValueError("letter form only defined for qubits")
-        return "".join(_XZ_TO_LETTER[(x, z)] for x, z in zip(self.x_part, self.z_part))
-
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Group product, with exact phase bookkeeping."""
+    """Group product, with exact phase bookkeeping.
+
+    The library calls none (StabiliserGroup.elements forms products in closed
+    form); it stays because the benchmark's tracer looks the name up.
+    """
     if a.modulus != b.modulus or a.n != b.n:
         raise ParameterMismatch("operators on different systems")
     p = a.p
@@ -147,26 +137,19 @@ class StabiliserGroup:
         return hash((self.modulus, self.n, self.rows.shape, self.rows.tobytes()))
 
     @functools.cached_property
-    def gmatrix(self) -> FpMatrix:
-        """The generator matrix: the x|z block of each row."""
-        return FpMatrix(self.modulus, self.rows[:, 1:].tolist(), 2 * self.n)
+    def gmatrix(self) -> np.ndarray:
+        """The generator matrix: the read-only view rows[:, 1:], tagged with p (fields.tagged)."""
+        return fields.tagged(self.p, self.rows[:, 1:])
 
     @classmethod
     def from_matrix(
-        cls,
-        modulus: PrimeModulus,
-        n: int,
-        g: FpMatrix,
-        phases: Sequence[int] | None = None,
+        cls, modulus: PrimeModulus, n: int, g: np.ndarray, phases: Sequence[int] | None = None
     ) -> "StabiliserGroup":
-        """Group whose generator rows are the rows of g, optionally phased."""
-        if g.ncols != 2 * n:
-            raise ValueError("generator matrix must have 2n columns")
-        if phases is None:
-            phases = [0] * g.nrows
-        if len(phases) != g.nrows:
-            raise ValueError(f"need one phase per generator row: {len(phases)} phases for {g.nrows} rows")
-        return cls(modulus, n, [(ph, *row) for ph, row in zip(phases, g.rows)])
+        """Group whose generator rows are the rows of the (m, 2n) integer array g, optionally phased."""
+        phases = [0] * len(g) if phases is None else phases
+        if len(phases) != len(g):
+            raise ValueError(f"need one phase per generator row: {len(phases)} phases for {len(g)} rows")
+        return cls(modulus, n, np.column_stack([np.asarray(phases, dtype=np.int64), g]))
 
     @property
     def p(self) -> int:
@@ -223,10 +206,10 @@ class StabiliserGroup:
         return out
 
 
-def centraliser_basis(s: StabiliserGroup) -> FpMatrix:
-    """Canonical basis of the symplectic dual of the group's row space: the kernel of the rows (−z | x)."""
+def centraliser_basis(s: StabiliserGroup) -> np.ndarray:
+    """The RREF basis of the symplectic dual of the group's row space, the null space of the rows (−z | x)."""
     _, x, z = split_rows(s.rows)
-    return fields.kernel_basis(FpMatrix(s.modulus, np.hstack([-z, x]).tolist(), 2 * s.n))
+    return fields.null_space(s.p, np.hstack([-z, x]), 2 * s.n)
 
 
 def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup:
@@ -270,6 +253,6 @@ def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
     current = s
     while current.num_generators < current.n:
         rows = current.rows[:, 1:].tolist()
-        v = next(r for r in reversed(centraliser_basis(current).rows) if fields.is_independent(s.p, rows + [r]))
+        v = next(r for r in reversed(centraliser_basis(current).tolist()) if fields.is_independent(s.p, rows + [r]))
         current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
     return current

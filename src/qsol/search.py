@@ -23,7 +23,7 @@ from .errors import (
     TimeLimitExceeded,
     UnsupportedDistance,
 )
-from .fields import FpMatrix, FpVector, PrimeModulus
+from .fields import FpVector, PrimeModulus
 from .geometry import ProjSubspace, vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
@@ -35,21 +35,23 @@ MAX_CANDIDATE_DISTANCE = 4
 Weights = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelledGraph:
-    """A simple graph with F_p edge labels, as a symmetric adjacency matrix."""
+    """A simple graph with F_p edge labels, as a read-only symmetric (n, n) int64 adjacency array."""
 
     modulus: PrimeModulus
-    adjacency: FpMatrix
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        a = self.adjacency
-        if a.nrows != a.ncols:
+        a = np.array(self.adjacency, dtype=np.int64) % self.modulus.p
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        if a != a.transpose():
+        if not np.array_equal(a, a.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if any(a.rows[i][i] for i in range(a.nrows)):
+        if a.diagonal().any():
             raise ValueError("adjacency matrix must have zero diagonal")
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency", a)
 
     @classmethod
     def from_edges(cls, modulus: PrimeModulus, n: int, edges: Sequence[tuple[int, int, int]]) -> "LabelledGraph":
@@ -68,7 +70,7 @@ class LabelledGraph:
             if rows[i][j]:
                 raise ValueError(f"edge ({i}, {j}) is given twice")
             rows[i][j] = rows[j][i] = label % modulus.p
-        return cls(modulus, FpMatrix.from_rows(modulus, rows, n))
+        return cls(modulus, np.array(rows, dtype=np.int64).reshape(n, n))
 
     @classmethod
     def cycle(cls, modulus: PrimeModulus, n: int) -> "LabelledGraph":
@@ -79,7 +81,7 @@ class LabelledGraph:
 
     @property
     def n(self) -> int:
-        return self.adjacency.nrows
+        return len(self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -160,13 +162,10 @@ class CodingSet:
 
 def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
     """Stabiliser group with generator matrix (I_n | A)."""
-    n = g.n
-    for i in range(n):
-        if not any(g.adjacency.rows[i]):
-            raise IsolatedVertex(f"vertex {i} has no incident edge")
-    ident = FpMatrix.identity(g.modulus, n)
-    rows = tuple(ir + ar for ir, ar in zip(ident.rows, g.adjacency.rows))
-    return pauli.StabiliserGroup.from_matrix(g.modulus, n, FpMatrix(g.modulus, rows, 2 * n))
+    isolated = np.flatnonzero(~g.adjacency.any(axis=1))
+    if len(isolated):
+        raise IsolatedVertex(f"vertex {isolated[0]} has no incident edge")
+    return pauli.StabiliserGroup.from_matrix(g.modulus, g.n, np.hstack([np.eye(g.n, dtype=np.int64), g.adjacency]))
 
 
 def excluded_points(x: QuantumLineSet, d: int) -> Weights:
@@ -198,9 +197,9 @@ def candidate_vertices(
     subspace trick that keeps the compatibility graph small).
     """
     m = x.dim
-    if restriction is not None and restriction.basis.ncols != m:
+    if restriction is not None and restriction.basis.shape[1] != m:
         raise DimensionMismatch(
-            f"the restriction lives in PG({restriction.basis.ncols - 1}, p), the lines in PG({m - 1}, p)"
+            f"the restriction lives in PG({restriction.basis.shape[1] - 1}, p), the lines in PG({m - 1}, p)"
         )
     pool = geometry.normalised_codes(x.p, m) if restriction is None else geometry.points_of(restriction)
     return pool[excluded[pool] == OUTSIDE]
@@ -254,7 +253,7 @@ def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
     and every choice keeps the labels to the vertices already mapped. The
     group itself is never enumerated (K_12 has 12! automorphisms).
     """
-    adj = g.adjacency.rows
+    adj = g.adjacency.tolist()
     n = len(adj)
     # breadth first from each vertex not yet reached; a component's first vertex has no parent
     order: list[int] = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsol import geometry, io
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, rank_of_vectors, rref, row_space
+from qsol.fields import FpVector, PrimeModulus, rank_of_vectors
 from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
@@ -59,12 +59,12 @@ FIVE_QUBIT_PRIMED_LETTERS = ["ZYXYZ", "ZZYXY", "YZZYX", "XYZZY", "YXYZZ"]
 
 @pytest.fixture(scope="session")
 def five_qubit_ops():
-    return [PauliOperator.from_letters(s) for s in FIVE_QUBIT_LETTERS]
+    return [from_letters(s) for s in FIVE_QUBIT_LETTERS]
 
 
 @pytest.fixture(scope="session")
 def five_qubit_primed_ops():
-    return [PauliOperator.from_letters(s) for s in FIVE_QUBIT_PRIMED_LETTERS]
+    return [from_letters(s) for s in FIVE_QUBIT_PRIMED_LETTERS]
 
 
 # --------------------------------------------------------------- nine-cycle
@@ -81,10 +81,10 @@ def nine_cycle_constraints(data_dir, mod2):
 
 @pytest.fixture(scope="session")
 def nine_cycle_restriction(nine_cycle_constraints, mod2):
-    from qsol.fields import kernel_basis
+    from qsol.fields import null_space
     from qsol.geometry import ProjSubspace
 
-    return ProjSubspace(mod2, kernel_basis(nine_cycle_constraints))
+    return ProjSubspace(mod2, null_space(2, nine_cycle_constraints, 9))
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +122,7 @@ def xz(op) -> tuple[int, ...]:
     return op.x_part + op.z_part
 
 
-def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> FpMatrix:
+def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> np.ndarray:
     """m independent, pairwise symplectically orthogonal vectors of F_p^{2n}."""
     rows: list[tuple[int, ...]] = []
     attempts = 0
@@ -138,7 +138,7 @@ def random_symplectic_rows(rng: random.Random, modulus: PrimeModulus, n: int, m:
         if rank_of_vectors(modulus.p, rows + [cand]) != len(rows) + 1:
             continue
         rows.append(cand)
-    return FpMatrix.from_rows(modulus, rows, 2 * n)
+    return np.array(rows, dtype=np.int64).reshape(m, 2 * n)
 
 
 def random_group(rng: random.Random, modulus: PrimeModulus, n: int, m: int) -> StabiliserGroup:
@@ -165,37 +165,82 @@ def apply_map(q: np.ndarray, v: FpVector) -> FpVector:
     return FpVector(v.modulus, tuple((q @ np.array(v.entries, dtype=np.int64)).tolist()))
 
 
-def matrix_product(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    """a·b over F_p by plain loops; the library keeps no matrix product of its own."""
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    rows = tuple(
-        tuple(sum(x * b.rows[t][j] for t, x in enumerate(row)) % a.p for j in range(b.ncols)) for row in a.rows
-    )
-    return FpMatrix(a.modulus, rows, b.ncols)
+def reference_rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """In-place Gauss-Jordan elimination, pivots from the first column on; returns (rows, pivot columns).
 
-
-def rank(m: FpMatrix) -> int:
-    """The rank of a matrix, read off its RREF."""
-    return rref(m).rank
-
-
-def reference_kernel_basis(m: FpMatrix) -> FpMatrix:
-    """The RREF basis of the right null space by two eliminations: the reference for fields.kernel_basis.
-
-    One basis vector per free column f of the RREF of m (1 at f, minus the
-    pivot rows' entries in column f at the pivots), then an RREF of those.
+    The reference for fields.rref, fields.null_space and fields.rank_of_vectors.
     """
-    red = rref(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        if inv != 1:
+            rows[r] = [(inv * e) % p for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_row_space(p: int, rows, ncols: int) -> list[list[int]]:
+    """The RREF basis of the row space, zero rows dropped, by reference_rref_rows: the reference for fields.rref."""
+    reduced, pivots = reference_rref_rows([[int(e) % p for e in row] for row in rows], ncols, p)
+    return reduced[: len(pivots)]
+
+
+def reference_is_independent(p: int, vectors) -> bool:
+    """True iff the vectors are independent, by forward elimination: the reference for fields.is_independent.
+
+    Unlike Gauss-Jordan it clears only the rows below each pivot, and it
+    stops once every vector has a pivot.
+    """
+    rows = [[int(e) % p for e in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank == len(rows)
+
+
+def rank(p: int, rows, ncols: int) -> int:
+    """The rank of a stack of rows, read off reference_rref_rows."""
+    return len(reference_rref_rows([[int(e) % p for e in row] for row in rows], ncols, p)[1])
+
+
+def reference_kernel_basis(p: int, rows, ncols: int) -> list[list[int]]:
+    """The RREF basis of the right null space by two eliminations: the reference for fields.null_space.
+
+    One basis vector per free column f of the RREF of the rows (1 at f,
+    minus the pivot rows' entries in column f at the pivots), then an RREF
+    of those.
+    """
+    reduced, pivots = reference_rref_rows([[int(e) % p for e in row] for row in rows], ncols, p)
     basis = []
-    for f in (c for c in range(m.ncols) if c not in red.pivots):
-        v = [0] * m.ncols
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
         v[f] = 1
-        for r, c in enumerate(red.pivots):
-            v[c] = -red.matrix.rows[r][f]
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f] % p
         basis.append(v)
-    red = rref(FpMatrix(m.modulus, tuple(map(tuple, basis)), m.ncols))
-    return FpMatrix(m.modulus, red.matrix.rows[: red.rank], m.ncols)
+    return reference_row_space(p, basis, ncols)
 
 
 def reference_quotient_map(vectors, dim: int) -> np.ndarray:
@@ -208,9 +253,9 @@ def reference_quotient_map(vectors, dim: int) -> np.ndarray:
     """
     r = len(vectors)
     aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    red = rref(FpMatrix(vectors[0].modulus, tuple(map(tuple, aug)), r + dim))
-    centre_rank = sum(1 for c in red.pivots if c < r)
-    return np.array([row[r:] for row in red.matrix.rows[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
+    reduced, pivots = reference_rref_rows(aug, r + dim, vectors[0].p)
+    centre_rank = sum(1 for c in pivots if c < r)
+    return np.array([row[r:] for row in reduced[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
 
 
 def reference_min_dependent_set(x, limit: int):
@@ -227,11 +272,12 @@ def reference_min_dependent_set(x, limit: int):
     return lines_mod.AtLeast(limit + 1)
 
 
-def in_row_space(m: FpMatrix, v: FpVector) -> bool:
-    """True iff v lies in the row space of m: appending it leaves the rank unchanged."""
-    if len(v) != m.ncols:
+def in_row_space(p: int, rows, v) -> bool:
+    """True iff the vector v lies in the row space of the (r, m) rows: appending it leaves the rank unchanged."""
+    rows = np.asarray(rows, dtype=np.int64).tolist()
+    if rows and len(v) != len(rows[0]):
         raise ValueError("shape mismatch")
-    return rank_of_vectors(m.p, m.rows + (v.entries,)) == rank_of_vectors(m.p, m.rows)
+    return rank_of_vectors(p, rows + [[int(e) for e in v]]) == rank_of_vectors(p, rows)
 
 
 def normalised(p: int, v) -> tuple[int, ...]:
@@ -248,7 +294,7 @@ def vectors(p: int, m: int, codes) -> list[tuple[int, ...]]:
 
 def points(s) -> list[tuple[int, ...]]:
     """The points of a subspace as normalised vectors, in order: geometry.points_of decoded."""
-    return vectors(s.p, s.basis.ncols, geometry.points_of(s))
+    return vectors(s.p, s.basis.shape[1], geometry.points_of(s))
 
 
 def incident(x) -> list[tuple[int, ...]]:
@@ -283,11 +329,33 @@ def weight(v) -> int:
     return sum(1 for a, b in zip(v[:n], v[n:]) if a or b)
 
 
+_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
+
+
+def identity(modulus: PrimeModulus, n: int) -> PauliOperator:
+    """The identity operator on n qupits, phase 0."""
+    return PauliOperator(modulus, n, 0, (0,) * n, (0,) * n)
+
+
+def from_letters(letters: str, phase: int = 0) -> PauliOperator:
+    """The qubit operator i^phase times a string of letters such as 'XZIIZ', with Y = i·X·Z."""
+    xz = [_LETTER_TO_XZ[ch] for ch in letters]
+    return PauliOperator(PrimeModulus(2), len(xz), phase, tuple(x for x, _ in xz), tuple(z for _, z in xz))
+
+
+def letters(op: PauliOperator) -> str:
+    """The letter string of a qubit operator, its phase dropped; other moduli raise ValueError."""
+    if op.p != 2:
+        raise ValueError("letter form only defined for qubits")
+    return "".join(_XZ_TO_LETTER[(x, z)] for x, z in zip(op.x_part, op.z_part))
+
+
 def reference_power(a, e):
     """a^e as a fresh identity followed by e multiply calls."""
     if e < 0:
         raise ValueError("negative exponent")
-    out = PauliOperator.identity(a.modulus, a.n)
+    out = identity(a.modulus, a.n)
     for _ in range(e):
         out = multiply(out, a)
     return out
@@ -301,7 +369,7 @@ def generators(s: StabiliserGroup) -> tuple[PauliOperator, ...]:
 
 def reference_element(s, exponents):
     """The product of the generator powers g^(e mod p), folded into a fresh identity."""
-    out = PauliOperator.identity(s.modulus, s.n)
+    out = identity(s.modulus, s.n)
     for g, e in zip(generators(s), exponents):
         out = multiply(out, reference_power(g, int(e) % s.p))
     return out
@@ -335,16 +403,15 @@ def reference_line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.nda
 
 # ------------------------------------------------- brute-force enumerations
 
-def row_space_vectors(m: FpMatrix) -> list[FpVector]:
+def row_space_vectors(p: int, rows, ncols: int) -> list[tuple[int, ...]]:
     """Every vector of the row space, sorted lexicographically: one per coefficient tuple of its RREF basis."""
-    basis = row_space(m)
-    p = m.p
+    basis = reference_row_space(p, rows, ncols)
     out = []
-    for coeffs in itertools.product(range(p), repeat=basis.nrows):
-        v = [0] * m.ncols
-        for c, row in zip(coeffs, basis.rows):
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = [0] * ncols
+        for c, row in zip(coeffs, basis):
             v = [(a + c * b) % p for a, b in zip(v, row)]
-        out.append(FpVector(m.modulus, tuple(v)))
+        out.append(tuple(v))
     return sorted(out)
 
 
@@ -379,7 +446,7 @@ def reference_extend(s: StabiliserGroup) -> StabiliserGroup:
     """pauli.extend_to_maximal_abelian by listing the dual, sorted, and adjoining its first vector outside the row space."""
     current = s
     while current.num_generators < current.n:
-        rows = set(row_space_vectors(current.gmatrix))
-        v = next(v for v in row_space_vectors(centraliser_basis(current)) if v not in rows)
-        current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v.entries)]))
+        rows = set(row_space_vectors(s.p, current.gmatrix, 2 * s.n))
+        v = next(v for v in row_space_vectors(s.p, centraliser_basis(current), 2 * s.n) if v not in rows)
+        current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
     return current

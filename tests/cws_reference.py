@@ -67,9 +67,12 @@ def edges(images: set[int], vertices) -> set[frozenset[int]]:
 def maximum_cliques(vertices, edge_set) -> list[frozenset[int]]:
     """Every maximum clique, by extending cliques in increasing vertex order.
 
-    Each clique is reached once, from its members in index order; a branch
-    is cut when even taking every remaining candidate cannot reach the best
-    size found so far.
+    Each clique is reached once, from its members in index order. A branch
+    is cut when it cannot reach the best size found so far: a clique takes
+    at most one vertex of each colour class of a proper colouring of the
+    remaining candidates, so its size is at most the clique's plus the
+    number of colours of a greedy colouring. A branch that can only tie the
+    best size is still searched, so every maximum clique is found.
     """
     index = {v: i for i, v in enumerate(vertices)}
     neighbours = [0] * len(vertices)
@@ -79,10 +82,23 @@ def maximum_cliques(vertices, edge_set) -> list[frozenset[int]]:
     best: list[int] = []
     best_size = 0
 
+    def colours(mask: int) -> int:
+        """The number of classes of the greedy colouring of mask in index order."""
+        count = 0
+        while mask:
+            count += 1
+            # one class: each vertex in turn that no vertex of the class is joined to
+            free = mask
+            while free:
+                low = free & -free
+                mask ^= low
+                free &= ~(low | neighbours[low.bit_length() - 1])
+        return count
+
     def extend(clique: int, size: int, later: int) -> None:
         # later: vertices after the last member that are adjacent to all members
         nonlocal best, best_size
-        if size + bin(later).count("1") < best_size:
+        if size + colours(later) < best_size:
             return
         if later == 0:
             if size > best_size:

@@ -15,7 +15,7 @@ import pytest
 
 from qsol import fields, geometry, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
-from qsol.fields import FpMatrix, FpVector, PrimeModulus, kernel_basis, row_space
+from qsol.fields import FpVector, PrimeModulus, null_space, rref
 from qsol.lines import AtLeast
 from qsol.oracle import code_basis, error_classes, kl_detect
 from qsol.pauli import (
@@ -65,7 +65,7 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     pairs = {frozenset((masks[i], masks[j])) for i, j in edges(gamma)}
     cliques = {frozenset(masks[i] for i in c) for c in search.find_cliques(gamma)}
 
-    images = cws_reference.error_images(graph.adjacency.rows, d - 1)
+    images = cws_reference.error_images(graph.adjacency.tolist(), d - 1)
     ref_vertices = cws_reference.candidates(images, graph.n, constraints)
     ref_edges = cws_reference.edges(images, ref_vertices)
     ref_cliques = set(cws_reference.maximum_cliques(ref_vertices, ref_edges))
@@ -102,7 +102,7 @@ def test_criterion_2_nine_cycle_reproduction(
     report = search.run_recipe(nine_cycle_graph, d=3, k=0, restriction=nine_cycle_restriction)
     elapsed = time.monotonic() - start
 
-    problems, cliques = cws_mismatches(nine_cycle_graph, 3, nine_cycle_restriction, nine_cycle_constraints.rows)
+    problems, cliques = cws_mismatches(nine_cycle_graph, 3, nine_cycle_restriction, nine_cycle_constraints.tolist())
     codes = {c | {0} for c in cliques}
     printed = frozenset(cws_reference.to_mask(v.entries) for v in nine_cycle_tset.vectors)
 
@@ -288,7 +288,7 @@ def test_property_even_skew_iff_rows_commute(mod2):
             cand = tuple(rng.randrange(2) for _ in range(2 * n))
             if fields.rank_of_vectors(2, rows + [cand]) == len(rows) + 1:
                 rows.append(cand)
-        g = FpMatrix.from_rows(mod2, rows, 2 * n)
+        g = fields.tagged(2, np.array(rows))
         try:
             x = lines_mod.lines_from_matrix(g, n, n - m)
         except DegenerateLine:
@@ -314,12 +314,8 @@ def test_property_min_dependent_set_is_kernel_min_weight():
             m = 3
         _, x = random_group_with_lines(rng, mod, n, m)
         g = lines_mod.matrix_from_lines(x)
-        ker = kernel_basis(g)
-        min_wt = min(
-            weight(v.entries)
-            for v in row_space_vectors(ker)
-            if not v.is_zero()
-        )
+        ker = null_space(p, g, 2 * n)
+        min_wt = min(weight(v) for v in row_space_vectors(p, ker, 2 * n) if any(v))
         assert lines_mod.min_dependent_set(x, n) == min_wt
 
 
@@ -375,9 +371,9 @@ def test_property_extension_reaches_self_dual():
         s = random_group(rng, mod, n, m)
         big = extend_to_maximal_abelian(s)
         assert big.num_generators == n
-        for row in s.gmatrix.rows:
-            assert in_row_space(big.gmatrix, FpVector(mod, row))
-        assert row_space(centraliser_basis(big)) == row_space(big.gmatrix)
+        for row in s.gmatrix:
+            assert in_row_space(p, big.gmatrix, row)
+        assert np.array_equal(centraliser_basis(big), rref(p, big.gmatrix, 2 * n))
 
 
 def test_property_subspace_coding_set_is_stabiliser_code():
@@ -397,14 +393,13 @@ def test_property_subspace_coding_set_is_stabiliser_code():
             if fields.rank_of_vectors(p, basis_rows + [cand]) == len(basis_rows) + 1:
                 basis_rows.append(cand)
         if basis_rows:
-            t_vectors = row_space_vectors(FpMatrix.from_rows(mod, basis_rows, m))
+            t_vectors = row_space_vectors(p, basis_rows, m)
         else:
             t_vectors = [FpVector(mod, (0,) * m)]
         left = code_basis(s, t_vectors)
 
         if r:
-            annihilator = kernel_basis(FpMatrix.from_rows(mod, basis_rows, m))
-            gens = s.elements(annihilator.rows)
+            gens = s.elements(null_space(p, basis_rows, m))
             if len(gens):
                 sub = StabiliserGroup(mod, n, gens)
                 right = code_basis(sub, [(0,) * sub.num_generators])

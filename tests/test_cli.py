@@ -4,8 +4,10 @@ import os
 import re
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsol
@@ -341,6 +343,30 @@ PENTAGON_PAIR_PROJECT = """\
 0 1 0 0 0 1 0 1 0 1
 """
 
+TERNARY_EXTEND = """\
+3 11 0
+1 2 2 0 0 2 0 2 0 2 2 0 1 2 2 2 0 0 0 1 2 0
+0 1 0 2 2 0 1 1 1 0 0 2 0 0 2 2 0 2 0 1 1 0
+1 0 2 1 1 0 2 0 0 2 0 0 1 1 0 1 0 0 1 2 0 0
+0 1 2 2 1 1 2 2 0 0 1 0 2 0 0 0 0 2 1 2 1 0
+2 2 1 1 0 0 2 2 0 2 2 0 2 0 1 1 2 1 1 1 2 1
+0 0 1 2 0 2 2 2 0 0 2 2 1 2 1 1 2 0 1 2 2 0
+0 0 0 1 1 1 2 0 1 0 2 2 0 1 1 2 0 1 2 0 0 0
+0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 2 0 1 2 0 2 2
+0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 2 1 0 0 1
+0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 2 0 0 0 1 2 0
+0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 2 0 1 0 1 2 2
+"""
+
+PENTAGON_EXTEND = """\
+2 5 0
+1 0 0 0 0 0 1 0 0 1
+0 1 0 0 0 1 0 1 0 0
+0 0 1 0 0 0 1 0 1 0
+0 0 0 1 0 0 0 1 0 1
+0 0 0 0 1 1 0 0 1 0
+"""
+
 PENTAGON_VALIDATE_TEXT = """\
 group on 5 qupits (p=2, k=0): valid
 even-skew line-set property: holds
@@ -426,6 +452,8 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv, expected", [
         (["project", "--gens", "ternary.gens", "--tset", "ternary.tset"], TERNARY_PROJECT),
         (["project", "--gens", "pentagon.gens", "--tset", "pair.tset"], PENTAGON_PAIR_PROJECT),
+        (["extend", "--gens", "ternary.gens"], TERNARY_EXTEND),
+        (["extend", "--gens", "pentagon.gens"], PENTAGON_EXTEND),
         (["validate", "--gens", "pentagon.gens"], PENTAGON_VALIDATE_TEXT),
         (["validate", "--gens", "pentagon.gens", "--format", "machine"], PENTAGON_VALIDATE_MACHINE),
         (["validate", "--gens", "ternary.gens"], TERNARY_VALIDATE_TEXT),
@@ -436,8 +464,8 @@ class TestPinnedOutput:
         (["distance", "--gens", "pentagon.gens", "--limit", "5", "--format", "machine"], "d_lower=3\nexact=1\n"),
         (["distance", "--gens", "ternary.gens", "--limit", "3"], "3\n"),
         (["distance", "--gens", "ternary.gens", "--limit", "3", "--format", "machine"], "d_lower=3\nexact=1\n"),
-    ], ids=["ternary-project", "pentagon-pair-project", "pentagon-validate-text", "pentagon-validate-machine",
-            "ternary-validate-text", "ternary-validate-machine", "pentagon-distance-2-text",
+    ], ids=["ternary-project", "pentagon-pair-project", "ternary-extend", "pentagon-extend", "pentagon-validate-text",
+            "pentagon-validate-machine", "ternary-validate-text", "ternary-validate-machine", "pentagon-distance-2-text",
             "pentagon-distance-5-text", "pentagon-distance-2-machine", "pentagon-distance-5-machine",
             "ternary-distance-3-text", "ternary-distance-3-machine"])
     def test_line_set_output(self, data_dir, tmp_path, capsys, argv, expected):
@@ -577,7 +605,7 @@ class TestVerify:
 class TestExtend:
     def test_output_is_self_dual_group(self, data_dir, tmp_path, capsys):
         from qsol import io
-        from qsol.fields import row_space
+        from qsol.fields import rref
         from qsol.pauli import centraliser_basis
 
         partial = tmp_path / "partial.gens"
@@ -586,13 +614,13 @@ class TestExtend:
         out = capsys.readouterr().out
         extended = io.parse_generators(out)
         assert extended.num_generators == 3
-        assert row_space(centraliser_basis(extended)) == row_space(extended.gmatrix)
+        assert np.array_equal(centraliser_basis(extended), rref(2, extended.gmatrix, 6))
 
     def test_eleven_qubit_one_generator_group(self, tmp_path, capsys):
         # one generator on 11 qubits leaves a 21-dimensional dual of 2^21
         # vectors, too many to list
         from qsol import io
-        from qsol.fields import FpVector, row_space
+        from qsol.fields import rref
         from qsol.pauli import centraliser_basis
 
         from conftest import in_row_space
@@ -603,14 +631,39 @@ class TestExtend:
         assert main(["extend", "--gens", str(lonely)]) == EXIT_OK
         extended = io.parse_generators(capsys.readouterr().out)
         assert extended.num_generators == 11
-        assert row_space(centraliser_basis(extended)) == row_space(extended.gmatrix)
-        assert in_row_space(extended.gmatrix, FpVector(extended.modulus, row))
+        assert np.array_equal(centraliser_basis(extended), rref(2, extended.gmatrix, 22))
+        assert in_row_space(2, extended.gmatrix, row)
+
+
+class ClosedPipe(StringIO):
+    """A stdout whose reader has gone, such as `head` after its lines: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
 
 class TestErrorPaths:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--gens", str(tmp_path / "nope.gens")]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["project", "--gens", "ternary.gens", "--tset", "ternary.tset"],
+        ["extend", "--gens", "ternary.gens"],
+        ["validate", "--gens", "ternary.gens", "--format", "machine"],
+    ], ids=["project", "extend", "validate"])
+    def test_closed_stdout_exits_one_without_a_message(self, data_dir, monkeypatch, capsys, argv):
+        argv = [str(data_dir / a) if a.endswith((".gens", ".tset")) else a for a in argv]
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == EXIT_FAIL
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_with_a_missing_file_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", ClosedPipe())
+            assert main(["validate", "--gens", str(tmp_path / "nope.gens")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: [Errno 2]")
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.gens"

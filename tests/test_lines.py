@@ -8,7 +8,7 @@ import pytest
 
 from qsol import fields, geometry, lines as lines_mod, pauli
 from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
-from qsol.fields import FpMatrix, FpVector, PrimeModulus
+from qsol.fields import FpVector, PrimeModulus
 from qsol.lines import (
     AtLeast,
     QuantumLineSet,
@@ -65,15 +65,20 @@ class TestLinesFromMatrix:
         first = set(vectors(x.p, x.dim, x.points[0]))
         assert first == {(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (1, 1, 0, 0, 1)}
 
-    def test_degenerate_column_pair_rejected(self, mod2):
-        g = FpMatrix.from_rows(mod2, [(1, 0, 1, 0), (0, 1, 0, 1)], 4)
+    def test_degenerate_column_pair_rejected(self):
+        g = fields.tagged(2, np.array([(1, 0, 1, 0), (0, 1, 0, 1)]))
         with pytest.raises(DegenerateLine):
             lines_from_matrix(g, 2, 0)
 
-    def test_shape_check(self, mod2):
-        g = FpMatrix.from_rows(mod2, [(1, 0, 0, 1)], 4)
-        with pytest.raises(ValueError):
+    def test_shape_check(self):
+        g = fields.tagged(2, np.array([(1, 0, 0, 1)]))
+        with pytest.raises(ValueError, match="expected a 3 x 6 matrix"):
             lines_from_matrix(g, 3, 0)
+
+    def test_matrix_records_its_modulus(self):
+        # a bare array says nothing of p, and the lines of its columns depend on it
+        with pytest.raises(ValueError, match="does not record its modulus"):
+            lines_from_matrix(np.array([(1, 0, 0, 1), (0, 1, 1, 0)]), 2, 0)
 
     def test_matrix_round_trip(self):
         rng = random.Random(61)
@@ -82,6 +87,7 @@ class TestLinesFromMatrix:
             for _ in range(10):
                 _, x = random_group_with_lines(rng, mod, 4, 3)
                 g2 = matrix_from_lines(x)
+                assert g2.dtype == np.int64 and not g2.flags.writeable
                 assert lines_from_matrix(g2, x.n, x.n - x.dim) == x
 
 
@@ -143,7 +149,7 @@ class TestLinesSpannedBy:
             match = rf"columns {bad[0]} and {bad[0] + n} are dependent"
             with pytest.raises(DegenerateLine, match=match):
                 lines_spanned_by(mod, a, b)
-            g = FpMatrix(mod, np.hstack([a.T, b.T]).tolist(), 2 * n)
+            g = fields.tagged(p, np.hstack([a.T, b.T]))
             with pytest.raises(DegenerateLine, match=match):
                 lines_from_matrix(g, n, n - m)
 
@@ -199,7 +205,6 @@ class TestEvenSkew:
         # a line set is quantum exactly when the generator rows pairwise
         # commute; random matrices give both outcomes
         rng = random.Random(71)
-        mod = PrimeModulus(2)
         seen = {True: 0, False: 0}
         while min(seen.values()) < 20:
             n, m = 4, 3
@@ -208,7 +213,7 @@ class TestEvenSkew:
                 cand = tuple(rng.randrange(2) for _ in range(2 * n))
                 if fields.rank_of_vectors(2, rows + [cand]) == len(rows) + 1:
                     rows.append(cand)
-            g = FpMatrix.from_rows(mod, rows, 2 * n)
+            g = fields.tagged(2, np.array(rows))
             try:
                 x = lines_from_matrix(g, n, n - m)
             except DegenerateLine:
@@ -346,12 +351,8 @@ class TestMinDependentSet:
         mod = PrimeModulus(p)
         for _ in range(15):
             g, x = random_group_with_lines(rng, mod, 4, rng.choice([2, 3]))
-            ker = fields.kernel_basis(g.gmatrix)
-            min_wt = min(
-                weight(v.entries)
-                for v in row_space_vectors(ker)
-                if not v.is_zero()
-            )
+            ker = fields.null_space(p, g.gmatrix, 8)
+            min_wt = min(weight(v) for v in row_space_vectors(p, ker, 8) if any(v))
             assert min_dependent_set(x, 4) == min_wt
 
 

@@ -23,7 +23,7 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import generators, group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
+from conftest import from_letters, generators, group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
 from dense_reference import subspace_equal
 
 
@@ -79,12 +79,12 @@ class TestPauliDense:
 
     def test_apply_right_checks_dimension(self, mod2):
         with pytest.raises(DimensionMismatch):
-            oracle.apply_right(np.eye(4), 2, row(PauliOperator.from_letters("XZZ")))
+            oracle.apply_right(np.eye(4), 2, row(from_letters("XZZ")))
 
     def test_tensor_structure(self):
-        xz = PauliOperator.from_letters("XZ")
-        x = dense(PauliOperator.from_letters("X"))
-        z = dense(PauliOperator.from_letters("Z"))
+        xz = from_letters("XZ")
+        x = dense(from_letters("X"))
+        z = dense(from_letters("Z"))
         assert np.allclose(dense(xz), np.kron(x, z))
 
 
@@ -136,7 +136,7 @@ class TestComponentProjector:
     def test_rank_other_than_p_to_the_k_raises(self):
         # a repeated generator leaves a rank-2 eigenspace where p^k = 1 is
         # expected, and an empty one for inconsistent signs
-        zi = PauliOperator.from_letters("ZI")
+        zi = from_letters("ZI")
         repeated = SimpleNamespace(p=2, n=2, k=0, num_generators=2, rows=pauli_rows([zi, zi]))
         for t in [(0, 0), (0, 1)]:
             with pytest.raises(InvalidGroup):
@@ -212,7 +212,7 @@ def pentagon_code(five_qubit_group, pentagon_tset):
 @pytest.fixture(scope="module")
 def odd_y_code():
     """YZ and ZY commute, and each has one Y letter, so i.X.Z puts phases +-i in its action."""
-    return group_of([PauliOperator.from_letters(g) for g in ("YZ", "ZY")]), [(0, 0), (1, 0), (1, 1)]
+    return group_of([from_letters(g) for g in ("YZ", "ZY")]), [(0, 0), (1, 0), (1, 1)]
 
 
 class TestBasisField:
@@ -335,7 +335,7 @@ class TestKlDetect:
 
     def test_detects_failure(self):
         # span{|00>, |11>} does not detect single-qubit Z (a logical operator)
-        s = group_of([PauliOperator.from_letters("ZZ")])
+        s = group_of([from_letters("ZZ")])
         b = code_basis(s, [(0,)])
         report = kl_detect(b, 2, error_classes(2, 2, 1))
         assert not report.passed
@@ -349,13 +349,13 @@ class TestKlDetect:
     def test_rows_with_one_x_and_z_part_keep_their_own_phase(self, five_qubit_group, pentagon_tset):
         # X.I.I.I.I and -X.I.I.I.I on the ((5,6,2)) code are two rows of the report
         pentagon = code_basis(five_qubit_group, pentagon_tset.vectors)
-        x_and_minus_x = pauli_rows([PauliOperator.from_letters("XIIII", phase) for phase in (0, 2)])
+        x_and_minus_x = pauli_rows([from_letters("XIIII", phase) for phase in (0, 2)])
         report = kl_detect(pentagon, 2, x_and_minus_x)
         assert len(report) == 2 and report.passed
         # on Q_0 of the five-qubit group the generator XZIIZ has alpha 1, and
         # i^phase XZIIZ has alpha i^phase
         b = code_basis(five_qubit_group, [(0,) * 5])
-        phased = pauli_rows([PauliOperator.from_letters("XZIIZ", phase) for phase in range(4)])
+        phased = pauli_rows([from_letters("XZIIZ", phase) for phase in range(4)])
         report = kl_detect(b, 2, phased)
         assert len(report) == 4 and report.passed
         assert np.allclose(report.alphas, [1, 1j, -1, -1j], atol=1e-12)

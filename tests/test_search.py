@@ -7,6 +7,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import cws_reference
@@ -19,7 +20,7 @@ from qsol.errors import (
     TooLarge,
     UnsupportedDistance,
 )
-from qsol.fields import FpMatrix, FpVector, PrimeModulus
+from qsol.fields import FpVector, PrimeModulus
 from qsol.geometry import ProjSubspace
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
@@ -56,10 +57,11 @@ def nine_cycle_lines(nine_cycle_graph):
 class TestLabelledGraph:
     def test_cycle_adjacency(self, mod2):
         g = LabelledGraph.cycle(mod2, 4)
-        assert g.adjacency.rows == ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0))
+        assert g.adjacency.tolist() == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+        assert g.adjacency.dtype == np.int64 and not g.adjacency.flags.writeable
 
     def test_cycle_on_three_vertices(self, mod2):
-        assert LabelledGraph.cycle(mod2, 3).adjacency.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert LabelledGraph.cycle(mod2, 3).adjacency.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_cycle_needs_three_vertices(self, mod2, n):
@@ -68,15 +70,15 @@ class TestLabelledGraph:
 
     def test_rejects_asymmetric(self, mod2):
         with pytest.raises(ValueError):
-            LabelledGraph(mod2, FpMatrix.from_rows(mod2, [(0, 1), (0, 0)], 2))
+            LabelledGraph(mod2, [(0, 1), (0, 0)])
 
     def test_rejects_loops(self, mod2):
         with pytest.raises(ValueError):
-            LabelledGraph(mod2, FpMatrix.from_rows(mod2, [(1, 1), (1, 0)], 2))
+            LabelledGraph(mod2, [(1, 1), (1, 0)])
 
     def test_labels_reduced_mod_p(self, mod3):
         g = LabelledGraph.from_edges(mod3, 2, [(0, 1, 5)])
-        assert g.adjacency.rows[0][1] == 2
+        assert g.adjacency[0, 1] == 2
 
     @pytest.mark.parametrize("label", [0, 3, -3])
     def test_label_zero_mod_p_is_refused(self, mod3, label):
@@ -92,7 +94,7 @@ class TestLabelledGraph:
 
 class TestGraphToGenerators:
     def test_pentagon_matches_hand_matrix(self, pentagon_graph, five_qubit_group):
-        assert graph_to_generators(pentagon_graph).gmatrix == five_qubit_group.gmatrix
+        assert np.array_equal(graph_to_generators(pentagon_graph).gmatrix, five_qubit_group.gmatrix)
 
     def test_isolated_vertex_rejected(self, mod2):
         g = LabelledGraph.from_edges(mod2, 3, [(0, 1, 1)])
@@ -136,7 +138,7 @@ def gamma_of(x, d, restriction=None):
 
 def contains_point(subspace, v):
     """True iff the point of the vector v lies in the subspace."""
-    return in_row_space(subspace.basis, FpVector(subspace.modulus, v))
+    return in_row_space(subspace.p, subspace.basis, v)
 
 
 class TestExcludedPoints:
@@ -147,7 +149,7 @@ class TestExcludedPoints:
         weights = {}
         for size in range(1, d):
             for subset in itertools.combinations(incident(x), size):
-                for pt in points(ProjSubspace.from_rows(x.modulus, subset, x.dim)):
+                for pt in points(ProjSubspace(x.modulus, subset)):
                     weights.setdefault(pt, size)
         # the table is indexed by base-p codes, which count the vectors in
         # the order itertools.product lists them
@@ -208,7 +210,7 @@ class TestCandidateVertices:
         # a restriction in F_2^6 next to lines in F_2^9 has no points in common
         # with them; its codes would index the table of another space
         x = cycle_lines(mod2, 9)
-        restriction = ProjSubspace(mod2, FpMatrix.identity(mod2, 6))
+        restriction = ProjSubspace(mod2, np.eye(6, dtype=np.int64))
         with pytest.raises(DimensionMismatch):
             candidate_vertices(x, excluded_points(x, 3), restriction)
         with pytest.raises(DimensionMismatch):
@@ -259,7 +261,7 @@ class TestGammaGraph:
         x = cycle_lines(mod2, 10)
         gamma = gamma_of(x, 4)
         masks = [cws_reference.to_mask(v) for v in vectors(2, 10, gamma.vertices)]
-        images = nonzero_error_images(g.adjacency.rows, 3)
+        images = nonzero_error_images(g.adjacency.tolist(), 3)
         ref_vertices = cws_reference.candidates(images, 10)
         assert (gamma.num_vertices, gamma.num_edges) == (46, 30)
         assert set(masks) == set(ref_vertices)
@@ -541,6 +543,22 @@ def brute_force_maximum_cliques(rows):
     )
 
 
+def test_cws_reference_cliques_match_brute_force():
+    # the reference's greedy-colouring cut against all vertex subsets, on
+    # random graphs of 1 to 14 vertices from edgeless to complete; the cut
+    # must keep every tied maximum clique
+    rng = random.Random(6026)
+    for case in range(120):
+        nv = 14 if case < 2 else rng.randint(1, 14)
+        density = [0.0, 1.0][case] if case < 2 else rng.random()
+        rows = random_rows(rng, nv, density)
+        # the vertices are arbitrary distinct integers, here 2i + 3 for vertex i
+        edge_set = {frozenset((2 * i + 3, 2 * j + 3)) for i in range(nv) for j in range(i) if rows[i] >> j & 1}
+        found = sorted(sorted((v - 3) // 2 for v in c) for c in cws_reference.maximum_cliques(
+            [2 * i + 3 for i in range(nv)], edge_set))
+        assert found == [list(c) for c in brute_force_maximum_cliques(rows)], f"case {case}: {nv} vertices"
+
+
 def random_labelled_graph(rng, p, n, density, connected=False):
     """A random graph on n vertices with labels in 1..p-1, spanned by a random tree when connected."""
     labels = {}
@@ -574,7 +592,7 @@ def generated_group(perms, n):
 
 def brute_force_automorphisms(g):
     """The label-preserving permutations, by testing all n! of them."""
-    a, n = g.adjacency.rows, g.n
+    a, n = g.adjacency.tolist(), g.n
     return {
         s for s in itertools.permutations(range(n))
         if all(a[s[u]][s[v]] == a[u][v] for u, v in itertools.combinations(range(n), 2))
@@ -601,7 +619,7 @@ class TestAutomorphisms:
         for case, g in enumerate(graphs):
             generators = search.automorphisms(g)
             group = brute_force_automorphisms(g)
-            assert generated_group(generators, g.n) == group, f"case {case}: {g.adjacency.rows}"
+            assert generated_group(generators, g.n) == group, f"case {case}: {g.adjacency.tolist()}"
             assert tuple(range(g.n)) not in generators
             orders[len(group)] += 1
         assert [len(brute_force_automorphisms(g)) for g in fixed] == [5040, 5040, 72, 1]
@@ -670,7 +688,7 @@ class TestSymmetricRoot:
             gamma = gamma_of(graph_lines(g), d)
             symmetries = search.gamma_symmetries(g, gamma)
             cliques = find_cliques(gamma, symmetries=symmetries)
-            assert cliques == find_cliques(gamma), f"case {case}: p={p} d={d} {g.adjacency.rows}"
+            assert cliques == find_cliques(gamma), f"case {case}: p={p} d={d} {g.adjacency.tolist()}"
             symmetric_cases += cliques.orbits < gamma.num_vertices
         assert symmetric_cases > 5
 
