@@ -195,20 +195,6 @@ def null_space(p: int, rows: np.ndarray | Sequence[Sequence[int]], dim: int) -> 
     return out
 
 
-def quotient_map(vectors: Sequence[FpVector], dim: int) -> np.ndarray:
-    """The map F_p^dim -> F_p^(dim - r) that projects from the span of the vectors.
-
-    Its rows are the RREF basis of the vectors' null space (null_space): they
-    vanish on the span of the vectors, r its dimension, and have rank
-    dim − r, so they map F_p^dim onto F_p^(dim − r) with that span as the
-    kernel. The map is returned as a read-only (dim − r, dim) int64 array of
-    residues mod p.
-    """
-    if not vectors:
-        raise ValueError("need at least one vector")
-    return null_space(vectors[0].p, [v.entries for v in vectors], dim)
-
-
 def rank_of_vectors(p: int, vectors: np.ndarray | Sequence[Sequence[int]]) -> int:
     """Rank of a small stack of raw coefficient tuples.
 

@@ -280,13 +280,14 @@ def _sum_table(p: int, k: int) -> np.ndarray:
 def project_lines(x: QuantumLineSet, ts: Sequence[FpVector]) -> QuantumLineSet:
     """Project every line from the span of the given vectors.
 
-    Each point goes through fields.quotient_map of the vectors, the same map
-    whose rows generate the subgroup on the generator side
-    (pauli.subgroup_fixing). A line meets the centre exactly when one of its
-    points maps to zero, and the first such line raises CollapsedImage; the
-    points of every other line map to the p + 1 points of its image.
+    Each point goes through the map whose rows are the null space of the
+    vectors (fields.null_space), the same rows that generate the subgroup
+    on the generator side (pauli.subgroup_fixing); with no vectors it is
+    the identity. A line meets the centre exactly when one of its points
+    maps to zero, and the first such line raises CollapsedImage; the points
+    of every other line map to the p + 1 points of its image.
     """
-    q = fields.quotient_map(list(ts), x.dim)
+    q = fields.null_space(x.p, [t.entries for t in ts], x.dim)
     codes = geometry.point_code(x.p, geometry.digits(x.p, x.dim, x.points) @ q.T)
     collapsed = np.flatnonzero((codes == 0).any(axis=1))
     if len(collapsed):

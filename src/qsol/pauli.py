@@ -216,14 +216,14 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
     """The subgroup fixing both Q_t and Q_u componentwise.
 
     Generated by M'_3..M'_{n-k}, the elements given by the rows of the
-    quotient map from the span of the centre (t, u) (see subgroup_fixing).
-    Phases are composed exactly, so the generators are genuine elements of
-    the parent group.
+    null space of the centre (t, u) (see subgroup_fixing). Phases are
+    composed exactly, so the generators are genuine elements of the parent
+    group.
     """
     m = s.num_generators
     if len(t) != m or len(u) != m:
         raise ValueError("t, u must have one entry per generator")
-    q = fields.quotient_map([t, u], m)
+    q = fields.null_space(s.p, [t.entries, u.entries], m)
     if len(q) > m - 2:
         raise DependentCentre("t and u are proportional or zero")
     return StabiliserGroup(s.modulus, s.n, s.elements(q))
@@ -232,11 +232,12 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
 def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
     """The subgroup acting trivially on Q_c for every vector c in the span of the centre.
 
-    The generators are the elements given by the rows of fields.quotient_map
-    of the centre, which vanish on the span of the centre; there are
-    num_generators - rank(centre) of them.
+    The generators are the elements given by the rows of fields.null_space
+    of the centre, the map that projects from its span: they vanish on that
+    span, and there are num_generators - rank(centre) of them.
     """
-    return StabiliserGroup(s.modulus, s.n, s.elements(fields.quotient_map(list(centre), s.num_generators)))
+    q = fields.null_space(s.p, [c.entries for c in centre], s.num_generators)
+    return StabiliserGroup(s.modulus, s.n, s.elements(q))
 
 
 def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:

@@ -21,6 +21,7 @@ from .errors import (
     IsolatedVertex,
     NoClique,
     TimeLimitExceeded,
+    TooLarge,
     UnsupportedDistance,
 )
 from .fields import FpVector, PrimeModulus
@@ -84,36 +85,32 @@ class LabelledGraph:
         return len(self.adjacency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
-    """Vertices are the codes of candidate points, in increasing order; each has one bitset row.
+    """Γ: the codes of candidate points in increasing order, and a read-only symmetric (n, n) bool adjacency array.
 
-    Bit j of rows[i] is set exactly when vertices i and j are joined. A row
-    with bit i set (a loop) or a bit at or past the vertex count is refused,
-    and so are rows that are not symmetric: the bit matrix must equal its
-    transpose.
+    Entry (i, j) is set exactly when vertices i and j are joined. An array
+    of another shape than (n, n) for n vertices, a loop (a set diagonal
+    entry) and an array that is not equal to its transpose are refused; the
+    last names the first pair joined one way only.
     """
 
     vertices: tuple[int, ...]
-    rows: tuple[int, ...]
+    adjacency: np.ndarray
 
     def __post_init__(self):
+        a = np.array(self.adjacency, dtype=bool)
         n = len(self.vertices)
-        if len(self.rows) != n:
-            raise ValueError("need one adjacency row per vertex")
-        for i, row in enumerate(self.rows):
-            if row >> n or row >> i & 1:
-                raise ValueError(f"row {i} must join vertex {i} only to other vertices 0..{n - 1}")
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8)
-        packed = packed.reshape(n, width)
-        # eight rows at a time, so no n x n array is built, against byte column b (bit c of row j is entry (j, 8b + c))
-        for b in range(width):
-            rows = np.unpackbits(packed[8 * b:8 * b + 8], axis=1, count=n, bitorder="little")
-            one_way = rows > np.unpackbits(packed[:, b], bitorder="little").reshape(n, 8).T[:len(rows)]
-            if one_way.any():
-                i, j = np.argwhere(one_way)[0].tolist()
-                raise ValueError(f"row {8 * b + i} joins vertex {j}, but row {j} does not join vertex {8 * b + i}")
+        if a.shape != (n, n):
+            raise ValueError(f"need an ({n}, {n}) adjacency array for {n} vertices, got shape {a.shape}")
+        loops = np.flatnonzero(a.diagonal())
+        if len(loops):
+            raise ValueError(f"row {loops[0]} must join vertex {loops[0]} only to other vertices")
+        if not np.array_equal(a, a.T):
+            i, j = np.argwhere(a & ~a.T)[0].tolist()
+            raise ValueError(f"row {i} joins vertex {j}, but row {j} does not join vertex {i}")
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency", a)
 
     @property
     def num_vertices(self) -> int:
@@ -121,17 +118,7 @@ class CompatibilityGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
-
-
-def _members(mask: int) -> list[int]:
-    """The indices of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        return int(np.count_nonzero(self.adjacency)) // 2
 
 
 @dataclass(frozen=True)
@@ -222,21 +209,27 @@ def gamma_graph(
     and each once (geometry.normalise). The table is read at the codes of u,
     v and u + c·v, c = 1..p-1 (see lines.line_codes). For v = u the sum
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
-    every row.
+    every row. Blocks of rows are written straight into the (n, n) bool
+    adjacency array, which is refused with TooLarge, before it is allocated,
+    when its n² bytes exceed fields.MAX_TABLE_BYTES.
     """
     p, m = x.p, x.dim
     codes = geometry.normalise(p, m, vertices)
+    n = len(codes)
+    if n * n > fields.MAX_TABLE_BYTES:
+        raise TooLarge(
+            f"a compatibility graph on {n} vertices needs about {n * n / 2 ** 20:.1f} MiB, "
+            f"over the {fields.MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
+        )
     outside = excluded[codes] == OUTSIDE
-    rows: list[int] = []
+    adjacency = np.empty((n, n), dtype=bool)
     # blocks of rows keep the temporaries near 2^20 entries
-    step = max(1, 2 ** 20 // max(len(codes) * m, 1))
-    for lo in range(0, len(codes), step):
+    step = max(1, 2 ** 20 // max(n * m, 1))
+    for lo in range(0, n, step):
         block = slice(lo, lo + step)
         on_line = excluded[line_codes(p, m, codes[block], codes)]
-        joined = outside[block, None] & outside & (on_line == OUTSIDE).all(axis=0)
-        packed = np.packbits(joined, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return CompatibilityGraph(tuple(codes.tolist()), tuple(rows))
+        np.logical_and(outside[block, None] & outside, (on_line == OUTSIDE).all(axis=0), out=adjacency[block])
+    return CompatibilityGraph(tuple(codes.tolist()), adjacency)
 
 
 def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
@@ -375,7 +368,7 @@ def find_cliques(
 ) -> Cliques:
     """Every maximum clique of the compatibility graph, as sorted vertex tuples.
 
-    Branch and bound over the bitset rows with a greedy-colouring bound
+    Branch and bound over integer bitset rows with a greedy-colouring bound
     (Tomita and Seki's MCQ): the candidates of each node are coloured
     greedily, and the search branches on them in reverse colour order while
     the clique so far plus the colour number can still reach the best size.
@@ -386,7 +379,10 @@ def find_cliques(
     vertices out of the uncoloured set, and only the classes from k_min up
     are kept. The tree is MCQ's, node for node. Inside the search vertex v
     is bit n - 1 - v of non-negative masks, so each colouring step takes the
-    lowest free vertex by one bit_length call and two table lookups.
+    lowest free vertex by one bit_length call and two table lookups. The
+    masks come from one big-endian packbits of the adjacency array, whose
+    row read as a big-endian integer holds v at bit n - 1 - v once the
+    padding of the last byte is shifted out.
 
     symmetries are automorphisms of the graph, each a permutation s of the
     vertex indices (see gamma_symmetries), and change the root only. After
@@ -406,7 +402,7 @@ def find_cliques(
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a number of seconds >= 0, got {time_limit}")
-    n = len(g.rows)
+    n = g.num_vertices
     perms = [np.asarray(s).tolist() for s in symmetries]
     if any(sorted(s) != list(range(n)) for s in perms):
         raise ValueError(f"a symmetry must be a permutation of the {n} vertices")
@@ -414,12 +410,12 @@ def find_cliques(
     # vertex v is bit n - 1 - v, so the lowest free vertex is the highest free
     # bit, and b = free.bit_length() = n - v indexes the tables; apart[b]: every
     # vertex other than v that is not joined to it, so may share its colour
-    rows, apart, bits = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for v, row in enumerate(g.rows):
-        b = n - v
-        rows[b] = _reversed_bits(row, n)
-        bits[b] = 1 << b - 1
-        apart[b] = full ^ (rows[b] | bits[b])
+    # a row packed big-endian, read as a big-endian integer, has vertex v at
+    # bit n - 1 - v once the padding of its last byte is shifted out
+    packed = np.packbits(g.adjacency, axis=1)
+    rows = [0] + [int.from_bytes(row.tobytes(), "big") >> (-n % 8) for row in packed[::-1]]
+    bits = [0] + [1 << i for i in range(n)]
+    apart = [full ^ (row | bit) for row, bit in zip(rows, bits)]
     # orbit[b]: the bits of v's orbit, v alone without symmetries
     orbit = list(bits)
     if perms:
@@ -440,7 +436,7 @@ def find_cliques(
         if deadline is not None and best and time.monotonic() > deadline:
             raise TimeLimitExceeded(
                 f"clique search timed out; best so far: {len(best)} maximal clique(s) of size {best_size}",
-                best=_as_tuples(best, n),
+                best=sorted(_as_tuples(best, n)),
             )
         if not cand:
             if size > best_size:
@@ -463,60 +459,48 @@ def find_cliques(
             uncoloured ^= cls
             if colour >= k_min:
                 classes.append(cls)
-        if not size:
-            # the root, in the same order, drops each branched vertex's orbit
-            for cls in reversed(classes):
-                cls &= cand
-                while cls:
-                    if colour < best_size:
-                        return
-                    bit = cls & -cls
-                    b = bit.bit_length()
-                    expand(bit, 1, cand & rows[b])
-                    cand &= ~orbit[b]
-                    cls &= cand
-                colour -= 1
-            return
         # branch in MCQ's order: from the last class down, each class from its
-        # highest vertex, which is its lowest bit
+        # highest vertex, which is its lowest bit; after branching on v the root
+        # drops v's orbit and an inner node v alone, and cls skips what is dropped
+        drop = orbit if not size else bits
         for cls in reversed(classes):
+            cls &= cand
             while cls:
                 if size + colour < best_size:
                     return
                 bit = cls & -cls
-                cls ^= bit
-                expand(clique | bit, size + 1, cand & rows[bit.bit_length()])
-                cand ^= bit
+                b = bit.bit_length()
+                expand(clique | bit, size + 1, cand & rows[b])
+                cand &= ~drop[b]
+                cls &= cand
             colour -= 1
 
     if n:
         expand(0, 0, full)
     cliques = _as_tuples(best, n)
     if perms:
-        found, cliques = set(cliques), list(cliques)
+        found = set(cliques)
         for clique in cliques:
             for s in perms:
                 image = tuple(sorted(s[v] for v in clique))
                 if image not in found:
                     found.add(image)
                     cliques.append(image)
-        cliques.sort()
+    cliques.sort()
     return Cliques(cliques, nodes, len(set(orbit[1:])))
 
 
-# the bits of each byte in reverse order
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed_bits(mask: int, n: int) -> int:
-    """mask below 2^n with bit j moved to bit n - 1 - j."""
-    width = (n + 7) // 8
-    return int.from_bytes(mask.to_bytes(width, "little").translate(_REVERSED_BYTES), "big") >> 8 * width - n
-
-
 def _as_tuples(cliques: list[int], n: int) -> list[tuple[int, ...]]:
-    """The cliques, as masks with vertex v at bit n - 1 - v, as sorted vertex tuples."""
-    return sorted(tuple(_members(_reversed_bits(c, n))) for c in cliques)
+    """The cliques, as masks with vertex v at bit n - 1 - v, as increasing vertex tuples: bit b - 1 is vertex n - b."""
+    out = []
+    for mask in cliques:
+        members = []
+        while mask:
+            b = mask.bit_length()
+            members.append(n - b)
+            mask ^= 1 << b - 1
+        out.append(tuple(members))
+    return out
 
 
 def is_subspace_t(t: CodingSet) -> bool:

@@ -161,7 +161,7 @@ def random_group_with_lines(rng: random.Random, modulus: PrimeModulus, n: int, m
 
 
 def apply_map(q: np.ndarray, v: FpVector) -> FpVector:
-    """The image of v under an int64 matrix such as fields.quotient_map, reduced mod p."""
+    """The image of v under an int64 matrix such as a centre's fields.null_space, reduced mod p."""
     return FpVector(v.modulus, tuple((q @ np.array(v.entries, dtype=np.int64)).tolist()))
 
 
@@ -244,7 +244,7 @@ def reference_kernel_basis(p: int, rows, ncols: int) -> list[list[int]]:
 
 
 def reference_quotient_map(vectors, dim: int) -> np.ndarray:
-    """The projection from the span of the vectors by one elimination of [C | I]: the reference for fields.quotient_map.
+    """The projection from the span of the vectors by one elimination of [C | I]: the reference for their null_space.
 
     With the vectors as the columns of C, the pivots in C are the greedy
     independent subset of the vectors, r of them, and the pivots in I
@@ -303,8 +303,8 @@ def incident(x) -> list[tuple[int, ...]]:
 
 
 def edges(gamma) -> set[tuple[int, int]]:
-    """The edges of a compatibility graph as index pairs (i, j) with i < j, read off its bitset rows."""
-    return {(i, j) for i, row in enumerate(gamma.rows) for j in range(i + 1, gamma.num_vertices) if row >> j & 1}
+    """The edges of a compatibility graph as index pairs (i, j) with i < j, read off its adjacency array."""
+    return {(i, j) for i, j in np.argwhere(np.triu(gamma.adjacency, 1)).tolist()}
 
 
 def pauli_rows(ops) -> np.ndarray:

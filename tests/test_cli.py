@@ -133,6 +133,21 @@ class TestProject:
         header, *rows = full.splitlines()
         assert header == "3 11 6" and len(rows) == 5
 
+    def test_zero_coding_set_projects_by_the_identity(self, data_dir, tmp_path, capsys):
+        # T = {0} is a valid coding set with no nonzero vector: the centre is
+        # the zero subspace, and the output has the five-qubit code's lines
+        from qsol import io, lines
+
+        zero = tmp_path / "zero.tset"
+        zero.write_text("2 5\n0 0 0 0 0\n")
+        gens = data_dir / "pentagon.gens"
+        assert main(["project", "--gens", str(gens), "--tset", str(zero)]) == EXIT_OK
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (PENTAGON_ZERO_PROJECT, "")
+        group, projected = io.parse_generators(gens.read_text()), io.parse_generators(out.out)
+        assert np.array_equal(lines.lines_from_matrix(projected.gmatrix, 5, 0).points,
+                              lines.lines_from_matrix(group.gmatrix, 5, 0).points)
+
     def test_collapsing_centre_exits_one(self, data_dir, tmp_path, capsys):
         # e_1 is incident with a line, so projecting from it collapses
         centre = tmp_path / "centre.tset"
@@ -341,6 +356,15 @@ PENTAGON_PAIR_PROJECT = """\
 1 1 1 1 0 0 0 0 0 0
 0 0 0 0 1 0 1 0 1 0
 0 1 0 0 0 1 0 1 0 1
+"""
+
+PENTAGON_ZERO_PROJECT = """\
+2 5 0
+1 1 0 0 1 0 0 0 0 0
+0 0 1 0 0 1 1 0 0 0
+0 1 0 1 0 0 0 1 0 0
+0 0 1 0 1 0 0 0 1 0
+0 0 0 1 0 1 0 0 0 1
 """
 
 TERNARY_EXTEND = """\

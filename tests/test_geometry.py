@@ -8,7 +8,7 @@ import pytest
 from qsol.errors import CollapsedImage, DimensionMismatch, TooLarge
 import numpy as np
 
-from qsol.fields import FpVector, PrimeModulus, null_space, quotient_map, rank_of_vectors
+from qsol.fields import FpVector, PrimeModulus, null_space, rank_of_vectors
 from qsol.geometry import (
     ProjSubspace,
     digits,
@@ -176,12 +176,12 @@ class TestPointsOf:
 
 class TestProjection:
     def test_image_dimension_drops_by_centre_rank(self, mod2):
-        q = quotient_map([FpVector(mod2, (1, 0, 0, 0))], 4)
+        q = null_space(2, [(1, 0, 0, 0)], 4)
         img = apply_map(q, FpVector(mod2, (1, 1, 0, 1)))
         assert len(img) == 3
 
     def test_centre_point_collapses(self, mod2):
-        q = quotient_map([FpVector(mod2, (1, 1, 0))], 3)
+        q = null_space(2, [(1, 1, 0)], 3)
         assert apply_map(q, FpVector(mod2, (1, 1, 0))).is_zero()
 
     def test_line_through_centre_collapses(self, mod2):
@@ -196,7 +196,7 @@ class TestProjection:
             centre = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
             if centre.is_zero():
                 continue
-            q = quotient_map([centre], dim)
+            q = null_space(3, [centre.entries], dim)
             u = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
             v = FpVector(mod3, tuple(rng.randrange(3) for _ in range(dim)))
             assert apply_map(q, u + v) == apply_map(q, u) + apply_map(q, v)
@@ -207,7 +207,7 @@ class TestProjection:
         centre = [FpVector(mod2, (1, 1, 1, 1))]
         line = lines_spanned_by(mod2, [(1, 0, 0, 0)], [(0, 1, 0, 0)])
         (img,) = project_lines(line, centre).points
-        q = quotient_map(centre, 4)
+        q = null_space(2, [c.entries for c in centre], 4)
         img_points = {normalised(2, apply_map(q, FpVector(mod2, pt)).entries) for pt in vectors(2, 4, line.points[0])}
         assert img_points == set(vectors(2, 3, img))
 

@@ -411,7 +411,7 @@ class TestLineCodes:
 class TestProjectLines:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_projecting_each_point(self, p):
-        # against the image under quotient_map(...) of every point, normalised and
+        # against the image under the centre's null_space of every point, normalised and
         # sorted; centres of one vector up to the whole space, dependent ones
         # included, so that lines collapse at random places
         rng = random.Random(980 + p)
@@ -422,7 +422,7 @@ class TestProjectLines:
             x = random_line_set(rng, mod, rng.randrange(1, 6), m)
             nonzero = [v for v in (tuple(rng.randrange(p) for _ in range(m)) for _ in range(3 * m)) if any(v)]
             centre = [FpVector(mod, v) for v in nonzero[: rng.randrange(1, m + 1)]]
-            q = fields.quotient_map(centre, m)
+            q = fields.null_space(p, [c.entries for c in centre], m)
             images = [[apply_map(q, FpVector(mod, v)) for v in vectors(p, m, row)] for row in x.points]
             first = next((i for i, image in enumerate(images) if any(v.is_zero() for v in image)), None)
             if first is None:

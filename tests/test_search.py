@@ -304,7 +304,8 @@ class TestGammaGraph:
             rng.shuffle(given)
             codes = geometry.vector_codes(p, n, given)
             gamma = gamma_graph(x, codes.tolist() if case % 2 else codes, excluded)
-            assert (gamma.vertices, gamma.rows) == (expected.vertices, expected.rows), f"case {case}: p={p} n={n} d={d}"
+            where = f"case {case}: p={p} n={n} d={d}"
+            assert gamma.vertices == expected.vertices and np.array_equal(gamma.adjacency, expected.adjacency), where
             edges[p] += expected.num_edges
         assert all(edges[p] for p in (2, 3, 5)), f"edges compared: {dict(edges)}"
 
@@ -315,55 +316,83 @@ class TestGammaGraph:
         with pytest.raises(TooLarge, match=r"1073741824 entries needs about 1024\.0 MiB, over the 256 MiB budget"):
             excluded_points(x, 2)
 
-    @pytest.mark.parametrize("rows", [(0b01, 0), (0b10, 0b11), (0b100, 0), (-1, 0)])
+    def test_over_budget_is_refused_before_allocating(self, mod2, monkeypatch):
+        # all 4095 points of PG(11, 2) as vertices: 4095² bytes is about 16 MiB,
+        # over an 8 MiB budget, and the guard fires before the array exists, so
+        # the peak stays far below it; a budget of exactly 16² bytes admits the
+        # pentagon's 16 vertices
+        import tracemalloc
+
+        x = cycle_lines(mod2, 12)
+        excluded = excluded_points(x, 2)
+        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 2 ** 23)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"on 4095 vertices needs about 16\.0 MiB, over the 8 MiB budget"):
+                gamma_graph(x, np.arange(1, 2 ** 12), excluded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22
+        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16 ** 2)
+        assert gamma_of(cycle_lines(mod2, 5), 2).num_vertices == 16
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 1]], [[0, 0], [0, -1]]])
     def test_malformed_rows_are_refused(self, rows):
-        # a loop at vertex 0 or 1, a bit past the last vertex, and a negative
-        # row, whose bits run on past every vertex
+        # a loop at vertex 0, at vertex 1 beside an edge, at both, and a
+        # nonzero entry other than 1, which is a join like any other
         with pytest.raises(ValueError, match="must join vertex"):
             CompatibilityGraph((1, 2), rows)
 
-    @pytest.mark.parametrize("rows, i, j", [((0b110, 0, 0), 0, 1), ((0b110, 0b001, 0), 0, 2), ((0, 0b100, 0), 1, 2)])
+    @pytest.mark.parametrize("adjacency", [(), [0, 0], [[0, 1, 0], [1, 0, 0]], np.zeros((3, 3), dtype=bool)])
+    def test_wrong_shape_adjacency_is_refused(self, adjacency):
+        with pytest.raises(ValueError, match=r"need an \(2, 2\) adjacency array for 2 vertices"):
+            CompatibilityGraph((1, 2), adjacency)
+
+    @pytest.mark.parametrize("rows, i, j", [
+        ([[0, 1, 1], [0, 0, 0], [0, 0, 0]], 0, 1),
+        ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], 0, 2),
+        ([[0, 0, 0], [0, 0, 1], [0, 0, 0]], 1, 2),
+    ])
     def test_one_way_rows_are_refused(self, rows, i, j):
         with pytest.raises(ValueError, match=f"row {i} joins vertex {j}, but row {j} does not join vertex {i}"):
             CompatibilityGraph((1, 2, 3), rows)
 
     def test_one_way_pair_across_row_blocks(self):
-        # rows are checked 64 at a time: row 3 sees the missing bit first, but
-        # the pair is reported from row 150, the row that has it
-        rows = [0] * 200
-        rows[0] = 1 << 199
-        rows[199] = 1
-        assert CompatibilityGraph(tuple(range(1, 201)), tuple(rows)).num_edges == 1
-        rows[150] |= 1 << 3
+        # row 3 misses the join to 150, and the pair is reported from row 150,
+        # the row that has it
+        a = np.zeros((200, 200), dtype=bool)
+        a[0, 199] = a[199, 0] = True
+        assert CompatibilityGraph(tuple(range(1, 201)), a).num_edges == 1
+        a[150, 3] = True
         with pytest.raises(ValueError, match="row 150 joins vertex 3, but row 3 does not join vertex 150"):
-            CompatibilityGraph(tuple(range(1, 201)), tuple(rows))
+            CompatibilityGraph(tuple(range(1, 201)), a)
 
     def test_symmetry_check_matches_bit_tests(self):
-        # random graphs on up to 20 vertices, across the byte boundaries, with
-        # one bit flipped in every other case, against pairwise bit tests
+        # random graphs on up to 20 vertices, with one entry flipped in every
+        # other case, against pairwise entry tests
         rng = random.Random(6016)
         seen = {True: 0, False: 0}
         for case in range(80):
             nv = rng.randint(2, 20)
-            rows = random_rows(rng, nv, rng.random())
+            a = random_adjacency(rng, nv, rng.random())
             if case % 2:
                 i, j = rng.sample(range(nv), 2)
-                rows[i] ^= 1 << j
-            one_way = [(i, j) for i in range(nv) for j in range(nv) if rows[i] >> j & 1 and not rows[j] >> i & 1]
+                a[i, j] ^= True
+            one_way = [(i, j) for i in range(nv) for j in range(nv) if a[i, j] and not a[j, i]]
             if one_way:
                 i, j = one_way[0]
                 with pytest.raises(ValueError, match=f"row {i} joins vertex {j}, but row {j} does not join"):
-                    CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+                    CompatibilityGraph(tuple(range(1, nv + 1)), a)
             else:
-                assert CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows)).rows == tuple(rows)
+                assert np.array_equal(CompatibilityGraph(tuple(range(1, nv + 1)), a).adjacency, a)
             seen[not one_way] += 1
         assert min(seen.values()) >= 30
 
     def test_rows_are_symmetric_without_loops(self, pentagon_lines):
-        gamma = gamma_of(pentagon_lines, 2)
-        for i, row in enumerate(gamma.rows):
-            assert not row >> i & 1
-            assert all(gamma.rows[j] >> i & 1 for j in range(gamma.num_vertices) if row >> j & 1)
+        a = gamma_of(pentagon_lines, 2).adjacency
+        assert a.dtype == bool and a.shape == (16, 16) and not a.flags.writeable
+        assert not a.diagonal().any() and np.array_equal(a, a.T)
 
 
 class TestFindCliques:
@@ -384,13 +413,13 @@ class TestFindCliques:
         assert printed in as_sets
 
     def test_edgeless_graph(self, mod2):
-        gamma = CompatibilityGraph((1, 2, 4, 8), (0,) * 4)
+        gamma = CompatibilityGraph((1, 2, 4, 8), np.zeros((4, 4), dtype=bool))
         cliques = find_cliques(gamma)
         assert len(cliques) == 4
         assert all(len(c) == 1 for c in cliques)
 
     def test_empty_graph(self):
-        assert find_cliques(CompatibilityGraph((), ())) == []
+        assert find_cliques(CompatibilityGraph((), np.zeros((0, 0), dtype=bool))) == []
 
     def test_time_limit_carries_best(self, nine_cycle_lines, nine_cycle_restriction):
         # the deadline is checked once the first descent has recorded a
@@ -401,17 +430,16 @@ class TestFindCliques:
         best = err.value.best
         assert isinstance(best, list) and best
         for clique in best:
-            members = sum(1 << i for i in clique)
             for a, b in itertools.combinations(clique, 2):
-                assert gamma.rows[a] >> b & 1
+                assert gamma.adjacency[a, b]
             for v in range(gamma.num_vertices):
                 if v not in clique:
-                    assert gamma.rows[v] & members != members
+                    assert not gamma.adjacency[v, list(clique)].all()
 
     @pytest.mark.parametrize("limit", [-1.0, float("nan")])
     def test_bad_time_limit_is_refused(self, limit):
         with pytest.raises(ValueError, match="time limit"):
-            find_cliques(CompatibilityGraph((1, 2), (0b10, 0b01)), time_limit=limit)
+            find_cliques(CompatibilityGraph((1, 2), [[0, 1], [1, 0]]), time_limit=limit)
 
     def test_property_matches_brute_force(self):
         # every maximum clique of random graphs on up to 14 vertices, across
@@ -420,9 +448,9 @@ class TestFindCliques:
         for case in range(80):
             nv = 14 if case < 2 else rng.randint(0, 14)
             density = [0.0, 1.0][case] if case < 2 else rng.random()
-            rows = random_rows(rng, nv, density)
-            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
-            assert find_cliques(gamma) == brute_force_maximum_cliques(rows), f"case {case}: {nv} vertices"
+            a = random_adjacency(rng, nv, density)
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), a)
+            assert find_cliques(gamma) == brute_force_maximum_cliques(a), f"case {case}: {nv} vertices"
 
     def test_property_same_search_tree_as_reference(self):
         # the same cliques in the same number of nodes as the MCQ search that
@@ -432,8 +460,7 @@ class TestFindCliques:
         for case in range(24):
             nv = rng.randint(15, 90)
             density = rng.uniform(0.2, 0.9)
-            rows = random_rows(rng, nv, density)
-            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), random_adjacency(rng, nv, density))
             where = f"case {case}: {nv} vertices, density {density:.2f}"
             cliques, expected = find_cliques(gamma), reference_find_cliques(gamma)
             assert (cliques, cliques.nodes) == (expected, expected.nodes), where
@@ -441,29 +468,33 @@ class TestFindCliques:
 
     @pytest.mark.parametrize("nv", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
     def test_vertex_counts_at_byte_boundaries(self, nv):
-        # the search reverses each row over whole bytes and shifts out the
+        # the search packs each row into whole bytes and shifts out the
         # padding, so vertex counts on either side of a byte edge must decode
         # to the same cliques and tree as the reference
         rng = random.Random(6017 + nv)
         for density in (0.0, 0.25, 0.5, 1.0):
-            rows = random_rows(rng, nv, density)
-            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), tuple(rows))
+            a = random_adjacency(rng, nv, density)
+            gamma = CompatibilityGraph(tuple(range(1, nv + 1)), a)
             where = f"{nv} vertices, density {density}"
             cliques, expected = find_cliques(gamma), reference_find_cliques(gamma)
             assert (cliques, cliques.nodes) == (expected, expected.nodes), where
             assert search_outcome(find_cliques, gamma) == search_outcome(reference_find_cliques, gamma), where
             if nv <= 14:
-                assert cliques == brute_force_maximum_cliques(rows), where
+                assert cliques == brute_force_maximum_cliques(a), where
 
 
-def random_rows(rng, nv, density):
-    """Bitset rows of a random graph on nv vertices with each pair joined with probability density."""
-    rows = [0] * nv
-    for a, b in itertools.combinations(range(nv), 2):
+def random_adjacency(rng, nv, density):
+    """The (nv, nv) bool adjacency array of a random graph with each pair joined with probability density."""
+    a = np.zeros((nv, nv), dtype=bool)
+    for u, v in itertools.combinations(range(nv), 2):
         if rng.random() < density:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return rows
+            a[u, v] = a[v, u] = True
+    return a
+
+
+def bitset_rows(a):
+    """The adjacency array as one integer per row, bit j of row i set iff i and j are joined."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in a]
 
 
 def search_outcome(search_fn, graph):
@@ -481,7 +512,7 @@ def reference_find_cliques(g, time_limit=None):
     find_cliques colours only as far as its bound needs, and must still
     visit the same nodes in the same order as this search.
     """
-    rows = g.rows
+    rows = bitset_rows(g.adjacency)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     best, best_size, nodes = [], 0, 0
 
@@ -526,8 +557,9 @@ def reference_find_cliques(g, time_limit=None):
     return search.Cliques(as_tuples(best), nodes)
 
 
-def brute_force_maximum_cliques(rows):
-    """Every maximum clique, by testing every vertex subset in turn."""
+def brute_force_maximum_cliques(a):
+    """Every maximum clique of the adjacency array, by testing every vertex subset in turn."""
+    rows = bitset_rows(a)
     is_clique = [True] * (1 << len(rows))
     for subset in range(1, 1 << len(rows)):
         low = subset & -subset
@@ -551,12 +583,12 @@ def test_cws_reference_cliques_match_brute_force():
     for case in range(120):
         nv = 14 if case < 2 else rng.randint(1, 14)
         density = [0.0, 1.0][case] if case < 2 else rng.random()
-        rows = random_rows(rng, nv, density)
+        a = random_adjacency(rng, nv, density)
         # the vertices are arbitrary distinct integers, here 2i + 3 for vertex i
-        edge_set = {frozenset((2 * i + 3, 2 * j + 3)) for i in range(nv) for j in range(i) if rows[i] >> j & 1}
+        edge_set = {frozenset((2 * i + 3, 2 * j + 3)) for i in range(nv) for j in range(i) if a[i, j]}
         found = sorted(sorted((v - 3) // 2 for v in c) for c in cws_reference.maximum_cliques(
             [2 * i + 3 for i in range(nv)], edge_set))
-        assert found == [list(c) for c in brute_force_maximum_cliques(rows)], f"case {case}: {nv} vertices"
+        assert found == [list(c) for c in brute_force_maximum_cliques(a)], f"case {case}: {nv} vertices"
 
 
 def random_labelled_graph(rng, p, n, density, connected=False):
@@ -648,9 +680,9 @@ class TestGammaSymmetries:
             gamma = gamma_of(graph_lines(g), d)
             for s in search.gamma_symmetries(g, gamma):
                 assert sorted(s.tolist()) == list(range(gamma.num_vertices)), f"case {case}"
-                for i, row in enumerate(gamma.rows):
-                    image = sum(1 << int(s[j]) for j in range(gamma.num_vertices) if row >> j & 1)
-                    assert image == gamma.rows[s[i]], f"case {case}: row {i}"
+                a = gamma.adjacency
+                for i in range(gamma.num_vertices):
+                    assert np.array_equal(a[s[i], s], a[i]), f"case {case}: row {i}"
                 moved += 1
         assert moved > 10
 
@@ -658,7 +690,7 @@ class TestGammaSymmetries:
         # one vertex of the pentagon's Γ alone is not closed under the cycle's symmetry
         gamma = gamma_of(pentagon_lines, 2)
         with pytest.raises(ValueError, match="moves a vertex of Γ off Γ"):
-            search.gamma_symmetries(pentagon_graph, CompatibilityGraph(gamma.vertices[:1], (0,)))
+            search.gamma_symmetries(pentagon_graph, CompatibilityGraph(gamma.vertices[:1], [[0]]))
 
 
 class TestSymmetricRoot:
@@ -713,7 +745,7 @@ class TestSymmetricRoot:
     @pytest.mark.parametrize("symmetry", [(0, 0), (1,), (0, 1, 2)])
     def test_symmetry_must_permute_the_vertices(self, symmetry):
         with pytest.raises(ValueError, match="permutation of the 2 vertices"):
-            find_cliques(CompatibilityGraph((1, 2), (0b10, 0b01)), symmetries=[symmetry])
+            find_cliques(CompatibilityGraph((1, 2), [[0, 1], [1, 0]]), symmetries=[symmetry])
 
 
 class TestCodingSet:
@@ -890,11 +922,11 @@ class TestRunRecipe:
         capped = any("additive code has distance 2 < d" in w for w in report.warnings)
         assert capped == (k == 2)
         # the subgroup's generators are the running products of the parent's
-        # generators given by the rows of the quotient map from the centre
+        # generators given by the rows of the null space of the centre
         group = graph_to_generators(nine_cycle_graph)
         x = lines_mod.lines_from_matrix(group.gmatrix, 9, 0)
         centre = search._lex_least_independent(group.modulus, 9, candidate_vertices(x, excluded_points(x, 3)), k)
-        rows = fields.quotient_map(centre, 9)
+        rows = fields.null_space(2, [c.entries for c in centre], 9)
         assert report.group.rows.tolist() == reference_rows(group, rows).tolist()
 
     @pytest.mark.parametrize("k", [3, 4])
