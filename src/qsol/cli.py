@@ -133,7 +133,7 @@ def cmd_distance(args) -> int:
 def cmd_project(args) -> int:
     group, tset = _read_code(args)
     x = lines_mod.lines_from_matrix(group.gmatrix, group.n, group.k)
-    projected = lines_mod.project_lines(x, tset.nonzero())
+    projected = lines_mod.project_lines(x, tset.vectors)
     g = lines_mod.matrix_from_lines(projected)
     n = projected.n
     k = n - len(g)

@@ -33,10 +33,6 @@ class UnsupportedModulus(QsolError):
     """Operation only defined for a specific local dimension."""
 
 
-class UnsupportedDistance(QsolError):
-    """Requested distance makes candidate enumeration infeasible."""
-
-
 class IsolatedVertex(QsolError):
     """Graph vertex without any incident edge."""
 

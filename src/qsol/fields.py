@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the prime fields F_p, 2 <= p <= 31.
 
-A matrix is an int64 array of residues, one row per vector, and a vector an
-immutable FpVector; every entry is stored as its smallest non-negative
+A matrix is an int64 array of residues, one row per vector, and a vector
+one such row; every entry is stored as its smallest non-negative
 representative. Row spaces, null spaces and ranks come from one
 Gauss-Jordan elimination, and ranks over F_2 from rows packed into
 integers. All tie-breaking is lexicographic on entry tuples, which keeps
@@ -44,50 +44,22 @@ class PrimeModulus:
             raise ValueError(f"modulus must be a prime in [2, {_MAX_PRIME}], got {self.p}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class FpVector:
-    """An immutable vector of residues mod p."""
+    """A record of residues mod p: what CodingSet.nonzero yields and pauli.subgroup_tu reads.
+
+    The library holds vectors as int64 rows; the benchmark's
+    t11-p3-distance op (perfbench/workloads.py) still takes these records.
+    """
 
     modulus: PrimeModulus
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.modulus.p
-        object.__setattr__(self, "entries", tuple(int(e) % p for e in self.entries))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
+        object.__setattr__(self, "entries", tuple(int(e) % self.modulus.p for e in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check(other)
-        p = self.p
-        return FpVector(self.modulus, tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check(other)
-        p = self.p
-        return FpVector(self.modulus, tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: int) -> "FpVector":
-        p = self.p
-        return FpVector(self.modulus, tuple((c * a) % p for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def _check(self, other: "FpVector") -> None:
-        if self.modulus != other.modulus or len(self) != len(other):
-            raise ValueError("vector shape or modulus mismatch")
 
 
 def tagged(p: int, rows: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputFormatError
-from .fields import FpVector, PrimeModulus
+from .fields import PrimeModulus
 from .pauli import StabiliserGroup
 from .search import CodingSet, LabelledGraph
 
@@ -40,19 +40,28 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_generators(text: str) -> StabiliserGroup:
+def _header(text: str, kind: str, count: int) -> tuple[int, PrimeModulus, list[int], list[tuple[int, str]]]:
+    """The header's line number, its modulus p and the fields after p, and the content lines below it.
+
+    The header is the first content line, "p" and then count - 1 more
+    integer fields; a file with no content lines is an empty kind file.
+    """
     lines = _content_lines(text)
     if not lines:
-        raise InputFormatError("empty generator file")
+        raise InputFormatError(f"empty {kind} file")
     lineno, header = lines[0]
-    p, n, k = _int_fields(header, lineno, 3)
+    p, *rest = _int_fields(header, lineno, count)
     try:
         modulus = PrimeModulus(p)
     except ValueError as exc:
         raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
+    return lineno, modulus, rest, lines[1:]
+
+
+def parse_generators(text: str) -> StabiliserGroup:
+    lineno, modulus, (n, k), body = _header(text, "generator", 3)
     if n < 1 or not 0 <= k <= n:
         raise InputFormatError(f"line {lineno}: need n >= 1 and 0 <= k <= n, got n = {n}, k = {k}", line=lineno)
-    body = lines[1:]
     if len(body) != n - k:
         # the first surplus row, or the header when rows are missing
         ln = body[n - k][0] if len(body) > n - k else lineno
@@ -69,19 +78,12 @@ def format_generators(s: StabiliserGroup) -> str:
 
 
 def parse_graph(text: str) -> LabelledGraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise InputFormatError("empty graph file")
-    lineno, header = lines[0]
-    p, n = _int_fields(header, lineno, 2)
-    try:
-        modulus = PrimeModulus(p)
-    except ValueError as exc:
-        raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
+    _, modulus, (n,), body = _header(text, "graph", 2)
+    p = modulus.p
     edges = []
     # the line of each edge so far, keyed by its ends in either order
     seen: dict[tuple[int, int], int] = {}
-    for ln, line in lines[1:]:
+    for ln, line in body:
         i, j, label = _int_fields(line, ln, 3)
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InputFormatError(f"line {ln}: bad edge ({i}, {j})", line=ln)
@@ -96,31 +98,23 @@ def parse_graph(text: str) -> LabelledGraph:
 
 
 def parse_coding_set(text: str) -> CodingSet:
-    lines = _content_lines(text)
-    if not lines:
-        raise InputFormatError("empty coding-set file")
-    lineno, header = lines[0]
-    p, length = _int_fields(header, lineno, 2)
-    try:
-        modulus = PrimeModulus(p)
-    except ValueError as exc:
-        raise InputFormatError(f"line {lineno}: {exc}", line=lineno) from exc
-    # the line of each vector so far, so that a repeat names both lines
-    seen: dict[FpVector, int] = {}
-    for ln, line in lines[1:]:
-        v = FpVector(modulus, tuple(_int_fields(line, ln, length)))
+    lineno, modulus, (length,), body = _header(text, "coding-set", 2)
+    # the line of each vector so far, reduced mod p, so that a repeat names both lines
+    seen: dict[tuple[int, ...], int] = {}
+    for ln, line in body:
+        v = tuple(e % modulus.p for e in _int_fields(line, ln, length))
         if v in seen:
-            raise InputFormatError(f"line {ln}: vector {v.entries} repeats the vector of line {seen[v]}", line=ln)
+            raise InputFormatError(f"line {ln}: vector {v} repeats the vector of line {seen[v]}", line=ln)
         seen[v] = ln
-    if FpVector(modulus, (0,) * length) not in seen:
+    if (0,) * length not in seen:
         raise InputFormatError(f"line {lineno}: coding set must contain the zero vector", line=lineno)
-    return CodingSet(modulus, length, tuple(seen))
+    return CodingSet(modulus, np.array(list(seen), dtype=np.int64).reshape(len(seen), length))
 
 
 def format_coding_set(t: CodingSet) -> str:
     lines = [f"{t.p} {t.length}"]
-    for v in t.vectors:
-        lines.append(" ".join(str(e) for e in v.entries))
+    for row in t.vectors.tolist():
+        lines.append(" ".join(str(e) for e in row))
     return "\n".join(lines) + "\n"
 
 

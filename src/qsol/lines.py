@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fields, geometry, pauli
 from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
-from .fields import FpVector, PrimeModulus
+from .fields import PrimeModulus
 
 
 class AtLeast(NamedTuple):
@@ -277,17 +277,18 @@ def _sum_table(p: int, k: int) -> np.ndarray:
     return table
 
 
-def project_lines(x: QuantumLineSet, ts: Sequence[FpVector]) -> QuantumLineSet:
-    """Project every line from the span of the given vectors.
+def project_lines(x: QuantumLineSet, centre: np.ndarray | Sequence[Sequence[int]]) -> QuantumLineSet:
+    """Project every line from the span of the centre's rows.
 
     Each point goes through the map whose rows are the null space of the
-    vectors (fields.null_space), the same rows that generate the subgroup
-    on the generator side (pauli.subgroup_fixing); with no vectors it is
-    the identity. A line meets the centre exactly when one of its points
-    maps to zero, and the first such line raises CollapsedImage; the points
-    of every other line map to the p + 1 points of its image.
+    centre (fields.null_space), the same rows that generate the subgroup
+    on the generator side (pauli.subgroup_fixing); with no rows, or zero
+    rows only, it is the identity. A line meets the centre exactly when one
+    of its points maps to zero, and the first such line raises
+    CollapsedImage; the points of every other line map to the p + 1 points
+    of its image.
     """
-    q = fields.null_space(x.p, [t.entries for t in ts], x.dim)
+    q = fields.null_space(x.p, centre, x.dim)
     codes = geometry.point_code(x.p, geometry.digits(x.p, x.dim, x.points) @ q.T)
     collapsed = np.flatnonzero((codes == 0).any(axis=1))
     if len(collapsed):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,15 +142,16 @@ def component_projector(s: StabiliserGroup, t: Sequence[int]) -> np.ndarray:
     return b @ b.conj().T
 
 
-def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarray:
-    """The component bases of a list of sign vectors t, side by side.
+def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The component bases of the rows of sign vectors t, side by side.
 
-    The vectors are the coding set's FpVectors or plain int tuples, one sign
-    per generator: generator i acts on Q_t as omega^{t_i}. Each Q_t gets an
-    orthonormal dim x p^k basis. The projector onto Q_t is Hermitian, so it
-    is applied from the right to the rows of a fixed (p^k + 1) x dim start
-    block; the row space that survives is the conjugate of Q_t, and exactly
-    p^k singular values must stay above tolerance.
+    The vectors are the rows of a coding set (CodingSet.vectors) or any
+    rows of integers, one sign per generator: generator i acts on Q_t as
+    omega^{t_i}. Each Q_t gets an orthonormal dim x p^k basis. The
+    projector onto Q_t is Hermitian, so it is applied from the right to the
+    rows of a fixed (p^k + 1) x dim start block; the row space that
+    survives is the conjugate of Q_t, and exactly p^k singular values must
+    stay above tolerance.
 
     The action of each generator row of s.rows is computed once. All
     components go through one pass over the generators: each generator
@@ -167,19 +168,18 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
     ValueError unless the result is orthonormal, which also catches
     components that are not mutually orthogonal.
     """
-    vectors = list(vectors)
+    signs = np.array(vectors, dtype=np.int64)
     p, n = s.p, s.n
     expected = p ** s.k
-    columns = len(vectors) * expected + 1
+    columns = len(signs) * expected + 1
     dim = _check_budget(p, n, columns)
     action_bytes = sum(t.itemsize for t in _action_dtypes(p, n))
     _check_bytes(
         f"a complex {dim} x {columns} array with the actions of {s.num_generators} generators",
         dim * (columns * 16 + s.num_generators * action_bytes),
     )
-    if any(len(t) != s.num_generators for t in vectors):
+    if signs.ndim != 2 or signs.shape[1] != s.num_generators:
         raise ValueError("one sign per generator required")
-    signs = np.array([tuple(t) for t in vectors], dtype=np.int64).reshape(len(vectors), -1)
     # one generator per call, so that the integer temporaries of only one are held
     actions = [_pauli_action(p, s.rows[i:i + 1]) for i in range(s.num_generators)]
     roots = _roots(p)
@@ -189,8 +189,8 @@ def code_basis(s: StabiliserGroup, vectors: Iterable[Sequence[int]]) -> np.ndarr
     order = len(roots)
     start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(roots.dtype)
     chunk = max(1, MAX_BYTES // 2 // (4 * start.nbytes))
-    b = np.empty((dim, len(vectors) * expected), dtype=roots.dtype)
-    for first in range(0, len(vectors), chunk):
+    b = np.empty((dim, len(signs) * expected), dtype=roots.dtype)
+    for first in range(0, len(signs), chunk):
         t = signs[first:first + chunk]
         rows = np.broadcast_to(start, (len(t), *start.shape))
         for ((perm,), (power,)), ti in zip(actions, t.T):

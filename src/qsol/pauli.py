@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fields
 from .errors import DependentCentre, InvalidGroup, NonCommutingGenerators, ParameterMismatch
-from .fields import FpVector, PrimeModulus
+from .fields import PrimeModulus
 
 
 def _phase_modulus(p: int) -> int:
@@ -212,7 +212,7 @@ def centraliser_basis(s: StabiliserGroup) -> np.ndarray:
     return fields.null_space(s.p, np.hstack([-z, x]), 2 * s.n)
 
 
-def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup:
+def subgroup_tu(s: StabiliserGroup, t: fields.FpVector, u: fields.FpVector) -> StabiliserGroup:
     """The subgroup fixing both Q_t and Q_u componentwise.
 
     Generated by M'_3..M'_{n-k}, the elements given by the rows of the
@@ -229,14 +229,14 @@ def subgroup_tu(s: StabiliserGroup, t: FpVector, u: FpVector) -> StabiliserGroup
     return StabiliserGroup(s.modulus, s.n, s.elements(q))
 
 
-def subgroup_fixing(s: StabiliserGroup, centre: Sequence[FpVector]) -> StabiliserGroup:
-    """The subgroup acting trivially on Q_c for every vector c in the span of the centre.
+def subgroup_fixing(s: StabiliserGroup, centre: np.ndarray | Sequence[Sequence[int]]) -> StabiliserGroup:
+    """The subgroup acting trivially on Q_c for every vector c in the span of the centre's rows.
 
     The generators are the elements given by the rows of fields.null_space
     of the centre, the map that projects from its span: they vanish on that
     span, and there are num_generators - rank(centre) of them.
     """
-    q = fields.null_space(s.p, [c.entries for c in centre], s.num_generators)
+    q = fields.null_space(s.p, centre, s.num_generators)
     return StabiliserGroup(s.modulus, s.n, s.elements(q))
 
 

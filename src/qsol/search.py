@@ -22,13 +22,10 @@ from .errors import (
     NoClique,
     TimeLimitExceeded,
     TooLarge,
-    UnsupportedDistance,
 )
-from .fields import FpVector, PrimeModulus
+from .fields import PrimeModulus
 from .geometry import ProjSubspace, vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
-
-MAX_CANDIDATE_DISTANCE = 4
 
 # X_w as a weight table over the codes of the ambient vectors (see
 # lines.weight_table); its guard against fields.MAX_TABLE_BYTES fires where the
@@ -121,30 +118,40 @@ class CompatibilityGraph:
         return int(np.count_nonzero(self.adjacency)) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodingSet:
-    """The sign-vector set T, including the zero vector."""
+    """The sign-vector set T, as a read-only (|T|, m) int64 array of residues mod p, one row per vector.
+
+    An array that is not 2-D, one without a zero row and one with two rows
+    equal mod p are refused.
+    """
 
     modulus: PrimeModulus
-    length: int
-    vectors: tuple[FpVector, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        zero = FpVector(self.modulus, (0,) * self.length)
-        if zero not in self.vectors:
+        a = np.array(self.vectors, dtype=np.int64) % self.modulus.p
+        if a.ndim != 2:
+            raise ValueError(f"need a coding set as an (|T|, m) array, got shape {a.shape}")
+        if a.any(axis=1).all():
             raise ValueError("coding set must contain the zero vector")
-        if len(set(self.vectors)) != len(self.vectors):
+        # a set of rows, where np.unique would import numpy.ma (see geometry.unique)
+        if len(set(map(tuple, a.tolist()))) != len(a):
             raise ValueError("coding set vectors must be distinct")
-        for v in self.vectors:
-            if len(v) != self.length:
-                raise ValueError("coding set vector of wrong length")
+        a.setflags(write=False)
+        object.__setattr__(self, "vectors", a)
 
     @property
     def p(self) -> int:
         return self.modulus.p
 
-    def nonzero(self) -> list[FpVector]:
-        return [v for v in self.vectors if not v.is_zero()]
+    @property
+    def length(self) -> int:
+        return self.vectors.shape[1]
+
+    def nonzero(self) -> list[fields.FpVector]:
+        """The nonzero rows as FpVector records, in row order; the benchmark reads them."""
+        return [fields.FpVector(self.modulus, row) for row in self.vectors.tolist() if any(row)]
 
 
 def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
@@ -163,8 +170,6 @@ def excluded_points(x: QuantumLineSet, d: int) -> Weights:
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    if d > MAX_CANDIDATE_DISTANCE:
-        raise UnsupportedDistance(f"candidate enumeration limited to d <= {MAX_CANDIDATE_DISTANCE}")
     return _weights(x, d - 1)
 
 
@@ -509,7 +514,7 @@ def is_subspace_t(t: CodingSet) -> bool:
     T lies in its span, which has p^rank(T) vectors, so T is a subspace
     exactly when it has that many.
     """
-    return len(t.vectors) == t.p ** fields.rank_of_vectors(t.p, [v.entries for v in t.vectors])
+    return len(t.vectors) == t.p ** fields.rank_of_vectors(t.p, t.vectors)
 
 
 def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetSize:
@@ -538,7 +543,7 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
     distinct points, so that there is no such line.
     """
     p, m = x.p, x.dim
-    points = geometry.normalise(p, m, vector_codes(p, m, [v.entries for v in t.nonzero()]))
+    points = geometry.normalise(p, m, vector_codes(p, m, t.vectors[t.vectors.any(axis=1)]))
     if len(points) < 2:
         return None
     i, j = np.triu_indices(len(points), 1)
@@ -667,7 +672,7 @@ def run_recipe(
     if k > 0:
         # the centre is chosen among the candidates of the unprojected x
         base_candidates = candidate_vertices(x, excluded_points(x, d))
-        centre = _lex_least_independent(g.modulus, n, base_candidates, k)
+        centre = _lex_least_independent(g.modulus.p, n, base_candidates, k)
         x = lines_mod.project_lines(x, centre)
         group = pauli.subgroup_fixing(group, centre)
 
@@ -685,14 +690,14 @@ def run_recipe(
         chosen = ()
         warnings.append("empty compatibility graph; T = {0}")
 
-    modulus = g.modulus
-    length = n - k
-    vectors = [FpVector(modulus, (0,) * length)]
-    for pt in geometry.digits(modulus.p, length, [gamma.vertices[i] for i in chosen]).tolist():
-        vectors.extend(FpVector(modulus, pt).scale(c) for c in range(1, modulus.p))
-    tset = CodingSet(modulus, length, tuple(vectors))
+    p, length = g.modulus.p, n - k
+    # the zero row, then c·point for each point of the clique and c = 1..p-1,
+    # which CodingSet reduces mod p
+    points = geometry.digits(p, length, [gamma.vertices[i] for i in chosen])
+    multiples = (points[:, None] * np.arange(1, p)[:, None]).reshape(-1, length)
+    tset = CodingSet(g.modulus, np.vstack([np.zeros((1, length), dtype=np.int64), multiples]))
 
-    if tset.nonzero():
+    if chosen:
         least = _least_weight(x, tset, d, excluded)
         # the candidate condition sees only errors with a nonzero image; an
         # error of weight d(X) < d can have image 0, a stabiliser element
@@ -718,7 +723,7 @@ def run_recipe(
     return CodeReport(
         n=n,
         k=k,
-        p=modulus.p,
+        p=p,
         t_size=len(tset.vectors),
         d_bound=d_bound,
         d_bound_exact=exact,
@@ -737,13 +742,15 @@ def run_recipe(
     )
 
 
-def _lex_least_independent(modulus: PrimeModulus, m: int, codes: np.ndarray, k: int) -> list[FpVector]:
-    """The first k independent points of the sorted codes, whose order is the lexicographic one of their vectors."""
-    chosen: list[FpVector] = []
-    for pt in geometry.digits(modulus.p, m, codes).tolist():
-        v = FpVector(modulus, pt)
-        if fields.rank_of_vectors(modulus.p, [c.entries for c in chosen] + [v.entries]) == len(chosen) + 1:
-            chosen.append(v)
+def _lex_least_independent(p: int, m: int, codes: np.ndarray, k: int) -> np.ndarray:
+    """The first k independent points of the sorted codes, as (k, m) rows.
+
+    The codes are sorted, so their order is the lexicographic one of their vectors.
+    """
+    chosen: list[list[int]] = []
+    for pt in geometry.digits(p, m, codes).tolist():
+        if fields.rank_of_vectors(p, chosen + [pt]) == len(chosen) + 1:
+            chosen.append(pt)
         if len(chosen) == k:
-            return chosen
+            return np.array(chosen, dtype=np.int64)
     raise NoClique(f"fewer than {k} independent candidate points")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsol import geometry, io
-from qsol.fields import FpVector, PrimeModulus, rank_of_vectors
+from qsol.fields import PrimeModulus, rank_of_vectors
 from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
@@ -160,9 +160,9 @@ def random_group_with_lines(rng: random.Random, modulus: PrimeModulus, n: int, m
     raise RuntimeError("no line-compatible random group found")
 
 
-def apply_map(q: np.ndarray, v: FpVector) -> FpVector:
-    """The image of v under an int64 matrix such as a centre's fields.null_space, reduced mod p."""
-    return FpVector(v.modulus, tuple((q @ np.array(v.entries, dtype=np.int64)).tolist()))
+def apply_map(p: int, q: np.ndarray, v) -> tuple[int, ...]:
+    """The image of the vector v under an int64 matrix such as a centre's fields.null_space, reduced mod p."""
+    return tuple((q @ np.array(v, dtype=np.int64) % p).tolist())
 
 
 def reference_rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
@@ -243,7 +243,7 @@ def reference_kernel_basis(p: int, rows, ncols: int) -> list[list[int]]:
     return reference_row_space(p, basis, ncols)
 
 
-def reference_quotient_map(vectors, dim: int) -> np.ndarray:
+def reference_quotient_map(p: int, vectors, dim: int) -> np.ndarray:
     """The projection from the span of the vectors by one elimination of [C | I]: the reference for their null_space.
 
     With the vectors as the columns of C, the pivots in C are the greedy
@@ -253,9 +253,20 @@ def reference_quotient_map(vectors, dim: int) -> np.ndarray:
     """
     r = len(vectors)
     aug = [[v[i] for v in vectors] + [1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    reduced, pivots = reference_rref_rows(aug, r + dim, vectors[0].p)
+    reduced, pivots = reference_rref_rows(aug, r + dim, p)
     centre_rank = sum(1 for c in pivots if c < r)
     return np.array([row[r:] for row in reduced[centre_rank:]], dtype=np.int64).reshape(dim - centre_rank, dim)
+
+
+def reference_coding_rows(p: int, length: int, points) -> list[tuple[int, ...]]:
+    """The coding set of a clique, assembled point by point: the zero vector, then c·point for c = 1..p-1, point after point.
+
+    The reference for the one array expression of search.run_recipe.
+    """
+    rows = [(0,) * length]
+    for point in points:
+        rows.extend(tuple(c * e % p for e in point) for c in range(1, p))
+    return rows
 
 
 def reference_min_dependent_set(x, limit: int):
@@ -380,14 +391,9 @@ def reference_rows(s, exponents) -> np.ndarray:
     return pauli_rows([reference_element(s, e) for e in exponents]).reshape(len(exponents), 2 * s.n + 1)
 
 
-def all_exponent_vectors(modulus: PrimeModulus, m: int):
-    for entries in itertools.product(range(modulus.p), repeat=m):
-        yield FpVector(modulus, entries)
-
-
 def group_elements(s: StabiliserGroup) -> set:
     """Every element of the group as a (phase | x | z) tuple."""
-    exponents = [v.entries for v in all_exponent_vectors(s.modulus, s.num_generators)]
+    exponents = list(itertools.product(range(s.p), repeat=s.num_generators))
     return set(map(tuple, s.elements(exponents).tolist()))
 
 

@@ -104,7 +104,7 @@ def test_criterion_2_nine_cycle_reproduction(
 
     problems, cliques = cws_mismatches(nine_cycle_graph, 3, nine_cycle_restriction, nine_cycle_constraints.tolist())
     codes = {c | {0} for c in cliques}
-    printed = frozenset(cws_reference.to_mask(v.entries) for v in nine_cycle_tset.vectors)
+    printed = frozenset(cws_reference.to_mask(v) for v in nine_cycle_tset.vectors.tolist())
 
     counts = (report.vertices, report.edges, report.cliques_found)
     if counts != (39, 450, 6):
@@ -165,8 +165,8 @@ def test_twelve_cycle_unrestricted_at_d4():
 def test_criterion_3_ternary_example(ternary_lines, ternary_tset):
     start = time.monotonic()
     pairs_checked = 0
-    for a, b in itertools.combinations(ternary_tset.nonzero(), 2):
-        if fields.rank_of_vectors(3, [a.entries, b.entries]) < 2:
+    for a, b in itertools.combinations([v for v in ternary_tset.vectors.tolist() if any(v)], 2):
+        if fields.rank_of_vectors(3, [a, b]) < 2:
             continue
         projected = lines_mod.project_lines(ternary_lines, [a, b])
         assert lines_mod.min_dependent_set(projected, 2) == AtLeast(3)
@@ -213,7 +213,7 @@ def test_criterion_6_non_subspace_coding_set_is_stabiliser(five_qubit_ops, mod2)
     # Q(S, {e1, e2}) coincides with the stabiliser code of
     # <-M1.M2, M3, M4, M5> even though {e1, e2} is not a subspace
     s = group_of(five_qubit_ops)
-    t_set = [FpVector(mod2, (1, 0, 0, 0, 0)), FpVector(mod2, (0, 1, 0, 0, 0))]
+    t_set = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
     left = code_basis(s, t_set)
 
     m1m2 = multiply(five_qubit_ops[0], five_qubit_ops[1])
@@ -335,7 +335,8 @@ def test_property_subgroup_tu_completion_independence():
         base = group_elements(subgroup_tu(s, t, u))
         assert group_elements(subgroup_tu(s, u, t)) == base
         c = rng.randrange(1, p) if p > 2 else 1
-        assert group_elements(subgroup_tu(s, t, u + t.scale(c))) == base
+        u_plus_ct = FpVector(mod, [a + c * b for a, b in zip(u.entries, t.entries)])
+        assert group_elements(subgroup_tu(s, t, u_plus_ct)) == base
 
 
 def test_property_project_lines_matches_subgroup_lines():
@@ -353,7 +354,7 @@ def test_property_project_lines_matches_subgroup_lines():
                 break
         sub = subgroup_tu(s, t, u)
         try:
-            projected = lines_mod.project_lines(x, [t, u])
+            projected = lines_mod.project_lines(x, [t.entries, u.entries])
         except CollapsedImage:
             with pytest.raises(DegenerateLine):
                 lines_mod.lines_from_matrix(sub.gmatrix, n, n - m + 2)
@@ -395,7 +396,7 @@ def test_property_subspace_coding_set_is_stabiliser_code():
         if basis_rows:
             t_vectors = row_space_vectors(p, basis_rows, m)
         else:
-            t_vectors = [FpVector(mod, (0,) * m)]
+            t_vectors = [(0,) * m]
         left = code_basis(s, t_vectors)
 
         if r:
@@ -480,8 +481,8 @@ def test_property_gamma_graph_matches_rank_rule():
 def projection_rule_bound(x, t, limit):
     """The distance bound by projection: min_dependent_set of x projected from every non-proportional pair."""
     results = []
-    for a, b in itertools.combinations(t.nonzero(), 2):
-        if fields.rank_of_vectors(t.p, [a.entries, b.entries]) < 2:
+    for a, b in itertools.combinations([v for v in t.vectors.tolist() if any(v)], 2):
+        if fields.rank_of_vectors(t.p, [a, b]) < 2:
             continue
         projected = lines_mod.project_lines(x, [a, b])
         results.append(lines_mod.min_dependent_set(projected, limit))
@@ -549,7 +550,7 @@ def test_property_distance_bound_matches_projection_rule():
         for q in points:
             for c in rng.sample(range(1, p), rng.randint(1, p - 1)):
                 members.add(tuple(c * e % p for e in q))
-        t = search.CodingSet(mod, dim, tuple(FpVector(mod, v) for v in sorted(members)))
+        t = search.CodingSet(mod, sorted(members))
         expected = bound_outcome(projection_rule_bound, x, t, limit)
         assert bound_outcome(search.distance_bound, x, t, limit) == expected, f"case {case}: p={p} n={n} limit={limit}"
         if expected == "collapsed":
@@ -582,16 +583,15 @@ def test_property_code_basis_matches_dense_reference():
         phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in range(m)]
         s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
         t_entries = rng.sample(list(itertools.product(range(p), repeat=m)), min(rng.randrange(1, 4), p ** m))
-        t_set = [FpVector(mod, t) for t in t_entries]
         errs = error_classes(p, n, 1 if p ** n > 27 else min(2, n))
 
-        b = code_basis(s, t_set)
+        b = code_basis(s, t_entries)
         report = kl_detect(b, p, errs)
         proj = dense_reference.code_projector(p, row_triples(s.rows), t_entries)
         reference = dense_reference.kl(p, proj, row_triples(errs))
 
         label = f"case {case}: p={p} n={n} m={m} T={t_entries}"
-        assert b.shape == (p ** n, len(t_set) * p ** (n - m)), label
+        assert b.shape == (p ** n, len(t_entries) * p ** (n - m)), label
         assert np.allclose(b @ b.conj().T, proj, atol=1e-10), label
         assert abs(report.max_residual - max(r for _, r in reference)) <= 1e-10, label
         for i, (alpha, _) in enumerate(reference):

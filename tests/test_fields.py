@@ -67,13 +67,12 @@ def reference_inverse(p, m):
     return np.array([row[n:] for row in aug], dtype=np.int64)
 
 
-def reference_complete_basis(vs, dim):
-    """Non-singular dim x dim matrix whose first columns are the independent vs.
+def reference_complete_basis(p, vs, dim):
+    """Non-singular dim x dim matrix over F_p whose first columns are the independent vectors vs.
 
     The completion is greedy over the standard basis vectors in index order.
     """
-    p = vs[0].p
-    cols = [list(v.entries) for v in vs]
+    cols = [list(v) for v in vs]
     if rank(p, cols, dim) != len(cols):
         raise ValueError("input vectors are linearly dependent")
     for i in range(dim):
@@ -85,11 +84,11 @@ def reference_complete_basis(vs, dim):
     return np.array(cols, dtype=np.int64).T
 
 
-def greedy_independent(vs):
-    """The vectors that are independent of the ones before them, in order."""
+def greedy_independent(p, vs):
+    """The vectors over F_p that are independent of the ones before them, in order."""
     chosen = []
     for v in vs:
-        if rank_of_vectors(v.p, [c.entries for c in chosen] + [v.entries]) > len(chosen):
+        if rank_of_vectors(p, chosen + [v]) > len(chosen):
             chosen.append(v)
     return chosen
 
@@ -114,19 +113,6 @@ class TestVectorsAndMatrices:
     def test_entries_reduced_eagerly(self, mod3):
         v = FpVector(mod3, (4, -1, 6))
         assert v.entries == (1, 2, 0)
-
-    def test_vector_arithmetic(self, mod3):
-        u = FpVector(mod3, (1, 2, 0))
-        v = FpVector(mod3, (2, 2, 1))
-        assert (u + v).entries == (0, 1, 1)
-        assert (u - v).entries == (2, 0, 2)
-        assert u.scale(2).entries == (2, 1, 0)
-
-    def test_shape_mismatch_raises(self, mod2, mod3):
-        with pytest.raises(ValueError):
-            FpVector(mod2, (1, 0)) + FpVector(mod2, (1, 0, 1))
-        with pytest.raises(ValueError):
-            FpVector(mod2, (1, 0)) + FpVector(mod3, (1, 0))
 
     def test_empty_stack_keeps_its_width(self):
         # no rows: a (0, 3) row space, and the whole of F_p^3 as the null space
@@ -271,24 +257,23 @@ class TestCompleteBasis:
     def test_prefix_columns_and_determinism(self):
         rng = random.Random(23)
         for p in (2, 3):
-            mod = PrimeModulus(p)
             for _ in range(40):
                 dim = rng.randrange(2, 6)
                 vs = []
                 while len(vs) < 2:
-                    cand = FpVector(mod, tuple(rng.randrange(p) for _ in range(dim)))
-                    if rank_of_vectors(p, [v.entries for v in vs] + [cand.entries]) == len(vs) + 1:
+                    cand = tuple(rng.randrange(p) for _ in range(dim))
+                    if rank_of_vectors(p, vs + [cand]) == len(vs) + 1:
                         vs.append(cand)
-                a = reference_complete_basis(vs, dim)
+                a = reference_complete_basis(p, vs, dim)
                 assert rank(p, a, dim) == dim
                 for col, v in zip(a.T.tolist(), vs):
-                    assert tuple(col) == v.entries
-                assert np.array_equal(reference_complete_basis(vs, dim), a)
+                    assert tuple(col) == v
+                assert np.array_equal(reference_complete_basis(p, vs, dim), a)
 
-    def test_dependent_input_raises(self, mod2):
-        v = FpVector(mod2, (1, 0, 1))
+    def test_dependent_input_raises(self):
+        v = (1, 0, 1)
         with pytest.raises(ValueError):
-            reference_complete_basis([v, v], 3)
+            reference_complete_basis(2, [v, v], 3)
 
 
 class TestQuotientMap:
@@ -301,27 +286,23 @@ class TestQuotientMap:
         dependent = 0
         for _ in range(300):
             p = rng.choice((2, 3, 5, 7))
-            mod = PrimeModulus(p)
             dim = rng.randrange(1, 8)
-            centre = [
-                FpVector(mod, tuple(rng.randrange(p) for _ in range(dim)))
-                for _ in range(rng.randrange(1, dim + 2))
-            ]
-            q = null_space(p, [v.entries for v in centre], dim)
-            independent = greedy_independent(centre)
+            centre = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randrange(1, dim + 2))]
+            q = null_space(p, centre, dim)
+            independent = greedy_independent(p, centre)
             r = len(independent)
             if r < len(centre):
                 dependent += 1
                 if independent:
-                    assert np.array_equal(null_space(p, [v.entries for v in independent], dim), q)
+                    assert np.array_equal(null_space(p, independent, dim), q)
             if independent:
-                inverse = reference_inverse(p, reference_complete_basis(independent, dim))
+                inverse = reference_inverse(p, reference_complete_basis(p, independent, dim))
                 assert q.tolist() == inverse[r:].tolist()
             else:
                 assert q.tolist() == np.eye(dim, dtype=np.int64).tolist()
             assert q.shape == (dim - r, dim) and rank_of_vectors(p, q.tolist()) == dim - r
             for v in centre:
-                assert apply_map(q, v).is_zero()
+                assert not any(apply_map(p, q, v))
         assert 0 < dependent < 300
 
     @pytest.mark.parametrize("p", [2, 3, 7])
@@ -360,7 +341,6 @@ class TestNullSpace:
         # null_space against the two-pass kernel and the [C | I] elimination
         # of the projection it replaces, dim 1-10 and 0-4 rows
         rng = random.Random(1300 + p)
-        mod = PrimeModulus(p)
         shapes = set()
         for case in range(400):
             dim = case % 10 + 1
@@ -369,8 +349,7 @@ class TestNullSpace:
             assert basis.dtype == np.int64 and not basis.flags.writeable
             assert basis.tolist() == reference_kernel_basis(p, rows, dim)
             if rows:
-                centre = [FpVector(mod, row) for row in rows]
-                assert np.array_equal(basis, reference_quotient_map(centre, dim))
+                assert np.array_equal(basis, reference_quotient_map(p, rows, dim))
             # RREF: every row annihilated by the input, of full rank dim - rank, equal to its own RREF
             assert basis.shape == (dim - rank(p, rows, dim), dim) and ((0 <= basis) & (basis < p)).all()
             assert not (np.array(rows, dtype=np.int64).reshape(-1, dim) @ basis.T % p).any()

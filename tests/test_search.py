@@ -16,9 +16,9 @@ from qsol.errors import (
     CollapsedImage,
     DimensionMismatch,
     IsolatedVertex,
+    NoClique,
     TimeLimitExceeded,
     TooLarge,
-    UnsupportedDistance,
 )
 from qsol.fields import FpVector, PrimeModulus
 from qsol.geometry import ProjSubspace
@@ -39,7 +39,17 @@ from qsol.search import (
     singleton_max_k,
 )
 
-from conftest import edges, in_row_space, incident, normalised, pauli_rows, points, reference_rows, vectors
+from conftest import (
+    edges,
+    in_row_space,
+    incident,
+    normalised,
+    pauli_rows,
+    points,
+    reference_coding_rows,
+    reference_rows,
+    vectors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -217,11 +227,14 @@ class TestCandidateVertices:
             run_recipe(nine_cycle_graph, d=3, restriction=restriction)
 
     def test_d_validation(self, pentagon_lines):
-        # d is checked where X_{d-1} is built
+        # d is checked where X_{d-1} is built; d = 5 is not capped, and
+        # X_4 is the whole space, as X_3 of the pentagon already is
         with pytest.raises(ValueError):
             excluded_points(pentagon_lines, 1)
-        with pytest.raises(UnsupportedDistance):
-            excluded_points(pentagon_lines, 5)
+        table = excluded_points(pentagon_lines, 5)
+        assert len(table) == 2 ** 5
+        assert (table != search.OUTSIDE).all()
+        assert table.tolist() == excluded_points(pentagon_lines, 4).tolist()
 
 
 class TestGammaGraph:
@@ -236,7 +249,7 @@ class TestGammaGraph:
         gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
         assert gamma.num_edges == 450
 
-    def test_edges_match_projection_criterion(self, pentagon_lines, mod2):
+    def test_edges_match_projection_criterion(self, pentagon_lines):
         # u ~ v exactly when projecting from (u, v) yields a set of lines
         from qsol.lines import project_lines
 
@@ -244,10 +257,8 @@ class TestGammaGraph:
         edge_set = edges(gamma)
         pts = vectors(2, 5, gamma.vertices)
         for a, b in itertools.combinations(range(len(pts)), 2):
-            u = FpVector(mod2, pts[a])
-            v = FpVector(mod2, pts[b])
             try:
-                project_lines(pentagon_lines, [u, v])
+                project_lines(pentagon_lines, [pts[a], pts[b]])
                 projects = True
             except CollapsedImage:
                 projects = False
@@ -751,12 +762,33 @@ class TestSymmetricRoot:
 class TestCodingSet:
     def test_requires_zero(self, mod2):
         with pytest.raises(ValueError):
-            CodingSet(mod2, 2, (FpVector(mod2, (1, 0)),))
+            CodingSet(mod2, [(1, 0)])
 
-    def test_requires_distinct(self, mod2):
-        z = FpVector(mod2, (0, 0))
+    def test_requires_distinct(self, mod2, mod3):
         with pytest.raises(ValueError):
-            CodingSet(mod2, 2, (z, z))
+            CodingSet(mod2, [(0, 0), (0, 0)])
+        # (1, 2) and (4, -1) are one vector of F_3^2
+        with pytest.raises(ValueError, match="distinct"):
+            CodingSet(mod3, [(0, 0), (1, 2), (4, -1)])
+
+    @pytest.mark.parametrize("vectors", [(0, 0, 0), [], [[[0, 0]]]])
+    def test_requires_a_2d_array(self, mod2, vectors):
+        with pytest.raises(ValueError, match=r"\(\|T\|, m\) array"):
+            CodingSet(mod2, vectors)
+
+    def test_holds_a_read_only_int64_array(self, mod3):
+        t = CodingSet(mod3, [(1, 2, 3), (0, 0, 0), (-1, 4, 0)])
+        assert t.vectors.dtype == np.int64 and t.vectors.shape == (3, 3) and t.length == 3
+        assert t.vectors.tolist() == [[1, 2, 0], [0, 0, 0], [2, 1, 0]]
+        with pytest.raises(ValueError):
+            t.vectors[0, 0] = 0
+
+    def test_nonzero_records_in_row_order(self, mod3, ternary_tset):
+        t = CodingSet(mod3, [(1, 2), (0, 0), (2, 0), (0, 1)])
+        records = t.nonzero()
+        assert all(isinstance(v, FpVector) and v.modulus == mod3 for v in records)
+        assert [v.entries for v in records] == [(1, 2), (2, 0), (0, 1)]
+        assert [v.entries for v in ternary_tset.nonzero()] == [tuple(v) for v in ternary_tset.vectors.tolist()[1:]]
 
     def test_subspace_detection(self, mod2, ternary_tset, pentagon_tset):
         assert is_subspace_t(ternary_tset)
@@ -788,7 +820,7 @@ class TestCodingSet:
                     # a coding set holds 0, so taking it out is undone
                     vectors.discard(rng.choice(sorted(vectors)))
                     vectors.add((0,) * length)
-            t = CodingSet(mod, length, tuple(FpVector(mod, v) for v in sorted(vectors)))
+            t = CodingSet(mod, sorted(vectors))
             expected = closure_rule(t)
             assert is_subspace_t(t) == expected, f"case {case}: p={p} T={sorted(vectors)}"
             seen[kind, expected] += 1
@@ -798,9 +830,10 @@ class TestCodingSet:
 
 def closure_rule(t):
     """True iff the vector set is closed under addition and scaling, tested pair by pair."""
-    vs = set(t.vectors)
-    closed_sum = all(a + b in vs for a, b in itertools.product(t.vectors, repeat=2))
-    return closed_sum and all(a.scale(c) in vs for a in t.vectors for c in range(2, t.p))
+    p = t.p
+    vs = set(map(tuple, t.vectors.tolist()))
+    closed_sum = all(tuple((x + y) % p for x, y in zip(a, b)) in vs for a, b in itertools.product(vs, repeat=2))
+    return closed_sum and all(tuple(c * x % p for x in a) in vs for a in vs for c in range(2, p))
 
 
 class TestDistanceBound:
@@ -808,8 +841,26 @@ class TestDistanceBound:
         assert distance_bound(pentagon_lines, pentagon_tset, 5) == 2
 
     def test_vacuous_bound(self, pentagon_lines, mod2):
-        t = CodingSet(mod2, 5, (FpVector(mod2, (0,) * 5),))
+        t = CodingSet(mod2, [(0,) * 5])
         assert distance_bound(pentagon_lines, t, 3) == AtLeast(4)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="with one coding point _least_weight finds no line, so the pair (0, t) is never read",
+    )
+    def test_one_point_bound_is_sound(self, five_qubit_group, pentagon_lines, mod2):
+        # a weight-1 error maps Q_0 onto Q_{e_1}, so the code detects no error
+        # of weight 1 and any sound bound is at most 1
+        t = CodingSet(mod2, [(0,) * 5, (1, 0, 0, 0, 0)])
+        if oracle.kl_detect(oracle.code_basis(five_qubit_group, t.vectors), 2, oracle.error_classes(2, 5, 1)).passed:
+            pytest.fail("the oracle passes T = {0, e_1} at d = 2")
+        try:
+            bound = distance_bound(pentagon_lines, t, 3)
+        except CollapsedImage:
+            # e_1 is an incident point, and a coding line through one is refused
+            return
+        assert lines_mod.distance_value(bound) <= 1
 
 
 def test_singleton_max_k():
@@ -925,9 +976,27 @@ class TestRunRecipe:
         # generators given by the rows of the null space of the centre
         group = graph_to_generators(nine_cycle_graph)
         x = lines_mod.lines_from_matrix(group.gmatrix, 9, 0)
-        centre = search._lex_least_independent(group.modulus, 9, candidate_vertices(x, excluded_points(x, 3)), k)
-        rows = fields.null_space(2, [c.entries for c in centre], 9)
+        centre = search._lex_least_independent(2, 9, candidate_vertices(x, excluded_points(x, 3)), k)
+        rows = fields.null_space(2, centre, 9)
         assert report.group.rows.tolist() == reference_rows(group, rows).tolist()
+
+    def test_thirteen_circulant_at_d5(self):
+        # C_13(1,5) has d(X) = 5: one candidate point, and so ((13,2,5)). With
+        # one nonzero coding point no coding line is read, and the bound is d
+        # as a lower bound only
+        report = run_recipe(circulant(13, (1, 5)), d=5)
+        assert (report.vertices, report.edges, report.clique_size) == (1, 0, 1)
+        assert (report.dimension, report.d_bound, report.d_bound_exact) == (2, 5, False)
+        assert report.coding_set.vectors.tolist() == [[0] * 13, [1] * 13]
+        basis = oracle.code_basis(report.group, report.coding_set.vectors)
+        assert oracle.kl_detect(basis, 2, oracle.error_classes(2, 13, 4)).passed
+
+    def test_dodecacode_at_d6(self):
+        # C_12(1,3,6) is the [[12,0,6]] graph state: no candidate at d = 6,
+        # so T = {0} and the bound is d(X) = 6, found exactly
+        report = run_recipe(circulant(12, (1, 3, 6)), d=6)
+        assert report.coding_set.vectors.tolist() == [[0] * 12]
+        assert (report.vertices, report.d_bound, report.d_bound_exact) == (0, 6, True)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_nine_cycle_centre_meets_line_5(self, nine_cycle_graph, k):
@@ -940,6 +1009,40 @@ class TestRunRecipe:
             run_recipe(pentagon_graph, d=1)
         with pytest.raises(ValueError):
             run_recipe(pentagon_graph, d=2, k=5)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_property_coding_set_matches_point_by_point_assembly(self, p, k, monkeypatch):
+        # T of random labelled graphs, row for row, against the zero vector
+        # and the multiples of each point of the clique that the search returns
+        found = []
+
+        def recording(gamma, *args):
+            cliques = find_cliques(gamma, *args)
+            found.append((gamma, cliques))
+            return cliques
+
+        monkeypatch.setattr(search, "find_cliques", recording)
+        rng = random.Random(7100 + 10 * p + k)
+        mod = PrimeModulus(p)
+        sizes = {2: (3, 6), 3: (3, 5), 5: (3, 4)}[p]
+        sizes_seen = []
+        while len(sizes_seen) < 8:
+            n = rng.randint(*sizes)
+            labelled = [(i, j, rng.randrange(1, p)) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            try:
+                report = run_recipe(LabelledGraph.from_edges(mod, n, labelled), d=2, k=k)
+            except (IsolatedVertex, CollapsedImage, NoClique):
+                continue
+            gamma, cliques = found[-1]
+            clique = cliques[0] if cliques else ()
+            rows = reference_coding_rows(p, n - k, vectors(p, n - k, [gamma.vertices[i] for i in clique]))
+            t = report.coding_set.vectors
+            assert t.dtype == np.int64 and not t.flags.writeable
+            assert t.tolist() == [list(row) for row in rows], f"p={p} k={k} edges={labelled}"
+            sizes_seen.append(len(clique))
+        # cliques of two or more points, except where projecting F_5^n leaves none
+        assert max(sizes_seen) >= (1 if (p, k) == (5, 1) else 2), sizes_seen
 
     def test_ternary_triangle_scalars(self, mod3):
         # for p = 3 every clique point enters T with both nonzero scalars
