@@ -83,12 +83,14 @@ def normalise(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
     """The sorted codes of the points of PG(m-1, p) spanned by nonzero vectors of F_p^m, each once.
 
     A code outside [1, p^m) is the zero vector or no vector of F_p^m, and
-    raises ValueError.
+    raises ValueError. The codes are taken in fields.blocks, so that their
+    digits are never all held at once.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64).ravel()
     if ((codes < 1) | (codes >= p ** m)).any():
         raise ValueError(f"a code outside [1, {p}^{m}) is no point of PG({m - 1}, {p})")
-    return unique(point_code(p, digits(p, m, codes)))
+    points = [point_code(p, digits(p, m, codes[rows])) for rows in fields.blocks(len(codes), m)]
+    return unique(np.concatenate([codes[:0], *points]))
 
 
 def point_code(p: int, vectors: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from . import fields, geometry, pauli
-from .errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
+from .errors import CollapsedImage, DegenerateLine, UnsupportedModulus
 from .fields import PrimeModulus
 
 
@@ -200,20 +200,18 @@ def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
     adds the vectors of every line joining a vector new to layer w-1 to one
     of the points, starting from the zero vector; a line from a vector of
     lower weight lies in X_{w-1} already. The table takes one byte per
-    vector and is refused above fields.MAX_TABLE_BYTES.
+    vector and is refused above fields.MAX_BYTES; each layer's frontier is
+    taken in fields.blocks, each writing w where it reaches first.
     """
     entries = p ** m
-    if entries > fields.MAX_TABLE_BYTES:
-        raise TooLarge(
-            f"a weight table of {entries} entries needs about {entries / 2 ** 20:.1f} MiB, "
-            f"over the {fields.MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
-        )
+    fields.check_bytes(f"a weight table of {entries} entries", entries)
     table = np.full(entries, OUTSIDE, dtype=np.uint8)
     table[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     for w in range(1, top + 1):
-        reached = line_codes(p, m, frontier, points).ravel()
-        table[reached[table[reached] == OUTSIDE]] = w
+        for rows in fields.blocks(len(frontier), (p - 1) * len(points)):
+            reached = line_codes(p, m, frontier[rows], points).ravel()
+            table[reached[table[reached] == OUTSIDE]] = w
         frontier = np.flatnonzero(table == w)
     return table
 

@@ -21,7 +21,7 @@ The error-detection conditions are the K x K matrices B^dag E B = alpha_E I
 for the dim x K code basis B. B^dag E B depends only on the restriction of
 E to its support S, of weight w, and on the code's reduced Gram tensor R_S,
 p^w x p^w blocks of K x K: one R_S serves every error on S.
-Memory is guarded by one byte budget, MAX_BYTES.
+Memory is guarded by the one byte budget, fields.MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGroup, TooLarge
+from . import fields
+from .errors import DimensionMismatch, InvalidGroup
 from .pauli import StabiliserGroup, split_rows
-
-MAX_BYTES = 2 ** 28
 
 ORTHONORMAL_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -46,20 +45,10 @@ KL_TOL = 1e-9
 _START_SEED = 0
 
 
-def _check_bytes(what: str, estimate: int, part: int = 1) -> None:
-    """Raise TooLarge, with the estimate, unless estimate bytes fit MAX_BYTES / part."""
-    if estimate * part > MAX_BYTES:
-        share = "" if part == 1 else f"1/{part} of "
-        raise TooLarge(
-            f"{what} needs about {estimate / 2 ** 20:.1f} MiB, "
-            f"over {share}the {MAX_BYTES / 2 ** 20:.0f} MiB budget"
-        )
-
-
 def _check_budget(p: int, n: int, columns: int) -> int:
-    """dim = p^n, after checking that a complex dim x columns array fits MAX_BYTES."""
+    """dim = p^n, after checking that a complex dim x columns array fits fields.MAX_BYTES."""
     dim = p ** n
-    _check_bytes(f"a complex {dim} x {columns} array", dim * columns * 16)
+    fields.check_bytes(f"a complex {dim} x {columns} array", dim * columns * 16)
     return dim
 
 
@@ -159,7 +148,7 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     per-component coefficient, and one batched SVD follows. The
     components are taken in chunks: each holds its block, the running sum
     acc, the gathered term and its multiple, four (p^k + 1) x dim arrays,
-    and a chunk takes as many components as fit 1/2 of MAX_BYTES, at
+    and a chunk takes as many components as fit 1/2 of fields.MAX_BYTES, at
     least one. For p = 2, when every generator acts
     with phases +-1 only (an even power table: no odd count of Y letters),
     the start block, the phases and the coefficients are real, and so is
@@ -174,7 +163,7 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     columns = len(signs) * expected + 1
     dim = _check_budget(p, n, columns)
     action_bytes = sum(t.itemsize for t in _action_dtypes(p, n))
-    _check_bytes(
+    fields.check_bytes(
         f"a complex {dim} x {columns} array with the actions of {s.num_generators} generators",
         dim * (columns * 16 + s.num_generators * action_bytes),
     )
@@ -188,7 +177,7 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     # omega = u^(order / p), so omega^{-j t} is a root too, and +-1 when p = 2
     order = len(roots)
     start = np.random.default_rng(_START_SEED).standard_normal((expected + 1, dim)).astype(roots.dtype)
-    chunk = max(1, MAX_BYTES // 2 // (4 * start.nbytes))
+    chunk = max(1, fields.MAX_BYTES // 2 // (4 * start.nbytes))
     b = np.empty((dim, len(signs) * expected), dtype=roots.dtype)
     for first in range(0, len(signs), chunk):
         t = signs[first:first + chunk]
@@ -247,7 +236,6 @@ class KLReport:
 
     passed: bool
     max_residual: float
-    tolerance: float
     alphas: np.ndarray
     residuals: np.ndarray
     failures: np.ndarray
@@ -283,23 +271,23 @@ def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) 
     B^dag E B = sum_y u^power[y] R_S[perm[y], y] over the p^w columns y of
     R_S. The errors on S with the same x part have the same perm, so each
     run of them is one product of its phases with the gathered R_S[perm[y], y].
-    R_S is formed in blocks of columns, each within 1/4 of MAX_BYTES and
+    R_S is formed in blocks of columns, each within 1/4 of fields.MAX_BYTES and
     gathered once; when it fits in one block, it is formed once per support.
-    The errors are taken in chunks within 1/2 of MAX_BYTES, with one action
+    The errors are taken in chunks within 1/2 of fields.MAX_BYTES, with one action
     per chunk.
     """
     cols = b.shape[1]
     count, w = len(ops), int(supports[0].sum())
     size, square = p ** w, cols * cols
-    _check_bytes(
+    fields.check_bytes(
         f"one column of {p}^{w}*{cols}^2 = {size * square} entries of a reduced Gram tensor "
         f"of {p}^{2 * w}*{cols}^2 = {size * size * square} entries",
         size * square * 16,
         part=4,
     )
-    width = min(size, MAX_BYTES // 4 // (size * square * 16))
+    width = min(size, fields.MAX_BYTES // 4 // (size * square * 16))
     # per error: the integer action and its temporaries, its phases and its K x K product
-    chunk = max(1, MAX_BYTES // 2 // (size * 64 + square * 32))
+    chunk = max(1, fields.MAX_BYTES // 2 // (size * 64 + square * 32))
     blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
     # each error restricted to its own w sites
     phase, x, z = split_rows(ops)
@@ -345,7 +333,7 @@ def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) 
     return alphas, residuals
 
 
-def kl_detect(b: np.ndarray, p: int, ops: np.ndarray, tolerance: float = KL_TOL) -> KLReport:
+def kl_detect(b: np.ndarray, p: int, ops: np.ndarray) -> KLReport:
     """Check B^dag E B = alpha_E I for every error row E.
 
     b is an orthonormal dim x K basis of the code. alpha_E = tr(B^dag E B) / K
@@ -356,7 +344,8 @@ def kl_detect(b: np.ndarray, p: int, ops: np.ndarray, tolerance: float = KL_TOL)
     sum_{alpha, beta} E_S[alpha, beta] R_S[alpha, beta] for the reduced Gram
     tensor R_S. The errors are sorted by weight, support and x part, and
     each support's errors are checked against one R_S (_check_weight),
-    global phase included. The report keeps the order of ops.
+    global phase included. The report keeps the order of ops; an error
+    whose residual exceeds KL_TOL fails.
     """
     _check_orthonormal(b)
     ops = np.asarray(ops, dtype=np.int64)
@@ -374,11 +363,10 @@ def kl_detect(b: np.ndarray, p: int, ops: np.ndarray, tolerance: float = KL_TOL)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo < hi:
             alphas[order[lo:hi]], residuals[order[lo:hi]] = _check_weight(b, p, on_support[lo:hi], ops[lo:hi])
-    failures = np.flatnonzero(residuals > tolerance)
+    failures = np.flatnonzero(residuals > KL_TOL)
     return KLReport(
         passed=not len(failures),
         max_residual=float(residuals.max(initial=0.0)),
-        tolerance=tolerance,
         alphas=alphas,
         residuals=residuals,
         failures=failures,

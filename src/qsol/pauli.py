@@ -215,18 +215,17 @@ def centraliser_basis(s: StabiliserGroup) -> np.ndarray:
 def subgroup_tu(s: StabiliserGroup, t: fields.FpVector, u: fields.FpVector) -> StabiliserGroup:
     """The subgroup fixing both Q_t and Q_u componentwise.
 
-    Generated by M'_3..M'_{n-k}, the elements given by the rows of the
-    null space of the centre (t, u) (see subgroup_fixing). Phases are
-    composed exactly, so the generators are genuine elements of the parent
-    group.
+    Generated by M'_3..M'_{n-k}, the generators that subgroup_fixing gives
+    for the centre (t, u), which must have rank 2. Phases are composed
+    exactly, so the generators are genuine elements of the parent group.
     """
     m = s.num_generators
     if len(t) != m or len(u) != m:
         raise ValueError("t, u must have one entry per generator")
-    q = fields.null_space(s.p, [t.entries, u.entries], m)
-    if len(q) > m - 2:
+    sub = subgroup_fixing(s, [t.entries, u.entries])
+    if sub.num_generators > m - 2:
         raise DependentCentre("t and u are proportional or zero")
-    return StabiliserGroup(s.modulus, s.n, s.elements(q))
+    return sub
 
 
 def subgroup_fixing(s: StabiliserGroup, centre: np.ndarray | Sequence[Sequence[int]]) -> StabiliserGroup:

@@ -21,15 +21,14 @@ from .errors import (
     IsolatedVertex,
     NoClique,
     TimeLimitExceeded,
-    TooLarge,
 )
 from .fields import PrimeModulus
 from .geometry import ProjSubspace, vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
 # X_w as a weight table over the codes of the ambient vectors (see
-# lines.weight_table); its guard against fields.MAX_TABLE_BYTES fires where the
-# one table is built, so it covers the candidates, Γ and the distance bound
+# lines.weight_table); its guard against fields.MAX_BYTES fires where the one
+# table is built, so it covers the candidates, Γ and the distance bound
 Weights = np.ndarray
 
 
@@ -214,24 +213,17 @@ def gamma_graph(
     and each once (geometry.normalise). The table is read at the codes of u,
     v and u + c·v, c = 1..p-1 (see lines.line_codes). For v = u the sum
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
-    every row. Blocks of rows are written straight into the (n, n) bool
-    adjacency array, which is refused with TooLarge, before it is allocated,
-    when its n² bytes exceed fields.MAX_TABLE_BYTES.
+    every row. The rows are taken in fields.blocks and written straight into
+    the (n, n) bool adjacency array, which is refused with TooLarge, before
+    it is allocated, when its n² bytes exceed fields.MAX_BYTES.
     """
     p, m = x.p, x.dim
     codes = geometry.normalise(p, m, vertices)
     n = len(codes)
-    if n * n > fields.MAX_TABLE_BYTES:
-        raise TooLarge(
-            f"a compatibility graph on {n} vertices needs about {n * n / 2 ** 20:.1f} MiB, "
-            f"over the {fields.MAX_TABLE_BYTES / 2 ** 20:.0f} MiB budget"
-        )
+    fields.check_bytes(f"a compatibility graph on {n} vertices", n * n)
     outside = excluded[codes] == OUTSIDE
     adjacency = np.empty((n, n), dtype=bool)
-    # blocks of rows keep the temporaries near 2^20 entries
-    step = max(1, 2 ** 20 // max(n * m, 1))
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
+    for block in fields.blocks(n, n * m):
         on_line = excluded[line_codes(p, m, codes[block], codes)]
         np.logical_and(outside[block, None] & outside, (on_line == OUTSIDE).all(axis=0), out=adjacency[block])
     return CompatibilityGraph(tuple(codes.tolist()), adjacency)

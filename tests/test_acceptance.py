@@ -189,7 +189,7 @@ def test_criterion_4_oracle_562(five_qubit_group, pentagon_tset, mod2):
     assert abs(trace.imag) <= 1e-9
     errs = error_classes(2, 5, 1)
     assert len(errs) == 15
-    report = kl_detect(b, 2, errs, tolerance=1e-9)
+    report = kl_detect(b, 2, errs)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 10.0
@@ -203,7 +203,7 @@ def test_criterion_5_oracle_9123(nine_cycle_graph, nine_cycle_tset, mod2):
     assert abs(np.trace(b.conj().T @ b).real - 12) <= 1e-9
     errs = error_classes(2, 9, 2)
     assert len(errs) == 27 + 324
-    report = kl_detect(b, 2, errs, tolerance=1e-9)
+    report = kl_detect(b, 2, errs)
     assert report.passed
     assert report.max_residual <= 1e-9
     assert time.monotonic() - start < 300.0

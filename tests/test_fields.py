@@ -8,6 +8,7 @@ import pytest
 from qsol.fields import (
     FpVector,
     PrimeModulus,
+    blocks,
     is_independent,
     is_prime,
     null_space,
@@ -369,3 +370,14 @@ class TestNullSpace:
 
 def test_row_space_drops_zero_rows():
     assert rref(2, [(1, 1), (1, 1), (0, 0)], 2).tolist() == [[1, 1]]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("count, width", [(0, 5), (1, 0), (7, 2 ** 21), (2 ** 20, 1), (10 ** 6, 20), (12345, 77)])
+    def test_blocks_cover_the_rows_in_order(self, count, width):
+        # consecutive slices of at least one row, each within 2^20 entries unless one row is wider
+        step = max(1, 2 ** 20 // max(width, 1))
+        parts = blocks(count, width)
+        assert [i for part in parts for i in range(count)[part]] == list(range(count))
+        assert all(len(range(count)[part]) <= step for part in parts)
+        assert all(len(range(count)[part]) * width <= max(2 ** 20, width) for part in parts)

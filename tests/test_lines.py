@@ -295,13 +295,13 @@ class TestMinDependentSet:
     def test_per_line_table_over_budget_is_refused(self, five_qubit_lines, monkeypatch):
         # each of the pentagon's depth-2 tables has 2^5 entries, over a 16-byte
         # budget; limit 2 builds none (see test_limit_two_builds_no_table)
-        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16)
+        monkeypatch.setattr(fields, "MAX_BYTES", 16)
         with pytest.raises(TooLarge, match=r"32 entries needs about 0\.0 MiB, over the 0 MiB budget"):
             min_dependent_set(five_qubit_lines, 3)
 
     def test_limit_two_builds_no_table(self, five_qubit_lines, mod2, monkeypatch):
         # d(X) = 2 is a point on two lines, read off the points themselves
-        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16)
+        monkeypatch.setattr(fields, "MAX_BYTES", 16)
         assert min_dependent_set(five_qubit_lines, 2) == AtLeast(3)
         meeting = lines_spanned_by(mod2, np.array([[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]), np.eye(5, dtype=np.int64)[1:3])
         assert min_dependent_set(meeting, 2) == 2
@@ -385,7 +385,7 @@ class TestLineCodes:
         # from the chunk plan alone, for every odd prime and every dimension a weight table admits
         for p in (q for q in range(3, 32) if fields.is_prime(q)):
             m = 1
-            while p ** m <= fields.MAX_TABLE_BYTES:
+            while p ** m <= fields.MAX_BYTES:
                 widths = chunk_widths(p, m)
                 assert sum(widths) == m and min(widths) >= 1
                 assert len(set(widths[1:])) <= 1 and widths[0] <= widths[-1]
@@ -397,6 +397,26 @@ class TestLineCodes:
         assert table is lines_mod._sum_table(3, 5)
         assert table.dtype == np.uint8 and table.shape == (2, 243 * 243) and not table.flags.writeable
         assert table.nbytes == 2 * 243 ** 2
+
+    def test_weight_table_temporaries_stay_bounded(self, mod2):
+        # X_5 of C_20(1,2), i joined to i ± 1 and i ± 2, is a 1 MiB table; its
+        # later layers' frontiers reach 13 million line codes, 100 MiB as one
+        # array, and are taken in blocks instead
+        import tracemalloc
+
+        from qsol.search import LabelledGraph, graph_to_generators
+
+        edges = [(i, (i + s) % 20, 1) for i in range(20) for s in (1, 2)]
+        group = graph_to_generators(LabelledGraph.from_edges(mod2, 20, edges))
+        points = incident_points(lines_from_matrix(group.gmatrix, 20, 0))
+        tracemalloc.start()
+        try:
+            table = weight_table(2, 20, points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(table)[:6].tolist() == [1, 60, 1650, 25640, 216041, 632390]
+        assert peak < 32 * 2 ** 20
 
     @pytest.mark.parametrize("p, m", [(2, 6), (3, 5), (3, 7), (5, 4), (7, 3)])
     def test_weight_table_matches_reference_kernel(self, p, m, monkeypatch):

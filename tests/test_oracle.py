@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from qsol import oracle, search
+from qsol import fields, oracle, search
 from qsol.errors import DimensionMismatch, InvalidGroup, TooLarge
 from qsol.fields import PrimeModulus
 from qsol.oracle import (
@@ -177,9 +177,9 @@ class TestCodeProjector:
         assert (perm.dtype, power.dtype) == (np.int32, np.uint8)
         # the basis and start block take 32 x 2 x 16 = 1024 bytes, the actions 5 x 32 x 5 = 800
         t = [(0,) * 5]
-        monkeypatch.setattr(oracle, "MAX_BYTES", 1824)
+        monkeypatch.setattr(fields, "MAX_BYTES", 1824)
         assert code_basis(five_qubit_group, t).shape == (32, 1)
-        monkeypatch.setattr(oracle, "MAX_BYTES", 1823)
+        monkeypatch.setattr(fields, "MAX_BYTES", 1823)
         with pytest.raises(TooLarge, match=r"32 x 2 array with the actions of 5 generators needs about 0\.0 MiB"):
             code_basis(five_qubit_group, t)
 
@@ -269,7 +269,7 @@ class TestBasisField:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: batches.append(len(a)) or svd(a, **kw))
         for c in (1, 2, 5):
             batches.clear()
-            monkeypatch.setattr(oracle, "MAX_BYTES", 2 * (c + 1) * per_component - 2)
+            monkeypatch.setattr(fields, "MAX_BYTES", 2 * (c + 1) * per_component - 2)
             assert np.array_equal(code_basis(s, vectors), whole)
             assert batches == [c] * (len(vectors) // c) + [len(vectors) % c] * bool(len(vectors) % c)
 
@@ -428,7 +428,7 @@ class TestKlDetect:
         # R_S of a weight-2 support of the ((5,6,2)) code holds 2^4 * 6^2 = 576
         # entries; one of its columns, 2^2 * 6^2 = 144 entries, must fit 1/4 of the budget
         b = code_basis(five_qubit_group, pentagon_tset.vectors)
-        monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 144 * 16 - 1)
+        monkeypatch.setattr(fields, "MAX_BYTES", 4 * 144 * 16 - 1)
         assert kl_detect(b, 2, error_classes(2, 5, 1)).passed
         with pytest.raises(TooLarge, match=r"2\^2\*6\^2 = 144 entries of a reduced Gram tensor of 2\^4\*6\^2 = 576 entries needs about 0\.0 MiB, over 1/4 of"):
             kl_detect(b, 2, error_classes(2, 5, 2))
@@ -444,7 +444,7 @@ class TestKlDetect:
         blocks = []
         gram = oracle._reduced_gram
         monkeypatch.setattr(oracle, "_reduced_gram", lambda *args: blocks.append(args[3:]) or gram(*args))
-        monkeypatch.setattr(oracle, "MAX_BYTES", 4 * 2 * 144 * 16)
+        monkeypatch.setattr(fields, "MAX_BYTES", 4 * 2 * 144 * 16)
         report = kl_detect(b, 2, errs)
         assert report.failures.tolist() == full.failures.tolist() and not report.passed
         assert np.abs(report.residuals - full.residuals).max() <= 1e-12
@@ -468,7 +468,7 @@ class TestKlDetect:
         order = list(range(len(errs)))
         rng.shuffle(order)
         errs = errs[order]
-        monkeypatch.setattr(oracle, "MAX_BYTES", 2 ** 23)
+        monkeypatch.setattr(fields, "MAX_BYTES", 2 ** 23)
         tracemalloc.start()
         try:
             report = kl_detect(b, 5, errs)

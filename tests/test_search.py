@@ -336,7 +336,7 @@ class TestGammaGraph:
 
         x = cycle_lines(mod2, 12)
         excluded = excluded_points(x, 2)
-        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 2 ** 23)
+        monkeypatch.setattr(fields, "MAX_BYTES", 2 ** 23)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge, match=r"on 4095 vertices needs about 16\.0 MiB, over the 8 MiB budget"):
@@ -345,8 +345,27 @@ class TestGammaGraph:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 22
-        monkeypatch.setattr(fields, "MAX_TABLE_BYTES", 16 ** 2)
+        monkeypatch.setattr(fields, "MAX_BYTES", 16 ** 2)
         assert gamma_of(cycle_lines(mod2, 5), 2).num_vertices == 16
+
+    def test_over_budget_is_refused_at_a_bounded_peak(self, mod2):
+        # all 2^20 - 1 points of PG(19, 2) as vertices: their (n, 20) digits
+        # alone would take 160 MiB, but the vertices are normalised a block
+        # at a time, with temporaries of a few 8 MiB blocks, before the n²
+        # guard refuses Γ
+        import tracemalloc
+
+        x = cycle_lines(mod2, 20)
+        excluded = excluded_points(x, 2)
+        vertices = geometry.normalised_codes(2, 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"^a compatibility graph on 1048575 vertices needs about 1048574\.0 MiB, over the 256 MiB budget$"):
+                gamma_graph(x, vertices, excluded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
     @pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 1]], [[0, 0], [0, -1]]])
     def test_malformed_rows_are_refused(self, rows):
