@@ -4,7 +4,6 @@ pairs, compatibility-graph clique search, and a numerical error-detection
 oracle on orthonormal code bases."""
 
 from .fields import FpVector, PrimeModulus
-from .geometry import ProjSubspace
 from .lines import AtLeast, QuantumLineSet
 from .pauli import PauliOperator, StabiliserGroup
 from .search import CodeReport, CodingSet, CompatibilityGraph, LabelledGraph
@@ -18,7 +17,6 @@ __all__ = [
     "LabelledGraph",
     "PauliOperator",
     "PrimeModulus",
-    "ProjSubspace",
     "QuantumLineSet",
     "StabiliserGroup",
 ]

@@ -16,8 +16,6 @@ import sys
 
 from . import geometry, io, lines as lines_mod, oracle, pauli, search
 from .errors import InputFormatError, QsolError
-from .fields import null_space
-from .geometry import ProjSubspace
 from .lines import AtLeast
 
 EXIT_OK = 0
@@ -72,11 +70,8 @@ def _emit(args, pairs: list[tuple[str, object]], text: list[str]) -> None:
             print(line)
 
 
-def _restriction_subspace(args, modulus, width):
-    if not args.restrict:
-        return None
-    constraints = io.parse_restriction(_read(args.restrict), modulus, width)
-    return ProjSubspace(modulus, null_space(modulus.p, constraints, width))
+def _restriction(args, modulus, width):
+    return io.parse_restriction(_read(args.restrict), modulus, width) if args.restrict else None
 
 
 def _read_code(args):
@@ -94,7 +89,7 @@ def _gamma_pipeline(args):
     graph = io.parse_graph(_read(args.graph))
     group = search.graph_to_generators(graph)
     x = lines_mod.lines_from_matrix(group.gmatrix, graph.n, 0)
-    restriction = _restriction_subspace(args, graph.modulus, graph.n)
+    restriction = _restriction(args, graph.modulus, graph.n)
     excluded = search.excluded_points(x, args.d)
     return graph, search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
 
@@ -173,7 +168,7 @@ def cmd_cliques(args) -> int:
 
 def cmd_recipe(args) -> int:
     graph = io.parse_graph(_read(args.graph))
-    restriction = _restriction_subspace(args, graph.modulus, graph.n - args.k)
+    restriction = _restriction(args, graph.modulus, graph.n - args.k)
     report = search.run_recipe(
         graph,
         d=args.d,

@@ -2,53 +2,20 @@
 
 A point is held as a code: its normalised vector (first nonzero coordinate
 1) read as a base-p number, most significant coordinate first (vector_codes,
-digits, point_code, normalise). A rank-r subspace is stored as its unique
-RREF basis, so equality of subspaces is equality of values. A line is held
-as the codes of its points (lines.QuantumLineSet).
+digits, point_code, normalise). A rank-r subspace is held as its unique
+RREF basis, an (r, m) int64 array (fields.rref, fields.null_space), and
+enumerated by points_of. A line is held as the codes of its points
+(lines.QuantumLineSet).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import fields
 from .errors import DimensionMismatch, TooLarge
-from .fields import PrimeModulus
-
-
-@dataclass(frozen=True, eq=False)
-class ProjSubspace:
-    """A projective subspace of PG(m - 1, p), stored as the RREF basis of its vector span.
-
-    Any (r, m) integer basis is stored as the read-only (rank, m) int64
-    array fields.rref makes of it, so equal subspaces are equal values.
-    """
-
-    modulus: PrimeModulus
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.int64)
-        object.__setattr__(self, "basis", fields.rref(self.p, basis, basis.shape[-1]))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjSubspace):
-            return NotImplemented
-        return self.modulus == other.modulus and np.array_equal(self.basis, other.basis)
-
-    def __hash__(self):
-        return hash((self.modulus, self.basis.shape, self.basis.tobytes()))
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _places(p: int, m: int) -> np.ndarray:
@@ -113,21 +80,22 @@ def normalised_codes(p: int, r: int) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [np.arange(p ** j, 2 * p ** j) for j in range(r)])
 
 
-def points_of(s: ProjSubspace) -> np.ndarray:
-    """The sorted codes of the (p^r - 1)/(p - 1) points of a rank-r subspace.
+def points_of(p: int, basis: np.ndarray) -> np.ndarray:
+    """The sorted codes of the (p^r - 1)/(p - 1) points of the span of an (r, m) RREF basis.
 
-    The points of a span are its normalised coefficient vectors times its
-    RREF basis, and each product is normalised already: its first nonzero
+    The basis must be in RREF, as fields.rref and fields.null_space give it:
+    then the points of the span are its normalised coefficient vectors times
+    the basis, and each product is normalised already: its first nonzero
     coordinate sits at the pivot of the first nonzero c_i and equals c_i = 1.
     """
-    p, (r, m) = s.p, s.basis.shape
-    return np.sort(digits(p, r, normalised_codes(p, r)) @ s.basis % p @ _places(p, m))
+    r, m = basis.shape
+    return np.sort(digits(p, r, normalised_codes(p, r)) @ basis % p @ _places(p, m))
 
 
-def span(objs: Sequence[ProjSubspace]) -> ProjSubspace:
-    """Smallest subspace containing every input object."""
-    if not objs:
+def span(p: int, bases: Sequence[np.ndarray]) -> np.ndarray:
+    """The RREF basis of the smallest subspace holding the rows of every (r_i, m) basis."""
+    if not bases:
         raise ValueError("span of nothing is undefined")
-    if len({o.basis.shape[1] for o in objs}) > 1:
-        raise DimensionMismatch("objects live in different ambient spaces")
-    return ProjSubspace(objs[0].modulus, np.vstack([o.basis for o in objs]))
+    if len({np.shape(b)[1] for b in bases}) > 1:
+        raise DimensionMismatch("bases live in different ambient spaces")
+    return fields.rref(p, np.vstack(bases), np.shape(bases[0])[1])

@@ -200,19 +200,20 @@ def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
     adds the vectors of every line joining a vector new to layer w-1 to one
     of the points, starting from the zero vector; a line from a vector of
     lower weight lies in X_{w-1} already. The table takes one byte per
-    vector and is refused above fields.MAX_BYTES; each layer's frontier is
-    taken in fields.blocks, each writing w where it reaches first.
+    vector and is refused above fields.MAX_BYTES. Layer w reads its frontier,
+    the entries w-1, off the table in fields.blocks (it writes only w), and
+    takes each block's frontier in fields.blocks, writing w where it reaches first.
     """
     entries = p ** m
     fields.check_bytes(f"a weight table of {entries} entries", entries)
     table = np.full(entries, OUTSIDE, dtype=np.uint8)
     table[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
     for w in range(1, top + 1):
-        for rows in fields.blocks(len(frontier), (p - 1) * len(points)):
-            reached = line_codes(p, m, frontier[rows], points).ravel()
-            table[reached[table[reached] == OUTSIDE]] = w
-        frontier = np.flatnonzero(table == w)
+        for part in fields.blocks(entries, 1):
+            frontier = part.start + np.flatnonzero(table[part] == w - 1)
+            for rows in fields.blocks(len(frontier), (p - 1) * len(points)):
+                reached = line_codes(p, m, frontier[rows], points).ravel()
+                table[reached[table[reached] == OUTSIDE]] = w
     return table
 
 

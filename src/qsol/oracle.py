@@ -27,6 +27,7 @@ Memory is guarded by the one byte budget, fields.MAX_BYTES.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -215,9 +216,14 @@ def error_classes(p: int, n: int, w_max: int) -> np.ndarray:
 
     The rows come by weight, then by support, then by the letters
     (a, b) != (0, 0) at the support's sites in itertools.product order.
+    They are held twice, in the blocks of each weight and concatenated, so
+    they are refused with TooLarge, before any is built, over half of
+    fields.MAX_BYTES.
     """
     letters = np.array([(a, b) for a in range(p) for b in range(p) if a or b], dtype=np.int64)
     width = 2 * n + 1
+    rows = sum(math.comb(n, w) * len(letters) ** w for w in range(1, min(w_max, n) + 1))
+    fields.check_bytes(f"{rows} error classes of {width} int64 entries", rows * width * 8, part=2)
     blocks = [np.zeros((0, width), dtype=np.int64)]
     for w in range(1, min(w_max, n) + 1):
         supports = np.array(list(itertools.combinations(range(n), w)))[:, np.newaxis, :]

@@ -23,7 +23,7 @@ from .errors import (
     TimeLimitExceeded,
 )
 from .fields import PrimeModulus
-from .geometry import ProjSubspace, vector_codes
+from .geometry import vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
 # X_w as a weight table over the codes of the ambient vectors (see
@@ -180,19 +180,25 @@ def _weights(x: QuantumLineSet, top: int) -> Weights:
 def candidate_vertices(
     x: QuantumLineSet,
     excluded: Weights,
-    restriction: ProjSubspace | None = None,
+    restriction: np.ndarray | None = None,
 ) -> np.ndarray:
     """The sorted codes of the points not in the excluded set X_{d-1} of x (see excluded_points).
 
-    With a restriction subspace, only its points are considered (the
-    subspace trick that keeps the compatibility graph small).
+    With a restriction, the (r, m) constraint rows of io.parse_restriction,
+    only the points of their null space are considered (the subspace trick
+    that keeps the compatibility graph small). Without one, the points are
+    read off the table one range [p^j, 2·p^j) of normalised codes (leading 1
+    j places from the end) at a time.
     """
-    m = x.dim
-    if restriction is not None and restriction.basis.shape[1] != m:
+    p, m = x.p, x.dim
+    if restriction is None:
+        ranges = [p ** j + np.flatnonzero(excluded[p ** j : 2 * p ** j] == OUTSIDE) for j in range(m)]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *ranges])
+    if restriction.shape[1] != m:
         raise DimensionMismatch(
-            f"the restriction lives in PG({restriction.basis.shape[1] - 1}, p), the lines in PG({m - 1}, p)"
+            f"the restriction lives in PG({restriction.shape[1] - 1}, p), the lines in PG({m - 1}, p)"
         )
-    pool = geometry.normalised_codes(x.p, m) if restriction is None else geometry.points_of(restriction)
+    pool = geometry.points_of(p, fields.null_space(p, restriction, m))
     return pool[excluded[pool] == OUTSIDE]
 
 
@@ -640,7 +646,7 @@ def run_recipe(
     g: LabelledGraph,
     d: int,
     k: int = 0,
-    restriction: ProjSubspace | None = None,
+    restriction: np.ndarray | None = None,
     time_limit: float | None = None,
 ) -> CodeReport:
     """Execute the full construction recipe on a labelled graph.

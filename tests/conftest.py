@@ -80,14 +80,6 @@ def nine_cycle_constraints(data_dir, mod2):
 
 
 @pytest.fixture(scope="session")
-def nine_cycle_restriction(nine_cycle_constraints, mod2):
-    from qsol.fields import null_space
-    from qsol.geometry import ProjSubspace
-
-    return ProjSubspace(mod2, null_space(2, nine_cycle_constraints, 9))
-
-
-@pytest.fixture(scope="session")
 def nine_cycle_tset(data_dir):
     return io.parse_coding_set((data_dir / "nine_cycle.tset").read_text())
 
@@ -303,9 +295,9 @@ def vectors(p: int, m: int, codes) -> list[tuple[int, ...]]:
     return [tuple(v) for v in geometry.digits(p, m, codes).tolist()]
 
 
-def points(s) -> list[tuple[int, ...]]:
-    """The points of a subspace as normalised vectors, in order: geometry.points_of decoded."""
-    return vectors(s.p, s.basis.shape[1], geometry.points_of(s))
+def points(p: int, basis) -> list[tuple[int, ...]]:
+    """The points of the span of an RREF basis as normalised vectors, in order: geometry.points_of decoded."""
+    return vectors(p, basis.shape[1], geometry.points_of(p, basis))
 
 
 def incident(x) -> list[tuple[int, ...]]:

@@ -51,7 +51,7 @@ from conftest import (
 from dense_reference import subspace_equal
 
 
-def cws_mismatches(graph, d, restriction=None, constraints=()):
+def cws_mismatches(graph, d, constraints=None):
     """Where the program's candidates, edges and maximum cliques differ from the CWS reference.
 
     Returns the problems found and the program's maximum cliques as
@@ -59,14 +59,14 @@ def cws_mismatches(graph, d, restriction=None, constraints=()):
     """
     x = lines_mod.lines_from_matrix(search.graph_to_generators(graph).gmatrix, graph.n, 0)
     excluded = search.excluded_points(x, d)
-    gamma = search.gamma_graph(x, search.candidate_vertices(x, excluded, restriction), excluded)
+    gamma = search.gamma_graph(x, search.candidate_vertices(x, excluded, constraints), excluded)
     masks = [cws_reference.to_mask(v) for v in vectors(2, graph.n, gamma.vertices)]
     vertices = set(masks)
     pairs = {frozenset((masks[i], masks[j])) for i, j in edges(gamma)}
     cliques = {frozenset(masks[i] for i in c) for c in search.find_cliques(gamma)}
 
     images = cws_reference.error_images(graph.adjacency.tolist(), d - 1)
-    ref_vertices = cws_reference.candidates(images, graph.n, constraints)
+    ref_vertices = cws_reference.candidates(images, graph.n, () if constraints is None else constraints.tolist())
     ref_edges = cws_reference.edges(images, ref_vertices)
     ref_cliques = set(cws_reference.maximum_cliques(ref_vertices, ref_edges))
 
@@ -96,13 +96,13 @@ def test_criterion_1_pentagon_reproduction(pentagon_graph):
 
 
 def test_criterion_2_nine_cycle_reproduction(
-    nine_cycle_graph, nine_cycle_constraints, nine_cycle_restriction, nine_cycle_tset
+    nine_cycle_graph, nine_cycle_constraints, nine_cycle_tset
 ):
     start = time.monotonic()
-    report = search.run_recipe(nine_cycle_graph, d=3, k=0, restriction=nine_cycle_restriction)
+    report = search.run_recipe(nine_cycle_graph, d=3, k=0, restriction=nine_cycle_constraints)
     elapsed = time.monotonic() - start
 
-    problems, cliques = cws_mismatches(nine_cycle_graph, 3, nine_cycle_restriction, nine_cycle_constraints.tolist())
+    problems, cliques = cws_mismatches(nine_cycle_graph, 3, nine_cycle_constraints)
     codes = {c | {0} for c in cliques}
     printed = frozenset(cws_reference.to_mask(v) for v in nine_cycle_tset.vectors.tolist())
 

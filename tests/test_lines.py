@@ -401,22 +401,31 @@ class TestLineCodes:
     def test_weight_table_temporaries_stay_bounded(self, mod2):
         # X_5 of C_20(1,2), i joined to i ± 1 and i ± 2, is a 1 MiB table; its
         # later layers' frontiers reach 13 million line codes, 100 MiB as one
-        # array, and are taken in blocks instead
+        # array, and are taken in blocks instead. X_5 of C_22(1,2) is a 4 MiB
+        # table; each layer's frontier is read off it a block at a time, so no
+        # array holds the codes of a whole layer (14 MiB for weight 5)
         import tracemalloc
 
         from qsol.search import LabelledGraph, graph_to_generators
 
-        edges = [(i, (i + s) % 20, 1) for i in range(20) for s in (1, 2)]
-        group = graph_to_generators(LabelledGraph.from_edges(mod2, 20, edges))
-        points = incident_points(lines_from_matrix(group.gmatrix, 20, 0))
-        tracemalloc.start()
-        try:
-            table = weight_table(2, 20, points, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.bincount(table)[:6].tolist() == [1, 60, 1650, 25640, 216041, 632390]
+        def x5_of_circulant(n):
+            edges = [(i, (i + s) % n, 1) for i in range(n) for s in (1, 2)]
+            group = graph_to_generators(LabelledGraph.from_edges(mod2, n, edges))
+            points = incident_points(lines_from_matrix(group.gmatrix, n, 0))
+            tracemalloc.start()
+            try:
+                table = weight_table(2, n, points, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return np.bincount(table)[:6].tolist(), peak
+
+        counts, peak = x5_of_circulant(20)
+        assert counts == [1, 60, 1650, 25640, 216041, 632390]
         assert peak < 32 * 2 ** 20
+        counts, peak = x5_of_circulant(22)
+        assert counts == [1, 66, 2013, 35530, 368742, 1817684]
+        assert peak < 24 * 2 ** 20
 
     @pytest.mark.parametrize("p, m", [(2, 6), (3, 5), (3, 7), (5, 4), (7, 3)])
     def test_weight_table_matches_reference_kernel(self, p, m, monkeypatch):

@@ -323,6 +323,23 @@ class TestErrorClasses:
                     checked[p] += 1
         assert checked == {2: 21, 3: 19, 5: 16}
 
+    def test_budget_refuses_before_allocating(self):
+        # the 1 630 083 classes of weight <= 6 on 13 qubits would take 335.8
+        # MiB, held twice (per weight, then concatenated); they are counted,
+        # not built, before the refusal. The 379 119 of weight <= 5 take 78
+        # MiB, within half the budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"^1630083 error classes of 27 int64 entries needs about 335\.8 MiB, over 1/2 of the 256 MiB budget$"):
+                error_classes(2, 13, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        rows = error_classes(2, 13, 5)
+        assert rows.shape == (379119, 27)
+        assert ((rows[-1, 1:14] != 0) | (rows[-1, 14:] != 0)).sum() == 5
+
 
 class TestKlDetect:
     def test_five_qubit_code_detects_weight_two(self, five_qubit_group):
@@ -427,11 +444,14 @@ class TestKlDetect:
     def test_reduced_gram_budget_refuses_with_an_estimate(self, five_qubit_group, pentagon_tset, monkeypatch):
         # R_S of a weight-2 support of the ((5,6,2)) code holds 2^4 * 6^2 = 576
         # entries; one of its columns, 2^2 * 6^2 = 144 entries, must fit 1/4 of the budget
+        # the 105 error classes take 9 240 bytes, over this budget, so they
+        # are built first
         b = code_basis(five_qubit_group, pentagon_tset.vectors)
+        errs = error_classes(2, 5, 2)
         monkeypatch.setattr(fields, "MAX_BYTES", 4 * 144 * 16 - 1)
         assert kl_detect(b, 2, error_classes(2, 5, 1)).passed
         with pytest.raises(TooLarge, match=r"2\^2\*6\^2 = 144 entries of a reduced Gram tensor of 2\^4\*6\^2 = 576 entries needs about 0\.0 MiB, over 1/4 of"):
-            kl_detect(b, 2, error_classes(2, 5, 2))
+            kl_detect(b, 2, errs)
 
     def test_blocks_and_chunks_under_a_small_budget(self, five_qubit_group, pentagon_tset, monkeypatch):
         # R_S of a weight-2 support holds 4 columns of 2^2 * 6^2 entries; 1/4 of

@@ -21,7 +21,6 @@ from qsol.errors import (
     TooLarge,
 )
 from qsol.fields import FpVector, PrimeModulus
-from qsol.geometry import ProjSubspace
 from qsol.lines import AtLeast
 from qsol.pauli import PauliOperator
 from qsol.search import (
@@ -41,7 +40,6 @@ from qsol.search import (
 
 from conftest import (
     edges,
-    in_row_space,
     incident,
     normalised,
     pauli_rows,
@@ -146,9 +144,9 @@ def gamma_of(x, d, restriction=None):
     return gamma_graph(x, candidate_vertices(x, excluded, restriction), excluded)
 
 
-def contains_point(subspace, v):
-    """True iff the point of the vector v lies in the subspace."""
-    return in_row_space(subspace.p, subspace.basis, v)
+def contains_point(p, constraints, v):
+    """True iff the vector v solves every constraint row mod p."""
+    return not (np.asarray(constraints) @ v % p).any()
 
 
 class TestExcludedPoints:
@@ -159,7 +157,7 @@ class TestExcludedPoints:
         weights = {}
         for size in range(1, d):
             for subset in itertools.combinations(incident(x), size):
-                for pt in points(ProjSubspace(x.modulus, subset)):
+                for pt in points(p, fields.rref(p, subset, x.dim)):
                     weights.setdefault(pt, size)
         # the table is indexed by base-p codes, which count the vectors in
         # the order itertools.product lists them
@@ -188,18 +186,61 @@ class TestCandidateVertices:
         ]
         assert candidate_vertices(x, excluded).tolist() == expected
 
-    def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_restriction):
+    @pytest.mark.parametrize("p, sizes", [(2, range(2, 9)), (3, range(2, 6)), (5, range(2, 5))])
+    def test_unrestricted_pool_matches_the_whole_space_filter(self, p, sizes):
+        # random labelled graphs at d = 2..4: the candidates read off the
+        # table one range of leading 1s at a time equal the normalised codes
+        # of the whole space filtered by the table
+        rng = random.Random(5300 + p)
+        modulus = PrimeModulus(p)
+        checked = 0
+        for n in sizes:
+            for _ in range(4):
+                pairs = itertools.combinations(range(n), 2)
+                joins = [(i, j, rng.randrange(1, p)) for i, j in pairs if rng.random() < 0.5]
+                try:
+                    x = graph_lines(LabelledGraph.from_edges(modulus, n, joins))
+                except IsolatedVertex:
+                    continue
+                excluded = excluded_points(x, rng.randrange(2, 5))
+                pool = geometry.normalised_codes(p, n)
+                assert candidate_vertices(x, excluded).tolist() == pool[excluded[pool] == search.OUTSIDE].tolist()
+                checked += 1
+        assert checked >= 2 * len(sizes)
+
+    def test_unrestricted_pool_of_a_large_table_stays_bounded(self, mod2):
+        # C_22(1,2) at d = 6: 1 970 268 of the 4 194 303 points lie outside
+        # the 4 MiB table X_5; their codes take 15 MiB, and no array holds
+        # every point of the space (32 MiB of codes, and as much again for
+        # the filter)
+        import tracemalloc
+
+        joins = [(i, (i + s) % 22, 1) for i in range(22) for s in (1, 2)]
+        x = graph_lines(LabelledGraph.from_edges(mod2, 22, joins))
+        tracemalloc.start()
+        try:
+            excluded = excluded_points(x, 6)
+            tracemalloc.reset_peak()
+            verts = candidate_vertices(x, excluded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verts) == 1970268
+        assert (np.diff(verts) > 0).all() and (excluded[verts] == search.OUTSIDE).all()
+        assert peak < 48 * 2 ** 20
+
+    def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_constraints):
         # 24 of the 63 points of pi lie in the span of at most two incident
         # points, leaving 39 candidates; the CWS reference in
         # tests/cws_reference.py derives the same set from the adjacency matrix
         excluded = excluded_points(nine_cycle_lines, 3)
-        verts = candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction)
+        verts = candidate_vertices(nine_cycle_lines, excluded, nine_cycle_constraints)
         assert len(verts) == 39
 
-    def test_restriction_is_respected(self, nine_cycle_lines, nine_cycle_restriction):
+    def test_restriction_is_respected(self, nine_cycle_lines, nine_cycle_constraints):
         excluded = excluded_points(nine_cycle_lines, 3)
-        for v in vectors(2, 9, candidate_vertices(nine_cycle_lines, excluded, nine_cycle_restriction)):
-            assert contains_point(nine_cycle_restriction, v)
+        for v in vectors(2, 9, candidate_vertices(nine_cycle_lines, excluded, nine_cycle_constraints)):
+            assert contains_point(2, nine_cycle_constraints, v)
 
     @pytest.mark.parametrize("p, n, d, restricted, count, digest", [
         (2, 5, 2, False, 16, "e9eaea14485c0e7e"),
@@ -208,19 +249,19 @@ class TestCandidateVertices:
         (3, 5, 2, False, 101, "d5aef567fae417a5"),
         (2, 10, 4, False, 46, "3ec01b642cb55193"),
     ])
-    def test_pool_is_pinned(self, nine_cycle_restriction, p, n, d, restricted, count, digest):
+    def test_pool_is_pinned(self, nine_cycle_constraints, p, n, d, restricted, count, digest):
         # the candidates in order: their number and the first 16 hex digits
         # of the SHA-256 of their coordinates, one point per line
         x = cycle_lines(PrimeModulus(p), n)
-        verts = candidate_vertices(x, excluded_points(x, d), nine_cycle_restriction if restricted else None)
+        verts = candidate_vertices(x, excluded_points(x, d), nine_cycle_constraints if restricted else None)
         text = "\n".join("".join(map(str, v)) for v in vectors(p, n, verts))
         assert (len(verts), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
     def test_restriction_in_another_space_is_refused(self, nine_cycle_graph, mod2):
-        # a restriction in F_2^6 next to lines in F_2^9 has no points in common
+        # a restriction of F_2^6 next to lines in F_2^9 has no points in common
         # with them; its codes would index the table of another space
         x = cycle_lines(mod2, 9)
-        restriction = ProjSubspace(mod2, np.eye(6, dtype=np.int64))
+        restriction = np.eye(6, dtype=np.int64)[:3]
         with pytest.raises(DimensionMismatch):
             candidate_vertices(x, excluded_points(x, 3), restriction)
         with pytest.raises(DimensionMismatch):
@@ -243,10 +284,10 @@ class TestGammaGraph:
         assert gamma.num_vertices == 16
         assert gamma.num_edges == 60
 
-    def test_nine_cycle_450_edges(self, nine_cycle_lines, nine_cycle_restriction):
+    def test_nine_cycle_450_edges(self, nine_cycle_lines, nine_cycle_constraints):
         # the CWS reference (tests/cws_reference.py) gives the same 450 pairs:
         # those whose sum is not the image of an error of weight <= 2
-        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_constraints)
         assert gamma.num_edges == 450
 
     def test_edges_match_projection_criterion(self, pentagon_lines):
@@ -433,9 +474,9 @@ class TestFindCliques:
         assert all(len(c) == 5 for c in cliques)
 
     def test_nine_cycle_cliques_contain_printed_t(
-        self, nine_cycle_lines, nine_cycle_restriction, nine_cycle_tset
+        self, nine_cycle_lines, nine_cycle_constraints, nine_cycle_tset
     ):
-        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_constraints)
         cliques = find_cliques(gamma)
         assert all(len(c) == 11 for c in cliques)
         printed = {v.entries for v in nine_cycle_tset.nonzero()}
@@ -451,10 +492,10 @@ class TestFindCliques:
     def test_empty_graph(self):
         assert find_cliques(CompatibilityGraph((), np.zeros((0, 0), dtype=bool))) == []
 
-    def test_time_limit_carries_best(self, nine_cycle_lines, nine_cycle_restriction):
+    def test_time_limit_carries_best(self, nine_cycle_lines, nine_cycle_constraints):
         # the deadline is checked once the first descent has recorded a
         # clique, so even a zero limit carries maximal cliques
-        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_restriction)
+        gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_constraints)
         with pytest.raises(TimeLimitExceeded) as err:
             find_cliques(gamma, time_limit=0.0)
         best = err.value.best
@@ -939,23 +980,23 @@ class TestRunRecipe:
         kl = oracle.kl_detect(basis, 2, pauli_rows(stabilisers))
         assert len(kl.failures) == 8
 
-    def test_builds_the_weight_map_once(self, nine_cycle_graph, nine_cycle_restriction, monkeypatch):
+    def test_builds_the_weight_map_once(self, nine_cycle_graph, nine_cycle_constraints, monkeypatch):
         # one X_{d-1} serves the candidates, Γ and the distance bound
         from qsol import search
 
         built = []
         weights = search._weights
         monkeypatch.setattr(search, "_weights", lambda x, top: built.append(top) or weights(x, top))
-        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_restriction)
+        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_constraints)
         assert (report.clique_size, report.d_bound, report.d_bound_exact) == (11, 3, True)
         assert built == [2]
 
-    def test_finds_the_additive_distance_once(self, nine_cycle_graph, nine_cycle_restriction, monkeypatch):
+    def test_finds_the_additive_distance_once(self, nine_cycle_graph, nine_cycle_constraints, monkeypatch):
         # one d(X) search serves the zero-pair cap and the coding lines
         limits = []
         search_dx = lines_mod.min_dependent_set
         monkeypatch.setattr(lines_mod, "min_dependent_set", lambda x, limit: limits.append(limit) or search_dx(x, limit))
-        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_restriction)
+        report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_constraints)
         assert (report.d_bound, report.d_bound_exact) == (3, True)
         assert limits == [2]
 
