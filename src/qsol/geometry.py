@@ -1,8 +1,9 @@
 """Points and subspaces of PG(m, p).
 
 A point is held as a code: its normalised vector (first nonzero coordinate
-1) read as a base-p number, most significant coordinate first (vector_codes,
-digits, point_code, normalise). A rank-r subspace is held as its unique
+1) read as a base-p number, most significant coordinate first. digits
+decodes codes, and point_code is the one normalising routine: it gives the
+code of the point of any vector. A rank-r subspace is held as its unique
 RREF basis, an (r, m) int64 array (fields.rref, fields.null_space), and
 enumerated by points_of. A line is held as the codes of its points
 (lines.QuantumLineSet).
@@ -25,14 +26,6 @@ def _places(p: int, m: int) -> np.ndarray:
     return p ** np.arange(m - 1, -1, -1)
 
 
-def vector_codes(p: int, m: int, coords: Sequence[Sequence[int]]) -> np.ndarray:
-    """The base-p codes of vectors of length m, most significant coordinate first."""
-    vectors = np.array(coords, dtype=np.int64)
-    if vectors.size and vectors.shape[-1] != m:
-        raise DimensionMismatch(f"vectors of length {vectors.shape[-1]}, expected {m}")
-    return vectors.reshape(-1, m) @ _places(p, m)
-
-
 def digits(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
     """The vectors of F_p^m with the given codes, along a new last axis."""
     return np.asarray(codes, dtype=np.int64)[..., None] // _places(p, m) % p
@@ -44,20 +37,6 @@ def unique(codes: np.ndarray) -> np.ndarray:
     keep = np.ones(len(codes), dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
     return codes[keep]
-
-
-def normalise(p: int, m: int, codes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The sorted codes of the points of PG(m-1, p) spanned by nonzero vectors of F_p^m, each once.
-
-    A code outside [1, p^m) is the zero vector or no vector of F_p^m, and
-    raises ValueError. The codes are taken in fields.blocks, so that their
-    digits are never all held at once.
-    """
-    codes = np.asarray(codes, dtype=np.int64).ravel()
-    if ((codes < 1) | (codes >= p ** m)).any():
-        raise ValueError(f"a code outside [1, {p}^{m}) is no point of PG({m - 1}, {p})")
-    points = [point_code(p, digits(p, m, codes[rows])) for rows in fields.blocks(len(codes), m)]
-    return unique(np.concatenate([codes[:0], *points]))
 
 
 def point_code(p: int, vectors: np.ndarray) -> np.ndarray:

@@ -193,7 +193,7 @@ def min_dependent_set(x: QuantumLineSet, limit: int) -> DependentSetSize:
 def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
     """X_top of the given points as a weight table over F_p^m, built layer by layer.
 
-    points holds the codes of the points (see geometry.vector_codes), which
+    points holds the codes of the points (see geometry.point_code), which
     index the table. A vector's entry is its weight, the least number of the
     points whose span holds it, up to top: the zero vector is the span of no
     points and holds 0, and a vector outside X_top holds OUTSIDE. Layer w

@@ -216,24 +216,24 @@ def error_classes(p: int, n: int, w_max: int) -> np.ndarray:
 
     The rows come by weight, then by support, then by the letters
     (a, b) != (0, 0) at the support's sites in itertools.product order.
-    They are held twice, in the blocks of each weight and concatenated, so
-    they are refused with TooLarge, before any is built, over half of
-    fields.MAX_BYTES.
+    They are counted first and refused with TooLarge, before any is built,
+    over fields.MAX_BYTES; then one array is filled weight by weight.
     """
     letters = np.array([(a, b) for a in range(p) for b in range(p) if a or b], dtype=np.int64)
     width = 2 * n + 1
     rows = sum(math.comb(n, w) * len(letters) ** w for w in range(1, min(w_max, n) + 1))
-    fields.check_bytes(f"{rows} error classes of {width} int64 entries", rows * width * 8, part=2)
-    blocks = [np.zeros((0, width), dtype=np.int64)]
+    fields.check_bytes(f"{rows} error classes of {width} int64 entries", rows * width * 8)
+    out = np.zeros((rows, width), dtype=np.int64)
+    start = 0
     for w in range(1, min(w_max, n) + 1):
         supports = np.array(list(itertools.combinations(range(n), w)))[:, np.newaxis, :]
         # one row of w letters per value, the first site slowest
         values = letters[np.indices((len(letters),) * w).reshape(w, -1).T]
-        block = np.zeros((len(supports), len(values), width), dtype=np.int64)
+        block = out[start:start + len(supports) * len(values)].reshape(len(supports), len(values), width)
         np.put_along_axis(block, 1 + supports, values[..., 0], axis=2)
         np.put_along_axis(block, 1 + n + supports, values[..., 1], axis=2)
-        blocks.append(block.reshape(-1, width))
-    return np.concatenate(blocks)
+        start += len(supports) * len(values)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from .errors import (
     TimeLimitExceeded,
 )
 from .fields import PrimeModulus
-from .geometry import vector_codes
 from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
 
 # X_w as a weight table over the codes of the ambient vectors (see
@@ -83,27 +82,39 @@ class LabelledGraph:
 
 @dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
-    """Γ: the codes of candidate points in increasing order, and a read-only symmetric (n, n) bool adjacency array.
+    """Γ: the codes of candidate points, and a read-only symmetric (n, n) bool adjacency array.
 
     Entry (i, j) is set exactly when vertices i and j are joined. An array
     of another shape than (n, n) for n vertices, a loop (a set diagonal
     entry) and an array that is not equal to its transpose are refused; the
-    last names the first pair joined one way only.
+    last names the first pair joined one way only. A read-only bool array
+    that owns its data, as gamma_graph gives, is kept; any other is copied.
     """
 
     vertices: tuple[int, ...]
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.adjacency, dtype=bool)
+        a = self.adjacency
+        if not (isinstance(a, np.ndarray) and a.dtype == bool and a.flags.owndata and not a.flags.writeable):
+            a = np.array(a, dtype=bool)
         n = len(self.vertices)
         if a.shape != (n, n):
             raise ValueError(f"need an ({n}, {n}) adjacency array for {n} vertices, got shape {a.shape}")
         loops = np.flatnonzero(a.diagonal())
         if len(loops):
             raise ValueError(f"row {loops[0]} must join vertex {loops[0]} only to other vertices")
-        if not np.array_equal(a, a.T):
-            i, j = np.argwhere(a & ~a.T)[0].tolist()
+        # each tile on or right of the diagonal against its mirror tile, with no (n, n) temporary;
+        # a pair that differs gives each of its tiles' first one-way pair, the least being the first
+        firsts, tile = [], 1024
+        for r in range(0, n, tile):
+            for c in range(r, n, tile):
+                if not np.array_equal(a[r:r + tile, c:c + tile], a[c:c + tile, r:r + tile].T):
+                    for s, t in ((r, c), (c, r)):
+                        one_way = np.argwhere(a[s:s + tile, t:t + tile] > a[t:t + tile, s:s + tile].T)
+                        firsts += [(s + i, t + j) for i, j in one_way[:1].tolist()]
+        if firsts:
+            i, j = min(firsts)
             raise ValueError(f"row {i} joins vertex {j}, but row {j} does not join vertex {i}")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
@@ -214,24 +225,25 @@ def gamma_graph(
     same as asking that u, v and any d-1 or fewer incident points be
     independent.
 
-    The vertices are codes of nonzero vectors of the lines' space, in any
-    order and of any scaling; the graph's vertices are their points, sorted
-    and each once (geometry.normalise). The table is read at the codes of u,
-    v and u + c·v, c = 1..p-1 (see lines.line_codes). For v = u the sum
+    Γ's vertices are the given codes, those of candidate_vertices, in the
+    given order. A code outside [1, p^m), no nonzero vector of the lines'
+    space, or of a point of X_{d-1} raises ValueError. The table is read at
+    the codes of u + c·v, c = 1..p-1 (lines.line_codes). For v = u the sum
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
     every row. The rows are taken in fields.blocks and written straight into
     the (n, n) bool adjacency array, which is refused with TooLarge, before
     it is allocated, when its n² bytes exceed fields.MAX_BYTES.
     """
     p, m = x.p, x.dim
-    codes = geometry.normalise(p, m, vertices)
+    codes = np.asarray(vertices, dtype=np.int64)
     n = len(codes)
     fields.check_bytes(f"a compatibility graph on {n} vertices", n * n)
-    outside = excluded[codes] == OUTSIDE
+    if ((codes < 1) | (codes >= p ** m)).any() or (excluded[codes] != OUTSIDE).any():
+        raise ValueError(f"a vertex of Γ must be the code of a point of PG({m - 1}, {p}) outside X_{{d-1}}")
     adjacency = np.empty((n, n), dtype=bool)
     for block in fields.blocks(n, n * m):
-        on_line = excluded[line_codes(p, m, codes[block], codes)]
-        np.logical_and(outside[block, None] & outside, (on_line == OUTSIDE).all(axis=0), out=adjacency[block])
+        (excluded[line_codes(p, m, codes[block], codes)] == OUTSIDE).all(axis=0, out=adjacency[block])
+    adjacency.setflags(write=False)
     return CompatibilityGraph(tuple(codes.tolist()), adjacency)
 
 
@@ -541,7 +553,9 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
     distinct points, so that there is no such line.
     """
     p, m = x.p, x.dim
-    points = geometry.normalise(p, m, vector_codes(p, m, t.vectors[t.vectors.any(axis=1)]))
+    if t.length != m:
+        raise DimensionMismatch(f"a coding set of length {t.length}, lines in PG({m - 1}, {p})")
+    points = geometry.unique(geometry.point_code(p, t.vectors[t.vectors.any(axis=1)]))
     if len(points) < 2:
         return None
     i, j = np.triu_indices(len(points), 1)

@@ -284,10 +284,15 @@ def in_row_space(p: int, rows, v) -> bool:
 
 
 def normalised(p: int, v) -> tuple[int, ...]:
-    """A nonzero vector scaled so that its first nonzero coordinate is 1: the reference for geometry.normalise."""
+    """A nonzero vector scaled so that its first nonzero coordinate is 1: the reference for geometry.point_code."""
     lead = next(c for c in v if c % p)
     inv = pow(lead, -1, p)
     return tuple(inv * c % p for c in v)
+
+
+def vector_codes(p: int, m: int, coords) -> np.ndarray:
+    """The base-p codes of vectors of length m, most significant coordinate first: geometry.digits inverted."""
+    return np.array(coords, dtype=np.int64).reshape(-1, m) @ p ** np.arange(m - 1, -1, -1)
 
 
 def vectors(p: int, m: int, codes) -> list[tuple[int, ...]]:

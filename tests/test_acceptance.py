@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qsol import fields, geometry, lines as lines_mod, pauli, search
+from qsol import fields, lines as lines_mod, pauli, search
 from qsol.errors import CollapsedImage, DegenerateLine, IsolatedVertex
 from qsol.fields import FpVector, PrimeModulus, null_space, rref
 from qsol.lines import AtLeast
@@ -451,21 +451,15 @@ def test_property_gamma_graph_matches_rank_rule():
         d = rng.choice([2, 3])
         n = rng.randint(*sizes[p, d])
         x = random_graph_lines(rng, mod, n)
-        incident_codes = lines_mod.incident_points(x).tolist()
         # edges are rare at d = 3, so the ends of up to two edges of Γ on a
-        # sample of candidates go in first; random candidates, an incident
-        # point and random points follow, and the two rules must agree on
-        # every pair of the list
+        # sample of candidates go in first; random candidates follow, each
+        # once and in no order, and the two rules must agree on every pair
         excluded = search.excluded_points(x, d)
         candidates = search.candidate_vertices(x, excluded).tolist()
         pool = search.gamma_graph(x, rng.sample(candidates, min(30, len(candidates))), excluded)
         verts = [pool.vertices[i] for e in rng.sample(sorted(edges(pool)), min(2, pool.num_edges)) for i in e]
-        verts += rng.sample(candidates, min(2, len(candidates))) + rng.sample(incident_codes, 1)
-        while len(verts) < 8:
-            coords = tuple(rng.randrange(p) for _ in range(n))
-            if any(coords):
-                # the code of the vector as drawn; Γ normalises it
-                verts += geometry.vector_codes(p, n, [coords]).tolist()
+        verts += rng.sample(candidates, min(8, len(candidates)))
+        verts = list(dict.fromkeys(verts))[:8]
         gamma = search.gamma_graph(x, verts, excluded)
         pts, incident_coords = vectors(p, n, gamma.vertices), incident(x)
         expected = {

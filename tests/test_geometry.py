@@ -11,14 +11,14 @@ import numpy as np
 from qsol.fields import null_space, rank_of_vectors, rref
 from qsol.geometry import (
     digits,
-    normalise,
+    point_code,
     points_of,
     span,
-    vector_codes,
+    unique,
 )
 from qsol.lines import lines_spanned_by, project_lines
 
-from conftest import apply_map, iter_rref_bases, normalised, points, vectors
+from conftest import apply_map, iter_rref_bases, normalised, points, vector_codes, vectors
 
 
 def gaussian_binomial(n, k, p):
@@ -33,30 +33,29 @@ def gaussian_binomial(n, k, p):
 
 
 class TestNormalise:
+    # point_code is the one normalising routine, and unique keeps each point once
     def test_first_nonzero_becomes_one(self):
         # (0, 2, 1) over F_3 is the point of (0, 1, 2), code 0·9 + 1·3 + 2 = 5
-        assert normalise(3, 3, vector_codes(3, 3, [(0, 2, 1)])).tolist() == [5]
+        assert point_code(3, np.array([(0, 2, 1)])).tolist() == [5]
 
     def test_proportional_vectors_give_one_point(self):
-        assert normalise(3, 3, vector_codes(3, 3, [(2, 1, 0), (1, 2, 0)])).tolist() == [15]
+        assert unique(point_code(3, np.array([(2, 1, 0), (1, 2, 0)]))).tolist() == [15]
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            normalise(2, 3, vector_codes(2, 3, [(0, 0, 0)]))
+    def test_zero_vector_has_code_zero(self):
+        # the zero vector spans no point; its code 0 is the one outside [1, p^m)
+        assert point_code(2, np.array([(0, 0, 0), (0, 1, 1)])).tolist() == [0, 3]
 
     @pytest.mark.parametrize("p, m", [(2, 63), (3, 39), (31, 12)])
     def test_codes_stop_at_64_bits(self, p, m):
         # p^m <= 2^63 is the largest space whose codes fit an int64; one more
         # coordinate would wrap them, so it is refused
         top = (1,) + (p - 1,) * (m - 1)
-        assert vector_codes(p, m, [top]).tolist() == [2 * p ** (m - 1) - 1]
+        assert point_code(p, np.array([top])).tolist() == [2 * p ** (m - 1) - 1]
         assert digits(p, m, [2 * p ** (m - 1) - 1]).tolist() == [list(top)]
         with pytest.raises(TooLarge, match=f"codes up to {p}\\^{m + 1} - 1, past the 64-bit integers"):
-            vector_codes(p, m + 1, [(1,) + top])
+            point_code(p, np.array([(1,) + top]))
         with pytest.raises(TooLarge):
             digits(p, m + 1, [1])
-        with pytest.raises(TooLarge):
-            normalise(p, m + 1, [1])
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_scaling_the_first_nonzero_coordinate(self, p):
@@ -67,7 +66,7 @@ class TestNormalise:
             vs = [v for v in (tuple(rng.randrange(p) for _ in range(m)) for _ in range(40)) if any(v)]
             vs += [tuple(rng.randrange(1, p) * e % p for e in v) for v in vs[:10]]
             rng.shuffle(vs)
-            codes = normalise(p, m, vector_codes(p, m, vs))
+            codes = unique(point_code(p, np.array(vs, dtype=np.int64)))
             assert vectors(p, m, codes) == sorted({normalised(p, v) for v in vs}), (p, m)
 
 

@@ -325,19 +325,22 @@ class TestErrorClasses:
 
     def test_budget_refuses_before_allocating(self):
         # the 1 630 083 classes of weight <= 6 on 13 qubits would take 335.8
-        # MiB, held twice (per weight, then concatenated); they are counted,
-        # not built, before the refusal. The 379 119 of weight <= 5 take 78
-        # MiB, within half the budget
+        # MiB; they are counted, not built, before the refusal. The 379 119
+        # of weight <= 5 take 78 MiB, and are held once: one array filled
+        # weight by weight
         tracemalloc.start()
         try:
-            with pytest.raises(TooLarge, match=r"^1630083 error classes of 27 int64 entries needs about 335\.8 MiB, over 1/2 of the 256 MiB budget$"):
+            with pytest.raises(TooLarge, match=r"^1630083 error classes of 27 int64 entries needs about 335\.8 MiB, over the 256 MiB budget$"):
                 error_classes(2, 13, 6)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rows = error_classes(2, 13, 5)
+            peak_of_rows = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        rows = error_classes(2, 13, 5)
         assert rows.shape == (379119, 27)
+        assert peak_of_rows < 1.2 * rows.nbytes
         assert ((rows[-1, 1:14] != 0) | (rows[-1, 14:] != 0)).sum() == 5
 
 

@@ -322,44 +322,14 @@ class TestGammaGraph:
     def test_vertex_in_another_space_is_refused(self, pentagon_lines):
         # a vertex is the code of a nonzero vector of F_2^5, 1..31: 0 is the
         # zero vector, and -1 and 2^5 are no vector of the space (2^5 is one
-        # of F_2^6)
+        # of F_2^6); an incident point is a point of X_{d-1}, no candidate
         excluded = excluded_points(pentagon_lines, 2)
         verts = candidate_vertices(pentagon_lines, excluded).tolist()
-        for stray in (0, -1, 2 ** 5):
+        incident_point = int(lines_mod.incident_points(pentagon_lines)[0])
+        for stray in (0, -1, 2 ** 5, incident_point):
             for given in ([stray], verts[:3] + [stray]):
                 with pytest.raises(ValueError):
                     gamma_graph(pentagon_lines, given, excluded)
-
-    def test_property_vertices_in_any_order_and_scaling(self):
-        # Γ of shuffled, repeated and rescaled candidate codes is Γ of the
-        # sorted candidates, vertices and rows alike, on labelled cycles
-        rng = random.Random(6016)
-        sizes = {2: (5, 7), 3: (3, 5), 5: (3, 4)}
-        edges = collections.Counter()
-        for case in range(30):
-            p = [2, 3, 5][case % 3]
-            n = rng.randint(*sizes[p])
-            d = rng.choice([2, 3])
-            mod = PrimeModulus(p)
-            labels = [(i, (i + 1) % n, rng.randrange(1, p)) for i in range(n)]
-            group = graph_to_generators(LabelledGraph.from_edges(mod, n, labels))
-            x = lines_mod.lines_from_matrix(group.gmatrix, n, 0)
-            excluded = excluded_points(x, d)
-            candidates = candidate_vertices(x, excluded)
-            expected = gamma_graph(x, candidates, excluded)
-            assert expected.vertices == tuple(candidates.tolist())
-            # each candidate once or twice, times a random nonzero scalar
-            given = []
-            for v in vectors(p, n, candidates):
-                for c in rng.choices(range(1, p), k=rng.randint(1, 2)):
-                    given.append(tuple(c * e % p for e in v))
-            rng.shuffle(given)
-            codes = geometry.vector_codes(p, n, given)
-            gamma = gamma_graph(x, codes.tolist() if case % 2 else codes, excluded)
-            where = f"case {case}: p={p} n={n} d={d}"
-            assert gamma.vertices == expected.vertices and np.array_equal(gamma.adjacency, expected.adjacency), where
-            edges[p] += expected.num_edges
-        assert all(edges[p] for p in (2, 3, 5)), f"edges compared: {dict(edges)}"
 
     def test_lookup_table_over_budget_is_refused(self, mod2):
         # the table would hold 2^30 one-byte entries; the guard fires before
@@ -390,10 +360,9 @@ class TestGammaGraph:
         assert gamma_of(cycle_lines(mod2, 5), 2).num_vertices == 16
 
     def test_over_budget_is_refused_at_a_bounded_peak(self, mod2):
-        # all 2^20 - 1 points of PG(19, 2) as vertices: their (n, 20) digits
-        # alone would take 160 MiB, but the vertices are normalised a block
-        # at a time, with temporaries of a few 8 MiB blocks, before the n²
-        # guard refuses Γ
+        # all 2^20 - 1 points of PG(19, 2) as vertices: the n² guard refuses
+        # Γ first, before anything of n entries is built from the vertices,
+        # let alone their (n, 20) digits, which would take 160 MiB
         import tracemalloc
 
         x = cycle_lines(mod2, 20)
@@ -438,6 +407,39 @@ class TestGammaGraph:
         a[150, 3] = True
         with pytest.raises(ValueError, match="row 150 joins vertex 3, but row 3 does not join vertex 150"):
             CompatibilityGraph(tuple(range(1, 201)), a)
+
+    def test_one_way_pair_in_a_lower_tile(self):
+        # the symmetry check compares tiles of about 1024 rows with their
+        # mirrors; row 1050 lies in the second strip and column 3 in the
+        # first, below the diagonal, and the pair is still reported from row
+        # 1050, the row that has the join
+        a = np.zeros((1100, 1100), dtype=bool)
+        a[1050, 3] = True
+        with pytest.raises(ValueError, match="row 1050 joins vertex 3, but row 3 does not join vertex 1050"):
+            CompatibilityGraph(tuple(range(1, 1101)), a)
+        a[3, 1050] = a[1099, 2] = True
+        with pytest.raises(ValueError, match="row 1099 joins vertex 2, but row 2 does not join vertex 1099"):
+            CompatibilityGraph(tuple(range(1, 1101)), a)
+
+    def test_gamma_is_held_once(self, mod2):
+        # the 13-cycle at d = 3 has 7 606 candidates, a Γ of 55.2 MiB; it is
+        # built in place and kept by CompatibilityGraph, so the traced peak
+        # is Γ plus the temporaries of one block of rows, with no copy and no
+        # comparison with its transpose
+        import tracemalloc
+
+        x = cycle_lines(mod2, 13)
+        excluded = excluded_points(x, 3)
+        vertices = candidate_vertices(x, excluded)
+        tracemalloc.start()
+        try:
+            gamma = gamma_graph(x, vertices, excluded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = gamma.num_vertices
+        assert n == 7606 and not gamma.adjacency.flags.writeable
+        assert peak < 1.1 * n * n + 4 * 2 ** 20
 
     def test_symmetry_check_matches_bit_tests(self):
         # random graphs on up to 20 vertices, with one entry flipped in every
@@ -903,6 +905,14 @@ class TestDistanceBound:
     def test_vacuous_bound(self, pentagon_lines, mod2):
         t = CodingSet(mod2, [(0,) * 5])
         assert distance_bound(pentagon_lines, t, 3) == AtLeast(4)
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_coding_set_of_another_length_is_refused(self, pentagon_lines, mod2, length):
+        # the pentagon's lines live in F_2^5; a shorter T would index the
+        # table at codes of another space, a longer one past its end
+        t = CodingSet(mod2, [[0] * length, [0, 1] + [0] * (length - 2)])
+        with pytest.raises(DimensionMismatch, match=f"a coding set of length {length}, lines in PG\\(4, 2\\)"):
+            distance_bound(pentagon_lines, t, 3)
 
     @pytest.mark.xfail(
         strict=True,
