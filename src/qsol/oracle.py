@@ -20,12 +20,17 @@ a generator file, and the rows of a StabiliserGroup, which code_basis reads.
 The error-detection conditions are the K x K matrices B^dag E B = alpha_E I
 for the dim x K code basis B. B^dag E B depends only on the restriction of
 E to its support S, of weight w, and on the code's reduced Gram tensor R_S,
-p^w x p^w blocks of K x K: one R_S serves every error on S.
-Memory is guarded by the one byte budget, fields.MAX_BYTES.
+p^w x p^w blocks of K x K: one R_S serves every error on S. On S an error
+is u^c X^x Z^z, and B^dag E B = u^c sum_y omega^(z.y) R_S[y + x, y]: for
+each x, the blocks of every z at once are the character transform over
+F_p^w of the shifted diagonal R_S[y + x, y], so each support takes one
+gather and w products with the p x p character matrix, and no Pauli
+action. Memory is guarded by the one byte budget, fields.MAX_BYTES.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -268,19 +273,85 @@ def _reduced_gram(b: np.ndarray, p: int, support: np.ndarray, start: int, stop: 
     return (f.conj().T @ f[:, start * cols:stop * cols]).reshape(size, cols, stop - start, cols)
 
 
+@lru_cache(maxsize=2)
+def _shifted_diagonals(p: int, w: int, x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """The index that gathers R_S[y + x, y] for x in [x0, x1) from columns y0..y1-1 of R_S.
+
+    A block of R_S is indexed [alpha, i, y - y0, j], as _reduced_gram
+    returns it: shift[x - x0, y - y0] = code(y + x), the digits of F_p^w
+    added site by site mod p, picks the rows alpha, and the block's own
+    columns run alongside, so the gather is (x1 - x0, y1 - y0, K, K). Two
+    indices are kept: one check alternates between its weights.
+    """
+    digits = _digits(p, w)
+    shift = np.zeros((x1 - x0, y1 - y0), dtype=np.int64)
+    for site in range(w):
+        shift += np.add(digits[x0:x1, site, np.newaxis], digits[y0:y1, site], dtype=np.int64) % p * p ** (w - 1 - site)
+    columns = np.arange(y1 - y0)
+    shift.flags.writeable = columns.flags.writeable = False
+    return shift, slice(None), columns, slice(None)
+
+
+@lru_cache(maxsize=4)
+def _characters(p: int) -> np.ndarray:
+    """The p x p character matrix omega^(z y) of F_p, real (+-1) for p = 2."""
+    order = 4 if p == 2 else p
+    chars = _roots(p)[order // p * np.outer(np.arange(p), np.arange(p)) % order]
+    chars = np.ascontiguousarray(chars.real) if p == 2 else chars
+    chars.flags.writeable = False
+    return chars
+
+
+def _transformed_table(
+    b: np.ndarray, p: int, support: np.ndarray, w: int, x0: int, x1: int, blocks: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and K times the squared residual of M_S[x, z] for x in [x0, x1) and every z, x-major.
+
+    support is a boolean mask of the w sites of S. M_S[x, z] =
+    sum_y omega^(z.y) G_x[y] for the shifted diagonals
+    G_x[y] = R_S[y + x, y]. R_S is formed a block of columns (y0, y1) at
+    a time, which gathers the columns y0..y1-1 of G; then the character
+    transform over F_p^w takes one product with the p x p character matrix
+    per site (a Hadamard transform for p = 2). alpha = tr(M) / K, and the
+    squared Frobenius norm of M - alpha I is summed with a complex entry
+    read as two reals.
+    """
+    cols = b.shape[1]
+    parts = [_reduced_gram(b, p, support, y0, y1)[_shifted_diagonals(p, w, x0, x1, y0, y1)] for y0, y1 in blocks]
+    table = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    # so that only the transform's own copy is held next to the table
+    del parts
+    for site in range(w):
+        table = _characters(p) @ table.reshape((x1 - x0) * p ** site, p, -1)
+    table = table.reshape(-1, cols * cols)
+    diagonal = table[:, ::cols + 1]
+    alpha = diagonal.sum(axis=1) / cols
+    diagonal -= alpha[:, np.newaxis]
+    flat = table.view(np.float64)
+    return alpha, np.einsum("ij,ij->i", flat, flat)
+
+
 def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha_E and the residual of each error of one weight w.
 
     The errors are operator rows with their supports as boolean masks,
-    sorted by support and then by x part. With E_S |y> = u^power[y] |perm[y]>
-    from _pauli_action on the w sites of E's support S,
-    B^dag E B = sum_y u^power[y] R_S[perm[y], y] over the p^w columns y of
-    R_S. The errors on S with the same x part have the same perm, so each
-    run of them is one product of its phases with the gathered R_S[perm[y], y].
-    R_S is formed in blocks of columns, each within 1/4 of fields.MAX_BYTES and
-    gathered once; when it fits in one block, it is formed once per support.
-    The errors are taken in chunks within 1/2 of fields.MAX_BYTES, with one action
-    per chunk.
+    sorted by support and then by x part. On its support S an error is
+    E_S = u^c X^x Z^z, with u = i and c = phase + x.z mod 4 for p = 2 (each
+    Y letter is i.X.Z), and u = omega and c = phase for odd p; it maps |y>
+    to u^c omega^(z.y) |y + x>, so
+    B^dag E B = u^c sum_y omega^(z.y) R_S[y + x, y] = u^c M_S[x, z].
+    For each x the shifted diagonal G_x[y] = R_S[y + x, y] is one gather,
+    and M_S[x, .] is its character transform over F_p^w, w products with
+    the p x p character matrix: w p^(2w+1) K^2 operations for the whole
+    table (_transformed_table). Each error reads alpha and the residual of
+    its entry M_S[x, z]; alpha takes the phase u^c, and the residual does
+    not change under it.
+
+    R_S is formed in blocks of columns, each within 1/4 of fields.MAX_BYTES.
+    The table is built for blocks of consecutive x, from the first x of the
+    support's errors to the last, each within another 1/4 of it; the
+    gather and the transform hold a second copy. The table for every x is
+    no larger than R_S, so when R_S is one block each support forms it once.
     """
     cols = b.shape[1]
     count, w = len(ops), int(supports[0].sum())
@@ -292,51 +363,35 @@ def _check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) 
         part=4,
     )
     width = min(size, fields.MAX_BYTES // 4 // (size * square * 16))
-    # per error: the integer action and its temporaries, its phases and its K x K product
-    chunk = max(1, fields.MAX_BYTES // 2 // (size * 64 + square * 32))
+    # the number of x whose table rows fit 1/4 of the budget: at least one,
+    # as a row is no larger than a column of R_S
+    rows = fields.MAX_BYTES // 4 // (size * square * b.itemsize)
     blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
-    # each error restricted to its own w sites
+    # each error restricted to its own w sites, as codes of F_p^w
     phase, x, z = split_rows(ops)
-    x = x[supports].reshape(count, w)
-    local = np.column_stack((phase, x, z[supports].reshape(count, w)))
-    new_support = np.ones(count, dtype=bool)
-    new_support[1:] = np.diff(supports, axis=0).any(axis=1)
-    new_run = new_support.copy()
-    new_run[1:] |= np.diff(x, axis=0).any(axis=1)
-    roots = _roots(p)
-    diagonal = np.arange(cols)
+    x, z = x[supports].reshape(count, w), z[supports].reshape(count, w)
+    place = p ** np.arange(w - 1, -1, -1)
+    xcodes = x @ place
+    # an error's entry in the table that starts at x0 is codes - x0 * size
+    codes = xcodes * size + z @ place
+    power = (phase + np.sum(x * z, axis=1)) % 4 if p == 2 else phase % p
+    xs = xcodes.tolist()
+    edges = [0, *(np.flatnonzero(np.diff(supports, axis=0).any(axis=1)) + 1).tolist(), count]
     alphas = np.empty(count, dtype=complex)
-    residuals = np.empty(count)
-    whole = None
-    for first in range(0, count, chunk):
-        part = slice(first, first + chunk)
-        perm, power = _pauli_action(p, local[part])
-        phases = roots[power]
-        m = np.zeros((len(perm), square), dtype=complex)
-        # the rows of this chunk where a support, or a run of one x part, begins
-        begins_support, begins_run = new_support[part].copy(), new_run[part].copy()
-        begins_support[0] = begins_run[0] = True
-        run_starts = np.flatnonzero(begins_run)
-        edges = [*np.flatnonzero(begins_support), len(perm)]
-        for lo, hi in zip(edges, edges[1:]):
-            support = supports[first + lo]
-            starts = run_starts[np.searchsorted(run_starts, lo):np.searchsorted(run_starts, hi)]
-            runs = list(zip(starts, [*starts[1:], hi]))
-            if len(blocks) == 1 and new_support[first + lo]:
-                whole = _reduced_gram(b, p, support, 0, size)
-            for y0, y1 in blocks:
-                gram = whole if len(blocks) == 1 else _reduced_gram(b, p, support, y0, y1)
-                gathered = gram[perm[starts, y0:y1], :, np.arange(y1 - y0), :]
-                for run, (r0, r1) in zip(gathered.reshape(len(starts), y1 - y0, square), runs):
-                    m[r0:r1] += phases[r0:r1, y0:y1] @ run
-        cube = m.reshape(-1, cols, cols)
-        alpha = np.trace(cube, axis1=1, axis2=2) / cols
-        cube[:, diagonal, diagonal] -= alpha[:, np.newaxis]
-        alphas[part] = alpha
-        # the Frobenius norms, without a temporary the size of m
-        squares = np.einsum("ij,ij->i", m.real, m.real) + np.einsum("ij,ij->i", m.imag, m.imag)
-        residuals[part] = np.sqrt(squares / cols)
-    return alphas, residuals
+    squares = np.empty(count)
+    for lo, hi in zip(edges, edges[1:]):
+        first = lo
+        while first < hi:
+            x0 = xs[first]
+            x1 = min(x0 + rows, xs[hi - 1] + 1)
+            last = bisect.bisect_left(xs, x1, first, hi)
+            alpha, square_norms = _transformed_table(b, p, supports[lo], w, x0, x1, blocks)
+            entry = codes[first:last] - x0 * size
+            alphas[first:last] = alpha[entry]
+            squares[first:last] = square_norms[entry]
+            first = last
+    alphas *= _roots(p)[power]
+    return alphas, np.sqrt(squares / cols)
 
 
 def kl_detect(b: np.ndarray, p: int, ops: np.ndarray) -> KLReport:
@@ -346,12 +401,14 @@ def kl_detect(b: np.ndarray, p: int, ops: np.ndarray) -> KLReport:
     and the residual is ||B^dag E B - alpha_E I||_F / sqrt(K), which equal
     tr(P E) / tr(P) and ||P E P - alpha_E P||_F / ||P||_F for P = B B^dag.
 
-    B^dag E B depends only on E's restriction E_S to its support S: it is
-    sum_{alpha, beta} E_S[alpha, beta] R_S[alpha, beta] for the reduced Gram
-    tensor R_S. The errors are sorted by weight, support and x part, and
-    each support's errors are checked against one R_S (_check_weight),
-    global phase included. The report keeps the order of ops; an error
-    whose residual exceeds KL_TOL fails.
+    B^dag E B depends only on E's restriction E_S = u^c X^x Z^z to its
+    support S: it is u^c sum_y omega^(z.y) R_S[y + x, y] for the reduced
+    Gram tensor R_S, that is u^c M_S[x, z], where M_S[x, .] is the
+    character transform over F_p^w of the shifted diagonal R_S[y + x, y].
+    The errors are sorted by weight, support and x part, and each support's
+    errors are read off one table M_S (_check_weight), global phase
+    included. The report keeps the order of ops; an error whose residual
+    exceeds KL_TOL fails.
     """
     _check_orthonormal(b)
     ops = np.asarray(ops, dtype=np.int64)

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsol import geometry, io
+from qsol import fields, geometry, io, oracle
 from qsol.fields import PrimeModulus, rank_of_vectors
-from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply
+from qsol.pauli import PauliOperator, StabiliserGroup, centraliser_basis, multiply, split_rows
 from qsol.search import LabelledGraph
 from qsol import lines as lines_mod
 
@@ -453,3 +453,62 @@ def reference_extend(s: StabiliserGroup) -> StabiliserGroup:
         v = next(v for v in row_space_vectors(s.p, centraliser_basis(current), 2 * s.n) if v not in rows)
         current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
     return current
+
+
+def reference_check_weight(b: np.ndarray, p: int, supports: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_E and the residual of each error of one weight, by one Pauli action per error: the reference for oracle._check_weight.
+
+    The errors come sorted by support and then by x part, as kl_detect
+    passes them. With E_S |y> = u^power[y] |perm[y]> from
+    oracle._pauli_action on the w sites of E's support S, B^dag E B is
+    sum_y u^power[y] R_S[perm[y], y] over the p^w columns y of R_S; the
+    errors on S with the same x part have the same perm, so each run of
+    them is one product of its phases with the gathered R_S[perm[y], y].
+    R_S is formed in blocks of columns within 1/4 of fields.MAX_BYTES, and
+    the errors are taken in chunks within 1/2 of it, one action per chunk.
+    """
+    cols = b.shape[1]
+    count, w = len(ops), int(supports[0].sum())
+    size, square = p ** w, cols * cols
+    width = min(size, fields.MAX_BYTES // 4 // (size * square * 16))
+    chunk = max(1, fields.MAX_BYTES // 2 // (size * 64 + square * 32))
+    blocks = [(y0, min(y0 + width, size)) for y0 in range(0, size, width)]
+    phase, x, z = split_rows(ops)
+    x = x[supports].reshape(count, w)
+    local = np.column_stack((phase, x, z[supports].reshape(count, w)))
+    new_support = np.ones(count, dtype=bool)
+    new_support[1:] = np.diff(supports, axis=0).any(axis=1)
+    new_run = new_support.copy()
+    new_run[1:] |= np.diff(x, axis=0).any(axis=1)
+    roots = oracle._roots(p)
+    diagonal = np.arange(cols)
+    alphas = np.empty(count, dtype=complex)
+    residuals = np.empty(count)
+    whole = None
+    for first in range(0, count, chunk):
+        part = slice(first, first + chunk)
+        perm, power = oracle._pauli_action(p, local[part])
+        phases = roots[power]
+        m = np.zeros((len(perm), square), dtype=complex)
+        begins_support, begins_run = new_support[part].copy(), new_run[part].copy()
+        begins_support[0] = begins_run[0] = True
+        run_starts = np.flatnonzero(begins_run)
+        edges = [*np.flatnonzero(begins_support), len(perm)]
+        for lo, hi in zip(edges, edges[1:]):
+            support = supports[first + lo]
+            starts = run_starts[np.searchsorted(run_starts, lo):np.searchsorted(run_starts, hi)]
+            runs = list(zip(starts, [*starts[1:], hi]))
+            if len(blocks) == 1 and new_support[first + lo]:
+                whole = oracle._reduced_gram(b, p, support, 0, size)
+            for y0, y1 in blocks:
+                gram = whole if len(blocks) == 1 else oracle._reduced_gram(b, p, support, y0, y1)
+                gathered = gram[perm[starts, y0:y1], :, np.arange(y1 - y0), :]
+                for run, (r0, r1) in zip(gathered.reshape(len(starts), y1 - y0, square), runs):
+                    m[r0:r1] += phases[r0:r1, y0:y1] @ run
+        cube = m.reshape(-1, cols, cols)
+        alpha = np.trace(cube, axis1=1, axis2=2) / cols
+        cube[:, diagonal, diagonal] -= alpha[:, np.newaxis]
+        alphas[part] = alpha
+        squares = np.einsum("ij,ij->i", m.real, m.real) + np.einsum("ij,ij->i", m.imag, m.imag)
+        residuals[part] = np.sqrt(squares / cols)
+    return alphas, residuals

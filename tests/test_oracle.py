@@ -12,6 +12,7 @@ import pytest
 
 import dense_reference
 from qsol import fields, oracle, search
+from qsol.cli import main
 from qsol.errors import DimensionMismatch, InvalidGroup, TooLarge
 from qsol.fields import PrimeModulus
 from qsol.oracle import (
@@ -23,7 +24,16 @@ from qsol.oracle import (
 from qsol.pauli import PauliOperator, StabiliserGroup
 from qsol.search import LabelledGraph, graph_to_generators
 
-from conftest import from_letters, generators, group_of, pauli_rows, random_group, random_symplectic_rows, row_triples
+from conftest import (
+    from_letters,
+    generators,
+    group_of,
+    pauli_rows,
+    random_group,
+    random_symplectic_rows,
+    reference_check_weight,
+    row_triples,
+)
 from dense_reference import subspace_equal
 
 
@@ -431,6 +441,72 @@ class TestKlDetect:
             seen["repeated (x, z)"] += len({(e.x_part, e.z_part) for e in errs}) < len(errs)
         assert min(seen.values()) >= 5 and len(seen) == 8, dict(seen)
 
+    def test_property_matches_the_per_error_reference(self, monkeypatch):
+        # kl_detect against the check it replaced, one Pauli action per error
+        # and one product per run of an x part (conftest.reference_check_weight),
+        # on random codes over F_2, F_3 and F_5 with real and complex bases:
+        # phased errors of every weight (Y letters for p = 2), rows that repeat
+        # an (x, z) part with another phase, shuffled. Under the default budget
+        # and under one that fits a single column of the whole support's R_S,
+        # which forces column blocks and blocks of x on the top weight
+        rng = random.Random(1060)
+        seen = collections.Counter()
+        for case in range(30):
+            p = [2, 3, 5][case % 3]
+            mod = PrimeModulus(p)
+            # every other p = 2 code has a real basis, and the others are checked as complex ones
+            want_real = p == 2 and case % 2 == 0
+            while True:
+                n = rng.randrange(2, {2: 6, 3: 4, 5: 4}[p])
+                m = rng.randrange(1, n + 1)
+                t_size = min(rng.randrange(1, 4), p ** m)
+                cols = t_size * p ** (n - m)
+                if p ** (2 * n) * cols ** 2 > 2 ** 16:
+                    continue
+                phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in range(m)]
+                s = StabiliserGroup.from_matrix(mod, n, random_symplectic_rows(rng, mod, n, m), phases)
+                b = code_basis(s, rng.sample(list(itertools.product(range(p), repeat=m)), t_size))
+                if b.dtype == np.float64 or not want_real:
+                    break
+            if not want_real:
+                b = b.astype(complex)
+            letters = [(a, c) for a in range(p) for c in range(p) if a or c]
+            errs = []
+            for w in range(1, n + 1):
+                for _ in range(6):
+                    x, z = [0] * n, [0] * n
+                    for site in rng.sample(range(n), w):
+                        x[site], z[site] = rng.choice(letters)
+                    errs.append(PauliOperator(mod, n, rng.randrange(4 if p == 2 else p), tuple(x), tuple(z)))
+            errs += [PauliOperator(mod, n, rng.randrange(4 if p == 2 else p), e.x_part, e.z_part) for e in rng.sample(errs, 4)]
+            rng.shuffle(errs)
+            ops = pauli_rows(errs)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_check_weight", reference_check_weight)
+                reference = kl_detect(b, p, ops)
+
+            label = f"case {case}: p={p} n={n} m={m} K={cols} {b.dtype}"
+            calls = collections.Counter()
+            gram = oracle._reduced_gram
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_reduced_gram", lambda b, p, s, *cols: calls.update([(s.tobytes(), *cols)]) or gram(b, p, s, *cols))
+                for budget in (fields.MAX_BYTES, 4 * p ** n * cols ** 2 * 16):
+                    patch.setattr(fields, "MAX_BYTES", budget)
+                    calls.clear()
+                    report = kl_detect(b, p, ops)
+                    assert np.abs(report.alphas - reference.alphas).max() <= 1e-12, label
+                    assert np.abs(report.residuals - reference.residuals).max() <= 1e-12, label
+                    assert report.failures.tolist() == reference.failures.tolist(), label
+            # the small budget took the whole support's R_S a column at a
+            # time, and formed some column more than once: once per x-block
+            whole = [key for key in calls if key[0] == np.ones(n, dtype=bool).tobytes()]
+            assert len(whole) == p ** n and max(calls[key] for key in whole) > 1, label
+            seen[f"p={p} {b.dtype}"] += 1
+            seen["fails"] += bool(len(reference.failures))
+            seen["odd phase"] += any(e.phase % 2 for e in errs)
+            seen["Y"] += p == 2 and any(a and c for e in errs for a, c in zip(e.x_part, e.z_part))
+        assert min(seen.values()) >= 5 and len(seen) == 7, dict(seen)
+
     def test_empty_error_list_passes(self, five_qubit_group):
         report = kl_detect(code_basis(five_qubit_group, [(0,) * 5]), 2, np.zeros((0, 11), dtype=np.int64))
         assert report.passed and len(report) == 0 and report.max_residual == 0
@@ -458,9 +534,10 @@ class TestKlDetect:
 
     def test_blocks_and_chunks_under_a_small_budget(self, five_qubit_group, pentagon_tset, monkeypatch):
         # R_S of a weight-2 support holds 4 columns of 2^2 * 6^2 entries; 1/4 of
-        # the budget has room for 2 of them, and 1/2 for 6 errors' work of
-        # 4 * 64 + 36 * 32 bytes each, so the 9 errors of each weight-2
-        # support span 2 chunks, and each chunk forms its R_S in 2 blocks
+        # the budget has room for 2 of them, so R_S comes in 2 blocks, and for
+        # the table of all 4 x of the real basis, 4 * 2^2 * 6^2 * 8 bytes.
+        # R_S is formed once per support and column block, whatever the
+        # number of errors on the support
         b = code_basis(five_qubit_group, pentagon_tset.vectors)
         errs = error_classes(2, 5, 2)
         full = kl_detect(b, 2, errs)
@@ -474,7 +551,16 @@ class TestKlDetect:
         assert np.abs(report.alphas - full.alphas).max() <= 1e-12
         assert abs(report.max_residual - full.max_residual) <= 1e-12
         # each of the 5 weight-1 supports forms its R_S of 2 columns once
-        assert collections.Counter(blocks) == {(0, 2): 5 + 10 * 2, (2, 4): 10 * 2}
+        assert collections.Counter(blocks) == {(0, 2): 5 + 10, (2, 4): 10}
+        # at half that budget R_S comes a column at a time and the table 2 x
+        # at a time, so each weight-2 support forms each column once per x-block
+        blocks.clear()
+        monkeypatch.setattr(fields, "MAX_BYTES", 4 * 144 * 16)
+        report = kl_detect(b, 2, errs)
+        assert report.failures.tolist() == full.failures.tolist()
+        assert np.abs(report.residuals - full.residuals).max() <= 1e-12
+        assert np.abs(report.alphas - full.alphas).max() <= 1e-12
+        assert collections.Counter(blocks) == {(0, 2): 5, (0, 1): 20, (1, 2): 20, (2, 3): 20, (3, 4): 20}
 
     def test_p5_whole_support_matches_dense_reference_within_the_budget(self, monkeypatch):
         # all 15 624 error classes of weight <= 3 on a p = 5, n = 3, K = 5 code:
@@ -516,16 +602,27 @@ class TestKlDetect:
             assert abs(report.residuals[i] - residual) <= 1e-10
             assert (i in report.failures) == (residual > 1e-9)
 
-    def test_one_gram_product_per_support(self, nine_cycle_graph, nine_cycle_tset, monkeypatch):
-        # the ((9,12,3)) check: 351 error classes on 9 + 36 supports
+    def test_one_gram_product_per_support(self, data_dir, nine_cycle_graph, nine_cycle_tset, monkeypatch, capsys):
+        # the ((9,12,3)) check: 351 error classes on 9 + 36 supports, read off
+        # one R_S each with no Pauli action
         b = code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset.vectors)
         supports = []
         gram = oracle._reduced_gram
         monkeypatch.setattr(oracle, "_reduced_gram", lambda b, p, s, *cols: supports.append(s.tobytes()) or gram(b, p, s, *cols))
         monkeypatch.setattr(oracle, "apply_right", None)
+        actions = []
+        act = oracle._pauli_action
+        monkeypatch.setattr(oracle, "_pauli_action", lambda p, ops: actions.append(len(ops)) or act(p, ops))
         report = kl_detect(b, 2, error_classes(2, 9, 2))
         assert report.passed and len(report) == 351
         assert len(supports) == len(set(supports)) == 45
+        assert actions == []
+        # a whole verify acts with each of the 9 generators once, in code_basis
+        argv = ["verify", "--gens", str(data_dir / "nine_cycle.gens"), "--tset", str(data_dir / "nine_cycle.tset"),
+                "--d", "3", "--format", "machine"]
+        assert main(argv) == 0
+        assert "kl_pass=1" in capsys.readouterr().out.splitlines()
+        assert len(actions) == graph_to_generators(nine_cycle_graph).num_generators == 9
 
 
 class TestSubspaceEqual:
