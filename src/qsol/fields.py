@@ -7,11 +7,14 @@ Gauss-Jordan elimination, and ranks over F_2 from rows packed into
 integers. All tie-breaking is lexicographic on entry tuples, which keeps
 every downstream search reproducible. The module also holds the memory
 policy: the byte budget MAX_BYTES, its guard check_bytes (TooLarge with
-an estimate) and the blocking rule blocks (about 2^20 entries a block).
+an estimate) and the blocking rule blocks (about 2^20 entries a block),
+and _derived, the one builder of the values the library derives from
+values already checked.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +41,24 @@ def blocks(count: int, width: int) -> list[slice]:
     """Slices that take count rows of width entries each in blocks of about 2^20 entries, at least one row a block."""
     step = max(1, 2 ** 20 // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _derived(cls, *values):
+    """An instance of the frozen dataclass cls with the given field values, in field order, and no check.
+
+    For the values the library derives from values already checked (a
+    subgroup, a projected line set, Γ): each value must already be in the
+    canonical form that cls's own constructor would give it, and every array
+    among them is made read-only here. cls's constructor, which parsers and
+    users call, checks every value; the property tests hold each caller of
+    this builder to what that constructor gives.
+    """
+    obj = object.__new__(cls)
+    for f, value in zip(dataclasses.fields(cls), values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 def is_prime(p: int) -> bool:

@@ -58,7 +58,9 @@ class QuantumLineSet:
 
     points is a read-only (n, p + 1) int64 array, one row per line (see
     lines_spanned_by): the increasing codes of p + 1 points. Two line sets
-    are equal when their moduli, dimensions and point arrays are.
+    are equal when their moduli, dimensions and point arrays are. The
+    constructor checks the rows; lines_spanned_by and project_lines build
+    their line sets by fields._derived, without the checks.
     """
 
     modulus: PrimeModulus
@@ -98,7 +100,9 @@ def lines_spanned_by(modulus: PrimeModulus, a: np.ndarray, b: np.ndarray) -> Qua
     Its points are b_i and a_i + c·b_i for c = 0..p-1. They are distinct
     points when a_i and b_i are independent; otherwise one of them is the
     zero vector, and DegenerateLine names the first such line as the
-    columns i and i+n of the generator matrix (a^T | b^T).
+    columns i and i+n of the generator matrix (a^T | b^T). Past that check
+    each row holds p + 1 distinct normalised codes, sorted here, so the line
+    set is built without the constructor's checks (fields._derived).
     """
     p = modulus.p
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
@@ -109,7 +113,7 @@ def lines_spanned_by(modulus: PrimeModulus, a: np.ndarray, b: np.ndarray) -> Qua
     if len(degenerate):
         i = int(degenerate[0])
         raise DegenerateLine(f"columns {i} and {i + n} are dependent")
-    return QuantumLineSet(modulus, m, np.sort(codes, axis=1))
+    return fields._derived(QuantumLineSet, modulus, m, np.sort(codes, axis=1))
 
 
 def lines_from_matrix(g: np.ndarray, n: int, k: int) -> QuantumLineSet:
@@ -285,7 +289,8 @@ def project_lines(x: QuantumLineSet, centre: np.ndarray | Sequence[Sequence[int]
     rows only, it is the identity. A line meets the centre exactly when one
     of its points maps to zero, and the first such line raises
     CollapsedImage; the points of every other line map to the p + 1 points
-    of its image.
+    of its image, distinct and normalised, so the projected set is built
+    without the constructor's checks (fields._derived).
     """
     q = fields.null_space(x.p, centre, x.dim)
     codes = geometry.point_code(x.p, geometry.digits(x.p, x.dim, x.points) @ q.T)
@@ -293,4 +298,4 @@ def project_lines(x: QuantumLineSet, centre: np.ndarray | Sequence[Sequence[int]
     if len(collapsed):
         i = int(collapsed[0])
         raise CollapsedImage(f"line {i} meets the projection centre", index=i)
-    return QuantumLineSet(x.modulus, len(q), np.sort(codes, axis=1))
+    return fields._derived(QuantumLineSet, x.modulus, len(q), np.sort(codes, axis=1))

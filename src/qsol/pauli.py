@@ -101,6 +101,8 @@ class StabiliserGroup:
     otherwise. The gmatrix rows are its x|z blocks, in order; operations that
     depend on the generator order (the sign vectors t) are always relative to
     this stored order. Two groups are equal when their moduli, n and rows are.
+    The constructor reduces and checks the rows; the groups derived from a
+    checked one are built by fields._derived, without the checks.
     """
 
     modulus: PrimeModulus
@@ -233,10 +235,13 @@ def subgroup_fixing(s: StabiliserGroup, centre: np.ndarray | Sequence[Sequence[i
 
     The generators are the elements given by the rows of fields.null_space
     of the centre, the map that projects from its span: they vanish on that
-    span, and there are num_generators - rank(centre) of them.
+    span, and there are num_generators - rank(centre) of them. Elements of a
+    valid group commute and square to identity, and independent exponent rows
+    of independent generators give independent rows, so the subgroup is built
+    without the constructor's checks (fields._derived).
     """
     q = fields.null_space(s.p, centre, s.num_generators)
-    return StabiliserGroup(s.modulus, s.n, s.elements(q))
+    return fields._derived(StabiliserGroup, s.modulus, s.n, s.elements(q))
 
 
 def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
@@ -248,11 +253,13 @@ def extend_to_maximal_abelian(s: StabiliserGroup) -> StabiliserGroup:
     the i-th pivot and, before it, only entries that c_1..c_{i-1} fix, so the
     dual's vectors sort as their coefficient tuples. The least one outside W
     is therefore r_j for the largest j with r_j outside W: every combination
-    of r_{j+1}..r_s lies in W.
+    of r_{j+1}..r_s lies in W. It commutes with the rows, is independent of
+    them and has phase 0, so each larger group is built without the
+    constructor's checks (fields._derived).
     """
     current = s
     while current.num_generators < current.n:
         rows = current.rows[:, 1:].tolist()
         v = next(r for r in reversed(centraliser_basis(current).tolist()) if fields.is_independent(s.p, rows + [r]))
-        current = StabiliserGroup(s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
+        current = fields._derived(StabiliserGroup, s.modulus, s.n, np.vstack([current.rows, (0, *v)]))
     return current

@@ -87,17 +87,15 @@ class CompatibilityGraph:
     Entry (i, j) is set exactly when vertices i and j are joined. An array
     of another shape than (n, n) for n vertices, a loop (a set diagonal
     entry) and an array that is not equal to its transpose are refused; the
-    last names the first pair joined one way only. A read-only bool array
-    that owns its data, as gamma_graph gives, is kept; any other is copied.
+    last names the first pair joined one way only. The array is copied.
+    gamma_graph builds Γ by fields._derived, without the checks or the copy.
     """
 
     vertices: tuple[int, ...]
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = self.adjacency
-        if not (isinstance(a, np.ndarray) and a.dtype == bool and a.flags.owndata and not a.flags.writeable):
-            a = np.array(a, dtype=bool)
+        a = np.array(self.adjacency, dtype=bool)
         n = len(self.vertices)
         if a.shape != (n, n):
             raise ValueError(f"need an ({n}, {n}) adjacency array for {n} vertices, got shape {a.shape}")
@@ -165,11 +163,17 @@ class CodingSet:
 
 
 def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
-    """Stabiliser group with generator matrix (I_n | A)."""
+    """Stabiliser group with generator matrix (I_n | A) and every phase 0.
+
+    A is symmetric with zero diagonal, so the rows commute, and I_n makes
+    them independent: the group is built without the constructor's checks
+    (fields._derived).
+    """
     isolated = np.flatnonzero(~g.adjacency.any(axis=1))
     if len(isolated):
         raise IsolatedVertex(f"vertex {isolated[0]} has no incident edge")
-    return pauli.StabiliserGroup.from_matrix(g.modulus, g.n, np.hstack([np.eye(g.n, dtype=np.int64), g.adjacency]))
+    rows = np.hstack([np.zeros((g.n, 1), dtype=np.int64), np.eye(g.n, dtype=np.int64), g.adjacency])
+    return fields._derived(pauli.StabiliserGroup, g.modulus, g.n, rows)
 
 
 def excluded_points(x: QuantumLineSet, d: int) -> Weights:
@@ -232,7 +236,10 @@ def gamma_graph(
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
     every row. The rows are taken in fields.blocks and written straight into
     the (n, n) bool adjacency array, which is refused with TooLarge, before
-    it is allocated, when its n² bytes exceed fields.MAX_BYTES.
+    it is allocated, when its n² bytes exceed fields.MAX_BYTES. The join
+    rule is symmetric in u and v and the diagonal is empty, so Γ is built
+    without the constructor's checks (fields._derived) and holds the array
+    itself, with no copy.
     """
     p, m = x.p, x.dim
     codes = np.asarray(vertices, dtype=np.int64)
@@ -243,8 +250,7 @@ def gamma_graph(
     adjacency = np.empty((n, n), dtype=bool)
     for block in fields.blocks(n, n * m):
         (excluded[line_codes(p, m, codes[block], codes)] == OUTSIDE).all(axis=0, out=adjacency[block])
-    adjacency.setflags(write=False)
-    return CompatibilityGraph(tuple(codes.tolist()), adjacency)
+    return fields._derived(CompatibilityGraph, tuple(codes.tolist()), adjacency)
 
 
 def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Shared fixtures: worked examples, parsed data files, random generators."""
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -313,6 +314,23 @@ def incident(x) -> list[tuple[int, ...]]:
 def edges(gamma) -> set[tuple[int, int]]:
     """The edges of a compatibility graph as index pairs (i, j) with i < j, read off its adjacency array."""
     return {(i, j) for i, j in np.argwhere(np.triu(gamma.adjacency, 1)).tolist()}
+
+
+def assert_as_checked(value) -> None:
+    """Assert that a value the library derives unchecked (fields._derived) is what its checked constructor gives.
+
+    The class's own constructor must accept the value's fields, and give
+    fields equal to the value's; the value's arrays must be read-only, with
+    the dtype the constructor gives them.
+    """
+    checked = type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))
+    for f in dataclasses.fields(value):
+        mine, theirs = getattr(value, f.name), getattr(checked, f.name)
+        if isinstance(theirs, np.ndarray):
+            assert isinstance(mine, np.ndarray) and not mine.flags.writeable, f.name
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), f.name
+        else:
+            assert mine == theirs, f.name
 
 
 def pauli_rows(ops) -> np.ndarray:

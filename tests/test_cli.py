@@ -737,6 +737,26 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"input error: {message}\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1 0 0 0\n0 0 1 0\n", "NonCommutingGenerators: generators do not pairwise commute"),
+        ("1 0 0 1\n1 0 0 1\n", "InvalidGroup: generator matrix is not full rank"),
+    ], ids=["non-commuting", "dependent"])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["distance", "--limit", "3"], ["extend"], ["verify", "--d", "2"],
+    ], ids=["validate", "distance", "extend", "verify"])
+    def test_invalid_group_file_exits_one(self, tmp_path, capsys, rows, message, command):
+        # X and Z on one qubit, or one row twice: the parsed group keeps every
+        # check of the StabiliserGroup constructor, and each command that
+        # reads a generator file refuses it before any other work
+        gens = tmp_path / "bad.gens"
+        gens.write_text("2 2 0\n" + rows)
+        tset = tmp_path / "zero.tset"
+        tset.write_text("2 2\n0 0\n")
+        extra = ["--tset", str(tset)] if command[0] == "verify" else []
+        assert main(command + ["--gens", str(gens)] + extra) == EXIT_FAIL
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         # a graph with an isolated vertex cannot seed the recipe
         lonely = tmp_path / "lonely.graph"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsol import io
-from qsol.errors import InputFormatError
+from qsol.errors import InputFormatError, InvalidGroup, NonCommutingGenerators
 from qsol.fields import PrimeModulus
 
 
@@ -41,6 +41,14 @@ class TestGenerators:
         with pytest.raises(InputFormatError, match=rf"^line {line}: expected \d generator rows, got {got}$") as err:
             io.parse_generators(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ("1 0 0 0\n0 0 1 0\n", NonCommutingGenerators, "generators do not pairwise commute"),
+        ("1 0 0 1\n1 0 0 1\n", InvalidGroup, "generator matrix is not full rank"),
+    ], ids=["non-commuting", "dependent"])
+    def test_group_checks_run_on_parsed_rows(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            io.parse_generators("2 2 0\n" + rows)
 
     def test_non_integer_field_reports_line(self):
         with pytest.raises(InputFormatError) as err:

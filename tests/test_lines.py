@@ -28,6 +28,7 @@ from qsol.lines import (
 
 from conftest import (
     apply_map,
+    assert_as_checked,
     normalised,
     random_group,
     random_group_with_lines,
@@ -89,6 +90,7 @@ class TestLinesFromMatrix:
                 g2 = matrix_from_lines(x)
                 assert g2.dtype == np.int64 and not g2.flags.writeable
                 assert lines_from_matrix(g2, x.n, x.n - x.dim) == x
+                assert_as_checked(x)
 
 
 def independent_pairs(rng, p, n, m):
@@ -112,6 +114,7 @@ class TestLinesSpannedBy:
             a, b = independent_pairs(rng, p, n, m)
             x = lines_spanned_by(mod, a, b)
             assert (x.modulus, x.dim, x.points.shape) == (mod, m, (n, p + 1))
+            assert_as_checked(x)
             for i in range(n):
                 combinations = {
                     normalised(p, tuple((c1 * u + c2 * v) % p for u, v in zip(a[i].tolist(), b[i].tolist())))
@@ -457,6 +460,7 @@ class TestProjectLines:
             if first is None:
                 y = project_lines(x, centre)
                 assert (y.modulus, y.dim) == (mod, len(q))
+                assert_as_checked(y)
                 assert [vectors(p, y.dim, row) for row in y.points] == [
                     sorted(normalised(p, v) for v in image) for image in images
                 ]

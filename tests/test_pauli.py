@@ -27,6 +27,7 @@ from qsol.pauli import (
 )
 
 from conftest import (
+    assert_as_checked,
     from_letters,
     generators,
     group_elements,
@@ -373,10 +374,13 @@ class TestSubgroupTu:
             sub = subgroup_fixing(s, centre)
             assert np.array_equal(sub.rows, expected) and sub.num_generators == m - r
             assert StabiliserGroup(mod, n, expected) == sub
+            assert_as_checked(sub)
             assert np.array_equal(sub.gmatrix, expected[:, 1:])
             if r == 2:
                 expected = reference_rows(s, null_space(p, basis, m))
-                assert np.array_equal(subgroup_tu(s, *(FpVector(mod, b) for b in basis)).rows, expected)
+                sub = subgroup_tu(s, *(FpVector(mod, b) for b in basis))
+                assert np.array_equal(sub.rows, expected)
+                assert_as_checked(sub)
 
     def test_centre_spanning_everything_leaves_no_generators(self, ternary_group):
         sub = subgroup_fixing(ternary_group, np.eye(7, dtype=np.int64))
@@ -439,7 +443,9 @@ class TestExtendToMaximalAbelian:
             base = random_group(rng, mod, n, rng.randrange(0, n))
             phases = [rng.randrange(0, 4, 2) if p == 2 else rng.randrange(p) for _ in generators(base)]
             s = StabiliserGroup.from_matrix(mod, n, base.gmatrix, phases)
-            assert extend_to_maximal_abelian(s) == reference_extend(s)
+            big = extend_to_maximal_abelian(s)
+            assert big == reference_extend(s)
+            assert_as_checked(big)
 
 
 def test_five_qubit_primed_identity(five_qubit_ops, five_qubit_primed_ops):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cws_reference
-from qsol import fields, geometry, lines as lines_mod, oracle, search
+from qsol import fields, geometry, lines as lines_mod, oracle, pauli, search
 from qsol.errors import (
     CollapsedImage,
     DimensionMismatch,
@@ -39,6 +39,7 @@ from qsol.search import (
 )
 
 from conftest import (
+    assert_as_checked,
     edges,
     incident,
     normalised,
@@ -108,6 +109,17 @@ class TestGraphToGenerators:
         g = LabelledGraph.from_edges(mod2, 3, [(0, 1, 1)])
         with pytest.raises(IsolatedVertex):
             graph_to_generators(g)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_property_matches_the_checked_group(self, p):
+        # (I | A) with phases 0 on random labelled graphs, against the same
+        # matrix through the checked constructor
+        rng = random.Random(7200 + p)
+        for _ in range(20):
+            g = random_labelled_graph(rng, p, rng.randint(2, 8), rng.random(), connected=True)
+            s = graph_to_generators(g)
+            assert s == pauli.StabiliserGroup.from_matrix(g.modulus, g.n, np.hstack([np.eye(g.n, dtype=np.int64), g.adjacency]))
+            assert_as_checked(s)
 
 
 def nonzero_error_images(adjacency, max_weight):
@@ -751,6 +763,7 @@ class TestGammaSymmetries:
         moved = 0
         for case, (g, d) in enumerate(graphs):
             gamma = gamma_of(graph_lines(g), d)
+            assert_as_checked(gamma)
             for s in search.gamma_symmetries(g, gamma):
                 assert sorted(s.tolist()) == list(range(gamma.num_vertices)), f"case {case}"
                 a = gamma.adjacency
@@ -1105,6 +1118,8 @@ class TestRunRecipe:
             except (IsolatedVertex, CollapsedImage, NoClique):
                 continue
             gamma, cliques = found[-1]
+            assert_as_checked(gamma)
+            assert_as_checked(report.group)
             clique = cliques[0] if cliques else ()
             rows = reference_coding_rows(p, n - k, vectors(p, n - k, [gamma.vertices[i] for i in clique]))
             t = report.coding_set.vectors
@@ -1119,3 +1134,26 @@ class TestRunRecipe:
         g = LabelledGraph.cycle(mod3, 3)
         report = run_recipe(g, d=2)
         assert report.t_size == 1 + 2 * report.clique_size
+
+
+def test_derived_values_run_no_constructor_check(
+    nine_cycle_graph, nine_cycle_lines, nine_cycle_constraints, ternary_group, ternary_tset, monkeypatch
+):
+    # every group, line set and Γ below is derived from checked values and
+    # built by fields._derived, so no constructor's checks run on it
+    def refuse(value):
+        raise AssertionError(f"the {type(value).__name__} checks ran on a derived value")
+
+    for cls in (pauli.StabiliserGroup, lines_mod.QuantumLineSet, CompatibilityGraph):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    report = run_recipe(nine_cycle_graph, d=3, k=1)
+    assert (report.vertices, report.edges, report.cliques_found) == (65, 432, 304)
+    gamma = gamma_of(nine_cycle_lines, 3, nine_cycle_constraints)
+    assert (gamma.num_vertices, gamma.num_edges) == (39, 450)
+    pairs = [
+        (t, u) for t, u in itertools.combinations(ternary_tset.nonzero(), 2)
+        if fields.rank_of_vectors(3, [t.entries, u.entries]) == 2
+    ]
+    assert len(pairs) == 24
+    assert all(pauli.subgroup_tu(ternary_group, t, u).num_generators == 5 for t, u in pairs)
+    assert pauli.extend_to_maximal_abelian(ternary_group).num_generators == 11
