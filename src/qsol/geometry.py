@@ -68,7 +68,13 @@ def points_of(p: int, basis: np.ndarray) -> np.ndarray:
     coordinate sits at the pivot of the first nonzero c_i and equals c_i = 1.
     """
     r, m = basis.shape
-    return np.sort(digits(p, r, normalised_codes(p, r)) @ basis % p @ _places(p, m))
+    coefficients = normalised_codes(p, r)
+    points = np.empty_like(coefficients)
+    # a block at a time: the whole (count, r) digit matrix would be 8·r bytes a point
+    for block in fields.blocks(len(coefficients), r + m):
+        points[block] = digits(p, r, coefficients[block]) @ basis % p @ _places(p, m)
+    points.sort()
+    return points
 
 
 def span(p: int, bases: Sequence[np.ndarray]) -> np.ndarray:

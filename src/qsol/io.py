@@ -2,8 +2,8 @@
 
 Generator format: header line "p n k", then n-k lines of 2n residues
 (X block then Z block), matching printed matrices column for column.
-Graph format: header "p n", then "i j label" lines (0-based, label in [1, p)),
-each vertex pair at most once.
+Graph format: header "p n" with n >= 1, then "i j label" lines (0-based,
+label in [1, p)), each vertex pair at most once.
 Coding-set format: header "p len", then one vector per line.
 Restriction format: one homogeneous constraint (coefficient row) per line.
 """
@@ -78,7 +78,9 @@ def format_generators(s: StabiliserGroup) -> str:
 
 
 def parse_graph(text: str) -> LabelledGraph:
-    _, modulus, (n,), body = _header(text, "graph", 2)
+    lineno, modulus, (n,), body = _header(text, "graph", 2)
+    if n < 1:
+        raise InputFormatError(f"line {lineno}: need n >= 1, got n = {n}", line=lineno)
     p = modulus.p
     edges = []
     # the line of each edge so far, keyed by its ends in either order

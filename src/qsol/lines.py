@@ -39,19 +39,6 @@ def distance_value(d: DependentSetSize) -> int:
     return d.bound if isinstance(d, AtLeast) else d
 
 
-def min_distance_result(results: Sequence[DependentSetSize]) -> DependentSetSize:
-    """The least of the values the results stand for.
-
-    An exact value w is the answer when no AtLeast bound lies below it;
-    otherwise only the least bound is known.
-    """
-    exact = min((r for r in results if not isinstance(r, AtLeast)), default=None)
-    bound = min((r.bound for r in results if isinstance(r, AtLeast)), default=None)
-    if exact is not None and (bound is None or exact <= bound):
-        return exact
-    return AtLeast(bound)
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumLineSet:
     """An ordered list of n lines of PG(dim - 1, p), each held as the sorted codes of its p + 1 points.
@@ -129,12 +116,12 @@ def lines_from_matrix(g: np.ndarray, n: int, k: int) -> QuantumLineSet:
 def matrix_from_lines(x: QuantumLineSet) -> np.ndarray:
     """Generator matrix whose column pairs (i, i+n) are the RREF bases of the lines.
 
-    A line is spanned by any two of its points; the RREF basis of their span
-    is the line's one canonical basis. The matrix is a read-only (m, 2n)
-    int64 array that records p (fields.tagged).
+    The RREF basis of a line is its two least codes, the larger first: the
+    least is its one point that is 0 at the earlier pivot, the next its one
+    point that is 0 at the later. The matrix is a read-only (m, 2n) int64
+    array that records p (fields.tagged).
     """
-    pairs = geometry.digits(x.p, x.dim, x.points[:, :2])
-    bases = np.array([fields.rref(x.p, pair, x.dim) for pair in pairs]).reshape(x.n, 2, x.dim)
+    bases = geometry.digits(x.p, x.dim, x.points[:, [1, 0]])
     g = np.hstack([bases[:, 0].T, bases[:, 1].T])
     g.setflags(write=False)
     return fields.tagged(x.p, g)

@@ -102,17 +102,9 @@ class CompatibilityGraph:
         loops = np.flatnonzero(a.diagonal())
         if len(loops):
             raise ValueError(f"row {loops[0]} must join vertex {loops[0]} only to other vertices")
-        # each tile on or right of the diagonal against its mirror tile, with no (n, n) temporary;
-        # a pair that differs gives each of its tiles' first one-way pair, the least being the first
-        firsts, tile = [], 1024
-        for r in range(0, n, tile):
-            for c in range(r, n, tile):
-                if not np.array_equal(a[r:r + tile, c:c + tile], a[c:c + tile, r:r + tile].T):
-                    for s, t in ((r, c), (c, r)):
-                        one_way = np.argwhere(a[s:s + tile, t:t + tile] > a[t:t + tile, s:s + tile].T)
-                        firsts += [(s + i, t + j) for i, j in one_way[:1].tolist()]
-        if firsts:
-            i, j = min(firsts)
+        one_way = a > a.T
+        if one_way.any():
+            i, j = divmod(int(one_way.argmax()), n)
             raise ValueError(f"row {i} joins vertex {j}, but row {j} does not join vertex {i}")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
@@ -179,17 +171,12 @@ def graph_to_generators(g: LabelledGraph) -> pauli.StabiliserGroup:
 def excluded_points(x: QuantumLineSet, d: int) -> Weights:
     """X_{d-1}: the points in the span of d-1 or fewer incident points of x.
 
-    Returned as the table of _weights, whose entry at each vector of a point
+    Returned as a lines.weight_table, whose entry at each vector of a point
     is its weight: the least number of incident points whose span holds it.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    return _weights(x, d - 1)
-
-
-def _weights(x: QuantumLineSet, top: int) -> Weights:
-    """X_top of the incident points of x, as a lines.weight_table."""
-    return lines_mod.weight_table(x.p, x.dim, lines_mod.incident_points(x), top)
+    return lines_mod.weight_table(x.p, x.dim, lines_mod.incident_points(x), d - 1)
 
 
 def candidate_vertices(
@@ -540,30 +527,32 @@ def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetS
     exactly when a combination of them is zero, so that d(X) <= w, or is a
     point of ab, which then lies in X_w. The bound is therefore d(X) or the
     least weight of a point on a line joining two coding points, whichever
-    is smaller. With fewer than two coding points it is vacuous (AtLeast).
+    is smaller, when that is at most limit, and AtLeast(limit + 1)
+    otherwise. With fewer than two coding points it is vacuous (AtLeast).
     A weight-1 point on such a line means that a line of x meets the
     projection centre, and raises CollapsedImage.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    least = _least_weight(x, t, limit, _weights(x, max(limit - 1, 1)))
-    if least is None:
-        return AtLeast(limit + 1)
-    return _bound_from(least, limit, lines_mod.min_dependent_set(x, least - 1))
-
-
-def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights) -> int | None:
-    """Least weight of a point on a line through two coding points, or limit + 1 if above limit.
-
-    weights is the table X_{max(limit-1, 1)}. None when T has fewer than two
-    distinct points, so that there is no such line.
-    """
     p, m = x.p, x.dim
     if t.length != m:
         raise DimensionMismatch(f"a coding set of length {t.length}, lines in PG({m - 1}, {p})")
     points = geometry.unique(geometry.point_code(p, t.vectors[t.vectors.any(axis=1)]))
     if len(points) < 2:
-        return None
+        return AtLeast(limit + 1)
+    least = _least_weight(x, points, limit, excluded_points(x, max(limit, 2)))
+    # d(X) past least - 1 cannot lower the bound
+    bound = min(least, lines_mod.distance_value(lines_mod.min_dependent_set(x, least - 1)))
+    return bound if bound <= limit else AtLeast(limit + 1)
+
+
+def _least_weight(x: QuantumLineSet, points: np.ndarray, limit: int, weights: Weights) -> int:
+    """Least weight of a point on a line through two of the points, or limit + 1 if above limit.
+
+    points are the distinct codes of at least two points, and weights is
+    the table X_{max(limit-1, 1)}.
+    """
+    p, m = x.p, x.dim
     i, j = np.triu_indices(len(points), 1)
     on_lines = np.concatenate([points, line_codes(p, m, points, points)[:, i, j].ravel()])
     least = int(weights[on_lines].min())
@@ -578,13 +567,6 @@ def _least_weight(x: QuantumLineSet, t: CodingSet, limit: int, weights: Weights)
         if (weights[line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
             least = limit
     return least
-
-
-def _bound_from(least: int, limit: int, additive: DependentSetSize) -> DependentSetSize:
-    """The distance bound from the least coding-line weight and d(X), searched to least - 1 or beyond."""
-    if not isinstance(additive, AtLeast) and additive < least:
-        return additive
-    return least if least <= limit else AtLeast(limit + 1)
 
 
 def singleton_max_k(n: int, d: int) -> int:
@@ -709,33 +691,36 @@ def run_recipe(
         warnings.append("empty compatibility graph; T = {0}")
 
     p, length = g.modulus.p, n - k
-    # the zero row, then c·point for each point of the clique and c = 1..p-1,
-    # which CodingSet reduces mod p
-    points = geometry.digits(p, length, [gamma.vertices[i] for i in chosen])
-    multiples = (points[:, None] * np.arange(1, p)[:, None]).reshape(-1, length)
-    tset = CodingSet(g.modulus, np.vstack([np.zeros((1, length), dtype=np.int64), multiples]))
+    # the zero row, then c·point for each point of the clique and c = 1..p-1:
+    # distinct rows, reduced mod p, so T is built without the constructor's checks
+    codes = np.array([gamma.vertices[i] for i in chosen], dtype=np.int64)
+    multiples = (geometry.digits(p, length, codes)[:, None] * np.arange(1, p)[:, None] % p).reshape(-1, length)
+    tset = fields._derived(CodingSet, g.modulus, np.vstack([np.zeros((1, length), dtype=np.int64), multiples]))
 
     if chosen:
-        least = _least_weight(x, tset, d, excluded)
         # the candidate condition sees only errors with a nonzero image; an
         # error of weight d(X) < d can have image 0, a stabiliser element
         # that acts on the components of T with different phases, so the
         # pairs containing the zero vector are certified to min(d, d(X)).
         # One d(X) search serves that cap, which needs it to d - 1, and the
         # coding lines, which need it to least - 1
-        additive = lines_mod.min_dependent_set(x, max(d, least or 0) - 1)
-        capped = min(lines_mod.distance_value(additive), d)
-        if capped < d:
+        if len(chosen) > 1:
+            least = _least_weight(x, codes, d, excluded)
+            additive = lines_mod.distance_value(lines_mod.min_dependent_set(x, max(d, least) - 1))
+            coding = min(least, additive)
+        else:
+            # one point spans no coding line, and its pairs with the zero vector go unread: the one-point gap
+            coding, additive = d + 1, lines_mod.distance_value(lines_mod.min_dependent_set(x, d - 1))
+        if additive < d:
             warnings.append(
-                f"additive code has distance {capped} < d; "
-                f"pairs with the zero vector are certified to {capped} only"
+                f"additive code has distance {additive} < d; "
+                f"pairs with the zero vector are certified to {additive} only"
             )
-        coding = AtLeast(d + 1) if least is None else _bound_from(least, d, additive)
-        bound = lines_mod.min_distance_result([coding, AtLeast(capped)])
+        d_bound, exact = (coding, True) if coding <= d else (min(additive, d), False)
     else:
         # T = {0}: the additive code itself, whose distance is d(X)
         bound = lines_mod.min_dependent_set(x, d)
-    d_bound, exact = lines_mod.distance_value(bound), not isinstance(bound, AtLeast)
+        d_bound, exact = lines_mod.distance_value(bound), not isinstance(bound, AtLeast)
 
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CodeReport(

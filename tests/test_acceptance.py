@@ -473,16 +473,19 @@ def test_property_gamma_graph_matches_rank_rule():
 
 
 def projection_rule_bound(x, t, limit):
-    """The distance bound by projection: min_dependent_set of x projected from every non-proportional pair."""
-    results = []
+    """The distance bound by projection: min_dependent_set of x projected from every non-proportional pair.
+
+    Each search gives an exact value up to limit or AtLeast(limit + 1), so
+    the bound is the least exact value, else AtLeast(limit + 1).
+    """
+    exact = []
     for a, b in itertools.combinations([v for v in t.vectors.tolist() if any(v)], 2):
         if fields.rank_of_vectors(t.p, [a, b]) < 2:
             continue
-        projected = lines_mod.project_lines(x, [a, b])
-        results.append(lines_mod.min_dependent_set(projected, limit))
-    if not results:
-        return AtLeast(limit + 1)
-    return lines_mod.min_distance_result(results)
+        result = lines_mod.min_dependent_set(lines_mod.project_lines(x, [a, b]), limit)
+        if not isinstance(result, AtLeast):
+            exact.append(result)
+    return min(exact, default=AtLeast(limit + 1))
 
 
 def bound_outcome(bound, x, t, limit):

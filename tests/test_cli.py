@@ -706,6 +706,16 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"input error: line 1: need n >= 1 and 0 <= k <= n, got {fields}\n")
 
+    @pytest.mark.parametrize("command", ["gamma", "recipe"])
+    @pytest.mark.parametrize("header, n", [("2 0", 0), ("2 -3", -3)], ids=["no-vertices", "negative"])
+    def test_graph_without_vertices_exits_two(self, tmp_path, capsys, command, header, n):
+        # the header is refused on its line before any graph is built, by every command that reads one
+        graph = tmp_path / "empty.graph"
+        graph.write_text(header + "\n")
+        assert main([command, "--graph", str(graph), "--d", "2"]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: line 1: need n >= 1, got n = {n}\n")
+
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
     def test_repeated_graph_edge_exits_two(self, tmp_path, capsys, i, j):
         graph = tmp_path / "twice.graph"

@@ -74,6 +74,14 @@ class TestGraph:
         with pytest.raises(InputFormatError):
             io.parse_graph("2 3\n1 1 1\n")
 
+    @pytest.mark.parametrize("text, n", [("2 0\n", 0), ("# header\n2 -3\n", -3)], ids=["no-vertices", "negative"])
+    def test_header_without_vertices_reports_its_line(self, text, n):
+        # like parse_generators, a header with n < 1 is refused on its line,
+        # before any edge is read or any array is shaped
+        with pytest.raises(InputFormatError, match=rf"^line (\d): need n >= 1, got n = {n}$") as err:
+            io.parse_graph(text)
+        assert err.value.line == text.count("\n")
+
     def test_label_out_of_range(self):
         with pytest.raises(InputFormatError):
             io.parse_graph("3 3\n0 1 3\n")

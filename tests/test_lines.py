@@ -20,7 +20,6 @@ from qsol.lines import (
     lines_spanned_by,
     matrix_from_lines,
     min_dependent_set,
-    min_distance_result,
     project_lines,
     validate_even_skew,
     weight_table,
@@ -46,15 +45,6 @@ class TestBoundArithmetic:
     def test_distance_value(self):
         assert distance_value(3) == 3
         assert distance_value(AtLeast(4)) == 4
-
-    def test_min_distance_result_prefers_exact(self):
-        assert min_distance_result([AtLeast(5), 3, 4]) == 3
-        assert min_distance_result([AtLeast(5), AtLeast(3)]) == AtLeast(3)
-
-    def test_min_distance_result_bound_below_exact(self):
-        # an exact 4 next to a bound of 3 leaves the minimum at >= 3
-        assert min_distance_result([4, AtLeast(3)]) == AtLeast(3)
-        assert min_distance_result([3, AtLeast(3)]) == 3
 
 
 class TestLinesFromMatrix:
@@ -91,6 +81,19 @@ class TestLinesFromMatrix:
                 assert g2.dtype == np.int64 and not g2.flags.writeable
                 assert lines_from_matrix(g2, x.n, x.n - x.dim) == x
                 assert_as_checked(x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_property_columns_are_the_rref_bases(self, p):
+        # each column pair (i, i+n) against fields.rref of the pair that spans line i
+        rng = random.Random(970 + p)
+        mod = PrimeModulus(p)
+        for _ in range(40):
+            n, m = rng.randrange(1, 6), rng.randrange(2, 7)
+            a, b = independent_pairs(rng, p, n, m)
+            g = matrix_from_lines(lines_spanned_by(mod, a, b))
+            assert g.shape == (m, 2 * n) and g.dtype.metadata == {"p": p}
+            for i in range(n):
+                assert g[:, [i, i + n]].T.tolist() == fields.rref(p, [a[i], b[i]], m).tolist()
 
 
 def independent_pairs(rng, p, n, m):

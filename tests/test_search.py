@@ -241,6 +241,26 @@ class TestCandidateVertices:
         assert (np.diff(verts) > 0).all() and (excluded[verts] == search.OUTSIDE).all()
         assert peak < 48 * 2 ** 20
 
+    def test_restricted_pool_of_the_whole_space_stays_bounded(self, mod2):
+        # C_18(1,2) at d = 3 under a restriction of no rows: the pool is every
+        # point of F_2^18, and the candidates are the 260 766 of the
+        # unrestricted pool; their coefficient vectors are decoded a block at
+        # a time, where the whole (262 143, 18) digit matrix at once took 74 MiB
+        import tracemalloc
+
+        joins = [(i, (i + s) % 18, 1) for i in range(18) for s in (1, 2)]
+        x = graph_lines(LabelledGraph.from_edges(mod2, 18, joins))
+        excluded = excluded_points(x, 3)
+        tracemalloc.start()
+        try:
+            verts = candidate_vertices(x, excluded, np.zeros((0, 18), dtype=np.int64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verts) == 260766
+        assert np.array_equal(verts, candidate_vertices(x, excluded))
+        assert peak < 16 * 2 ** 20
+
     def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_constraints):
         # 24 of the 63 points of pi lie in the span of at most two incident
         # points, leaving 39 candidates; the CWS reference in
@@ -1008,8 +1028,8 @@ class TestRunRecipe:
         from qsol import search
 
         built = []
-        weights = search._weights
-        monkeypatch.setattr(search, "_weights", lambda x, top: built.append(top) or weights(x, top))
+        table = lines_mod.weight_table
+        monkeypatch.setattr(lines_mod, "weight_table", lambda p, m, points, top: built.append(top) or table(p, m, points, top))
         report = run_recipe(nine_cycle_graph, d=3, restriction=nine_cycle_constraints)
         assert (report.clique_size, report.d_bound, report.d_bound_exact) == (11, 3, True)
         assert built == [2]
@@ -1122,6 +1142,7 @@ class TestRunRecipe:
             assert_as_checked(report.group)
             clique = cliques[0] if cliques else ()
             rows = reference_coding_rows(p, n - k, vectors(p, n - k, [gamma.vertices[i] for i in clique]))
+            assert_as_checked(report.coding_set)
             t = report.coding_set.vectors
             assert t.dtype == np.int64 and not t.flags.writeable
             assert t.tolist() == [list(row) for row in rows], f"p={p} k={k} edges={labelled}"
@@ -1135,16 +1156,42 @@ class TestRunRecipe:
         report = run_recipe(g, d=2)
         assert report.t_size == 1 + 2 * report.clique_size
 
+    def test_property_bound_is_the_public_distance_bound(self):
+        # on random labelled graphs, a clique of two or more points: the
+        # report's bound is distance_bound's on the lines of report.group and
+        # report.coding_set at limit d, exact for an int and d, as a lower
+        # bound, for AtLeast
+        # a projection shrinks the space, so k = 1 takes one vertex more; larger
+        # spaces at d = 2 make the clique search itself the cost
+        rng = random.Random(7300)
+        seen = collections.Counter()
+        for case in range(400):
+            p, d, k = rng.choice([2, 3]), rng.choice([2, 3, 4]), rng.choice([0, 1])
+            n = rng.randint(3, {2: 6, 3: 4}[p] + k)
+            g = random_labelled_graph(rng, p, n, 0.5, connected=True)
+            try:
+                report = run_recipe(g, d=d, k=k)
+            except (CollapsedImage, NoClique):
+                continue
+            if report.clique_size < 2:
+                continue
+            x = lines_mod.lines_from_matrix(report.group.gmatrix, n, k)
+            bound = distance_bound(x, report.coding_set, d)
+            expected = (d, False) if isinstance(bound, AtLeast) else (bound, True)
+            assert (report.d_bound, report.d_bound_exact) == expected, f"case {case}: p={p} n={n} d={d} k={k}"
+            seen[p, k] += 1
+        assert len(seen) == 4 and sum(seen.values()) >= 60, f"cases seen: {dict(seen)}"
+
 
 def test_derived_values_run_no_constructor_check(
     nine_cycle_graph, nine_cycle_lines, nine_cycle_constraints, ternary_group, ternary_tset, monkeypatch
 ):
-    # every group, line set and Γ below is derived from checked values and
+    # every group, line set, Γ and T below is derived from checked values and
     # built by fields._derived, so no constructor's checks run on it
     def refuse(value):
         raise AssertionError(f"the {type(value).__name__} checks ran on a derived value")
 
-    for cls in (pauli.StabiliserGroup, lines_mod.QuantumLineSet, CompatibilityGraph):
+    for cls in (pauli.StabiliserGroup, lines_mod.QuantumLineSet, CompatibilityGraph, CodingSet):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     report = run_recipe(nine_cycle_graph, d=3, k=1)
     assert (report.vertices, report.edges, report.cliques_found) == (65, 432, 304)
