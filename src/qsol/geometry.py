@@ -68,11 +68,11 @@ def points_of(p: int, basis: np.ndarray) -> np.ndarray:
     coordinate sits at the pivot of the first nonzero c_i and equals c_i = 1.
     """
     r, m = basis.shape
-    coefficients = normalised_codes(p, r)
-    points = np.empty_like(coefficients)
-    # a block at a time: the whole (count, r) digit matrix would be 8·r bytes a point
-    for block in fields.blocks(len(coefficients), r + m):
-        points[block] = digits(p, r, coefficients[block]) @ basis % p @ _places(p, m)
+    points = normalised_codes(p, r)
+    # a block at a time, each block's coefficient codes overwritten by its
+    # point codes: the whole (count, r) digit matrix would be 8·r bytes a point
+    for block in fields.blocks(len(points), r + m):
+        points[block] = digits(p, r, points[block]) @ basis % p @ _places(p, m)
     points.sort()
     return points
 

@@ -188,9 +188,11 @@ def candidate_vertices(
 
     With a restriction, the (r, m) constraint rows of io.parse_restriction,
     only the points of their null space are considered (the subspace trick
-    that keeps the compatibility graph small). Without one, the points are
-    read off the table one range [p^j, 2·p^j) of normalised codes (leading 1
-    j places from the end) at a time.
+    that keeps the compatibility graph small); a pool whose codes, 8 bytes a
+    point, exceed fields.MAX_BYTES is refused with TooLarge before it is
+    enumerated. Without one, the points are read off the table one range
+    [p^j, 2·p^j) of normalised codes (leading 1 j places from the end) at a
+    time.
     """
     p, m = x.p, x.dim
     if restriction is None:
@@ -200,7 +202,10 @@ def candidate_vertices(
         raise DimensionMismatch(
             f"the restriction lives in PG({restriction.shape[1] - 1}, p), the lines in PG({m - 1}, p)"
         )
-    pool = geometry.points_of(p, fields.null_space(p, restriction, m))
+    basis = fields.null_space(p, restriction, m)
+    count = (p ** len(basis) - 1) // (p - 1)
+    fields.check_bytes(f"a pool of {count} points", 8 * count)
+    pool = geometry.points_of(p, basis)
     return pool[excluded[pool] == OUTSIDE]
 
 
@@ -523,14 +528,14 @@ def is_subspace_t(t: CodingSet) -> bool:
 def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetSize:
     """Minimum dependent-set size over projections from all coding pairs.
 
-    Points of w lines become dependent under projection from the line ab
-    exactly when a combination of them is zero, so that d(X) <= w, or is a
-    point of ab, which then lies in X_w. The bound is therefore d(X) or the
-    least weight of a point on a line joining two coding points, whichever
-    is smaller, when that is at most limit, and AtLeast(limit + 1)
-    otherwise. With fewer than two coding points it is vacuous (AtLeast).
-    A weight-1 point on such a line means that a line of x meets the
-    projection centre, and raises CollapsedImage.
+    Points of w lines become dependent under projection from the span of a
+    pair of T exactly when a combination of them is zero, so that d(X) <= w,
+    or is a point of the span, which then lies in X_w; a pair (0, t) spans
+    the point t. The bound is therefore d(X) or the least weight of a coding
+    point or of a point on a line joining two, whichever is smaller, when
+    that is at most limit, and AtLeast(limit + 1) otherwise; T = {0} gives
+    d(X). A weight-1 point there means that a line of x meets a projection
+    centre, and raises CollapsedImage.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -538,26 +543,29 @@ def distance_bound(x: QuantumLineSet, t: CodingSet, limit: int) -> DependentSetS
     if t.length != m:
         raise DimensionMismatch(f"a coding set of length {t.length}, lines in PG({m - 1}, {p})")
     points = geometry.unique(geometry.point_code(p, t.vectors[t.vectors.any(axis=1)]))
-    if len(points) < 2:
-        return AtLeast(limit + 1)
-    least = _least_weight(x, points, limit, excluded_points(x, max(limit, 2)))
+    return _bound(x, points, limit, excluded_points(x, max(limit, 2)))
+
+
+def _bound(x: QuantumLineSet, points: np.ndarray, limit: int, weights: Weights) -> DependentSetSize:
+    """distance_bound's rule on the distinct codes of any number of coding points and the table X_{max(limit-1, 1)}."""
+    least = _least_weight(x, points, limit, weights)
     # d(X) past least - 1 cannot lower the bound
     bound = min(least, lines_mod.distance_value(lines_mod.min_dependent_set(x, least - 1)))
     return bound if bound <= limit else AtLeast(limit + 1)
 
 
 def _least_weight(x: QuantumLineSet, points: np.ndarray, limit: int, weights: Weights) -> int:
-    """Least weight of a point on a line through two of the points, or limit + 1 if above limit.
+    """Least weight of one of the points or of a point on a line through two, or limit + 1 if above limit.
 
-    points are the distinct codes of at least two points, and weights is
+    points are the distinct codes of any number of points, and weights is
     the table X_{max(limit-1, 1)}.
     """
     p, m = x.p, x.dim
     i, j = np.triu_indices(len(points), 1)
     on_lines = np.concatenate([points, line_codes(p, m, points, points)[:, i, j].ravel()])
-    least = int(weights[on_lines].min())
+    least = int(weights[on_lines].min(initial=OUTSIDE))
     if least == 1:
-        raise CollapsedImage("a line through two coding points meets a line of the set")
+        raise CollapsedImage("a coding point, or a line through two, meets a line of the set")
     if least == OUTSIDE:
         least = limit + 1
     if least > limit >= 2:
@@ -697,30 +705,16 @@ def run_recipe(
     multiples = (geometry.digits(p, length, codes)[:, None] * np.arange(1, p)[:, None] % p).reshape(-1, length)
     tset = fields._derived(CodingSet, g.modulus, np.vstack([np.zeros((1, length), dtype=np.int64), multiples]))
 
-    if chosen:
-        # the candidate condition sees only errors with a nonzero image; an
-        # error of weight d(X) < d can have image 0, a stabiliser element
-        # that acts on the components of T with different phases, so the
-        # pairs containing the zero vector are certified to min(d, d(X)).
-        # One d(X) search serves that cap, which needs it to d - 1, and the
-        # coding lines, which need it to least - 1
-        if len(chosen) > 1:
-            least = _least_weight(x, codes, d, excluded)
-            additive = lines_mod.distance_value(lines_mod.min_dependent_set(x, max(d, least) - 1))
-            coding = min(least, additive)
-        else:
-            # one point spans no coding line, and its pairs with the zero vector go unread: the one-point gap
-            coding, additive = d + 1, lines_mod.distance_value(lines_mod.min_dependent_set(x, d - 1))
-        if additive < d:
-            warnings.append(
-                f"additive code has distance {additive} < d; "
-                f"pairs with the zero vector are certified to {additive} only"
-            )
-        d_bound, exact = (coding, True) if coding <= d else (min(additive, d), False)
-    else:
-        # T = {0}: the additive code itself, whose distance is d(X)
-        bound = lines_mod.min_dependent_set(x, d)
-        d_bound, exact = lines_mod.distance_value(bound), not isinstance(bound, AtLeast)
+    # distance_bound's rule for every clique size. The coding points and
+    # lines lie outside X_{d-1}, so a bound below d is d(X): a stabiliser
+    # element of that weight, which the candidate condition cannot see
+    bound = _bound(x, codes, d, excluded)
+    d_bound, exact = lines_mod.distance_value(bound), not isinstance(bound, AtLeast)
+    if chosen and d_bound < d:
+        warnings.append(
+            f"additive code has distance {d_bound} < d; "
+            f"pairs with the zero vector are certified to {d_bound} only"
+        )
 
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CodeReport(

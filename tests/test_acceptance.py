@@ -473,16 +473,17 @@ def test_property_gamma_graph_matches_rank_rule():
 
 
 def projection_rule_bound(x, t, limit):
-    """The distance bound by projection: min_dependent_set of x projected from every non-proportional pair.
+    """The distance bound by projection: min_dependent_set of x projected from every pair of distinct rows of T.
 
+    A pair through the zero row, or of proportional rows, projects from one
+    point, and T = {0} from its zero row alone, which is no projection.
     Each search gives an exact value up to limit or AtLeast(limit + 1), so
     the bound is the least exact value, else AtLeast(limit + 1).
     """
+    rows = t.vectors.tolist()
     exact = []
-    for a, b in itertools.combinations([v for v in t.vectors.tolist() if any(v)], 2):
-        if fields.rank_of_vectors(t.p, [a, b]) < 2:
-            continue
-        result = lines_mod.min_dependent_set(lines_mod.project_lines(x, [a, b]), limit)
+    for centre in itertools.combinations(rows, 2) if len(rows) > 1 else [rows]:
+        result = lines_mod.min_dependent_set(lines_mod.project_lines(x, centre), limit)
         if not isinstance(result, AtLeast):
             exact.append(result)
     return min(exact, default=AtLeast(limit + 1))

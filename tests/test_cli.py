@@ -275,7 +275,7 @@ count.gamma_orbits=65
 NINE_CYCLE_K2_TEXT = """\
 ((9,8,2)) code
   |T| = 2, K = |T|*p^k = 8
-  distance bound: >= 2
+  distance bound: 2
   T is a subspace: yes
   Singleton bound: k <= 7
   graph: 10 vertices, 0 edges, 10 maximum clique(s) of size 1, 11 search nodes

@@ -245,7 +245,8 @@ class TestCandidateVertices:
         # C_18(1,2) at d = 3 under a restriction of no rows: the pool is every
         # point of F_2^18, and the candidates are the 260 766 of the
         # unrestricted pool; their coefficient vectors are decoded a block at
-        # a time, where the whole (262 143, 18) digit matrix at once took 74 MiB
+        # a time, where the whole (262 143, 18) digit matrix at once took 74 MiB,
+        # into the one array of codes, where a second array took 2 MiB more
         import tracemalloc
 
         joins = [(i, (i + s) % 18, 1) for i in range(18) for s in (1, 2)]
@@ -259,7 +260,21 @@ class TestCandidateVertices:
             tracemalloc.stop()
         assert len(verts) == 260766
         assert np.array_equal(verts, candidate_vertices(x, excluded))
-        assert peak < 16 * 2 ** 20
+        assert peak < 11 * 2 ** 20
+
+    def test_restricted_pool_over_the_budget_is_refused(self, mod2, monkeypatch):
+        # a restriction of no rows on the 9-cycle leaves the 511 points of
+        # F_2^9, at 8 bytes of code each: a budget one byte short refuses
+        # them before any is enumerated, and the budget itself admits them
+        x = graph_lines(LabelledGraph.cycle(mod2, 9))
+        excluded = excluded_points(x, 3)
+        everything = np.zeros((0, 9), dtype=np.int64)
+        monkeypatch.setattr(fields, "MAX_BYTES", 8 * 511)
+        assert len(candidate_vertices(x, excluded, everything)) == 268
+        monkeypatch.setattr(fields, "MAX_BYTES", 8 * 511 - 1)
+        monkeypatch.setattr(geometry, "points_of", lambda *args: pytest.fail("the pool was enumerated"))
+        with pytest.raises(TooLarge, match="a pool of 511 points needs about 0.0 MiB"):
+            candidate_vertices(x, excluded, everything)
 
     def test_nine_cycle_restricted(self, nine_cycle_lines, nine_cycle_constraints):
         # 24 of the 63 points of pi lie in the span of at most two incident
@@ -935,9 +950,12 @@ class TestDistanceBound:
     def test_pentagon_bound_two(self, pentagon_lines, pentagon_tset):
         assert distance_bound(pentagon_lines, pentagon_tset, 5) == 2
 
-    def test_vacuous_bound(self, pentagon_lines, mod2):
+    def test_zero_coding_set_gives_the_additive_distance(self, pentagon_lines, mod2):
+        # T = {0} projects from the zero vector alone, so the bound is d(X) = 3,
+        # found at limit 3 and past limit 2
         t = CodingSet(mod2, [(0,) * 5])
-        assert distance_bound(pentagon_lines, t, 3) == AtLeast(4)
+        assert distance_bound(pentagon_lines, t, 3) == 3
+        assert distance_bound(pentagon_lines, t, 2) == AtLeast(3)
 
     @pytest.mark.parametrize("length", [4, 6])
     def test_coding_set_of_another_length_is_refused(self, pentagon_lines, mod2, length):
@@ -947,11 +965,6 @@ class TestDistanceBound:
         with pytest.raises(DimensionMismatch, match=f"a coding set of length {length}, lines in PG\\(4, 2\\)"):
             distance_bound(pentagon_lines, t, 3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="with one coding point _least_weight finds no line, so the pair (0, t) is never read",
-    )
     def test_one_point_bound_is_sound(self, five_qubit_group, pentagon_lines, mod2):
         # a weight-1 error maps Q_0 onto Q_{e_1}, so the code detects no error
         # of weight 1 and any sound bound is at most 1
@@ -961,7 +974,7 @@ class TestDistanceBound:
         try:
             bound = distance_bound(pentagon_lines, t, 3)
         except CollapsedImage:
-            # e_1 is an incident point, and a coding line through one is refused
+            # e_1 is an incident point: as a coding point it meets a line of the set
             return
         assert lines_mod.distance_value(bound) <= 1
 
@@ -987,12 +1000,15 @@ class TestRunRecipe:
         assert report.warnings == ()
 
     def test_pentagon_at_d3_keeps_the_lone_candidate(self, pentagon_graph):
-        # only the all-ones point survives; T = {0, v} doubles the dimension
-        # and the zero pair caps the certified bound at d
+        # only the all-ones point survives; T = {0, v} doubles the dimension,
+        # and the pair (0, v) gives the bound: min(d(X), weight of v) = 3
         report = run_recipe(pentagon_graph, d=3)
         assert report.t_size == 2
         assert report.dimension == 2
-        assert report.d_bound == 3 and not report.d_bound_exact
+        assert report.d_bound == 3 and report.d_bound_exact
+        basis = oracle.code_basis(report.group, report.coding_set.vectors)
+        assert oracle.kl_detect(basis, 2, oracle.error_classes(2, 5, 2)).passed
+        assert not oracle.kl_detect(basis, 2, oracle.error_classes(2, 5, 3)).passed
 
     def test_pentagon_at_d4_falls_back_to_additive(self, pentagon_graph):
         report = run_recipe(pentagon_graph, d=4)
@@ -1010,7 +1026,7 @@ class TestRunRecipe:
         # the all-ones point is the one candidate, so T = {0, 11111111}
         assert {v.entries for v in report.coding_set.nonzero()} == {(1,) * 8}
         assert (report.n, report.dimension) == (8, 2)
-        assert report.d_bound == 3 and not report.d_bound_exact
+        assert report.d_bound == 3 and report.d_bound_exact
         assert any("certified to 3" in w for w in report.warnings)
 
         basis = oracle.code_basis(report.group, report.coding_set.vectors)
@@ -1066,7 +1082,7 @@ class TestRunRecipe:
 
     @pytest.mark.parametrize("k, code, bound, vertices, edges, cliques", [
         (1, "((9,8,3)) code", "3", 65, 432, 304),
-        (2, "((9,8,2)) code", ">= 2", 10, 0, 10),
+        (2, "((9,8,2)) code", "2", 10, 0, 10),
     ])
     def test_nine_cycle_projected(self, nine_cycle_graph, k, code, bound, vertices, edges, cliques):
         report = run_recipe(nine_cycle_graph, d=3, k=k)
@@ -1075,6 +1091,10 @@ class TestRunRecipe:
         assert (report.vertices, report.edges, report.cliques_found) == (vertices, edges, cliques)
         capped = any("additive code has distance 2 < d" in w for w in report.warnings)
         assert capped == (k == 2)
+        if k == 2:
+            # one coding point, and d(X) = 2 decides the bound: the code fails at 2
+            basis = oracle.code_basis(report.group, report.coding_set.vectors)
+            assert not oracle.kl_detect(basis, 2, oracle.error_classes(2, 9, 2)).passed
         # the subgroup's generators are the running products of the parent's
         # generators given by the rows of the null space of the centre
         group = graph_to_generators(nine_cycle_graph)
@@ -1084,15 +1104,15 @@ class TestRunRecipe:
         assert report.group.rows.tolist() == reference_rows(group, rows).tolist()
 
     def test_thirteen_circulant_at_d5(self):
-        # C_13(1,5) has d(X) = 5: one candidate point, and so ((13,2,5)). With
-        # one nonzero coding point no coding line is read, and the bound is d
-        # as a lower bound only
+        # C_13(1,5) has d(X) = 5: one candidate point, and so ((13,2,5)). The
+        # pair (0, t) reads the weight of t, 5, so the bound is exact
         report = run_recipe(circulant(13, (1, 5)), d=5)
         assert (report.vertices, report.edges, report.clique_size) == (1, 0, 1)
-        assert (report.dimension, report.d_bound, report.d_bound_exact) == (2, 5, False)
+        assert (report.dimension, report.d_bound, report.d_bound_exact) == (2, 5, True)
         assert report.coding_set.vectors.tolist() == [[0] * 13, [1] * 13]
         basis = oracle.code_basis(report.group, report.coding_set.vectors)
         assert oracle.kl_detect(basis, 2, oracle.error_classes(2, 13, 4)).passed
+        assert len(oracle.kl_detect(basis, 2, oracle.error_classes(2, 13, 5)).failures) == 117
 
     def test_dodecacode_at_d6(self):
         # C_12(1,3,6) is the [[12,0,6]] graph state: no candidate at d = 6,
@@ -1157,14 +1177,14 @@ class TestRunRecipe:
         assert report.t_size == 1 + 2 * report.clique_size
 
     def test_property_bound_is_the_public_distance_bound(self):
-        # on random labelled graphs, a clique of two or more points: the
-        # report's bound is distance_bound's on the lines of report.group and
-        # report.coding_set at limit d, exact for an int and d, as a lower
-        # bound, for AtLeast
+        # on random labelled graphs, with cliques of every size, T = {0}
+        # included: the report's bound is distance_bound's on the lines of
+        # report.group and report.coding_set at limit d, exact for an int and
+        # a lower bound for AtLeast
         # a projection shrinks the space, so k = 1 takes one vertex more; larger
         # spaces at d = 2 make the clique search itself the cost
         rng = random.Random(7300)
-        seen = collections.Counter()
+        seen, sizes = collections.Counter(), collections.Counter()
         for case in range(400):
             p, d, k = rng.choice([2, 3]), rng.choice([2, 3, 4]), rng.choice([0, 1])
             n = rng.randint(3, {2: 6, 3: 4}[p] + k)
@@ -1173,14 +1193,15 @@ class TestRunRecipe:
                 report = run_recipe(g, d=d, k=k)
             except (CollapsedImage, NoClique):
                 continue
-            if report.clique_size < 2:
-                continue
             x = lines_mod.lines_from_matrix(report.group.gmatrix, n, k)
             bound = distance_bound(x, report.coding_set, d)
-            expected = (d, False) if isinstance(bound, AtLeast) else (bound, True)
+            expected = (lines_mod.distance_value(bound), not isinstance(bound, AtLeast))
             assert (report.d_bound, report.d_bound_exact) == expected, f"case {case}: p={p} n={n} d={d} k={k}"
             seen[p, k] += 1
+            sizes[min(report.clique_size, 2)] += 1
         assert len(seen) == 4 and sum(seen.values()) >= 60, f"cases seen: {dict(seen)}"
+        # T = {0}, one coding point and more
+        assert len(sizes) == 3, f"clique sizes seen: {dict(sizes)}"
 
 
 def test_derived_values_run_no_constructor_check(
