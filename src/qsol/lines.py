@@ -10,7 +10,6 @@ that subgroup.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -203,67 +202,8 @@ def weight_table(p: int, m: int, points: np.ndarray, top: int) -> np.ndarray:
         for part in fields.blocks(entries, 1):
             frontier = part.start + np.flatnonzero(table[part] == w - 1)
             for rows in fields.blocks(len(frontier), (p - 1) * len(points)):
-                reached = line_codes(p, m, frontier[rows], points).ravel()
+                reached = geometry.line_codes(p, m, frontier[rows], points).ravel()
                 table[reached[table[reached] == OUTSIDE]] = w
-    return table
-
-
-def line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The codes of a_i + c·b_j for c = 1..p-1, as an array indexed [c-1, i, j].
-
-    a and b hold codes of vectors of F_p^m. For p = 2 the code of a sum is
-    the XOR of the codes. Otherwise the m base-p digits of a code go in
-    chunks (chunk_widths), most significant first, and the code of a sum is
-    built chunk by chunk from one gather in the chunk's sum table.
-    """
-    if p == 2:
-        return (a[:, None] ^ b)[None]
-    codes = None
-    low = m
-    for width in chunk_widths(p, m):
-        low -= width
-        size = p ** width
-        a_chunk, b_chunk = a // p ** low % size, b // p ** low % size
-        sums = _sum_table(p, width).take(a_chunk[:, None] * size + b_chunk, axis=1)
-        if codes is None:
-            codes = sums.astype(np.int64)
-        else:
-            codes *= size
-            codes += sums
-    return codes
-
-
-def chunk_widths(p: int, m: int) -> list[int]:
-    """The widths of the digit chunks of an m-digit base-p code in line_codes, most significant first.
-
-    Every chunk but the first is k digits wide, for the largest k with
-    p^(2k) <= 2^16, so that a chunk's code fits in one byte and its sum
-    table holds at most (p - 1)·2^16 entries; the first takes the rest,
-    and is 0 digits wide when m = 0.
-    """
-    k = 1
-    while p ** (2 * k + 2) <= 2 ** 16:
-        k += 1
-    chunks = max(1, -(-m // k))
-    return [m - k * (chunks - 1)] + [k] * (chunks - 1)
-
-
-@functools.cache
-def _sum_table(p: int, k: int) -> np.ndarray:
-    """The codes of u + c·v over F_p^k, for c = 1..p-1, as a read-only uint8 array indexed [c-1, u·p^k + v].
-
-    Built digit by digit: appending a least significant digit x to u and y
-    to v takes an entry e to e·p + (x + c·y) mod p. Every temporary is uint8
-    and no larger than the table, since p^k <= 256 (see chunk_widths).
-    """
-    digit = np.arange(p)
-    # [c-1, x, y] -> (x + c·y) mod p
-    sums = ((digit[:, None] + np.arange(1, p)[:, None, None] * digit) % p).astype(np.uint8)
-    table = np.zeros((p - 1, 1, 1), dtype=np.uint8)
-    for size in (p ** np.arange(1, k + 1)).tolist():
-        table = (table[:, :, None, :, None] * np.uint8(p) + sums[:, None, :, None, :]).reshape(p - 1, size, size)
-    table = table.reshape(p - 1, -1)
-    table.setflags(write=False)
     return table
 
 

@@ -148,7 +148,8 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     survives is the conjugate of Q_t, and exactly p^k singular values must
     stay above tolerance.
 
-    The action of each generator row of s.rows is computed once. All
+    The action of each generator row of s.rows is computed once, one
+    _pauli_action call for each fields.blocks block of generators. All
     components go through one pass over the generators: each generator
     acts on a (components, p^k + 1, dim) block, with omega^{-j t_i} as a
     per-component coefficient, and one batched SVD follows. The
@@ -167,7 +168,7 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     p, n = s.p, s.n
     expected = p ** s.k
     columns = len(signs) * expected + 1
-    dim = _check_budget(p, n, columns)
+    dim = p ** n
     action_bytes = sum(t.itemsize for t in _action_dtypes(p, n))
     fields.check_bytes(
         f"a complex {dim} x {columns} array with the actions of {s.num_generators} generators",
@@ -175,8 +176,8 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     )
     if signs.ndim != 2 or signs.shape[1] != s.num_generators:
         raise ValueError("one sign per generator required")
-    # one generator per call, so that the integer temporaries of only one are held
-    actions = [_pauli_action(p, s.rows[i:i + 1]) for i in range(s.num_generators)]
+    # one call a block of generators: a call's fixed cost dwarfs a small action
+    actions = [act for block in fields.blocks(s.num_generators, dim) for act in zip(*_pauli_action(p, s.rows[block]))]
     roots = _roots(p)
     if p == 2 and not any((power & 1).any() for _, power in actions):
         roots = roots.real
@@ -188,7 +189,7 @@ def code_basis(s: StabiliserGroup, vectors: np.ndarray | Sequence[Sequence[int]]
     for first in range(0, len(signs), chunk):
         t = signs[first:first + chunk]
         rows = np.broadcast_to(start, (len(t), *start.shape))
-        for ((perm,), (power,)), ti in zip(actions, t.T):
+        for (perm, power), ti in zip(actions, t.T):
             phase = roots[power]
             acc = rows
             term = rows

@@ -23,7 +23,7 @@ from .errors import (
     TimeLimitExceeded,
 )
 from .fields import PrimeModulus
-from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet, line_codes
+from .lines import OUTSIDE, AtLeast, DependentSetSize, QuantumLineSet
 
 # X_w as a weight table over the codes of the ambient vectors (see
 # lines.weight_table); its guard against fields.MAX_BYTES fires where the one
@@ -188,11 +188,12 @@ def candidate_vertices(
 
     With a restriction, the (r, m) constraint rows of io.parse_restriction,
     only the points of their null space are considered (the subspace trick
-    that keeps the compatibility graph small); a pool whose codes, 8 bytes a
-    point, exceed fields.MAX_BYTES is refused with TooLarge before it is
-    enumerated. Without one, the points are read off the table one range
-    [p^j, 2·p^j) of normalised codes (leading 1 j places from the end) at a
-    time.
+    that keeps the compatibility graph small); a pool that would pass
+    fields.MAX_BYTES at 32 bytes a point, above the traced peak of its
+    enumeration and filter (at most 24 for p = 2 to 31), is refused with
+    TooLarge before it is enumerated. Without one, the points are read off
+    the table one range [p^j, 2·p^j) of normalised codes (leading 1 j
+    places from the end) at a time.
     """
     p, m = x.p, x.dim
     if restriction is None:
@@ -204,7 +205,7 @@ def candidate_vertices(
         )
     basis = fields.null_space(p, restriction, m)
     count = (p ** len(basis) - 1) // (p - 1)
-    fields.check_bytes(f"a pool of {count} points", 8 * count)
+    fields.check_bytes(f"a pool of {count} points", 32 * count)
     pool = geometry.points_of(p, basis)
     return pool[excluded[pool] == OUTSIDE]
 
@@ -224,7 +225,7 @@ def gamma_graph(
     Γ's vertices are the given codes, those of candidate_vertices, in the
     given order. A code outside [1, p^m), no nonzero vector of the lines'
     space, or of a point of X_{d-1} raises ValueError. The table is read at
-    the codes of u + c·v, c = 1..p-1 (lines.line_codes). For v = u the sum
+    the codes of u + c·v, c = 1..p-1 (geometry.line_codes). For v = u the sum
     u + (p-1)·u is the zero vector, whose entry 0 takes the diagonal out of
     every row. The rows are taken in fields.blocks and written straight into
     the (n, n) bool adjacency array, which is refused with TooLarge, before
@@ -241,7 +242,7 @@ def gamma_graph(
         raise ValueError(f"a vertex of Γ must be the code of a point of PG({m - 1}, {p}) outside X_{{d-1}}")
     adjacency = np.empty((n, n), dtype=bool)
     for block in fields.blocks(n, n * m):
-        (excluded[line_codes(p, m, codes[block], codes)] == OUTSIDE).all(axis=0, out=adjacency[block])
+        (excluded[geometry.line_codes(p, m, codes[block], codes)] == OUTSIDE).all(axis=0, out=adjacency[block])
     return fields._derived(CompatibilityGraph, tuple(codes.tolist()), adjacency)
 
 
@@ -562,7 +563,7 @@ def _least_weight(x: QuantumLineSet, points: np.ndarray, limit: int, weights: We
     """
     p, m = x.p, x.dim
     i, j = np.triu_indices(len(points), 1)
-    on_lines = np.concatenate([points, line_codes(p, m, points, points)[:, i, j].ravel()])
+    on_lines = np.concatenate([points, geometry.line_codes(p, m, points, points)[:, i, j].ravel()])
     least = int(weights[on_lines].min(initial=OUTSIDE))
     if least == 1:
         raise CollapsedImage("a coding point, or a line through two, meets a line of the set")
@@ -571,8 +572,8 @@ def _least_weight(x: QuantumLineSet, points: np.ndarray, limit: int, weights: We
     if least > limit >= 2:
         # X_limit is one layer past the table: q lies in it iff, for some
         # incident s, a point of the line qs other than q and s lies in X_{limit-1}
-        incident = np.flatnonzero(weights == 1)
-        if (weights[line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
+        incident = lines_mod.incident_points(x)
+        if (weights[geometry.line_codes(p, m, on_lines, incident)] != OUTSIDE).any():
             least = limit
     return least
 

@@ -413,7 +413,7 @@ def group_elements(s: StabiliserGroup) -> set:
 
 
 def reference_line_codes(p: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The codes of a_i + c·b_j, c = 1..p-1, indexed [c-1, i, j], digit by digit: the reference for lines.line_codes."""
+    """The codes of a_i + c·b_j, c = 1..p-1, indexed [c-1, i, j], digit by digit: the reference for geometry.line_codes."""
     codes = np.zeros((p - 1, len(a), len(b)), dtype=np.int64)
     # most significant digit first, and scalar by scalar, so temporaries stay (len(a), len(b))
     for a_digit, b_digit in zip(np.unravel_index(a, (p,) * m), np.unravel_index(b, (p,) * m)):

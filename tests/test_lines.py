@@ -9,14 +9,13 @@ import pytest
 from qsol import fields, geometry, lines as lines_mod, pauli
 from qsol.errors import CollapsedImage, DegenerateLine, TooLarge, UnsupportedModulus
 from qsol.fields import FpVector, PrimeModulus
+from qsol.geometry import chunk_widths, line_codes
 from qsol.lines import (
     AtLeast,
     QuantumLineSet,
-    chunk_widths,
     distance_value,
     incident_points,
     lines_from_matrix,
-    line_codes,
     lines_spanned_by,
     matrix_from_lines,
     min_dependent_set,
@@ -363,6 +362,8 @@ class TestMinDependentSet:
 
 
 class TestLineCodes:
+    """geometry.line_codes with its chunk plan and sum tables, and the weight table built on it."""
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
     def test_property_matches_reference(self, p):
         # m from 1 to one digit past two chunk widths (the XOR path for p = 2),
@@ -399,8 +400,8 @@ class TestLineCodes:
                 m += 1
 
     def test_sum_table_is_cached_read_only_bytes(self):
-        table = lines_mod._sum_table(3, 5)
-        assert table is lines_mod._sum_table(3, 5)
+        table = geometry._sum_table(3, 5)
+        assert table is geometry._sum_table(3, 5)
         assert table.dtype == np.uint8 and table.shape == (2, 243 * 243) and not table.flags.writeable
         assert table.nbytes == 2 * 243 ** 2
 
@@ -438,7 +439,7 @@ class TestLineCodes:
         rng = random.Random(1200 + 10 * p + m)
         draws = [np.array(sorted({rng.randrange(1, p ** m) for _ in range(rng.randrange(1, 3 * m))})) for _ in range(6)]
         tables = [weight_table(p, m, points, 3) for points in draws]
-        monkeypatch.setattr(lines_mod, "line_codes", reference_line_codes)
+        monkeypatch.setattr(geometry, "line_codes", reference_line_codes)
         for points, table in zip(draws, tables):
             assert table.tobytes() == weight_table(p, m, points, 3).tobytes()
 

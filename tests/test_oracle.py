@@ -174,12 +174,12 @@ class TestCodeProjector:
             code_basis(five_qubit_group, [t, t])
 
     def test_acts_with_each_generator_once(self, nine_cycle_graph, nine_cycle_tset, monkeypatch):
-        # 9 generator actions, one per call, serve all 12 components, not 12 x 9 = 108
+        # 9 generator actions, in one call of one block, serve all 12 components, not 12 x 9 = 108
         actions = []
         act = oracle._pauli_action
         monkeypatch.setattr(oracle, "_pauli_action", lambda p, ops: actions.append(len(ops)) or act(p, ops))
         assert code_basis(graph_to_generators(nine_cycle_graph), nine_cycle_tset.vectors).shape == (512, 12)
-        assert actions == [1] * 9
+        assert actions == [9]
 
     def test_holds_the_actions_as_small_integers(self, five_qubit_group, monkeypatch):
         # each of the 5 actions on 32 indices is an int32 index and a uint8 power
@@ -194,10 +194,11 @@ class TestCodeProjector:
             code_basis(five_qubit_group, t)
 
     def test_budget_refuses_with_an_estimate(self, mod2):
-        # 2^24 x 3 complex entries are 768 MiB, over the 256 MiB budget
+        # 2^24 x 3 complex entries are 768 MiB, and the actions of 24
+        # generators, 5 bytes an entry, 1920 MiB more: over the 256 MiB budget
         group = graph_to_generators(LabelledGraph.cycle(mod2, 24))
         tset = [(0,) * 24, (1,) * 24]
-        with pytest.raises(TooLarge, match=r"16777216 x 3 array needs about 768\.0 MiB"):
+        with pytest.raises(TooLarge, match=r"16777216 x 3 array with the actions of 24 generators needs about 2688\.0 MiB"):
             code_basis(group, tset)
 
 
@@ -617,12 +618,12 @@ class TestKlDetect:
         assert report.passed and len(report) == 351
         assert len(supports) == len(set(supports)) == 45
         assert actions == []
-        # a whole verify acts with each of the 9 generators once, in code_basis
+        # a whole verify acts with each of the 9 generators once, in one call of code_basis
         argv = ["verify", "--gens", str(data_dir / "nine_cycle.gens"), "--tset", str(data_dir / "nine_cycle.tset"),
                 "--d", "3", "--format", "machine"]
         assert main(argv) == 0
         assert "kl_pass=1" in capsys.readouterr().out.splitlines()
-        assert len(actions) == graph_to_generators(nine_cycle_graph).num_generators == 9
+        assert actions == [graph_to_generators(nine_cycle_graph).num_generators] == [9]
 
 
 class TestSubspaceEqual:

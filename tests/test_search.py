@@ -215,8 +215,33 @@ class TestCandidateVertices:
                 except IsolatedVertex:
                     continue
                 excluded = excluded_points(x, rng.randrange(2, 5))
-                pool = geometry.normalised_codes(p, n)
+                pool = geometry.points_of(p, np.eye(n, dtype=np.int64))
                 assert candidate_vertices(x, excluded).tolist() == pool[excluded[pool] == search.OUTSIDE].tolist()
+                checked += 1
+        assert checked >= 2 * len(sizes)
+
+    @pytest.mark.parametrize("p, sizes", [(2, range(2, 9)), (3, range(2, 6)), (5, range(2, 5))])
+    def test_restricted_pool_is_the_unrestricted_pool_on_the_subspace(self, p, sizes):
+        # random labelled graphs, 0..n-1 random constraint rows and d = 2..4:
+        # the points of the rows' null space that survive the table are the
+        # unrestricted candidates that solve every row
+        rng = random.Random(5400 + p)
+        modulus = PrimeModulus(p)
+        checked = 0
+        for n in sizes:
+            for _ in range(6):
+                pairs = itertools.combinations(range(n), 2)
+                joins = [(i, j, rng.randrange(1, p)) for i, j in pairs if rng.random() < 0.5]
+                try:
+                    x = graph_lines(LabelledGraph.from_edges(modulus, n, joins))
+                except IsolatedVertex:
+                    continue
+                excluded = excluded_points(x, rng.randrange(2, 5))
+                draw = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n))]
+                rows = np.array(draw, dtype=np.int64).reshape(-1, n)
+                pool = candidate_vertices(x, excluded)
+                solving = [code for code, v in zip(pool.tolist(), vectors(p, n, pool)) if contains_point(p, rows, v)]
+                assert candidate_vertices(x, excluded, rows).tolist() == solving
                 checked += 1
         assert checked >= 2 * len(sizes)
 
@@ -244,9 +269,8 @@ class TestCandidateVertices:
     def test_restricted_pool_of_the_whole_space_stays_bounded(self, mod2):
         # C_18(1,2) at d = 3 under a restriction of no rows: the pool is every
         # point of F_2^18, and the candidates are the 260 766 of the
-        # unrestricted pool; their coefficient vectors are decoded a block at
-        # a time, where the whole (262 143, 18) digit matrix at once took 74 MiB,
-        # into the one array of codes, where a second array took 2 MiB more
+        # unrestricted pool; each row's points are sums of codes written into
+        # the one 2 MiB array of codes, at a traced peak of about 4 MiB
         import tracemalloc
 
         joins = [(i, (i + s) % 18, 1) for i in range(18) for s in (1, 2)]
@@ -260,18 +284,18 @@ class TestCandidateVertices:
             tracemalloc.stop()
         assert len(verts) == 260766
         assert np.array_equal(verts, candidate_vertices(x, excluded))
-        assert peak < 11 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     def test_restricted_pool_over_the_budget_is_refused(self, mod2, monkeypatch):
         # a restriction of no rows on the 9-cycle leaves the 511 points of
-        # F_2^9, at 8 bytes of code each: a budget one byte short refuses
-        # them before any is enumerated, and the budget itself admits them
+        # F_2^9, at 32 bytes each: a budget one byte short refuses them
+        # before any is enumerated, and the budget itself admits them
         x = graph_lines(LabelledGraph.cycle(mod2, 9))
         excluded = excluded_points(x, 3)
         everything = np.zeros((0, 9), dtype=np.int64)
-        monkeypatch.setattr(fields, "MAX_BYTES", 8 * 511)
+        monkeypatch.setattr(fields, "MAX_BYTES", 32 * 511)
         assert len(candidate_vertices(x, excluded, everything)) == 268
-        monkeypatch.setattr(fields, "MAX_BYTES", 8 * 511 - 1)
+        monkeypatch.setattr(fields, "MAX_BYTES", 32 * 511 - 1)
         monkeypatch.setattr(geometry, "points_of", lambda *args: pytest.fail("the pool was enumerated"))
         with pytest.raises(TooLarge, match="a pool of 511 points needs about 0.0 MiB"):
             candidate_vertices(x, excluded, everything)
@@ -414,7 +438,7 @@ class TestGammaGraph:
 
         x = cycle_lines(mod2, 20)
         excluded = excluded_points(x, 2)
-        vertices = geometry.normalised_codes(2, 20)
+        vertices = geometry.points_of(2, np.eye(20, dtype=np.int64))
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge, match=r"^a compatibility graph on 1048575 vertices needs about 1048574\.0 MiB, over the 256 MiB budget$"):
